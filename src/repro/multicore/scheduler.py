@@ -122,32 +122,43 @@ class InterleavedScheduler:
                 # turn (this is the only place the RNG is consumed, and
                 # only the turn holder reaches it — determinism).
                 self._pick_next()
+            self._await_turn(tid)
+
+    def _first_turn(self, tid: int) -> None:
+        """A worker's first wait.  It never draws: whether the thread was
+        picked before or after it got here depends on OS start-up
+        timing, and the schedule must not."""
+        with self._cond:
+            self._await_turn(tid)
+
+    def _await_turn(self, tid: int) -> None:
+        # Callers hold self._cond.
+        if self._crashed:
+            # _pick_next may have hit the armed crash point, and the
+            # next turn may be ours — check before running on.
+            raise PowerFailure("system-wide power failure")
+        stalled = 0.0
+        while self._current != tid:
             if self._crashed:
-                # _pick_next may have hit the armed crash point, and the
-                # next turn may be ours — check before running on.
                 raise PowerFailure("system-wide power failure")
-            stalled = 0.0
-            while self._current != tid:
-                if self._crashed:
-                    raise PowerFailure("system-wide power failure")
-                if tid not in self._runnable:
-                    raise SimulationError(f"retired thread {tid} checkpointed")
-                before = self.switches
-                self._cond.wait(timeout=self.wait_timeout)
-                if self._crashed:
-                    raise PowerFailure("system-wide power failure")
-                if self._current is None and self._runnable:
-                    raise SimulationError("scheduler lost the turn")
-                if self.switches != before:
-                    stalled = 0.0  # somebody is making progress
-                else:
-                    stalled += self.wait_timeout
-                    if stalled >= self.hang_timeout and not self._crashed:
-                        raise SimulationError(
-                            f"scheduler deadlock: no turn switch for "
-                            f"{stalled:.0f}s ({self.switches} switches, "
-                            f"thread {tid} waiting)"
-                        )
+            if tid not in self._runnable:
+                raise SimulationError(f"retired thread {tid} checkpointed")
+            before = self.switches
+            self._cond.wait(timeout=self.wait_timeout)
+            if self._crashed:
+                raise PowerFailure("system-wide power failure")
+            if self._current is None and self._runnable:
+                raise SimulationError("scheduler lost the turn")
+            if self.switches != before:
+                stalled = 0.0  # somebody is making progress
+            else:
+                stalled += self.wait_timeout
+                if stalled >= self.hang_timeout and not self._crashed:
+                    raise SimulationError(
+                        f"scheduler deadlock: no turn switch for "
+                        f"{stalled:.0f}s ({self.switches} switches, "
+                        f"thread {tid} waiting)"
+                    )
 
     def backoff(self, tid: int, turns: int) -> None:
         """Deterministic conflict backoff: yield the turn *turns* times
@@ -196,7 +207,7 @@ class InterleavedScheduler:
         def wrap(tid: int, body: Callable[[], None]) -> None:
             try:
                 # Wait for the first turn before touching shared state.
-                self.checkpoint(tid)
+                self._first_turn(tid)
                 body()
             except PowerFailure:
                 pass  # expected unwinding during a crash
@@ -214,6 +225,10 @@ class InterleavedScheduler:
             self._running = True
             self._runnable = set(range(self.num_threads))
             self._current = None
+            # The first pick, then the draw its holder would make on
+            # finishing its (empty) first instruction: it was picked
+            # before it started, so its first wait would always draw.
+            self._pick_next()
             self._pick_next()
         for t in threads:
             t.start()

@@ -228,3 +228,41 @@ class TestCrashAtSwitch:
         scheduler, trace = self.armed_run(10_000)
         assert not scheduler.crashed
         assert sorted(trace) == [(t, s) for t in range(2) for s in range(50)]
+
+
+class TestStartTiming:
+    """A worker's first wait never draws a turn, so the schedule does not
+    depend on how late the OS starts each worker thread."""
+
+    def run_with_late_start(self, monkeypatch, late):
+        real_thread = threading.Thread
+
+        class LateThread(real_thread):
+            def __init__(self, *, target, args, **kwargs):
+                def delayed(*call_args):
+                    if call_args[0] == late:
+                        time.sleep(0.3)
+                    target(*call_args)
+
+                super().__init__(target=delayed, args=args, **kwargs)
+
+        scheduler = InterleavedScheduler(3, seed=4)
+        trace = []
+
+        def worker(tid):
+            def body():
+                for step in range(8):
+                    scheduler.checkpoint(tid)
+                    trace.append((tid, step))
+
+            return body
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading, "Thread", LateThread)
+            scheduler.run([worker(t) for t in range(3)])
+        return trace, scheduler.switches
+
+    @pytest.mark.parametrize("late", [0, 1, 2])
+    def test_late_worker_start_keeps_the_schedule(self, monkeypatch, late):
+        prompt = self.run_with_late_start(monkeypatch, late=None)
+        assert self.run_with_late_start(monkeypatch, late=late) == prompt
