@@ -19,7 +19,7 @@ Shrinking happens in two phases:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
@@ -72,10 +72,10 @@ class Reproducer:
     @classmethod
     def from_json(cls, text: str) -> "Reproducer":
         data = json.loads(text)
+        missing = sorted({f.name for f in fields(cls)} - set(data))
+        if missing:
+            raise ValueError(f"reproducer lacks field(s) {missing}")
         data["ops"] = [list(op) for op in data["ops"]]
-        data.setdefault("fault", None)  # tolerate pre-fault files
-        data.setdefault("service", None)  # tolerate pre-service files
-        data.setdefault("twopc", None)  # tolerate pre-2PC files
         return cls(**data)
 
     @classmethod

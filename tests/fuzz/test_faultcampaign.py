@@ -135,12 +135,12 @@ class TestFaultReproducer:
         assert again == rep
         assert again.fault["bit"] == 42
 
-    def test_legacy_files_without_fault_key_still_load(self):
+    def test_files_without_fault_key_are_rejected(self):
         rep = self.fault_rep(None)
         data = json.loads(rep.to_json())
         del data["fault"]
-        again = Reproducer.from_json(json.dumps(data))
-        assert again.fault is None
+        with pytest.raises(ValueError, match="fault"):
+            Reproducer.from_json(json.dumps(data))
 
     def test_replay_dispatches_to_fault_case(self):
         ops = generate_ops("inplace", OPS, SEED)

@@ -75,15 +75,15 @@ class TestTwoPCReproducer:
         # The synthetic "violation" is not real: replay judges clean.
         assert result.violation is None
 
-    def test_pre_twopc_reproducer_files_still_load(self):
+    def test_files_without_service_or_twopc_keys_are_rejected(self):
         rep = Reproducer.from_twopc_violation(
             twopc_violation(), seed=7, **SMALL
         )
         data = json.loads(rep.to_json())
         del data["twopc"]
         del data["service"]
-        old = Reproducer.from_json(json.dumps(data))
-        assert old.twopc is None and old.service is None
+        with pytest.raises(ValueError, match="service.*twopc"):
+            Reproducer.from_json(json.dumps(data))
 
 
 class TestServiceReproducer:
