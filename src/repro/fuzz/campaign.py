@@ -1,36 +1,39 @@
-"""The crash-consistency fuzzing campaign driver.
+"""The crash, multi-core contention and transaction-service families.
 
-A campaign sweeps a grid of *cells* — (workload × scheme ×
-annotation-policy) — and for each cell crashes the same deterministic
-operation sequence at many points:
+Each family below plugs into the campaign kernel
+(:mod:`repro.fuzz.kernel`), which owns the clean run, point selection,
+the case loop, the fan-out, the report table, the minimizer and the
+CLI.  What stays here is each family's own: its cells and default grid,
+the subject it builds, where it crashes, and how it judges the
+recovered image.
+
+**crash** (``python -m repro fuzz``) — a grid of (workload × scheme ×
+annotation-policy) cells, each crashing the same deterministic op
+sequence at
 
 * **durability-event points** (``crash_after_persists``): every WPQ
   insert is a potential crash point *inside* a commit sequence, exactly
-  where the Figure-4 persist ordering matters.  For small op counts the
-  driver enumerates every one of them (exhaustive); past the budget it
-  samples from a seeded RNG.
+  where the Figure-4 persist ordering matters — enumerated exhaustively
+  when they fit three quarters of the budget, seeded-sampled otherwise;
 * **instruction-boundary points**: sampled crash points between
   simulated memory instructions (the
   :class:`~repro.recovery.crashsim.InstructionLimit` checkpoint hook),
   covering mid-transaction volatile states that never reach the WPQ.
 
-After each crash the machine recovers
-(:func:`repro.recovery.engine.recover` plus the workload's own
-recovery hook) and the durable image is checked three ways:
+After recovery the durable image is checked three ways: **structure**
+(the workload's integrity invariants), **atomicity** (exactly the
+committed prefix, or that prefix plus the in-flight op whose commit
+marker may have become durable) and **differential** (both reference
+states come from a clean run of the **FG baseline**, so any
+scheme/policy that diverges from FG's durable semantics is caught).
 
-1. **structure** — the workload's integrity invariants;
-2. **atomicity** — the durable logical state must be *exactly* one of
-   two states: the committed prefix of the op sequence, or that prefix
-   plus the in-flight operation (whose commit marker may have become
-   durable before the crash reached the application);
-3. **differential** — those two reference states come from a clean run
-   of the **FG baseline** (no selective logging, no annotations), so any
-   scheme/policy combination that diverges from FG's durable semantics
-   is caught even if its state is self-consistent.
+**multicore** (``--multicore``) — N cores hammer one shared structure;
+a power failure lands on a scheduler turn switch, and the image must be
+the committed oracle plus any subset of the in-flight ops.
 
-Everything is seeded and Date-free: the same ``(budget, seed)`` always
-produces the identical campaign, which is what makes replay and
-shrinking byte-for-byte reproducible.
+**service** (``--service``) — a group-committing transaction service;
+every acknowledged write must be durable, and the only other legal
+image adds one whole in-flight batch.
 """
 
 from __future__ import annotations
@@ -38,18 +41,26 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import DEFAULT_CONFIG, CacheConfig, SystemConfig
-from repro.common.errors import PowerFailure, RecoveryError, SimulationError
+from repro.common.errors import PowerFailure, SimulationError
 from repro.core.machine import Machine
 from repro.core.schemes import scheme_by_name
-from repro.fuzz.invariants import (
-    InvariantViolation,
-    State,
-    Subject,
-    durable_state,
-    make_subject,
+from repro.fuzz.invariants import InvariantViolation, State, Subject, durable_state, make_subject
+from repro.fuzz.kernel import (
+    REST,
+    Family,
+    Pool,
+    Violation,
+    accept,
+    durable_image,
+    oracle_states,
+    register,
+    run_case,
+    run_cell,
+    structural,
 )
 from repro.fuzz.oplog import OpLog
 from repro.recovery.crashsim import InstructionLimit
@@ -118,9 +129,59 @@ STRESS_CONFIG: SystemConfig = dataclasses.replace(
     l3=CacheConfig(size_bytes=8192, ways=4, latency_cycles=40),
 )
 
+_STRESS = "config=stress (512B/1KB/8KB caches)"
+
+
+def _points(run: int, total: int, exhaustive: bool = False) -> str:
+    """A report cell ``run/total``, marked when the sweep was exhaustive."""
+    return f"{run}/{total}" + (" all" if exhaustive else "")
+
+
+def _durability_pools(
+    events: int,
+    instrs: int,
+    budget: int,
+    persist_budget: Optional[int] = None,
+    instr_budget: Optional[int] = None,
+) -> List[Pool]:
+    """Three quarters of the budget to durability-event points —
+    exhaustively when they fit, sampled otherwise — and the remainder to
+    sampled instruction boundaries (the single-machine families' split)."""
+    if persist_budget is None:
+        persist_budget = max(1, (budget * 3) // 4)
+    return [
+        Pool("persist", range(events), take=persist_budget),
+        Pool("instr", range(instrs), take=REST if instr_budget is None else instr_budget),
+    ]
+
+
+def _arm_machine(machine: Machine, kind: str, point: int) -> None:
+    if kind == "persist":
+        machine.schedule_crash_after_persists(point)
+    elif kind == "instr":
+        machine.checkpoint = InstructionLimit(point)
+    else:
+        raise ValueError(f"unknown crash kind {kind!r}")
+
+
+def _power_cycle(machine: Machine, subject) -> None:
+    """Crash a single machine and recover it with the subject's hooks."""
+    machine.checkpoint = None
+    machine.crash()
+    recover(machine.pm, mode=machine.scheme.logging_mode, hooks=[subject])
+
+
+def _machine_gauge(machine: Machine) -> Tuple[int, int, int, int]:
+    return (
+        machine.wpq.total_inserts,
+        machine.stats.instructions,
+        machine.now,
+        machine.stats.pm_bytes_written,
+    )
+
 
 # ----------------------------------------------------------------------
-# cells and results
+# crash family: cells, op generation, FG baseline
 # ----------------------------------------------------------------------
 
 
@@ -154,34 +215,6 @@ DEFAULT_CELLS: Tuple[FuzzCell, ...] = tuple(
 
 
 @dataclass
-class Violation:
-    """One invariant failure, with everything needed to reproduce it."""
-
-    cell: FuzzCell
-    crash_kind: str
-    crash_point: int
-    check: str
-    message: str
-
-    def __str__(self) -> str:
-        return (
-            f"{self.cell} @{self.crash_kind}:{self.crash_point} "
-            f"[{self.check}] {self.message}"
-        )
-
-
-@dataclass
-class CaseResult:
-    """Outcome of one crash-inject-recover-check case."""
-
-    crashed: bool
-    committed_ops: int
-    tx_commits: int
-    violation: Optional[str] = None
-    check: str = ""
-
-
-@dataclass
 class CellReport:
     """Coverage and outcome summary for one campaign cell."""
 
@@ -203,30 +236,6 @@ class CellReport:
     @property
     def cases_run(self) -> int:
         return self.persist_points_run + self.instr_points_run
-
-
-@dataclass
-class CampaignResult:
-    """A whole campaign: parameters plus every cell report."""
-
-    budget: int
-    seed: int
-    num_ops: int
-    value_bytes: int
-    cells: List[CellReport] = field(default_factory=list)
-
-    @property
-    def total_cases(self) -> int:
-        return sum(c.cases_run for c in self.cells)
-
-    @property
-    def violations(self) -> List[Violation]:
-        return [v for c in self.cells for v in c.violations]
-
-
-# ----------------------------------------------------------------------
-# deterministic op generation
-# ----------------------------------------------------------------------
 
 
 def generate_ops(workload: str, num_ops: int, seed: int) -> List[Op]:
@@ -289,11 +298,6 @@ def apply_op(subject: Subject, op: Op) -> None:
         raise ValueError(f"unknown fuzz op kind {kind!r}")
 
 
-# ----------------------------------------------------------------------
-# case execution
-# ----------------------------------------------------------------------
-
-
 def _build(
     workload: str,
     scheme: str,
@@ -329,314 +333,181 @@ def baseline_states(
     return states
 
 
-def run_case(
-    workload: str,
-    scheme: str,
-    policy: str,
-    ops: Sequence[Op],
-    crash_kind: str,
-    crash_point: int,
-    *,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    baseline: Optional[List[State]] = None,
-) -> CaseResult:
-    """One crash-inject-recover-check experiment.
+class OpsRun:
+    """One live single-core subject replaying an op list, with the FG
+    reference states its judge compares against."""
 
-    ``crash_kind`` is ``"persist"`` (the *crash_point*-th post-setup
-    durability event) or ``"instr"`` (the *crash_point*-th post-setup
-    memory instruction).  *baseline* is the FG reference from
-    :func:`baseline_states`; when omitted it is computed on the fly.
-    """
-    if baseline is None:
-        baseline = baseline_states(
-            workload, ops, value_bytes=value_bytes, config=config
+    def __init__(self, cell, policy: str, knobs: Dict) -> None:
+        self.machine, rt, self.subject = _build(
+            cell.workload, cell.scheme, policy,
+            value_bytes=knobs["value_bytes"], config=knobs["config"],
         )
-    machine, rt, subject = _build(
-        workload, scheme, policy, value_bytes=value_bytes, config=config
+        self.oplog = OpLog()
+        rt.op_log = self.oplog
+        self.ops = knobs["ops"]
+        self.baseline = knobs["baseline"]
+        self.committed = 0
+        #: The armed media fault (media-fault family only).
+        self.model = None
+
+    def replay(self) -> None:
+        for i, op in enumerate(self.ops):
+            self.oplog.begin_op(i)
+            apply_op(self.subject, op)
+            self.committed += 1
+
+    def check_two_state(self) -> None:
+        """Structure, then exactly the committed prefix or — the
+        in-flight op's commit marker may have become durable just before
+        the crash reached the application — that prefix plus one."""
+        legal = [self.baseline[self.committed]]
+        if self.committed < len(self.ops):
+            legal.append(self.baseline[self.committed + 1])
+        accept(durable_image(self.subject), legal)
+
+
+class CrashFamily(Family):
+    """Single-core crash cases over one op sequence per workload."""
+
+    name = "crash"
+    cell_type = FuzzCell
+    knobs = dict(
+        num_ops=10,
+        value_bytes=32,
+        config=STRESS_CONFIG,
+        ops=None,
+        baseline=None,
+        persist_budget=None,
+        instr_budget=None,
     )
-    oplog = OpLog()
-    rt.op_log = oplog
-    if crash_kind == "persist":
-        machine.schedule_crash_after_persists(crash_point)
-    elif crash_kind == "instr":
-        machine.checkpoint = InstructionLimit(crash_point)
-    else:
-        raise ValueError(f"unknown crash kind {crash_kind!r}")
-
-    committed = 0
-    try:
-        for i, op in enumerate(ops):
-            oplog.begin_op(i)
-            apply_op(subject, op)
-            committed += 1
-    except PowerFailure:
-        machine.checkpoint = None
-        machine.crash()
-        recover(machine.pm, mode=machine.scheme.logging_mode, hooks=[subject])
-        violation, check = _check_recovered(subject, baseline, committed, len(ops))
-        return CaseResult(
-            crashed=True,
-            committed_ops=committed,
-            tx_commits=oplog.total_commits,
-            violation=violation,
-            check=check,
-        )
-
-    machine.cancel_scheduled_crash()
-    machine.checkpoint = None
-    violation = None
-    check = ""
-    try:
-        subject.verify()
-    except RecoveryError as exc:
-        violation, check = str(exc), "structure"
-    return CaseResult(
-        crashed=False,
-        committed_ops=committed,
-        tx_commits=oplog.total_commits,
-        violation=violation,
-        check=check,
+    budget = 200
+    shrink = "ops"
+    title = "SLPMT crash-consistency fuzz campaign"
+    columns = (
+        ("workload", 10, lambda c: c.cell.workload),
+        ("scheme", 7, lambda c: c.cell.scheme),
+        ("policy", 8, lambda c: c.cell.policy),
+        ("ops", 4, lambda c: c.num_ops),
+        ("persist-pts", 12, lambda c: _points(c.persist_points_run, c.persist_points_total, c.exhaustive)),
+        ("instr-pts", 12, lambda c: _points(c.instr_points_run, c.instr_points_total)),
+        ("cases", 6, lambda c: c.cases_run),
+        ("commits", 8, lambda c: c.tx_commits),
+        ("cycles", 9, lambda c: c.cycles),
+        ("pm-bytes", 9, lambda c: c.pm_bytes),
+        ("violations", 10, lambda c: len(c.violations)),
     )
 
+    def policy(self, cell) -> str:
+        return cell.policy
 
-def _check_recovered(
-    subject: Subject,
-    baseline: List[State],
-    committed: int,
-    num_ops: int,
-) -> Tuple[Optional[str], str]:
-    """Structure + two-state atomicity/differential check.
+    def seed_key(self, cell, seed):
+        return f"cell:{seed}:{cell.workload}:{cell.scheme}:{cell.policy}"
 
-    Returns ``(violation message, check name)``; ``(None, "")`` when the
-    durable image is legal.
-    """
-    try:
-        if hasattr(subject, "check_integrity"):
-            subject.check_integrity(subject.reader(durable=True))
-        state = durable_state(subject)
-    except RecoveryError as exc:
-        return str(exc), "structure"
-    except SimulationError as exc:
-        # Traversal followed a corrupt pointer into unmapped PM.
-        return f"durable traversal failed: {exc}", "structure"
-    except InvariantViolation as exc:
-        return exc.message, exc.check
+    def share(self, cell, seed, knobs, cache):
+        """Ops and the FG baseline are per workload: every scheme crashes
+        the identical op sequence, which is what makes the differential
+        check meaningful."""
+        if knobs["baseline"] is not None:
+            return knobs
+        cache = {} if cache is None else cache
+        if cell.workload not in cache:
+            ops = knobs["ops"]
+            if ops is None:
+                ops = generate_ops(cell.workload, knobs["num_ops"], seed)
+            cache[cell.workload] = (ops, baseline_states(
+                cell.workload, ops,
+                value_bytes=knobs["value_bytes"], config=knobs["config"],
+            ))
+        ops, baseline = cache[cell.workload]
+        return {**knobs, "ops": ops, "baseline": baseline}
 
-    acceptable = [baseline[committed]]
-    if committed < num_ops:
-        # The in-flight op's commit marker may have become durable just
-        # before the crash reached the application: prefix+1 is legal.
-        acceptable.append(baseline[committed + 1])
-    if state in acceptable:
-        return None, ""
-    return _diagnose(state, baseline[committed])
+    def build(self, cell, seed, knobs, *, clean=False):
+        return OpsRun(cell, self.policy(cell), knobs)
 
+    def gauge(self, run):
+        return _machine_gauge(run.machine)
 
-def _diagnose(state: State, want: State) -> Tuple[str, str]:
-    """Classify a state mismatch for the violation report."""
-    got = dict(state)
-    expect = dict(want)
-    missing = sorted(k for k in expect if k not in got)
-    if missing:
-        return (
-            f"committed key(s) {missing[:4]} missing from the durable state",
-            "completeness",
+    def arm(self, run, kind, point):
+        _arm_machine(run.machine, kind, point)
+
+    def execute(self, run):
+        run.replay()
+
+    def judge(self, run, kind, point):
+        _power_cycle(run.machine, run.subject)
+        run.check_two_state()
+
+    def settle(self, run):
+        run.machine.cancel_scheduled_crash()
+        run.machine.checkpoint = None
+        with structural():
+            run.subject.verify()
+
+    def outcome(self, run):
+        return run.committed, run.oplog.total_commits
+
+    def measure(self, run, start):
+        events, instrs, cycles, pm_bytes = (
+            now - before for now, before in zip(_machine_gauge(run.machine), start)
         )
-    extra = sorted(k for k in got if k not in expect)
-    if extra:
-        return (
-            f"uncommitted/removed key(s) {extra[:4]} present in the durable state",
-            "exactness",
+        return SimpleNamespace(
+            events=events, instrs=instrs, tx_commits=run.oplog.total_commits,
+            cycles=cycles, pm_bytes=pm_bytes,
         )
-    wrong = sorted(k for k in expect if got.get(k) != expect[k])
-    if wrong:
-        return (
-            f"key(s) {wrong[:4]} hold values diverging from the FG baseline",
-            "differential",
+
+    def crash_space(self, cell, seed, budget, knobs, clean):
+        return _durability_pools(
+            clean.events, clean.instrs, budget,
+            knobs["persist_budget"], knobs["instr_budget"],
         )
-    return (
-        "durable state diverges from the FG baseline (key multiplicity)",
-        "differential",
-    )
+
+    def report(self, cell, knobs, clean, pools, fired):
+        persist, instr = pools
+        return CellReport(
+            cell=cell,
+            num_ops=len(knobs["ops"]),
+            persist_points_total=persist.total,
+            persist_points_run=len(persist.chosen),
+            exhaustive=persist.full,
+            instr_points_total=instr.total,
+            instr_points_run=len(instr.chosen),
+            tx_commits=clean.tx_commits,
+            cycles=clean.cycles,
+            pm_bytes=clean.pm_bytes,
+        )
+
+    def describe(self, result):
+        knobs = result.knobs
+        return [
+            f"budget={result.budget} per cell, seed={result.seed}, "
+            f"ops/cell={knobs['num_ops']}, value_bytes={knobs['value_bytes']}, "
+            + _STRESS,
+        ]
+
+    def coverage(self, cells):
+        exhaustive = sum(1 for c in cells if c.exhaustive)
+        return f"{exhaustive} with exhaustive durability-point coverage"
+
+    def freeze(self, cell, seed, knobs):
+        ops = knobs["ops"]
+        if ops is None:
+            ops = generate_ops(cell.workload, knobs["num_ops"], seed)
+        return dict(
+            policy=self.policy(cell),
+            value_bytes=knobs["value_bytes"],
+            ops=[list(op) for op in ops],
+        )
+
+    def thaw(self, rep):
+        cell = FuzzCell(rep.workload, rep.scheme, rep.policy)
+        return cell, 0, dict(ops=rep.ops, value_bytes=rep.value_bytes)
+
+
+CRASH = register(CrashFamily())
 
 
 # ----------------------------------------------------------------------
-# cell + campaign drivers
-# ----------------------------------------------------------------------
-
-
-def _cell_dry_run(
-    cell: FuzzCell,
-    ops: Sequence[Op],
-    *,
-    value_bytes: int,
-    config: SystemConfig,
-) -> Tuple[int, int, int, int, int]:
-    """Clean run of *ops* in this cell: post-setup durability-event and
-    instruction totals, committed-transaction count (coverage), and the
-    sequence's cycle / PM-byte cost (perf context for the report)."""
-    machine, rt, subject = _build(
-        cell.workload, cell.scheme, cell.policy,
-        value_bytes=value_bytes, config=config,
-    )
-    oplog = OpLog()
-    rt.op_log = oplog
-    events0 = machine.wpq.total_inserts
-    instrs0 = machine.stats.instructions
-    cycles0 = machine.now
-    pm_bytes0 = machine.stats.pm_bytes_written
-    for i, op in enumerate(ops):
-        oplog.begin_op(i)
-        apply_op(subject, op)
-    return (
-        machine.wpq.total_inserts - events0,
-        machine.stats.instructions - instrs0,
-        oplog.total_commits,
-        machine.now - cycles0,
-        machine.stats.pm_bytes_written - pm_bytes0,
-    )
-
-
-def run_cell(
-    cell: FuzzCell,
-    *,
-    budget: int,
-    seed: int,
-    ops: Optional[Sequence[Op]] = None,
-    num_ops: int = 10,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    baseline: Optional[List[State]] = None,
-    persist_budget: Optional[int] = None,
-    instr_budget: Optional[int] = None,
-) -> CellReport:
-    """Run one cell's crash-point sweep under a per-cell case budget.
-
-    Three quarters of the budget goes to durability-event points —
-    exhaustively when they fit, sampled otherwise — and the remainder to
-    sampled instruction-boundary points; *persist_budget* /
-    *instr_budget* override the split (tests use this to force a purely
-    exhaustive durability-event sweep).
-    """
-    if ops is None:
-        ops = generate_ops(cell.workload, num_ops, seed)
-    if baseline is None:
-        baseline = baseline_states(
-            cell.workload, ops, value_bytes=value_bytes, config=config
-        )
-    events, instrs, tx_commits, cell_cycles, cell_pm_bytes = _cell_dry_run(
-        cell, ops, value_bytes=value_bytes, config=config
-    )
-    rng = random.Random(f"cell:{seed}:{cell.workload}:{cell.scheme}:{cell.policy}")
-
-    if persist_budget is None:
-        persist_budget = max(1, (budget * 3) // 4)
-    if events <= persist_budget:
-        persist_points = list(range(events))
-        exhaustive = True
-    else:
-        persist_points = sorted(rng.sample(range(events), persist_budget))
-        exhaustive = False
-    if instr_budget is None:
-        instr_budget = max(0, budget - len(persist_points))
-    instr_points = sorted(rng.sample(range(instrs), min(instr_budget, instrs)))
-
-    report = CellReport(
-        cell=cell,
-        num_ops=len(ops),
-        persist_points_total=events,
-        persist_points_run=len(persist_points),
-        exhaustive=exhaustive,
-        instr_points_total=instrs,
-        instr_points_run=len(instr_points),
-        tx_commits=tx_commits,
-        cycles=cell_cycles,
-        pm_bytes=cell_pm_bytes,
-    )
-    for kind, points in (("persist", persist_points), ("instr", instr_points)):
-        for point in points:
-            result = run_case(
-                cell.workload, cell.scheme, cell.policy, ops, kind, point,
-                value_bytes=value_bytes, config=config, baseline=baseline,
-            )
-            if result.violation is not None:
-                report.violations.append(
-                    Violation(
-                        cell=cell,
-                        crash_kind=kind,
-                        crash_point=point,
-                        check=result.check,
-                        message=result.violation,
-                    )
-                )
-    return report
-
-
-def run_campaign(
-    budget: int = 200,
-    seed: int = 7,
-    *,
-    cells: Sequence[FuzzCell] = DEFAULT_CELLS,
-    num_ops: int = 10,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    jobs: int = 1,
-    progress=None,
-) -> CampaignResult:
-    """Run the full campaign grid.
-
-    *budget* is the per-cell case budget.  Ops and FG baselines are
-    computed once per workload and shared by every cell of that
-    workload, so all schemes crash the identical op sequence — that is
-    what makes the differential column meaningful.
-
-    *jobs* > 1 fans the cells out over worker processes through the
-    parallel engine; each cell's RNG is derived from the cell identity
-    alone, and the ordered merge keeps the report byte-identical to a
-    serial campaign.
-    """
-    from repro.parallel import engine
-    from repro.parallel.tasks import fuzz_cell
-
-    result = CampaignResult(
-        budget=budget, seed=seed, num_ops=num_ops, value_bytes=value_bytes
-    )
-    ops_cache: Dict[str, List[Op]] = {}
-    baseline_cache: Dict[str, List[State]] = {}
-    for cell in cells:
-        if cell.workload not in ops_cache:
-            ops_cache[cell.workload] = generate_ops(cell.workload, num_ops, seed)
-            baseline_cache[cell.workload] = baseline_states(
-                cell.workload,
-                ops_cache[cell.workload],
-                value_bytes=value_bytes,
-                config=config,
-            )
-    descriptors = [
-        {
-            "cell": cell,
-            "budget": budget,
-            "seed": seed,
-            "ops": ops_cache[cell.workload],
-            "value_bytes": value_bytes,
-            "config": config,
-            "baseline": baseline_cache[cell.workload],
-        }
-        for cell in cells
-    ]
-    result.cells = engine.run_tasks(
-        fuzz_cell,
-        descriptors,
-        jobs=jobs,
-        labels=[str(cell) for cell in cells],
-        progress=progress,
-    )
-    return result
-
-
-# ----------------------------------------------------------------------
-# multi-core contention campaign
+# multi-core contention family
 # ----------------------------------------------------------------------
 
 
@@ -692,66 +563,13 @@ class MultiCoreCellReport:
         return self.switch_points_run
 
 
-@dataclass
-class MultiCoreCampaignResult:
-    """A whole contention campaign: parameters plus cell reports."""
+def _check_contention(subject: Subject, in_flight: List) -> None:
+    """Post-crash acceptance for an N-core contention run.
 
-    budget: int
-    seed: int
-    ops_per_core: int
-    num_keys: int
-    value_bytes: int
-    cells: List[MultiCoreCellReport] = field(default_factory=list)
-
-    @property
-    def total_cases(self) -> int:
-        return sum(c.cases_run for c in self.cells)
-
-    @property
-    def violations(self) -> List[Violation]:
-        return [v for c in self.cells for v in c.violations]
-
-
-def _build_contention(
-    cell: MultiCoreCell,
-    *,
-    ops_per_core: int,
-    num_keys: int,
-    value_bytes: int,
-    seed: int,
-    config: SystemConfig,
-):
-    """A fresh system + subject + streams for one contention case."""
-    from repro.multicore.system import MultiCoreSystem
-    from repro.workloads.shared import generate_streams
-
-    system = MultiCoreSystem(
-        cell.cores, scheme_by_name(cell.scheme), config, seed=seed
-    )
-    subject = WORKLOADS[cell.workload](
-        system.runtimes[0], value_bytes=value_bytes
-    )
-    streams = generate_streams(
-        cell.cores,
-        ops_per_core,
-        theta=cell.theta,
-        num_keys=num_keys,
-        value_words=subject.value_words,
-        seed=seed,
-    )
-    return system, subject, streams
-
-
-def _check_multicore_recovered(
-    subject: Subject,
-    in_flight: "List",
-) -> Tuple[Optional[str], str]:
-    """Post-crash acceptance check for an N-core contention run.
-
-    With N cores there can be up to N transactions in flight at the
-    crash, so the single-core two-state check generalises to a state
-    *family*: the durable image must equal the committed oracle plus
-    **any subset** of the in-flight operations.  Concretely:
+    With N cores up to N transactions are in flight at the crash, so the
+    single-core two-state check generalises to a state *family*: the
+    durable image must equal the committed oracle plus **any subset** of
+    the in-flight operations.  Concretely:
 
     * ``structure`` — the workload's own integrity invariants hold;
     * ``completeness`` — every committed key is durable, holding either
@@ -766,17 +584,7 @@ def _check_multicore_recovered(
     worker's scheduler turn, after ``run_atomically`` returns — commit
     order and oracle order coincide by construction.
     """
-    try:
-        if hasattr(subject, "check_integrity"):
-            subject.check_integrity(subject.reader(durable=True))
-        state = durable_state(subject)
-    except RecoveryError as exc:
-        return str(exc), "structure"
-    except SimulationError as exc:
-        return f"durable traversal failed: {exc}", "structure"
-    except InvariantViolation as exc:
-        return exc.message, exc.check
-
+    state = durable_image(subject)
     committed = {k: tuple(v) for k, v in subject.expected.items()}
     pending: Dict[int, set] = {}
     for op in in_flight:
@@ -786,219 +594,164 @@ def _check_multicore_recovered(
     seen = set()
     for key, value in state:
         if key in seen:
-            return f"key {key} appears twice in the durable structure", "exactness"
+            raise InvariantViolation(
+                "exactness", f"key {key} appears twice in the durable structure"
+            )
         seen.add(key)
-        allowed = set()
-        if key in committed:
-            allowed.add(committed[key])
-        allowed |= pending.get(key, set())
+        allowed = pending.get(key, set()) | (
+            {committed[key]} if key in committed else set()
+        )
         if not allowed:
-            return (
-                f"uncommitted key {key} present in the durable state",
-                "exactness",
+            raise InvariantViolation(
+                "exactness", f"uncommitted key {key} present in the durable state"
             )
         if value not in allowed:
-            return (
+            raise InvariantViolation(
+                "completeness",
                 f"key {key} holds a value that is neither its committed "
                 f"nor any in-flight value",
-                "completeness",
             )
     missing = sorted(k for k in committed if k not in seen)
     if missing:
-        return (
-            f"committed key(s) {missing[:4]} missing from the durable state",
+        raise InvariantViolation(
             "completeness",
+            f"committed key(s) {missing[:4]} missing from the durable state",
         )
-    return None, ""
 
 
-def run_multicore_case(
-    cell: MultiCoreCell,
-    crash_switch: int,
-    *,
-    ops_per_core: int,
-    num_keys: int,
-    value_bytes: int,
-    seed: int,
-    config: SystemConfig,
-) -> CaseResult:
-    """One contention crash case: run the cell's streams with a power
-    failure armed at the *crash_switch*-th turn switch, recover the
-    shared PM, and judge the durable image."""
-    from repro.workloads.shared import replay_contention
+class MultiCoreFamily(Family):
+    """Crashes at scheduler turn switches of a shared-key contention run."""
 
-    system, subject, streams = _build_contention(
-        cell,
-        ops_per_core=ops_per_core,
-        num_keys=num_keys,
-        value_bytes=value_bytes,
-        seed=seed,
-        config=config,
+    name = "multicore"
+    cell_type = MultiCoreCell
+    knobs = dict(ops_per_core=12, num_keys=16, value_bytes=32, config=STRESS_CONFIG)
+    budget = 60
+    title = "SLPMT multi-core contention crash campaign"
+    columns = (
+        ("workload", 10, lambda c: c.cell.workload),
+        ("scheme", 7, lambda c: c.cell.scheme),
+        ("cores", 5, lambda c: c.cell.cores),
+        ("theta", 5, lambda c: f"{c.cell.theta:g}"),
+        ("switch-pts", 12, lambda c: _points(c.switch_points_run, c.switch_points_total, c.exhaustive)),
+        ("cases", 6, lambda c: c.cases_run),
+        ("conflicts", 9, lambda c: c.conflicts),
+        ("aborts", 7, lambda c: c.aborts),
+        ("commits", 8, lambda c: c.commits),
+        ("cycles", 9, lambda c: c.cycles),
+        ("pm-bytes", 9, lambda c: c.pm_bytes),
+        ("violations", 10, lambda c: len(c.violations)),
     )
-    system.scheduler.crash_at_switch = crash_switch
-    in_flight = replay_contention(system, subject, streams)
-    crashed = system.scheduler.crashed
-    if crashed:
-        system.crash()
-        recover(
-            system.pm,
-            mode=system.cores[0].scheme.logging_mode,
-            hooks=[subject],
+
+    def seed_key(self, cell, seed):
+        return f"mc:{seed}:{cell}"
+
+    def build(self, cell, seed, knobs, *, clean=False):
+        from repro.multicore.system import MultiCoreSystem
+        from repro.workloads.shared import generate_streams
+
+        system = MultiCoreSystem(
+            cell.cores, scheme_by_name(cell.scheme), knobs["config"], seed=seed
         )
-        violation, check = _check_multicore_recovered(subject, in_flight)
-    else:
-        # The armed point lay beyond this run's switch count (can only
-        # happen for caller-chosen points): a clean completion, judged
-        # like one.
-        system.fence_all()
-        violation, check = None, ""
-        try:
-            subject.verify(durable=True)
-        except RecoveryError as exc:
-            violation, check = str(exc), "structure"
-    return CaseResult(
-        crashed=crashed,
-        committed_ops=len(subject.expected),
-        tx_commits=system.total_commits(),
-        violation=violation,
-        check=check,
-    )
-
-
-def run_multicore_cell(
-    cell: MultiCoreCell,
-    *,
-    budget: int,
-    seed: int,
-    ops_per_core: int = 12,
-    num_keys: int = 16,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-) -> MultiCoreCellReport:
-    """Run one contention cell's crash-point sweep.
-
-    A clean dry run measures the cell's interleaving-point count (the
-    scheduler's ``switches`` total) and its contention profile; the
-    sweep then crashes a fresh, identically seeded system at every
-    switch when they fit the *budget*, or at a seeded sample otherwise.
-    Everything derives from ``(cell, seed)``, so the report is
-    byte-identical between serial and parallel campaigns.
-    """
-    from repro.workloads.shared import replay_contention
-
-    system, subject, streams = _build_contention(
-        cell,
-        ops_per_core=ops_per_core,
-        num_keys=num_keys,
-        value_bytes=value_bytes,
-        seed=seed,
-        config=config,
-    )
-    cycles0 = sum(core.now for core in system.cores)
-    pm0 = system.merged_stats().pm_bytes_written
-    replay_contention(system, subject, streams)
-    system.fence_all()
-    subject.verify(durable=True)
-    stats = system.merged_stats()
-    switches = system.scheduler.switches
-
-    rng = random.Random(f"mc:{seed}:{cell}")
-    # Switch 1 is the pre-run turn draw; crashing there still exercises
-    # the all-volatile-lost path, so the range starts at 1.
-    if switches <= budget:
-        points = list(range(1, switches + 1))
-        exhaustive = True
-    else:
-        points = sorted(rng.sample(range(1, switches + 1), budget))
-        exhaustive = False
-
-    report = MultiCoreCellReport(
-        cell=cell,
-        ops_per_core=ops_per_core,
-        switch_points_total=switches,
-        switch_points_run=len(points),
-        exhaustive=exhaustive,
-        conflicts=system.conflicts,
-        aborts=stats.aborts,
-        commits=stats.commits,
-        cycles=sum(core.now for core in system.cores) - cycles0,
-        pm_bytes=stats.pm_bytes_written - pm0,
-    )
-    for point in points:
-        result = run_multicore_case(
-            cell,
-            point,
-            ops_per_core=ops_per_core,
-            num_keys=num_keys,
-            value_bytes=value_bytes,
+        subject = WORKLOADS[cell.workload](
+            system.runtimes[0], value_bytes=knobs["value_bytes"]
+        )
+        streams = generate_streams(
+            cell.cores,
+            knobs["ops_per_core"],
+            theta=cell.theta,
+            num_keys=knobs["num_keys"],
+            value_words=subject.value_words,
             seed=seed,
-            config=config,
         )
-        if result.violation is not None:
-            report.violations.append(
-                Violation(
-                    cell=cell,
-                    crash_kind="switch",
-                    crash_point=point,
-                    check=result.check,
-                    message=result.violation,
-                )
-            )
-    return report
+        return SimpleNamespace(system=system, subject=subject, streams=streams, in_flight=[])
+
+    def gauge(self, run):
+        return (
+            sum(core.now for core in run.system.cores),
+            run.system.merged_stats().pm_bytes_written,
+        )
+
+    def arm(self, run, kind, point):
+        if kind != "switch":
+            raise ValueError(f"unknown crash kind {kind!r}")
+        run.system.scheduler.crash_at_switch = point
+
+    def execute(self, run):
+        from repro.workloads.shared import replay_contention
+
+        run.in_flight = replay_contention(run.system, run.subject, run.streams)
+        if run.system.scheduler.crashed:
+            raise PowerFailure("power failure at an armed turn switch")
+
+    def judge(self, run, kind, point):
+        run.system.crash()
+        recover(
+            run.system.pm,
+            mode=run.system.cores[0].scheme.logging_mode,
+            hooks=[run.subject],
+        )
+        _check_contention(run.subject, run.in_flight)
+
+    def settle(self, run):
+        run.system.fence_all()
+        with structural():
+            run.subject.verify(durable=True)
+
+    def outcome(self, run):
+        return len(run.subject.expected), run.system.total_commits()
+
+    def measure(self, run, start):
+        run.system.fence_all()
+        run.subject.verify(durable=True)
+        stats = run.system.merged_stats()
+        cycles0, pm0 = start
+        return SimpleNamespace(
+            switches=run.system.scheduler.switches,
+            conflicts=run.system.conflicts,
+            aborts=stats.aborts,
+            commits=stats.commits,
+            cycles=sum(core.now for core in run.system.cores) - cycles0,
+            pm_bytes=stats.pm_bytes_written - pm0,
+        )
+
+    def crash_space(self, cell, seed, budget, knobs, clean):
+        # Switch 1 is the pre-run turn draw; crashing there still
+        # exercises the all-volatile-lost path, so the range starts at 1.
+        return [Pool("switch", range(1, clean.switches + 1), take=budget)]
+
+    def report(self, cell, knobs, clean, pools, fired):
+        (switch,) = pools
+        return MultiCoreCellReport(
+            cell=cell,
+            ops_per_core=knobs["ops_per_core"],
+            switch_points_total=switch.total,
+            switch_points_run=len(switch.chosen),
+            exhaustive=switch.full,
+            conflicts=clean.conflicts,
+            aborts=clean.aborts,
+            commits=clean.commits,
+            cycles=clean.cycles,
+            pm_bytes=clean.pm_bytes,
+        )
+
+    def describe(self, result):
+        knobs = result.knobs
+        return [
+            f"budget={result.budget} crash points per cell, seed={result.seed}, "
+            f"ops/core={knobs['ops_per_core']}, keys={knobs['num_keys']}, "
+            f"value_bytes={knobs['value_bytes']}, " + _STRESS,
+        ]
+
+    def coverage(self, cells):
+        exhaustive = sum(1 for c in cells if c.exhaustive)
+        return f"{exhaustive} with exhaustive switch-point coverage"
 
 
-def run_multicore_campaign(
-    budget: int = 60,
-    seed: int = 7,
-    *,
-    cells: Sequence[MultiCoreCell] = DEFAULT_MULTICORE_CELLS,
-    ops_per_core: int = 12,
-    num_keys: int = 16,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    jobs: int = 1,
-    progress=None,
-) -> MultiCoreCampaignResult:
-    """Run the contention campaign grid.
+MULTICORE = register(MultiCoreFamily())
 
-    *budget* is the per-cell crash-point budget.  Cells are keyed by
-    ``(workload, scheme, cores, θ, seed)`` alone — each worker process
-    rebuilds its whole scenario from those scalars, and the ordered
-    merge keeps the campaign byte-identical to a serial run.
-    """
-    from repro.parallel import engine
-    from repro.parallel.tasks import multicore_fuzz_cell
-
-    result = MultiCoreCampaignResult(
-        budget=budget,
-        seed=seed,
-        ops_per_core=ops_per_core,
-        num_keys=num_keys,
-        value_bytes=value_bytes,
-    )
-    descriptors = [
-        {
-            "cell": cell,
-            "budget": budget,
-            "seed": seed,
-            "ops_per_core": ops_per_core,
-            "num_keys": num_keys,
-            "value_bytes": value_bytes,
-            "config": config,
-        }
-        for cell in cells
-    ]
-    result.cells = engine.run_tasks(
-        multicore_fuzz_cell,
-        descriptors,
-        jobs=jobs,
-        labels=[str(cell) for cell in cells],
-        progress=progress,
-    )
-    return result
 
 # ----------------------------------------------------------------------
-# transaction-service campaign (group-commit durability)
+# transaction-service family (group-commit durability)
 # ----------------------------------------------------------------------
 
 
@@ -1008,10 +761,7 @@ class ServiceCell:
 
     ``locking`` routes write batches through the wound-wait lock
     manager with round-robin batch fill — the multi-structure
-    configuration the composite workloads exercise.  The trailing
-    defaults keep :class:`~repro.fuzz.minimize.Reproducer` replay
-    (which rebuilds ``ServiceCell(workload, scheme, batch_size)``)
-    working unchanged.
+    configuration the composite workloads exercise.
     """
 
     workload: str
@@ -1084,26 +834,6 @@ class ServiceCellReport:
         return self.persist_points_run + self.instr_points_run
 
 
-@dataclass
-class ServiceCampaignResult:
-    """A whole service campaign: parameters plus cell reports."""
-
-    budget: int
-    seed: int
-    num_clients: int
-    requests_per_client: int
-    value_bytes: int
-    cells: List[ServiceCellReport] = field(default_factory=list)
-
-    @property
-    def total_cases(self) -> int:
-        return sum(c.cases_run for c in self.cells)
-
-    @property
-    def violations(self) -> List[Violation]:
-        return [v for c in self.cells for v in c.violations]
-
-
 def _build_service(
     cell: ServiceCell,
     *,
@@ -1156,7 +886,8 @@ def _build_service(
 
 
 def _check_service_recovered(svc) -> Tuple[Optional[str], str]:
-    """Post-crash acceptance check for a transaction-service run.
+    """Post-crash acceptance for a transaction-service run; returns
+    ``(violation message, check)``, or ``(None, "")`` when legal.
 
     The service's durability contract is judged against its *committed
     oracle* (every acknowledged write, folded in at group commit) and
@@ -1166,34 +897,15 @@ def _check_service_recovered(svc) -> Tuple[Optional[str], str]:
     * **ack ⇒ durable** — the durable logical state contains every
       acknowledged write's exact effect (the oracle state);
     * **atomicity** — the only other legal image is the oracle plus the
-      *entire* in-flight batch applied in batch order: its commit marker
-      may have become durable immediately before the crash surfaced.
-      A partial batch — some requests' effects durable, others' not —
-      is a violation, as is any unacknowledged effect outside the
-      in-flight batch.
+      *entire* in-flight batch applied in batch order.  A partial batch
+      — some requests' effects durable, others' not — is a violation,
+      as is any unacknowledged effect outside the in-flight batch.
     """
     subject = svc.subject
     try:
-        if hasattr(subject, "check_integrity"):
-            subject.check_integrity(subject.reader(durable=True))
-        state = durable_state(subject)
-    except RecoveryError as exc:
-        return str(exc), "structure"
-    except SimulationError as exc:
-        return f"durable traversal failed: {exc}", "structure"
+        accept(durable_image(subject), oracle_states(svc.rm.committed, svc.inflight))
     except InvariantViolation as exc:
         return exc.message, exc.check
-
-    committed = {k: tuple(v) for k, v in svc.rm.committed.items()}
-    acceptable = [tuple(sorted(committed.items()))]
-    if svc.inflight:
-        after = dict(committed)
-        for request in svc.inflight:
-            for key, value in zip(request.keys, request.values):
-                after[key] = tuple(value)
-        acceptable.append(tuple(sorted(after.items())))
-    if state not in acceptable:
-        return _diagnose(state, acceptable[0])
 
     # Cross-structure atomicity: on composite subjects the durable
     # queue chain and event counter must land on the same side of the
@@ -1231,234 +943,168 @@ def _check_service_recovered(svc) -> Tuple[Optional[str], str]:
     return None, ""
 
 
-def run_service_case(
-    cell: ServiceCell,
-    crash_kind: str,
-    crash_point: int,
-    *,
-    num_clients: int = 5,
-    requests_per_client: int = 16,
-    value_bytes: int = 32,
-    seed: int = 7,
-    config: SystemConfig = STRESS_CONFIG,
-    duration_cycles: Optional[int] = None,
-) -> CaseResult:
-    """One service crash case: serve with a power failure armed at the
-    *crash_point*-th post-setup durability event (``"persist"``) or
-    memory instruction (``"instr"``), recover, and judge the durable
-    image against the acknowledgement oracle."""
-    svc = _build_service(
-        cell,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=value_bytes,
-        seed=seed,
-        config=config,
-        duration_cycles=duration_cycles,
-    )
-    machine = svc.machine
-    if crash_kind == "persist":
-        machine.schedule_crash_after_persists(crash_point)
-    elif crash_kind == "instr":
-        machine.checkpoint = InstructionLimit(crash_point)
-    else:
-        raise ValueError(f"unknown crash kind {crash_kind!r}")
-
-    try:
-        svc.serve()
-    except PowerFailure:
-        machine.checkpoint = None
-        machine.crash()
-        recover(
-            machine.pm, mode=machine.scheme.logging_mode, hooks=[svc.subject]
-        )
-        violation, check = _check_service_recovered(svc)
-        return CaseResult(
-            crashed=True,
-            committed_ops=len(svc.rm.committed),
-            tx_commits=svc.tm.commits,
-            violation=violation,
-            check=check,
-        )
-
-    # The armed point lay beyond this run's count (caller-chosen points
-    # only): finish cleanly and judge like a clean run.
-    machine.cancel_scheduled_crash()
-    machine.checkpoint = None
-    violation, check = None, ""
-    try:
-        svc.finish()
-        svc.rm.sync_expected()
-        svc.subject.verify(durable=True)
-    except RecoveryError as exc:
-        violation, check = str(exc), "structure"
-    return CaseResult(
-        crashed=False,
-        committed_ops=len(svc.rm.committed),
-        tx_commits=svc.tm.commits,
-        violation=violation,
-        check=check,
-    )
-
-
-def run_service_cell(
-    cell: ServiceCell,
-    *,
-    budget: int,
-    seed: int,
-    num_clients: int = 5,
-    requests_per_client: int = 16,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    duration_cycles: Optional[int] = None,
-) -> ServiceCellReport:
-    """Run one service cell's crash-point sweep.
-
-    A clean dry run of the identical service measures its post-setup
-    durability-event and instruction counts; the sweep then crashes a
-    fresh, identically seeded service at each point — exhaustively over
-    durability events when they fit three quarters of *budget*, sampled
-    otherwise, with the remainder spent on sampled instruction
-    boundaries.  Everything derives from ``(cell, seed)``.
-
-    The clean run also carries a windowed telemetry registry (passive,
-    so the crash points it derives are unaffected); its steady-state
-    summary lands in the report — a campaign cell quoting cycles from a
-    run that never settled says so in the table.
-    """
-    from repro.obs.steady import steady_summary
-    from repro.obs.telemetry import TelemetryWindows
-
-    fine = TelemetryWindows(window_cycles=1024)
-    svc = _build_service(
-        cell,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=value_bytes,
-        seed=seed,
-        config=config,
-        telemetry=fine,
-        duration_cycles=duration_cycles,
-    )
-    events0 = svc.machine.wpq.total_inserts
-    instrs0 = svc.machine.stats.instructions
-    cycles0 = svc.machine.now
-    pm0 = svc.machine.stats.pm_bytes_written
-    svc.serve()
-    events = svc.machine.wpq.total_inserts - events0
-    instrs = svc.machine.stats.instructions - instrs0
-    clean = svc.result()
-    # Clean-run sanity: the service's own fence + verify must pass
-    # before any crash case of this cell is trusted.
+def _finish_service(svc) -> None:
     svc.finish()
     svc.rm.sync_expected()
     svc.subject.verify(durable=True)
 
-    rng = random.Random(f"svc-cell:{seed}:{cell}")
-    persist_budget = max(1, (budget * 3) // 4)
-    if events <= persist_budget:
-        persist_points = list(range(events))
-        exhaustive = True
-    else:
-        persist_points = sorted(rng.sample(range(events), persist_budget))
-        exhaustive = False
-    instr_budget = max(0, budget - len(persist_points))
-    instr_points = sorted(rng.sample(range(instrs), min(instr_budget, instrs)))
 
-    telemetry = fine.rebinned(max(1, fine.num_windows // 8))
-    steady = steady_summary(telemetry)
-    report = ServiceCellReport(
-        cell=cell,
-        num_requests=clean.requests,
-        persist_points_total=events,
-        persist_points_run=len(persist_points),
-        exhaustive=exhaustive,
-        instr_points_total=instrs,
-        instr_points_run=len(instr_points),
-        batches=clean.batches,
-        acked=clean.acked,
-        cycles=svc.machine.now - cycles0,
-        pm_bytes=svc.machine.stats.pm_bytes_written - pm0,
-        windows=steady["windows_total"],
-        steady=steady["steady"],
-        window_lo=steady["window_lo"],
-        window_hi=steady["window_hi"],
-        steady_kcyc=steady["throughput_kcyc"],
+class ServiceFamily(Family):
+    """Crashes inside a group-committing transaction service."""
+
+    name = "service"
+    cell_type = ServiceCell
+    knobs = dict(
+        num_clients=5,
+        requests_per_client=16,
+        value_bytes=32,
+        config=STRESS_CONFIG,
+        duration_cycles=None,
     )
-    for kind, points in (("persist", persist_points), ("instr", instr_points)):
-        for point in points:
-            result = run_service_case(
-                cell,
-                kind,
-                point,
-                num_clients=num_clients,
-                requests_per_client=requests_per_client,
-                value_bytes=value_bytes,
-                seed=seed,
-                config=config,
-                duration_cycles=duration_cycles,
-            )
-            if result.violation is not None:
-                report.violations.append(
-                    Violation(
-                        cell=cell,
-                        crash_kind=kind,
-                        crash_point=point,
-                        check=result.check,
-                        message=result.violation,
-                    )
-                )
-    return report
-
-
-def run_service_campaign(
-    budget: int = 150,
-    seed: int = 7,
-    *,
-    cells: Sequence[ServiceCell] = DEFAULT_SERVICE_CELLS,
-    num_clients: int = 5,
-    requests_per_client: int = 16,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    duration_cycles: Optional[int] = None,
-    jobs: int = 1,
-    progress=None,
-) -> ServiceCampaignResult:
-    """Run the transaction-service campaign grid.
-
-    *budget* is the per-cell case budget.  Cells are keyed by
-    ``(cell, seed)`` alone — each worker process rebuilds the whole
-    service from those scalars, and the ordered merge keeps the report
-    byte-identical to a serial campaign.
-    """
-    from repro.parallel import engine
-    from repro.parallel.tasks import service_fuzz_cell
-
-    result = ServiceCampaignResult(
-        budget=budget,
-        seed=seed,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=value_bytes,
+    budget = 150
+    shrink = "volume"
+    title = "SLPMT transaction-service group-commit crash campaign"
+    columns = (
+        ("workload", 10, lambda c: c.cell.workload),
+        ("scheme", 7, lambda c: c.cell.scheme),
+        ("batch", 5, lambda c: c.cell.batch_size),
+        ("reqs", 5, lambda c: c.num_requests),
+        ("persist-pts", 12, lambda c: _points(c.persist_points_run, c.persist_points_total, c.exhaustive)),
+        ("instr-pts", 12, lambda c: _points(c.instr_points_run, c.instr_points_total)),
+        ("cases", 6, lambda c: c.cases_run),
+        ("commits", 8, lambda c: c.batches),
+        ("acked", 6, lambda c: c.acked),
+        ("cycles", 9, lambda c: c.cycles),
+        ("pm-bytes", 9, lambda c: c.pm_bytes),
+        ("steady-win", 11, lambda c: f"{c.window_lo}..{c.window_hi}/{c.windows}" + ("" if c.steady else "!")),
+        ("kcyc", 6, lambda c: f"{c.steady_kcyc:g}"),
+        ("violations", 10, lambda c: len(c.violations)),
     )
-    descriptors = [
-        {
-            "cell": cell,
-            "budget": budget,
-            "seed": seed,
-            "num_clients": num_clients,
-            "requests_per_client": requests_per_client,
-            "value_bytes": value_bytes,
-            "config": config,
-            "duration_cycles": duration_cycles,
-        }
-        for cell in cells
-    ]
-    result.cells = engine.run_tasks(
-        service_fuzz_cell,
-        descriptors,
-        jobs=jobs,
-        labels=[str(cell) for cell in cells],
-        progress=progress,
-    )
-    return result
+
+    def seed_key(self, cell, seed):
+        return f"svc-cell:{seed}:{cell}"
+
+    def build(self, cell, seed, knobs, *, clean=False):
+        # The clean run carries a windowed telemetry registry (passive,
+        # so the crash points it derives are unaffected); its
+        # steady-state summary lands in the report.
+        from repro.obs.telemetry import TelemetryWindows
+
+        telemetry = TelemetryWindows(window_cycles=1024) if clean else None
+        return _build_service(cell, seed=seed, telemetry=telemetry, **knobs)
+
+    def gauge(self, svc):
+        return _machine_gauge(svc.machine)
+
+    def arm(self, svc, kind, point):
+        _arm_machine(svc.machine, kind, point)
+
+    def execute(self, svc):
+        svc.serve()
+
+    def judge(self, svc, kind, point):
+        _power_cycle(svc.machine, svc.subject)
+        message, check = _check_service_recovered(svc)
+        if message is not None:
+            raise InvariantViolation(check, message)
+
+    def settle(self, svc):
+        svc.machine.cancel_scheduled_crash()
+        svc.machine.checkpoint = None
+        with structural():
+            _finish_service(svc)
+
+    def outcome(self, svc):
+        return len(svc.rm.committed), svc.tm.commits
+
+    def measure(self, svc, start):
+        from repro.obs.steady import steady_summary
+
+        events0, instrs0, cycles0, pm0 = start
+        events = svc.machine.wpq.total_inserts - events0
+        instrs = svc.machine.stats.instructions - instrs0
+        result = svc.result()
+        # Clean-run sanity: the service's own fence + verify must pass
+        # before any crash case of this cell is trusted.
+        _finish_service(svc)
+        fine = svc.telemetry
+        return SimpleNamespace(
+            events=events,
+            instrs=instrs,
+            result=result,
+            cycles=svc.machine.now - cycles0,
+            pm_bytes=svc.machine.stats.pm_bytes_written - pm0,
+            steady=steady_summary(fine.rebinned(max(1, fine.num_windows // 8))),
+        )
+
+    def crash_space(self, cell, seed, budget, knobs, clean):
+        return _durability_pools(clean.events, clean.instrs, budget)
+
+    def report(self, cell, knobs, clean, pools, fired):
+        persist, instr = pools
+        steady = clean.steady
+        return ServiceCellReport(
+            cell=cell,
+            num_requests=clean.result.requests,
+            persist_points_total=persist.total,
+            persist_points_run=len(persist.chosen),
+            exhaustive=persist.full,
+            instr_points_total=instr.total,
+            instr_points_run=len(instr.chosen),
+            batches=clean.result.batches,
+            acked=clean.result.acked,
+            cycles=clean.cycles,
+            pm_bytes=clean.pm_bytes,
+            windows=steady["windows_total"],
+            steady=steady["steady"],
+            window_lo=steady["window_lo"],
+            window_hi=steady["window_hi"],
+            steady_kcyc=steady["throughput_kcyc"],
+        )
+
+    def describe(self, result):
+        knobs = result.knobs
+        return [
+            f"budget={result.budget} per cell, seed={result.seed}, "
+            f"clients={knobs['num_clients']}x{knobs['requests_per_client']} "
+            f"requests, value_bytes={knobs['value_bytes']}, " + _STRESS,
+            "acceptance: every acked request durable; unacked requests absent "
+            "or one whole in-flight batch",
+        ]
+
+    def coverage(self, cells):
+        exhaustive = sum(1 for c in cells if c.exhaustive)
+        return f"{exhaustive} with exhaustive durability-point coverage"
+
+    def freeze(self, cell, seed, knobs):
+        return dict(
+            policy="none",
+            value_bytes=knobs["value_bytes"],
+            ops=[],
+            service={
+                "batch_size": cell.batch_size,
+                "locking": cell.locking,
+                "num_clients": knobs["num_clients"],
+                "requests_per_client": knobs["requests_per_client"],
+                "seed": seed,
+            },
+        )
+
+    def thaw(self, rep):
+        service = rep.service
+        cell = ServiceCell(
+            rep.workload, rep.scheme, service["batch_size"], locking=service["locking"]
+        )
+        return cell, service["seed"], dict(
+            num_clients=service["num_clients"],
+            requests_per_client=service["requests_per_client"],
+            value_bytes=rep.value_bytes,
+        )
+
+
+SERVICE = register(ServiceFamily())
+
+#: One service cell's sweep and one service case: the kernel's, with a
+#: :class:`ServiceCell`.
+run_service_cell = run_cell
+run_service_case = run_case

@@ -1,4 +1,4 @@
-"""``python -m repro fuzz`` — the campaign CLI.
+"""``python -m repro fuzz`` — the campaign CLI, one path for every family.
 
 Usage::
 
@@ -16,16 +16,13 @@ Usage::
     python -m repro fuzz --twopc --shards 2,3 --schemes SLPMT
 
 A campaign writes its table to ``benchmarks/results/fuzz_campaign.txt``
-(override with ``--out``) and exits non-zero when any invariant
-violation was found.  Every violation is shrunk to a minimal reproducer
-and saved as ``fuzz_repro_<n>.json`` next to the report.
-
-``--faults`` runs the media-fault injection campaign instead (torn log
-tails, log bit flips, dropped WPQ drains; see
-:mod:`repro.fuzz.faultcampaign`), writing its table to
-``benchmarks/results/fault_campaign.txt`` and fault reproducers as
-``fault_repro_<n>.json``.  The torn-tail cells enumerate every
-word-boundary cut of every op-phase log append exhaustively.
+(``fault_``, ``multicore_``, ``service_`` or ``twopc_campaign.txt`` for
+the other families; override with ``--out``) and exits 1 when any
+invariant violation was found, 2 when a cell's worker crashed.  Every
+violation of a family with reproducers is shrunk to a minimal one and
+saved as ``<prefix>_repro_<n>.json`` next to the report.  Malformed
+campaign input — a budget below 1, an unknown scheme, workload or fault
+kind — is a usage error before any cell runs.
 """
 
 from __future__ import annotations
@@ -33,34 +30,47 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List
+from typing import List, Sequence
 
+from repro.common.errors import ReproError
+from repro.core.schemes import scheme_by_name
+from repro.faults import FAULT_KINDS
 from repro.fuzz.campaign import (
     DEFAULT_CELLS,
-    POLICIES,
+    DEFAULT_SERVICE_CELLS,
+    MULTICORE_SCHEMES,
+    SERVICE_SCHEMES,
     SUBJECTS,
     FuzzCell,
-    run_campaign,
+    MultiCoreCell,
+    ServiceCell,
 )
+from repro.fuzz.faultcampaign import DEFAULT_FAULT_SCHEMES, default_fault_cells
+from repro.fuzz.kernel import FAMILIES, run_campaign
 from repro.fuzz.minimize import Reproducer, minimize, replay
 from repro.fuzz.report import format_report
-from repro.parallel.engine import WorkerCrash, resolve_jobs
+from repro.fuzz.twopc import TWOPC_FAULTS, TWOPC_FUZZ_SCHEMES, TwoPCCell
+from repro.parallel.engine import WorkerCrash, print_progress, resolve_jobs
+from repro.workloads import WORKLOADS
+
+_RESULTS = os.path.join("benchmarks", "results")
+DEFAULT_OUT = os.path.join(_RESULTS, "fuzz_campaign.txt")
+
+#: Per family: report file and reproducer file prefix.
+_FILES = {
+    "crash": ("fuzz_campaign.txt", "fuzz"),
+    "faults": ("fault_campaign.txt", "fault"),
+    "multicore": ("multicore_campaign.txt", "multicore"),
+    "service": ("service_campaign.txt", "service"),
+    "twopc": ("twopc_campaign.txt", "twopc"),
+}
 
 
-def _progress(done: int, total: int, label: str) -> None:
-    print(f"[{done}/{total}] {label}", file=sys.stderr)
-
-DEFAULT_OUT = os.path.join("benchmarks", "results", "fuzz_campaign.txt")
-DEFAULT_FAULT_OUT = os.path.join("benchmarks", "results", "fault_campaign.txt")
-DEFAULT_MULTICORE_OUT = os.path.join(
-    "benchmarks", "results", "multicore_campaign.txt"
-)
-DEFAULT_SERVICE_OUT = os.path.join(
-    "benchmarks", "results", "service_campaign.txt"
-)
-DEFAULT_TWOPC_OUT = os.path.join(
-    "benchmarks", "results", "twopc_campaign.txt"
-)
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -68,7 +78,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="python -m repro fuzz",
         description="Deterministic crash-consistency fuzzing campaign.",
     )
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_budget, default=None,
                         help="crash cases per cell (default 200; 24 for "
                              "the sampled cells of --faults)")
     parser.add_argument("--seed", type=int, default=7,
@@ -135,6 +145,149 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ----------------------------------------------------------------------
+# grid selection: every filter validated before any cell runs
+# ----------------------------------------------------------------------
+
+
+def _names(parser, flag: str, text: str, known: Sequence[str]) -> List[str]:
+    names = [name.strip() for name in text.split(",")]
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        parser.error(f"{flag}: unknown name(s) {unknown}")
+    return names
+
+
+def _schemes(parser, args, default: Sequence[str]) -> List[str]:
+    if not args.schemes:
+        return list(default)
+    schemes = [name.strip() for name in args.schemes.split(",")]
+    for name in schemes:
+        try:
+            scheme_by_name(name)
+        except ReproError as exc:
+            parser.error(f"--schemes: {exc}")
+    return schemes
+
+
+def _workloads(parser, args, known: Sequence[str]) -> List[str]:
+    if not args.workloads:
+        return ["hashtable"]
+    return _names(parser, "--workloads", args.workloads, known)
+
+
+def _numbers(parser, flag: str, text: str, kind, least, why: str) -> list:
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        parser.error(f"bad {flag} value: {exc}")
+    if not values or any(v < least for v in values):
+        parser.error(f"{flag} needs {why}")
+    return values
+
+
+def _crash_grid(parser, args):
+    cells = list(DEFAULT_CELLS)
+    if args.workloads:
+        wanted = set(_names(parser, "--workloads", args.workloads, SUBJECTS))
+        cells = [c for c in cells if c.workload in wanted]
+    if args.schemes:
+        wanted = set(_schemes(parser, args, ()))
+        cells = [c for c in cells if c.scheme in wanted]
+    return cells, dict(num_ops=args.ops, value_bytes=args.value_bytes)
+
+
+def _faults_grid(parser, args):
+    subjects = SUBJECTS
+    if args.workloads:
+        wanted = set(_names(parser, "--workloads", args.workloads, SUBJECTS))
+        subjects = [s for s in SUBJECTS if s in wanted]
+    kinds = list(FAULT_KINDS)
+    if args.fault_kinds:
+        kinds = _names(parser, "--fault-kinds", args.fault_kinds, FAULT_KINDS)
+    cells = default_fault_cells(
+        subjects=subjects,
+        schemes=_schemes(parser, args, DEFAULT_FAULT_SCHEMES),
+        kinds=kinds,
+    )
+    return cells, dict(num_ops=args.ops, value_bytes=args.value_bytes)
+
+
+def _multicore_grid(parser, args):
+    cores = _numbers(parser, "--cores", args.cores, int, 1, "positive core counts")
+    thetas = _numbers(parser, "--thetas", args.thetas, float, 0, "non-negative skews")
+    workloads = _workloads(parser, args, WORKLOADS)
+    schemes = _schemes(parser, args, MULTICORE_SCHEMES)
+    cells = [
+        MultiCoreCell(w, s, c, t)
+        for w in workloads
+        for s in schemes
+        for c in cores
+        for t in thetas
+    ]
+    knobs = dict(ops_per_core=args.ops, num_keys=args.num_keys, value_bytes=args.value_bytes)
+    return cells, knobs
+
+
+def _service_grid(parser, args):
+    batches = _numbers(parser, "--batches", args.batches, int, 1, "positive batch sizes")
+    knobs = dict(value_bytes=args.value_bytes, duration_cycles=args.duration)
+    if not (args.workloads or args.schemes or args.batches != "1,8"):
+        # No grid filters: the default grid, including the composite
+        # multi-structure cells behind the wound-wait lock manager.
+        return list(DEFAULT_SERVICE_CELLS), knobs
+    workloads = _workloads(parser, args, WORKLOADS)
+    schemes = _schemes(parser, args, SERVICE_SCHEMES)
+    # Composite subjects declare multiple lock structures; their cells
+    # run behind the lock manager so cross-structure atomicity is judged
+    # through it.
+    cells = [
+        ServiceCell(w, s, b, locking=(w == "multistruct"))
+        for w in workloads
+        for s in schemes
+        for b in batches
+    ]
+    return cells, knobs
+
+
+def _twopc_grid(parser, args):
+    shards = _numbers(
+        parser, "--shards", args.shards, int, 2,
+        "counts of at least 2 (N=1 has no cross-shard protocol; its "
+        "passivity is a test)",
+    )
+    workloads = _workloads(parser, args, WORKLOADS)
+    schemes = _schemes(parser, args, TWOPC_FUZZ_SCHEMES)
+    cells = [
+        TwoPCCell(w, s, n, fault)
+        for w in workloads
+        for s in schemes
+        for n in shards
+        for fault in TWOPC_FAULTS
+    ]
+    return cells, dict(value_bytes=args.value_bytes)
+
+
+_GRIDS = {
+    "crash": _crash_grid,
+    "faults": _faults_grid,
+    "multicore": _multicore_grid,
+    "service": _service_grid,
+    "twopc": _twopc_grid,
+}
+
+
+# ----------------------------------------------------------------------
+# runs
+# ----------------------------------------------------------------------
+
+
+def _write(path: str, text: str) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _replay_main(path: str) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -159,29 +312,21 @@ def _replay_main(path: str) -> int:
 
 
 def _hazard_demo(args: argparse.Namespace) -> int:
-    cells = [FuzzCell("hashtable", "SLPMT", "manual-buggy-tombstone")]
-    budget = args.budget if args.budget is not None else 200
+    knobs = dict(num_ops=args.ops, value_bytes=args.value_bytes)
     result = run_campaign(
-        budget=budget, seed=args.seed, cells=cells, num_ops=args.ops,
-        value_bytes=args.value_bytes,
+        [FuzzCell("hashtable", "SLPMT", "manual-buggy-tombstone")],
+        budget=args.budget, seed=args.seed, **knobs,
     )
     print(format_report(result))
     if not result.violations:
         print("hazard NOT caught — the campaign should have found the "
               "mis-annotated tombstone")
         return 1
-    first = result.violations[0]
-    from repro.fuzz.campaign import generate_ops
-
-    ops = generate_ops("hashtable", args.ops, args.seed)
     rep = minimize(
-        Reproducer.from_violation(first, ops, value_bytes=args.value_bytes)
+        Reproducer.from_violation(result.violations[0], seed=args.seed, **knobs)
     )
-    out_dir = os.path.dirname(args.out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    rep_path = os.path.join(out_dir, "fuzz_repro_hazard.json")
-    with open(rep_path, "w", encoding="utf-8") as fh:
-        fh.write(rep.to_json())
+    rep_path = os.path.join(os.path.dirname(args.out) or ".", "fuzz_repro_hazard.json")
+    _write(rep_path, rep.to_json())
     print(f"hazard caught: [{rep.check}] {rep.violation}")
     print(f"minimal reproducer ({len(rep.ops)} ops, "
           f"{rep.crash_kind} point {rep.crash_point}) -> {rep_path}")
@@ -193,366 +338,49 @@ def _hazard_demo(args: argparse.Namespace) -> int:
     return 1
 
 
-def _faults_main(args: argparse.Namespace) -> int:
-    from repro.faults import FAULT_KINDS
-    from repro.fuzz.campaign import generate_ops
-    from repro.fuzz.faultcampaign import (
-        DEFAULT_FAULT_SCHEMES,
-        default_fault_cells,
-        format_fault_report,
-        run_fault_campaign,
-    )
-
-    subjects = list(SUBJECTS)
-    if args.workloads:
-        wanted = {w.strip() for w in args.workloads.split(",")}
-        unknown = wanted - set(SUBJECTS)
-        if unknown:
-            raise SystemExit(f"unknown workload(s): {sorted(unknown)}")
-        subjects = [s for s in subjects if s in wanted]
-    schemes = list(DEFAULT_FAULT_SCHEMES)
-    if args.schemes:
-        schemes = [s.strip() for s in args.schemes.split(",")]
-    kinds = list(FAULT_KINDS)
-    if args.fault_kinds:
-        kinds = [k.strip() for k in args.fault_kinds.split(",")]
-        unknown = set(kinds) - set(FAULT_KINDS)
-        if unknown:
-            raise SystemExit(f"unknown fault kind(s): {sorted(unknown)}")
-    cells = default_fault_cells(subjects=subjects, schemes=schemes, kinds=kinds)
-    if not cells:
-        raise SystemExit("no fault cells selected")
-
-    budget = args.budget if args.budget is not None else 24
-    out = args.out if args.out != DEFAULT_OUT else DEFAULT_FAULT_OUT
+def _campaign_main(name: str, cells, knobs, args: argparse.Namespace) -> int:
+    family = FAMILIES[name]
+    report_file, prefix = _FILES[name]
+    out = args.out if args.out != DEFAULT_OUT else os.path.join(_RESULTS, report_file)
     jobs = resolve_jobs(args.jobs)
     try:
-        result = run_fault_campaign(
-            budget=budget, seed=args.seed, cells=cells, num_ops=args.ops,
-            value_bytes=args.value_bytes, jobs=jobs,
-            progress=_progress if jobs > 1 else None,
+        result = run_campaign(
+            cells, budget=args.budget, seed=args.seed, jobs=jobs,
+            progress=print_progress if jobs > 1 else None, **knobs,
         )
     except WorkerCrash as exc:
-        print(f"fault campaign failed: {exc}", file=sys.stderr)
+        print(f"{name} campaign failed: {exc}", file=sys.stderr)
         return 2
-    text = format_fault_report(result)
+    text = format_report(result)
     print(text, end="")
-
-    out_dir = os.path.dirname(out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(out, text)
     print(f"[report written to {out}]")
-
-    if result.violations:
-        for n, violation in enumerate(result.violations):
-            ops = generate_ops(violation.cell.workload, args.ops, args.seed)
-            rep = minimize(
-                Reproducer.from_fault_violation(
-                    violation, ops, value_bytes=args.value_bytes
-                )
-            )
-            rep_path = os.path.join(out_dir, f"fault_repro_{n}.json")
-            with open(rep_path, "w", encoding="utf-8") as fh:
-                fh.write(rep.to_json())
-            print(f"[reproducer -> {rep_path}]")
-        return 1
-    return 0
-
-
-def _multicore_main(args: argparse.Namespace) -> int:
-    from repro.fuzz.campaign import (
-        MULTICORE_SCHEMES,
-        MultiCoreCell,
-        run_multicore_campaign,
-    )
-    from repro.fuzz.report import format_multicore_report
-
-    try:
-        cores = [int(c) for c in args.cores.split(",") if c.strip()]
-        thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
-    except ValueError as exc:
-        raise SystemExit(f"bad --cores/--thetas value: {exc}")
-    if not cores or any(c < 1 for c in cores):
-        raise SystemExit("--cores needs positive core counts")
-    if any(t < 0 for t in thetas):
-        raise SystemExit("--thetas needs non-negative skews")
-    workloads = ["hashtable"]
-    if args.workloads:
-        wanted = [w.strip() for w in args.workloads.split(",")]
-        unknown = set(wanted) - set(SUBJECTS)
-        if unknown:
-            raise SystemExit(f"unknown workload(s): {sorted(unknown)}")
-        workloads = wanted
-    schemes = list(MULTICORE_SCHEMES)
-    if args.schemes:
-        schemes = [s.strip() for s in args.schemes.split(",")]
-    cells = [
-        MultiCoreCell(w, s, c, t)
-        for w in workloads
-        for s in schemes
-        for c in cores
-        for t in thetas
-    ]
-    if not cells:
-        raise SystemExit("no cells selected")
-
-    budget = args.budget if args.budget is not None else 60
-    out = args.out if args.out != DEFAULT_OUT else DEFAULT_MULTICORE_OUT
-    jobs = resolve_jobs(args.jobs)
-    try:
-        result = run_multicore_campaign(
-            budget=budget, seed=args.seed, cells=cells,
-            ops_per_core=args.ops, num_keys=args.num_keys,
-            value_bytes=args.value_bytes, jobs=jobs,
-            progress=_progress if jobs > 1 else None,
-        )
-    except WorkerCrash as exc:
-        print(f"contention campaign failed: {exc}", file=sys.stderr)
-        return 2
-    text = format_multicore_report(result)
-    print(text, end="")
-
-    out_dir = os.path.dirname(out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"[report written to {out}]")
-    return 1 if result.violations else 0
-
-
-def _service_main(args: argparse.Namespace) -> int:
-    from repro.fuzz.campaign import (
-        DEFAULT_SERVICE_CELLS,
-        SERVICE_SCHEMES,
-        ServiceCell,
-        run_service_campaign,
-    )
-    from repro.fuzz.report import format_service_report
-    from repro.workloads import WORKLOADS
-
-    try:
-        batches = [int(b) for b in args.batches.split(",") if b.strip()]
-    except ValueError as exc:
-        raise SystemExit(f"bad --batches value: {exc}")
-    if not batches or any(b < 1 for b in batches):
-        raise SystemExit("--batches needs positive batch sizes")
-    if not (args.workloads or args.schemes or args.batches != "1,8"):
-        # No grid filters: the default grid, including the composite
-        # multi-structure cells behind the wound-wait lock manager.
-        cells = list(DEFAULT_SERVICE_CELLS)
-    else:
-        workloads = ["hashtable"]
-        if args.workloads:
-            wanted = [w.strip() for w in args.workloads.split(",")]
-            unknown = set(wanted) - set(WORKLOADS)
-            if unknown:
-                raise SystemExit(f"unknown workload(s): {sorted(unknown)}")
-            workloads = wanted
-        schemes = list(SERVICE_SCHEMES)
-        if args.schemes:
-            schemes = [s.strip() for s in args.schemes.split(",")]
-        # Composite subjects declare multiple lock structures; their
-        # cells run behind the lock manager so cross-structure
-        # atomicity is judged through it.
-        cells = [
-            ServiceCell(w, s, b, locking=(w == "multistruct"))
-            for w in workloads
-            for s in schemes
-            for b in batches
-        ]
-    if not cells:
-        raise SystemExit("no cells selected")
-
-    budget = args.budget if args.budget is not None else 150
-    out = args.out if args.out != DEFAULT_OUT else DEFAULT_SERVICE_OUT
-    jobs = resolve_jobs(args.jobs)
-    num_clients, requests_per_client = 5, 16
-    try:
-        result = run_service_campaign(
-            budget=budget, seed=args.seed, cells=cells,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            value_bytes=args.value_bytes,
-            duration_cycles=args.duration, jobs=jobs,
-            progress=_progress if jobs > 1 else None,
-        )
-    except WorkerCrash as exc:
-        print(f"service campaign failed: {exc}", file=sys.stderr)
-        return 2
-    text = format_service_report(result)
-    print(text, end="")
-
-    out_dir = os.path.dirname(out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"[report written to {out}]")
-
-    if result.violations:
-        for n, violation in enumerate(result.violations):
-            rep = minimize(
-                Reproducer.from_service_violation(
-                    violation,
-                    num_clients=num_clients,
-                    requests_per_client=requests_per_client,
-                    value_bytes=args.value_bytes,
-                    seed=args.seed,
-                )
-            )
-            rep_path = os.path.join(out_dir, f"service_repro_{n}.json")
-            with open(rep_path, "w", encoding="utf-8") as fh:
-                fh.write(rep.to_json())
-            print(f"[reproducer -> {rep_path}]")
-        return 1
-    return 0
-
-
-def _twopc_main(args: argparse.Namespace) -> int:
-    from repro.fuzz.report import format_twopc_report
-    from repro.fuzz.twopc import (
-        TWOPC_FAULTS,
-        TWOPC_FUZZ_SCHEMES,
-        TwoPCCell,
-        run_twopc_campaign,
-    )
-    from repro.workloads import WORKLOADS
-
-    try:
-        shards = [int(s) for s in args.shards.split(",") if s.strip()]
-    except ValueError as exc:
-        raise SystemExit(f"bad --shards value: {exc}")
-    if not shards or any(s < 2 for s in shards):
-        raise SystemExit("--shards needs counts of at least 2 (N=1 has no "
-                         "cross-shard protocol; its passivity is a test)")
-    workloads = ["hashtable"]
-    if args.workloads:
-        wanted = [w.strip() for w in args.workloads.split(",")]
-        unknown = set(wanted) - set(WORKLOADS)
-        if unknown:
-            raise SystemExit(f"unknown workload(s): {sorted(unknown)}")
-        workloads = wanted
-    schemes = list(TWOPC_FUZZ_SCHEMES)
-    if args.schemes:
-        schemes = [s.strip() for s in args.schemes.split(",")]
-    cells = [
-        TwoPCCell(w, s, n, fault)
-        for w in workloads
-        for s in schemes
-        for n in shards
-        for fault in TWOPC_FAULTS
-    ]
-    if not cells:
-        raise SystemExit("no cells selected")
-
-    budget = args.budget if args.budget is not None else 70
-    out = args.out if args.out != DEFAULT_OUT else DEFAULT_TWOPC_OUT
-    jobs = resolve_jobs(args.jobs)
-    num_clients, requests_per_client = 4, 12
-    try:
-        result = run_twopc_campaign(
-            budget=budget, seed=args.seed, cells=cells,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            value_bytes=args.value_bytes, jobs=jobs,
-            progress=_progress if jobs > 1 else None,
-        )
-    except WorkerCrash as exc:
-        print(f"2PC campaign failed: {exc}", file=sys.stderr)
-        return 2
-    text = format_twopc_report(result)
-    print(text, end="")
-
-    out_dir = os.path.dirname(out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"[report written to {out}]")
-
-    if result.violations:
-        for n, violation in enumerate(result.violations):
-            rep = minimize(
-                Reproducer.from_twopc_violation(
-                    violation,
-                    num_clients=num_clients,
-                    requests_per_client=requests_per_client,
-                    value_bytes=args.value_bytes,
-                    seed=args.seed,
-                )
-            )
-            rep_path = os.path.join(out_dir, f"twopc_repro_{n}.json")
-            with open(rep_path, "w", encoding="utf-8") as fh:
-                fh.write(rep.to_json())
-            print(f"[reproducer -> {rep_path}]")
-        return 1
-    return 0
+    if not result.violations:
+        return 0
+    for n, violation in enumerate(result.violations if family.shrink else ()):
+        rep = minimize(Reproducer.from_violation(violation, seed=args.seed, **knobs))
+        rep_path = os.path.join(os.path.dirname(out) or ".", f"{prefix}_repro_{n}.json")
+        _write(rep_path, rep.to_json())
+        print(f"[reproducer -> {rep_path}]")
+    return 1
 
 
 def fuzz_main(argv: "List[str] | None" = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     if args.replay:
         return _replay_main(args.replay)
     if args.hazard_demo:
         return _hazard_demo(args)
-    if args.faults:
-        return _faults_main(args)
-    if args.fault_kinds:
-        raise SystemExit("--fault-kinds requires --faults")
-    if args.duration is not None and not args.service:
-        raise SystemExit("--duration requires --service")
-    if args.multicore:
-        return _multicore_main(args)
-    if args.service:
-        return _service_main(args)
-    if args.twopc:
-        return _twopc_main(args)
-
-    cells = list(DEFAULT_CELLS)
-    if args.workloads:
-        wanted = {w.strip() for w in args.workloads.split(",")}
-        unknown = wanted - set(SUBJECTS)
-        if unknown:
-            raise SystemExit(f"unknown workload(s): {sorted(unknown)}")
-        cells = [c for c in cells if c.workload in wanted]
-    if args.schemes:
-        wanted = {s.strip() for s in args.schemes.split(",")}
-        cells = [c for c in cells if c.scheme in wanted]
+    name = next(
+        (n for n in ("faults", "multicore", "service", "twopc") if getattr(args, n)),
+        "crash",
+    )
+    if args.fault_kinds and name != "faults":
+        parser.error("--fault-kinds requires --faults")
+    if args.duration is not None and name != "service":
+        parser.error("--duration requires --service")
+    cells, knobs = _GRIDS[name](parser, args)
     if not cells:
-        raise SystemExit("no cells selected")
-
-    jobs = resolve_jobs(args.jobs)
-    try:
-        result = run_campaign(
-            budget=args.budget if args.budget is not None else 200,
-            seed=args.seed, cells=cells, num_ops=args.ops,
-            value_bytes=args.value_bytes, jobs=jobs,
-            progress=_progress if jobs > 1 else None,
-        )
-    except WorkerCrash as exc:
-        print(f"fuzz campaign failed: {exc}", file=sys.stderr)
-        return 2
-    text = format_report(result)
-    print(text, end="")
-
-    out_dir = os.path.dirname(args.out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"[report written to {args.out}]")
-
-    if result.violations:
-        from repro.fuzz.campaign import generate_ops
-
-        for n, violation in enumerate(result.violations):
-            ops = generate_ops(violation.cell.workload, args.ops, args.seed)
-            rep = minimize(
-                Reproducer.from_violation(
-                    violation, ops, value_bytes=args.value_bytes
-                )
-            )
-            rep_path = os.path.join(out_dir, f"fuzz_repro_{n}.json")
-            with open(rep_path, "w", encoding="utf-8") as fh:
-                fh.write(rep.to_json())
-            print(f"[reproducer -> {rep_path}]")
-        return 1
-    return 0
+        parser.error("no cells selected")
+    return _campaign_main(name, cells, knobs, args)

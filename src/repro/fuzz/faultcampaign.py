@@ -1,8 +1,8 @@
-"""Media-fault injection campaign: torn tails, bit flips, dropped drains.
+"""The media-fault family: torn tails, bit flips, dropped drains.
 
-The crash campaign (:mod:`repro.fuzz.campaign`) assumes the media is
+The crash family (:mod:`repro.fuzz.campaign`) assumes the media is
 honest — a crash loses volatile state but every durable word survives
-intact.  This driver removes that assumption.  Each *fault cell* is a
+intact.  This family removes that assumption.  Each *fault cell* is a
 (workload × scheme × fault-kind) triple, and every case runs the cell's
 deterministic op sequence with one planned media fault from
 :mod:`repro.faults`:
@@ -17,54 +17,39 @@ deterministic op sequence with one planned media fault from
   and the last N WPQ drains are reverted (a broken ADR energy reserve),
   rewinding the media to an earlier durability boundary.
 
-After injection, every case is judged twice:
+Every case gets the kernel's media double judgement
+(:func:`~repro.fuzz.kernel.judge_media`: detection, a strict probe that
+must raise *iff* the media is damaged, salvage recovery that must
+disclose it), then the salvaged durable state must be consistent with
+the FG baseline — the two-state oracle for in-flight damage, the
+committed-prefix family for dropped drains.
 
-1. **strict probe** (on a snapshot, no hooks): ``recover(policy=
-   "strict")`` must raise a typed error *iff* the media is damaged —
-   a silent pass over damage, or a spurious raise over a clean log, is
-   a violation.  For bit flips, the damage must be *detected* at all
-   (CRC-32 catches every single-bit error by construction; an escape
-   means the codec is broken).
-2. **salvage recovery** (real image, workload hooks): ``recover(policy=
-   "salvage")`` must produce a durable state consistent with the FG
-   baseline — the two-state oracle for in-flight damage, the
-   committed-prefix family for dropped drains — and must disclose the
-   damage in its report.
-
-Everything is seeded and Date-free, so a ``(seed, ops)`` pair replays
-byte-for-byte; violations serialize through the PR-1 reproducer/minimizer
-with a ``fault`` field carrying the exact injection coordinates.
+The family reuses the crash family's op replay, per-workload ops and FG
+baseline; violations serialize to reproducers whose ``fault`` field
+carries the exact injection coordinates.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import List, Sequence, Tuple
 
-from repro.common.config import SystemConfig
-from repro.common.errors import (
-    LogChecksumError,
-    PowerFailure,
-    RecoveryError,
-    SimulationError,
-    TornLogError,
-)
-from repro.faults import BitFlip, DropDrains, FaultModel, TornAppend
+from repro.common.errors import SimulationError
+from repro.faults import FaultModel
 from repro.faults.model import tear_points
-from repro.fuzz.campaign import (
-    STRESS_CONFIG,
-    SUBJECTS,
-    CaseResult,
-    Op,
-    _build,
-    apply_op,
-    baseline_states,
-    generate_ops,
-    _check_recovered,
+from repro.fuzz.campaign import _STRESS, STRESS_CONFIG, SUBJECTS, CrashFamily
+from repro.fuzz.invariants import InvariantViolation
+from repro.fuzz.kernel import (
+    Pool,
+    Violation,
+    durable_image,
+    judge_media,
+    plan_fault,
+    register,
+    structural,
 )
-from repro.fuzz.invariants import InvariantViolation, State, durable_state
-from repro.fuzz.oplog import OpLog
 from repro.recovery.engine import recover
 
 #: Scheme grid of the default fault campaign: the full design under both
@@ -92,19 +77,6 @@ class FaultCell:
 
 
 @dataclass
-class FaultViolation:
-    """One fault-campaign failure with its injection coordinates."""
-
-    cell: FaultCell
-    fault: Dict
-    check: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.cell} @{self.fault} [{self.check}] {self.message}"
-
-
-@dataclass
 class FaultCellReport:
     """Coverage and outcome for one fault cell."""
 
@@ -115,365 +87,7 @@ class FaultCellReport:
     exhaustive: bool
     fired: int
     salvaged_txs: int
-    violations: List[FaultViolation] = field(default_factory=list)
-
-
-@dataclass
-class FaultCampaignResult:
-    """A whole fault campaign: parameters plus every cell report."""
-
-    budget: int
-    seed: int
-    num_ops: int
-    value_bytes: int
-    cells: List[FaultCellReport] = field(default_factory=list)
-
-    @property
-    def total_cases(self) -> int:
-        return sum(c.cases_run for c in self.cells)
-
-    @property
-    def violations(self) -> List[FaultViolation]:
-        return [v for c in self.cells for v in c.violations]
-
-
-# ----------------------------------------------------------------------
-# wire layout (dry run)
-# ----------------------------------------------------------------------
-
-
-def wire_layout(
-    workload: str,
-    scheme: str,
-    policy: str,
-    ops: Sequence[Op],
-    *,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-) -> Tuple[int, List[int], int]:
-    """Clean dry run of *ops*: returns ``(first_op_append, wire word
-    count of every op-phase append, post-setup durability events)``.
-
-    Fault coordinates address the global append clock, so the campaign
-    tears/flips only op-phase appends (index ``first_op_append`` on) —
-    setup crashes are the plain crash campaign's territory.
-    """
-    machine, rt, subject = _build(
-        workload, scheme, policy, value_bytes=value_bytes, config=config
-    )
-    append0 = machine.pm.log_appends
-    events0 = machine.wpq.total_inserts
-    for op in ops:
-        apply_op(subject, op)
-    lengths = [e.nwords for e in machine.pm.log_extents[append0:]]
-    return append0, lengths, machine.wpq.total_inserts - events0
-
-
-# ----------------------------------------------------------------------
-# one fault case
-# ----------------------------------------------------------------------
-
-
-def _plan_from_fault(fault: Dict):
-    kind = fault["kind"]
-    if kind == "torn-tail":
-        return FaultModel(TornAppend(fault["append"], fault["cut"]))
-    if kind == "bit-flip":
-        return FaultModel(BitFlip(fault["append"], fault["word"], fault["bit"]))
-    if kind == "drop-drains":
-        return FaultModel(DropDrains(fault["count"]))
-    raise SimulationError(f"unknown fault kind {kind!r}")
-
-
-def run_fault_case(
-    workload: str,
-    scheme: str,
-    policy: str,
-    ops: Sequence[Op],
-    fault: Dict,
-    *,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    baseline: Optional[List[State]] = None,
-) -> CaseResult:
-    """One inject-crash-recover-check experiment.
-
-    *fault* is the JSON-serialisable coordinate dict a reproducer
-    carries: ``{"kind": "torn-tail", "append": i, "cut": c}``,
-    ``{"kind": "bit-flip", "append": i, "word": w, "bit": b}`` or
-    ``{"kind": "drop-drains", "crash_point": p, "count": n}``.
-    """
-    if baseline is None:
-        baseline = baseline_states(
-            workload, ops, value_bytes=value_bytes, config=config
-        )
-    machine, rt, subject = _build(
-        workload, scheme, policy, value_bytes=value_bytes, config=config
-    )
-    oplog = OpLog()
-    rt.op_log = oplog
-    model = _plan_from_fault(fault)
-    machine.pm.fault_model = model
-    if fault["kind"] == "drop-drains":
-        machine.pm.arm_journal()
-        machine.schedule_crash_after_persists(fault["crash_point"])
-
-    committed = 0
-    crashed = False
-    try:
-        for i, op in enumerate(ops):
-            oplog.begin_op(i)
-            apply_op(subject, op)
-            committed += 1
-    except PowerFailure:
-        crashed = True
-
-    if not crashed:
-        # The plan never fired (coordinates past the run's end): a clean
-        # completion, verified like any non-crash case.
-        machine.cancel_scheduled_crash()
-        machine.pm.fault_model = None
-        violation = None
-        check = ""
-        try:
-            subject.verify()
-        except RecoveryError as exc:
-            violation, check = str(exc), "structure"
-        return CaseResult(
-            crashed=False,
-            committed_ops=committed,
-            tx_commits=oplog.total_commits,
-            violation=violation,
-            check=check,
-        )
-
-    machine.checkpoint = None
-    machine.crash()
-    machine.pm.fault_model = None
-    model.apply_post_crash(machine.pm)
-
-    violation, check = _judge_recovery(
-        machine, subject, fault, model, baseline, committed, len(ops)
-    )
-    return CaseResult(
-        crashed=True,
-        committed_ops=committed,
-        tx_commits=oplog.total_commits,
-        violation=violation,
-        check=check,
-    )
-
-
-def _judge_recovery(
-    machine,
-    subject,
-    fault: Dict,
-    model: FaultModel,
-    baseline: List[State],
-    committed: int,
-    num_ops: int,
-) -> Tuple[Optional[str], str]:
-    """The double judgement described in the module docstring."""
-    pm = machine.pm
-    mode = machine.scheme.logging_mode
-    parsed = pm.parse_byte_log_tolerant()
-    damaged = not parsed.clean
-
-    # Detection: whenever the injection actually damaged the media (the
-    # structural damage ledger is the ground truth — a zero-cut tear and
-    # a full-cut tear leave it empty on purpose), the tolerant byte
-    # parse must see it too.  A fired bit flip that parses clean is a
-    # CRC escape; a fired partial tear that parses clean is a framing
-    # bug.  Either way the checksummed wire format failed its one job.
-    if pm.log_damage and not damaged:
-        return (
-            f"media damage escaped the tolerant parse ({fault})",
-            "detection",
-        )
-
-    # Strict probe, on a snapshot so the real image stays recoverable.
-    strict_err: Optional[RecoveryError] = None
-    try:
-        recover(pm.snapshot(), mode=mode, from_bytes=True, policy="strict")
-    except (TornLogError, LogChecksumError) as err:
-        strict_err = err
-    if damaged and strict_err is None:
-        return (
-            "strict recovery silently accepted a damaged log",
-            "strict",
-        )
-    if not damaged and strict_err is not None:
-        return (
-            f"strict recovery rejected an undamaged log: {strict_err}",
-            "strict",
-        )
-
-    # Salvage recovery on the real image, with the workload's hooks —
-    # from the byte stream, the view a real post-crash controller has
-    # (it also makes the full-cut control entry visible: the append
-    # completed on media even though the crash beat the bookkeeping).
-    try:
-        report = recover(
-            pm, mode=mode, hooks=[subject], from_bytes=True, policy="salvage"
-        )
-    except RecoveryError as exc:
-        return f"salvage recovery failed: {exc}", "salvage"
-    if damaged and not report.damaged:
-        return (
-            "salvage recovery did not disclose the media damage",
-            "report",
-        )
-
-    if fault["kind"] == "drop-drains":
-        return _check_prefix_family(subject, baseline, committed)
-    return _check_recovered(subject, baseline, committed, num_ops)
-
-
-def _check_prefix_family(
-    subject, baseline: List[State], committed: int
-) -> Tuple[Optional[str], str]:
-    """Dropped drains rewind the media to an earlier durability event,
-    so recovery must land on *some* committed prefix — at most
-    ``committed + 1`` (in-flight marker already durable), possibly far
-    earlier (a dropped commit-marker drain un-commits its transaction)."""
-    try:
-        if hasattr(subject, "check_integrity"):
-            subject.check_integrity(subject.reader(durable=True))
-        state = durable_state(subject)
-    except RecoveryError as exc:
-        return str(exc), "structure"
-    except SimulationError as exc:
-        return f"durable traversal failed: {exc}", "structure"
-    except InvariantViolation as exc:
-        return exc.message, exc.check
-    top = min(committed + 1, len(baseline) - 1)
-    if any(state == baseline[k] for k in range(top + 1)):
-        return None, ""
-    return (
-        "durable state after dropped drains matches no committed prefix",
-        "prefix",
-    )
-
-
-# ----------------------------------------------------------------------
-# cell + campaign drivers
-# ----------------------------------------------------------------------
-
-
-def _case_fault_list(
-    cell: FaultCell,
-    *,
-    budget: int,
-    seed: int,
-    append0: int,
-    lengths: List[int],
-    events: int,
-) -> Tuple[List[Dict], bool]:
-    """The cell's fault coordinates and whether they are exhaustive.
-
-    Torn tails always enumerate every word-boundary cut of every
-    op-phase append; bit flips and dropped drains sample *budget*
-    coordinates from the cell's seeded RNG.
-    """
-    if cell.fault_kind == "torn-tail":
-        return (
-            [
-                {"kind": "torn-tail", "append": append0 + i, "cut": cut}
-                for i, cut in tear_points(lengths)
-            ],
-            True,
-        )
-    if cell.fault_kind == "bit-flip":
-        model = FaultModel(seed=seed)
-        seen = set()
-        faults: List[Dict] = []
-        total_bits = sum(lengths) * 64
-        for case in range(max(budget * 3, budget)):
-            if len(faults) >= min(budget, total_bits):
-                break
-            flip = model.choose_flip(lengths, case=f"{cell}:{case}")
-            if flip is None:
-                break
-            coord = (flip.append_index, flip.word, flip.bit)
-            if coord in seen:
-                continue
-            seen.add(coord)
-            faults.append(
-                {
-                    "kind": "bit-flip",
-                    "append": append0 + flip.append_index,
-                    "word": flip.word,
-                    "bit": flip.bit,
-                }
-            )
-        return faults, False
-    if cell.fault_kind == "drop-drains":
-        rng = random.Random(f"drop:{seed}:{cell.workload}:{cell.scheme}")
-        faults = []
-        points = list(range(events))
-        rng.shuffle(points)
-        for point in points[: max(1, budget // len(DROP_COUNTS))]:
-            for count in DROP_COUNTS:
-                faults.append(
-                    {"kind": "drop-drains", "crash_point": point, "count": count}
-                )
-        return faults[:budget] if budget < len(faults) else faults, False
-    raise SimulationError(f"unknown fault kind {cell.fault_kind!r}")
-
-
-def run_fault_cell(
-    cell: FaultCell,
-    *,
-    budget: int,
-    seed: int,
-    ops: Optional[Sequence[Op]] = None,
-    num_ops: int = 10,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    baseline: Optional[List[State]] = None,
-) -> FaultCellReport:
-    """Run one fault cell's sweep."""
-    if ops is None:
-        ops = generate_ops(cell.workload, num_ops, seed)
-    if baseline is None:
-        baseline = baseline_states(
-            cell.workload, ops, value_bytes=value_bytes, config=config
-        )
-    append0, lengths, events = wire_layout(
-        cell.workload, cell.scheme, FAULT_POLICY, ops,
-        value_bytes=value_bytes, config=config,
-    )
-    faults, exhaustive = _case_fault_list(
-        cell, budget=budget, seed=seed,
-        append0=append0, lengths=lengths, events=events,
-    )
-    report = FaultCellReport(
-        cell=cell,
-        num_ops=len(ops),
-        appends=len(lengths),
-        cases_run=0,
-        exhaustive=exhaustive,
-        fired=0,
-        salvaged_txs=0,
-    )
-    for fault in faults:
-        result = run_fault_case(
-            cell.workload, cell.scheme, FAULT_POLICY, ops, fault,
-            value_bytes=value_bytes, config=config, baseline=baseline,
-        )
-        report.cases_run += 1
-        if result.crashed:
-            report.fired += 1
-        if result.violation is not None:
-            report.violations.append(
-                FaultViolation(
-                    cell=cell,
-                    fault=fault,
-                    check=result.check,
-                    message=result.violation,
-                )
-            )
-    return report
+    violations: List[Violation] = field(default_factory=list)
 
 
 def default_fault_cells(
@@ -490,123 +104,169 @@ def default_fault_cells(
     ]
 
 
-def run_fault_campaign(
-    budget: int = 24,
-    seed: int = 7,
-    *,
-    cells: Optional[Sequence[FaultCell]] = None,
-    num_ops: int = 10,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    jobs: int = 1,
-    progress=None,
-) -> FaultCampaignResult:
-    """Run the fault-cell grid; ops and FG baselines are shared per
-    workload so every scheme/fault combination attacks the identical
-    deterministic op sequence.  *jobs* > 1 fans cells out over worker
-    processes with an order-preserving merge (byte-identical report)."""
-    from repro.parallel import engine
-    from repro.parallel.tasks import fault_cell
-
-    if cells is None:
-        cells = default_fault_cells()
-    result = FaultCampaignResult(
-        budget=budget, seed=seed, num_ops=num_ops, value_bytes=value_bytes
-    )
-    ops_cache: Dict[str, List[Op]] = {}
-    baseline_cache: Dict[str, List[State]] = {}
-    for cell in cells:
-        if cell.workload not in ops_cache:
-            ops_cache[cell.workload] = generate_ops(cell.workload, num_ops, seed)
-            baseline_cache[cell.workload] = baseline_states(
-                cell.workload,
-                ops_cache[cell.workload],
-                value_bytes=value_bytes,
-                config=config,
-            )
-    descriptors = [
-        {
-            "cell": cell,
-            "budget": budget,
-            "seed": seed,
-            "ops": ops_cache[cell.workload],
-            "value_bytes": value_bytes,
-            "config": config,
-            "baseline": baseline_cache[cell.workload],
-        }
-        for cell in cells
-    ]
-    result.cells = engine.run_tasks(
-        fault_cell,
-        descriptors,
-        jobs=jobs,
-        labels=[str(cell) for cell in cells],
-        progress=progress,
-    )
-    return result
-
-
-# ----------------------------------------------------------------------
-# report
-# ----------------------------------------------------------------------
-
-_COLUMNS = (
-    ("workload", 10),
-    ("scheme", 10),
-    ("fault", 11),
-    ("ops", 4),
-    ("appends", 8),
-    ("cases", 6),
-    ("fired", 6),
-    ("coverage", 10),
-    ("violations", 10),
-)
-
-
-def _row(values: List) -> str:
-    return "  ".join(
-        str(v).ljust(width) for (_, width), v in zip(_COLUMNS, values)
-    ).rstrip()
-
-
-def format_fault_report(result: FaultCampaignResult) -> str:
-    """The fault-campaign table plus totals, stable for a given
-    ``(budget, seed)`` — no timestamps, fixed cell order."""
-    lines = [
-        "SLPMT media-fault injection campaign",
-        f"budget={result.budget} sampled cases per cell, seed={result.seed}, "
-        f"ops/cell={result.num_ops}, value_bytes={result.value_bytes}, "
-        "config=stress (512B/1KB/8KB caches)",
-        "torn-tail cells enumerate every word-boundary cut exhaustively",
-        "",
-        _row([name for name, _ in _COLUMNS]),
-        _row(["-" * min(w, 10) for _, w in _COLUMNS]),
-    ]
-    for cell in result.cells:
-        lines.append(
-            _row(
-                [
-                    cell.cell.workload,
-                    cell.cell.scheme,
-                    cell.cell.fault_kind,
-                    cell.num_ops,
-                    cell.appends,
-                    cell.cases_run,
-                    cell.fired,
-                    "all-cuts" if cell.exhaustive else "sampled",
-                    len(cell.violations),
-                ]
-            )
+def _check_prefix(run) -> None:
+    """Dropped drains rewind the media to an earlier durability event,
+    so recovery must land on *some* committed prefix — at most
+    ``committed + 1`` (in-flight marker already durable), possibly far
+    earlier (a dropped commit-marker drain un-commits its transaction)."""
+    state = durable_image(run.subject)
+    top = min(run.committed + 1, len(run.baseline) - 1)
+    if not any(state == run.baseline[k] for k in range(top + 1)):
+        raise InvariantViolation(
+            "prefix",
+            "durable state after dropped drains matches no committed prefix",
         )
-    exhaustive_cells = sum(1 for c in result.cells if c.exhaustive)
-    lines += [
-        "",
-        f"cells: {len(result.cells)} "
-        f"({exhaustive_cells} with exhaustive torn-tail coverage)",
-        f"cases: {result.total_cases}",
-        f"violations: {len(result.violations)}",
-    ]
-    for violation in result.violations:
-        lines.append(f"  VIOLATION {violation}")
-    lines.append("")
-    return "\n".join(lines)
+
+
+class FaultFamily(CrashFamily):
+    """The crash family's op replay with one media fault per case."""
+
+    name = "faults"
+    cell_type = FaultCell
+    knobs = dict(num_ops=10, value_bytes=32, config=STRESS_CONFIG, ops=None, baseline=None)
+    budget = 24
+    title = "SLPMT media-fault injection campaign"
+    columns = (
+        ("workload", 10, lambda c: c.cell.workload),
+        ("scheme", 10, lambda c: c.cell.scheme),
+        ("fault", 11, lambda c: c.cell.fault_kind),
+        ("ops", 4, lambda c: c.num_ops),
+        ("appends", 8, lambda c: c.appends),
+        ("cases", 6, lambda c: c.cases_run),
+        ("fired", 6, lambda c: c.fired),
+        ("coverage", 10, lambda c: "all-cuts" if c.exhaustive else "sampled"),
+        ("violations", 10, lambda c: len(c.violations)),
+    )
+
+    def policy(self, cell):
+        return FAULT_POLICY
+
+    def seed_key(self, cell, seed):
+        return f"drop:{seed}:{cell.workload}:{cell.scheme}"
+
+    def gauge(self, run):
+        return run.machine.pm.log_appends, run.machine.wpq.total_inserts
+
+    def measure(self, run, start):
+        """Fault coordinates address the global append clock, so the
+        family tears and flips only op-phase appends (index ``append0``
+        on) — setup crashes are the crash family's territory."""
+        append0, events0 = start
+        pm = run.machine.pm
+        return SimpleNamespace(
+            append0=append0,
+            lengths=[e.nwords for e in pm.log_extents[append0:]],
+            events=run.machine.wpq.total_inserts - events0,
+        )
+
+    def arm(self, run, kind, fault):
+        run.model = plan_fault(fault)
+        run.machine.pm.fault_model = run.model
+        if fault["kind"] == "drop-drains":
+            run.machine.pm.arm_journal()
+            run.machine.schedule_crash_after_persists(fault["crash_point"])
+
+    def judge(self, run, kind, fault):
+        machine = run.machine
+        machine.checkpoint = None
+        machine.crash()
+        machine.pm.fault_model = None
+        run.model.apply_post_crash(machine.pm)
+
+        def salvage():
+            # From the byte stream: the view a real post-crash
+            # controller has (it also makes the full-cut control entry
+            # visible: the append completed on media even though the
+            # crash beat the bookkeeping).
+            report = recover(
+                machine.pm, mode=machine.scheme.logging_mode,
+                hooks=[run.subject], from_bytes=True, policy="salvage",
+            )
+            return report, report
+
+        judge_media(machine.pm, machine.scheme.logging_mode, fault, salvage)
+        if fault["kind"] == "drop-drains":
+            _check_prefix(run)
+        else:
+            run.check_two_state()
+
+    def settle(self, run):
+        run.machine.cancel_scheduled_crash()
+        run.machine.pm.fault_model = None
+        with structural():
+            run.subject.verify()
+
+    def crash_space(self, cell, seed, budget, knobs, clean):
+        """Torn tails enumerate every word-boundary cut of every op-phase
+        append; bit flips and dropped drains draw *budget* coordinates
+        from the campaign seed."""
+        if cell.fault_kind == "torn-tail":
+            faults = [
+                {"kind": "torn-tail", "append": clean.append0 + i, "cut": cut}
+                for i, cut in tear_points(clean.lengths)
+            ]
+        elif cell.fault_kind == "bit-flip":
+            model = FaultModel(seed=seed)
+            seen = set()
+            faults = []
+            total_bits = sum(clean.lengths) * 64
+            for case in range(max(budget * 3, budget)):
+                if len(faults) >= min(budget, total_bits):
+                    break
+                flip = model.choose_flip(clean.lengths, case=f"{cell}:{case}")
+                if flip is None:
+                    break
+                coord = (flip.append_index, flip.word, flip.bit)
+                if coord in seen:
+                    continue
+                seen.add(coord)
+                faults.append({
+                    "kind": "bit-flip",
+                    "append": clean.append0 + flip.append_index,
+                    "word": flip.word,
+                    "bit": flip.bit,
+                })
+        elif cell.fault_kind == "drop-drains":
+            rng = random.Random(self.seed_key(cell, seed))
+            points = list(range(clean.events))
+            rng.shuffle(points)
+            faults = [
+                {"kind": "drop-drains", "crash_point": point, "count": count}
+                for point in points[: max(1, budget // len(DROP_COUNTS))]
+                for count in DROP_COUNTS
+            ][:budget]
+        else:
+            raise SimulationError(f"unknown fault kind {cell.fault_kind!r}")
+        return [Pool("fault", faults)]
+
+    def report(self, cell, knobs, clean, pools, fired):
+        (faults,) = pools
+        return FaultCellReport(
+            cell=cell,
+            num_ops=len(knobs["ops"]),
+            appends=len(clean.lengths),
+            cases_run=len(faults.chosen),
+            exhaustive=cell.fault_kind == "torn-tail",
+            fired=fired,
+            salvaged_txs=0,
+        )
+
+    def describe(self, result):
+        knobs = result.knobs
+        return [
+            f"budget={result.budget} sampled cases per cell, seed={result.seed}, "
+            f"ops/cell={knobs['num_ops']}, value_bytes={knobs['value_bytes']}, "
+            + _STRESS,
+            "torn-tail cells enumerate every word-boundary cut exhaustively",
+        ]
+
+    def coverage(self, cells):
+        exhaustive = sum(1 for c in cells if c.exhaustive)
+        return f"{exhaustive} with exhaustive torn-tail coverage"
+
+    def thaw(self, rep):
+        cell = FaultCell(rep.workload, rep.scheme, rep.fault["kind"])
+        return cell, 0, dict(ops=rep.ops, value_bytes=rep.value_bytes)
+
+
+FAULTS = register(FaultFamily())

@@ -1,35 +1,45 @@
-"""Violation shrinking and byte-for-byte replay.
+"""Violation shrinking and byte-for-byte replay, for every family.
 
 A :class:`Reproducer` freezes everything a violation needs to fire
 again: workload, scheme, annotation policy, value size, the exact op
-list and the exact crash point.  Because the whole simulator is
-deterministic (no wall clock, no unseeded RNG anywhere in the stack),
-re-running a reproducer executes the identical instruction stream and
-produces the identical violation message.
+list (or, for the service and 2PC families, the request-volume
+scalars) and the exact crash point or media-fault coordinates.
+Because the whole simulator is deterministic (no wall clock, no
+unseeded RNG anywhere in the stack), re-running a reproducer executes
+the identical instruction stream and produces the identical violation
+message.
 
-Shrinking happens in two phases:
+Shrinking follows the family's :attr:`~repro.fuzz.kernel.Family.shrink`:
 
-1. **ops** — greedy delta-debugging: repeatedly try dropping chunks of
-   the op sequence (halving chunk sizes down to single ops) and keep any
-   candidate that still violates *somewhere* in its crash-point sweep;
-2. **crash point** — over the shrunk ops, take the smallest crash point
-   of the same kind that still violates.
+1. **ops** (crash and media-fault families) — greedy delta-debugging:
+   repeatedly try dropping chunks of the op sequence (halving chunk
+   sizes down to single ops) and keep any candidate that still violates;
+   **volume** (service and 2PC) — halve the per-client request count
+   while the violation survives, then peel clients off one at a time;
+2. **crash point** — each candidate is judged by the first violating
+   point of the reproducer's crash kind, scanned in ascending order from
+   the family's own crash space.  Media-fault coordinates address the
+   physical log layout, so a ``"fault"`` case is held fixed instead.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.config import SystemConfig
-from repro.fuzz.campaign import (
-    STRESS_CONFIG,
+from repro.fuzz.campaign import STRESS_CONFIG, Op
+from repro.fuzz.kernel import (
+    FAMILIES,
     CaseResult,
-    Op,
+    Family,
     Violation,
-    baseline_states,
+    crash_cases,
+    family_of,
     run_case,
+    shared_knobs,
+    violation,
 )
 
 
@@ -38,19 +48,17 @@ class Reproducer:
     """A self-contained, JSON-serialisable violation reproducer.
 
     *fault* is None for plain crash violations.  For media-fault
-    violations it carries the exact injection coordinates (the fault
-    dict of :func:`repro.fuzz.faultcampaign.run_fault_case`) and
-    ``crash_kind`` is ``"fault"``; *crash_point* is then meaningful only
-    for drop-drain plans (it is mirrored inside the fault dict).
+    violations it carries the exact injection coordinates and
+    ``crash_kind`` is ``"fault"``; *crash_point* then only mirrors the
+    dict's drain point, cut or bit.
 
     *service* / *twopc* switch the replay target from an op sequence to
-    a whole deterministic workload: a transaction-service run
-    (:func:`repro.fuzz.campaign.run_service_case`) or a sharded 2PC
-    deployment (:func:`repro.fuzz.twopc.run_twopc_case`).  They carry
-    the generation scalars (clients, requests per client, seed, batch
-    size / shard count); *ops* is then empty and shrinking reduces the
-    request volume instead of the op list.  A 2PC reproducer may also
-    carry *fault* (a torn/flipped protocol record, with its node label).
+    a whole deterministic workload: a transaction-service run or a
+    sharded 2PC deployment.  They carry the generation scalars (clients,
+    requests per client, seed, batch size / shard count); *ops* is then
+    empty and shrinking reduces the request volume instead of the op
+    list.  A 2PC reproducer may also carry *fault* (a torn/flipped
+    protocol record, with its node label).
     """
 
     workload: str
@@ -79,172 +87,41 @@ class Reproducer:
         return cls(**data)
 
     @classmethod
-    def from_violation(
-        cls, violation: Violation, ops: Sequence[Op], *, value_bytes: int
-    ) -> "Reproducer":
+    def from_violation(cls, found: Violation, *, seed: int, **knobs) -> "Reproducer":
+        """Freeze a campaign violation; *seed* and *knobs* are the
+        campaign's (the crash family regenerates its ops from them)."""
+        family = family_of(found.cell)
         return cls(
-            workload=violation.cell.workload,
-            scheme=violation.cell.scheme,
-            policy=violation.cell.policy,
-            value_bytes=value_bytes,
-            ops=[list(op) for op in ops],
-            crash_kind=violation.crash_kind,
-            crash_point=violation.crash_point,
-            violation=violation.message,
-            check=violation.check,
-        )
-
-    @classmethod
-    def from_fault_violation(
-        cls, violation, ops: Sequence[Op], *, value_bytes: int
-    ) -> "Reproducer":
-        """Freeze a :class:`repro.fuzz.faultcampaign.FaultViolation`."""
-        from repro.fuzz.faultcampaign import FAULT_POLICY  # local: avoid cycle
-
-        return cls(
-            workload=violation.cell.workload,
-            scheme=violation.cell.scheme,
-            policy=FAULT_POLICY,
-            value_bytes=value_bytes,
-            ops=[list(op) for op in ops],
-            crash_kind="fault",
-            crash_point=int(violation.fault.get("crash_point", 0)),
-            violation=violation.message,
-            check=violation.check,
-            fault=dict(violation.fault),
-        )
-
-    @classmethod
-    def from_service_violation(
-        cls,
-        violation: Violation,
-        *,
-        num_clients: int,
-        requests_per_client: int,
-        value_bytes: int,
-        seed: int,
-    ) -> "Reproducer":
-        """Freeze a service-campaign violation (cell is a
-        :class:`repro.fuzz.campaign.ServiceCell`)."""
-        return cls(
-            workload=violation.cell.workload,
-            scheme=violation.cell.scheme,
-            policy="none",
-            value_bytes=value_bytes,
-            ops=[],
-            crash_kind=violation.crash_kind,
-            crash_point=violation.crash_point,
-            violation=violation.message,
-            check=violation.check,
-            service={
-                "batch_size": violation.cell.batch_size,
-                "locking": violation.cell.locking,
-                "num_clients": num_clients,
-                "requests_per_client": requests_per_client,
-                "seed": seed,
-            },
-        )
-
-    @classmethod
-    def from_twopc_violation(
-        cls,
-        violation,
-        *,
-        num_clients: int,
-        requests_per_client: int,
-        value_bytes: int,
-        seed: int,
-    ) -> "Reproducer":
-        """Freeze a :class:`repro.fuzz.twopc.TwoPCViolation`."""
-        return cls(
-            workload=violation.cell.workload,
-            scheme=violation.cell.scheme,
-            policy="none",
-            value_bytes=value_bytes,
-            ops=[],
-            crash_kind=violation.crash_kind,
-            crash_point=violation.crash_point,
-            violation=violation.message,
-            check=violation.check,
-            fault=dict(violation.fault) if violation.fault else None,
-            twopc={
-                "shards": violation.cell.shards,
-                "num_clients": num_clients,
-                "requests_per_client": requests_per_client,
-                "seed": seed,
-            },
+            workload=found.cell.workload,
+            scheme=found.cell.scheme,
+            crash_kind=found.crash_kind,
+            crash_point=found.crash_point,
+            violation=found.message,
+            check=found.check,
+            fault=dict(found.fault) if found.fault else None,
+            **family.freeze(found.cell, seed, {**family.knobs, **knobs}),
         )
 
 
-def _twopc_cell(rep: Reproducer):
-    from repro.fuzz.twopc import TwoPCCell  # local: avoid cycle
-
-    return TwoPCCell(
-        rep.workload,
-        rep.scheme,
-        rep.twopc["shards"],
-        "torn-decision" if rep.fault is not None else "crash",
-    )
+def _thaw(rep: Reproducer) -> Tuple[Family, Any, int, Dict]:
+    if rep.twopc is not None:
+        family = FAMILIES["twopc"]
+    elif rep.service is not None:
+        family = FAMILIES["service"]
+    elif rep.fault is not None:
+        family = FAMILIES["faults"]
+    else:
+        family = FAMILIES["crash"]
+    return (family, *family.thaw(rep))
 
 
 def replay(
     rep: Reproducer, *, config: SystemConfig = STRESS_CONFIG
 ) -> CaseResult:
     """Re-run a reproducer exactly; deterministic by construction."""
-    if rep.twopc is not None:
-        from repro.fuzz.twopc import run_twopc_case  # local: avoid cycle
-
-        return run_twopc_case(
-            _twopc_cell(rep),
-            rep.crash_kind,
-            rep.crash_point,
-            fault=rep.fault,
-            num_clients=rep.twopc["num_clients"],
-            requests_per_client=rep.twopc["requests_per_client"],
-            value_bytes=rep.value_bytes,
-            seed=rep.twopc["seed"],
-            config=config,
-        )
-    if rep.service is not None:
-        from repro.fuzz.campaign import ServiceCell, run_service_case
-
-        return run_service_case(
-            ServiceCell(
-                rep.workload,
-                rep.scheme,
-                rep.service["batch_size"],
-                locking=rep.service.get("locking", False),
-            ),
-            rep.crash_kind,
-            rep.crash_point,
-            num_clients=rep.service["num_clients"],
-            requests_per_client=rep.service["requests_per_client"],
-            value_bytes=rep.value_bytes,
-            seed=rep.service["seed"],
-            config=config,
-        )
-    if rep.fault is not None:
-        from repro.fuzz.faultcampaign import run_fault_case  # local: avoid cycle
-
-        return run_fault_case(
-            rep.workload,
-            rep.scheme,
-            rep.policy,
-            rep.ops,
-            rep.fault,
-            value_bytes=rep.value_bytes,
-            config=config,
-        )
-    return run_case(
-        rep.workload,
-        rep.scheme,
-        rep.policy,
-        rep.ops,
-        rep.crash_kind,
-        rep.crash_point,
-        value_bytes=rep.value_bytes,
-        config=config,
-    )
+    _family, cell, seed, knobs = _thaw(rep)
+    point = rep.fault if rep.crash_kind == "fault" else rep.crash_point
+    return run_case(cell, rep.crash_kind, point, seed=seed, config=config, **knobs)
 
 
 # ----------------------------------------------------------------------
@@ -255,357 +132,93 @@ def replay(
 _SCAN_CAP = 800
 
 
-def _count_points(
-    rep: Reproducer, ops: Sequence[Op], *, config: SystemConfig
-) -> int:
-    """Post-setup crash-point total for *ops* of the reproducer's kind."""
-    from repro.fuzz.campaign import _build, apply_op  # local: avoid cycle
-
-    machine, _rt, subject = _build(
-        rep.workload, rep.scheme, rep.policy,
-        value_bytes=rep.value_bytes, config=config,
-    )
-    events0 = machine.wpq.total_inserts
-    instrs0 = machine.stats.instructions
-    for op in ops:
-        apply_op(subject, op)
-    if rep.crash_kind == "persist":
-        return machine.wpq.total_inserts - events0
-    return machine.stats.instructions - instrs0
-
-
 def _first_violation(
-    rep: Reproducer,
-    ops: Sequence[Op],
-    *,
-    config: SystemConfig,
-    stop_at: Optional[int] = None,
-) -> Optional[Tuple[int, str, str]]:
-    """Scan crash points in ascending order; return the first violating
-    ``(point, message, check)`` or None."""
-    total = _count_points(rep, ops, config=config)
-    if stop_at is not None:
-        total = min(total, stop_at)
-    total = min(total, _SCAN_CAP)
-    baseline = baseline_states(
-        rep.workload, ops, value_bytes=rep.value_bytes, config=config
-    )
-    for point in range(total):
-        result = run_case(
-            rep.workload, rep.scheme, rep.policy, ops, rep.crash_kind, point,
-            value_bytes=rep.value_bytes, config=config, baseline=baseline,
-        )
+    rep: Reproducer, cell, seed: int, knobs: Dict
+) -> Optional[Tuple[Any, str, str]]:
+    """The first ``(point, message, check)`` of the reproducer's crash
+    kind that violates under *knobs*, or None."""
+    knobs = shared_knobs(cell, seed=seed, **knobs)
+    if rep.crash_kind == "fault":
+        points = [rep.fault]
+    else:
+        points = [
+            point for kind, point in crash_cases(cell, seed=seed, **knobs)
+            if kind == rep.crash_kind
+        ][:_SCAN_CAP]
+    for point in points:
+        result = run_case(cell, rep.crash_kind, point, seed=seed, **knobs)
         if result.violation is not None:
             return point, result.violation, result.check
     return None
 
 
-def _fault_violates(
-    rep: Reproducer, ops: Sequence[Op], *, config: SystemConfig
-) -> Optional[Tuple[str, str]]:
-    """Whether the reproducer's fixed fault plan still violates over
-    *ops*: ``(message, check)`` or None.  Dropping ops shifts the wire
-    layout, so a candidate whose plan no longer fires (append index past
-    the shorter run, drain count past the journal) simply stops
-    violating and is rejected."""
-    from repro.fuzz.faultcampaign import run_fault_case  # local: avoid cycle
-
-    result = run_fault_case(
-        rep.workload, rep.scheme, rep.policy, ops, rep.fault,
-        value_bytes=rep.value_bytes, config=config,
-    )
-    if result.violation is None:
-        return None
-    return result.violation, result.check
-
-
-def _minimize_fault(rep: Reproducer, *, config: SystemConfig) -> Reproducer:
-    """Greedy op shrinking with the fault plan held fixed.  Fault
-    coordinates address the physical wire layout, so unlike crash points
-    they cannot be re-scanned independently of the ops — only the op
-    list shrinks."""
-    ops = [list(op) for op in rep.ops]
+def _shrink_ops(first_violation, ops: List[Op]):
+    original = [list(op) for op in ops]
+    ops = original
     chunk = max(1, len(ops) // 2)
     while chunk >= 1:
         start = 0
         while start < len(ops) and len(ops) > 1:
             candidate = ops[:start] + ops[start + chunk:]
-            if candidate and _fault_violates(rep, candidate, config=config):
+            if candidate and first_violation(ops=candidate):
                 ops = candidate
             else:
                 start += chunk
         chunk //= 2
-
-    found = _fault_violates(rep, ops, config=config)
+    found = first_violation(ops=ops)
     if found is None:
-        ops = [list(op) for op in rep.ops]
-        found = _fault_violates(rep, ops, config=config)
-    if found is None:
-        raise AssertionError(
-            "fault reproducer no longer violates — non-deterministic subject?"
-        )
-    message, check = found
-    return Reproducer(
-        workload=rep.workload,
-        scheme=rep.scheme,
-        policy=rep.policy,
-        value_bytes=rep.value_bytes,
-        ops=ops,
-        crash_kind="fault",
-        crash_point=rep.crash_point,
-        violation=message,
-        check=check,
-        fault=dict(rep.fault),
-    )
-
-
-# ----------------------------------------------------------------------
-# service / 2PC shrinking (request volume instead of the op list)
-# ----------------------------------------------------------------------
-
-
-def _service_first_violation(
-    rep: Reproducer,
-    num_clients: int,
-    requests_per_client: int,
-    *,
-    config: SystemConfig,
-) -> Optional[Tuple[int, str, str]]:
-    """Ascending crash-point scan of the reproducer's kind over a
-    service run of the given request volume."""
-    from repro.fuzz.campaign import (  # local: avoid cycle
-        ServiceCell,
-        _build_service,
-        run_service_case,
-    )
-
-    cell = ServiceCell(
-        rep.workload,
-        rep.scheme,
-        rep.service["batch_size"],
-        locking=rep.service.get("locking", False),
-    )
-    seed = rep.service["seed"]
-    svc = _build_service(
-        cell,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=rep.value_bytes,
-        seed=seed,
-        config=config,
-    )
-    events0 = svc.machine.wpq.total_inserts
-    instrs0 = svc.machine.stats.instructions
-    svc.serve()
-    if rep.crash_kind == "persist":
-        total = svc.machine.wpq.total_inserts - events0
-    else:
-        total = svc.machine.stats.instructions - instrs0
-    for point in range(min(total, _SCAN_CAP)):
-        result = run_service_case(
-            cell,
-            rep.crash_kind,
-            point,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            value_bytes=rep.value_bytes,
-            seed=seed,
-            config=config,
-        )
-        if result.violation is not None:
-            return point, result.violation, result.check
-    return None
-
-
-def _twopc_first_violation(
-    rep: Reproducer,
-    num_clients: int,
-    requests_per_client: int,
-    *,
-    config: SystemConfig,
-) -> Optional[Tuple[int, str, str]]:
-    """The 2PC counterpart: step/persist kinds re-scan their point
-    space ascending; a fault plan is held fixed (its coordinates address
-    one node's physical append clock) and the candidate is accepted iff
-    the plan still fires and violates."""
-    from repro.fuzz.twopc import _build_twopc, run_twopc_case  # local: avoid cycle
-
-    cell = _twopc_cell(rep)
-    seed = rep.twopc["seed"]
-    if rep.fault is not None:
-        result = run_twopc_case(
-            cell,
-            rep.crash_kind,
-            rep.crash_point,
-            fault=rep.fault,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            value_bytes=rep.value_bytes,
-            seed=seed,
-            config=config,
-        )
-        if result.violation is None:
-            return None
-        return rep.crash_point, result.violation, result.check
-    dep = _build_twopc(
-        cell,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=rep.value_bytes,
-        seed=seed,
-        config=config,
-    )
-    machines = dict(dep.all_machines())
-    if rep.crash_kind == "step":
-        dep.serve()
-        total = len(dep.coordinator.steps.names)
-    elif rep.crash_kind.startswith("persist:"):
-        machine = machines[rep.crash_kind.split(":", 1)[1]]
-        before = machine.wpq.total_inserts
-        dep.serve()
-        total = machine.wpq.total_inserts - before
-    else:
-        raise ValueError(f"unknown crash kind {rep.crash_kind!r}")
-    for point in range(min(total, _SCAN_CAP)):
-        result = run_twopc_case(
-            cell,
-            rep.crash_kind,
-            point,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            value_bytes=rep.value_bytes,
-            seed=seed,
-            config=config,
-        )
-        if result.violation is not None:
-            return point, result.violation, result.check
-    return None
+        # Shrinking never removes the original failure: the unshrunk ops
+        # still violate, so fall back to them wholesale.
+        ops = original
+        found = first_violation(ops=ops)
+    return found, {"ops": ops}
 
 
 def _shrink_volume(first_violation, num_clients: int, requests_per_client: int):
-    """Greedy request-volume shrinking shared by the service and 2PC
-    paths: halve the per-client request count while the violation
-    survives, then peel clients off one at a time."""
     found = None
     rpc = requests_per_client
     while rpc > 1:
         candidate = max(1, rpc // 2)
-        result = first_violation(num_clients, candidate)
+        result = first_violation(num_clients=num_clients, requests_per_client=candidate)
         if result is None:
             break
         rpc, found = candidate, result
     nc = num_clients
     while nc > 1:
-        result = first_violation(nc - 1, rpc)
+        result = first_violation(num_clients=nc - 1, requests_per_client=rpc)
         if result is None:
             break
         nc, found = nc - 1, result
     if found is None:
-        found = first_violation(nc, rpc)
-    return found, nc, rpc
-
-
-def _minimize_service(rep: Reproducer, *, config: SystemConfig) -> Reproducer:
-    found, nc, rpc = _shrink_volume(
-        lambda n, r: _service_first_violation(rep, n, r, config=config),
-        rep.service["num_clients"],
-        rep.service["requests_per_client"],
-    )
-    if found is None:
-        raise AssertionError(
-            "service reproducer no longer violates — non-deterministic run?"
-        )
-    point, message, check = found
-    service = dict(rep.service)
-    service["num_clients"] = nc
-    service["requests_per_client"] = rpc
-    return Reproducer(
-        workload=rep.workload,
-        scheme=rep.scheme,
-        policy=rep.policy,
-        value_bytes=rep.value_bytes,
-        ops=[],
-        crash_kind=rep.crash_kind,
-        crash_point=point,
-        violation=message,
-        check=check,
-        service=service,
-    )
-
-
-def _minimize_twopc(rep: Reproducer, *, config: SystemConfig) -> Reproducer:
-    found, nc, rpc = _shrink_volume(
-        lambda n, r: _twopc_first_violation(rep, n, r, config=config),
-        rep.twopc["num_clients"],
-        rep.twopc["requests_per_client"],
-    )
-    if found is None:
-        raise AssertionError(
-            "2PC reproducer no longer violates — non-deterministic run?"
-        )
-    point, message, check = found
-    twopc = dict(rep.twopc)
-    twopc["num_clients"] = nc
-    twopc["requests_per_client"] = rpc
-    return Reproducer(
-        workload=rep.workload,
-        scheme=rep.scheme,
-        policy=rep.policy,
-        value_bytes=rep.value_bytes,
-        ops=[],
-        crash_kind=rep.crash_kind,
-        crash_point=point,
-        violation=message,
-        check=check,
-        fault=dict(rep.fault) if rep.fault else None,
-        twopc=twopc,
-    )
+        found = first_violation(num_clients=nc, requests_per_client=rpc)
+    return found, {"num_clients": nc, "requests_per_client": rpc}
 
 
 def minimize(
     rep: Reproducer, *, config: SystemConfig = STRESS_CONFIG
 ) -> Reproducer:
-    """Shrink *rep* to a minimal reproducer (ops first, then the crash
-    point; request volume first for service/2PC reproducers), re-verifying
-    the violation at every step."""
-    if rep.twopc is not None:
-        return _minimize_twopc(rep, config=config)
-    if rep.service is not None:
-        return _minimize_service(rep, config=config)
-    if rep.fault is not None:
-        return _minimize_fault(rep, config=config)
-    ops = [list(op) for op in rep.ops]
+    """Shrink *rep* to a minimal reproducer (the op list or the request
+    volume first, then the crash point), re-verifying the violation at
+    every step."""
+    family, cell, seed, knobs = _thaw(rep)
+    knobs["config"] = config
 
-    chunk = max(1, len(ops) // 2)
-    while chunk >= 1:
-        start = 0
-        while start < len(ops) and len(ops) > 1:
-            candidate = ops[:start] + ops[start + chunk:]
-            if candidate and _first_violation(rep, candidate, config=config):
-                ops = candidate
-            else:
-                start += chunk
-        chunk //= 2
+    def first_violation(**change):
+        return _first_violation(rep, cell, seed, {**knobs, **change})
 
-    found = _first_violation(rep, ops, config=config)
-    if found is None:
-        # Shrinking never removes the original failure: the unshrunk ops
-        # still violate, so fall back to them wholesale.
-        ops = [list(op) for op in rep.ops]
-        found = _first_violation(rep, ops, config=config)
+    if family.shrink == "ops":
+        found, shrunk = _shrink_ops(first_violation, knobs["ops"])
+    else:
+        found, shrunk = _shrink_volume(
+            first_violation, knobs["num_clients"], knobs["requests_per_client"]
+        )
     if found is None:
         raise AssertionError(
             "reproducer no longer violates — non-deterministic subject?"
         )
     point, message, check = found
-    return Reproducer(
-        workload=rep.workload,
-        scheme=rep.scheme,
-        policy=rep.policy,
-        value_bytes=rep.value_bytes,
-        ops=ops,
-        crash_kind=rep.crash_kind,
-        crash_point=point,
-        violation=message,
-        check=check,
+    return Reproducer.from_violation(
+        violation(cell, rep.crash_kind, point, check, message),
+        seed=seed,
+        **{**knobs, **shrunk},
     )

@@ -1,317 +1,43 @@
-"""Deterministic campaign report formatting.
+"""The campaign report table, one writer for every family.
 
 The table is stable for a given ``(budget, seed)``: no timestamps, no
 machine-dependent fields, rows in fixed cell order — re-running the
 same command must emit the identical file (the determinism acceptance
-check diffs two runs).
+check diffs two runs, and CI diffs every checked-in report).  Each
+family supplies its headline, the lines describing its parameters, its
+columns and its coverage note (:class:`repro.fuzz.kernel.Family`).
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.fuzz.campaign import (
-    CampaignResult,
-    MultiCoreCampaignResult,
-    ServiceCampaignResult,
-)
-from repro.fuzz.twopc import TwoPCCampaignResult
-
-_COLUMNS = (
-    ("workload", 10),
-    ("scheme", 7),
-    ("policy", 8),
-    ("ops", 4),
-    ("persist-pts", 12),
-    ("instr-pts", 12),
-    ("cases", 6),
-    ("commits", 8),
-    ("cycles", 9),
-    ("pm-bytes", 9),
-    ("violations", 10),
-)
-
-
-def _row(values: List[str]) -> str:
-    return "  ".join(
-        str(v).ljust(width) for (_, width), v in zip(_COLUMNS, values)
-    ).rstrip()
+from repro.fuzz.kernel import FAMILIES, CampaignResult
 
 
 def format_report(result: CampaignResult) -> str:
-    """The campaign table plus totals, as written to
-    ``benchmarks/results/fuzz_campaign.txt``."""
+    """The campaign table plus totals, as written to the family's
+    ``benchmarks/results/*_campaign.txt``."""
+    family = FAMILIES[result.family]
+
+    def row(values: List) -> str:
+        return "  ".join(
+            str(value).ljust(width)
+            for (_, width, _), value in zip(family.columns, values)
+        ).rstrip()
+
     lines = [
-        "SLPMT crash-consistency fuzz campaign",
-        f"budget={result.budget} per cell, seed={result.seed}, "
-        f"ops/cell={result.num_ops}, value_bytes={result.value_bytes}, "
-        "config=stress (512B/1KB/8KB caches)",
+        family.title,
+        *family.describe(result),
         "",
-        _row([name for name, _ in _COLUMNS]),
-        _row(["-" * min(w, 10) for _, w in _COLUMNS]),
+        row([name for name, _, _ in family.columns]),
+        row(["-" * min(width, 10) for _, width, _ in family.columns]),
     ]
     for cell in result.cells:
-        persist = f"{cell.persist_points_run}/{cell.persist_points_total}"
-        if cell.exhaustive:
-            persist += " all"
-        instr = f"{cell.instr_points_run}/{cell.instr_points_total}"
-        lines.append(
-            _row(
-                [
-                    cell.cell.workload,
-                    cell.cell.scheme,
-                    cell.cell.policy,
-                    cell.num_ops,
-                    persist,
-                    instr,
-                    cell.cases_run,
-                    cell.tx_commits,
-                    cell.cycles,
-                    cell.pm_bytes,
-                    len(cell.violations),
-                ]
-            )
-        )
-    exhaustive_cells = sum(1 for c in result.cells if c.exhaustive)
+        lines.append(row([value(cell) for _, _, value in family.columns]))
     lines += [
         "",
-        f"cells: {len(result.cells)} "
-        f"({exhaustive_cells} with exhaustive durability-point coverage)",
-        f"cases: {result.total_cases}",
-        f"violations: {len(result.violations)}",
-    ]
-    for violation in result.violations:
-        lines.append(f"  VIOLATION {violation}")
-    lines.append("")
-    return "\n".join(lines)
-
-
-_2PC_COLUMNS = (
-    ("workload", 10),
-    ("scheme", 7),
-    ("shards", 6),
-    ("fault", 13),
-    ("reqs", 5),
-    ("step-pts", 10),
-    ("persist-pts", 12),
-    ("fault-pts", 10),
-    ("cases", 6),
-    ("acked", 6),
-    ("xcommits", 8),
-    ("violations", 10),
-)
-
-
-def _twopc_row(values: List[str]) -> str:
-    return "  ".join(
-        str(v).ljust(width) for (_, width), v in zip(_2PC_COLUMNS, values)
-    ).rstrip()
-
-
-def format_twopc_report(result: TwoPCCampaignResult) -> str:
-    """The 2PC-campaign table plus totals, as written to
-    ``benchmarks/results/twopc_campaign.txt``."""
-    lines = [
-        "SLPMT cross-shard 2PC crash campaign",
-        f"budget={result.budget} per cell, seed={result.seed}, "
-        f"clients={result.num_clients}x{result.requests_per_client} requests, "
-        f"value_bytes={result.value_bytes}, "
-        "config=stress (512B/1KB/8KB caches)",
-        "acceptance: acked => durable on every home shard; the in-flight "
-        "global txn is all-or-nothing",
-        "across shards (resolved commit => applied everywhere, presumed "
-        "abort => applied nowhere)",
-        "",
-        _twopc_row([name for name, _ in _2PC_COLUMNS]),
-        _twopc_row(["-" * min(w, 10) for _, w in _2PC_COLUMNS]),
-    ]
-    for cell in result.cells:
-        steps = f"{cell.step_points_run}/{cell.step_points_total}"
-        persist = f"{cell.persist_points_run}/{cell.persist_points_total}"
-        faults = f"{cell.fault_points_run}/{cell.fault_points_total}"
-        if cell.exhaustive:
-            if cell.cell.fault == "crash":
-                steps += " all"
-            else:
-                faults += " all"
-        lines.append(
-            _twopc_row(
-                [
-                    cell.cell.workload,
-                    cell.cell.scheme,
-                    cell.cell.shards,
-                    cell.cell.fault,
-                    cell.num_requests,
-                    steps,
-                    persist,
-                    faults,
-                    cell.cases_run,
-                    cell.acked,
-                    cell.xshard_commits,
-                    len(cell.violations),
-                ]
-            )
-        )
-    torn_cells = sum(
-        1 for c in result.cells
-        if c.cell.fault == "torn-decision" and c.fault_points_run
-    )
-    lines += [
-        "",
-        f"cells: {len(result.cells)} "
-        f"({torn_cells} attacking durable decision records)",
-        f"cases: {result.total_cases}",
-        f"violations: {len(result.violations)}",
-    ]
-    for violation in result.violations:
-        lines.append(f"  VIOLATION {violation}")
-    lines.append("")
-    return "\n".join(lines)
-
-
-_MC_COLUMNS = (
-    ("workload", 10),
-    ("scheme", 7),
-    ("cores", 5),
-    ("theta", 5),
-    ("switch-pts", 12),
-    ("cases", 6),
-    ("conflicts", 9),
-    ("aborts", 7),
-    ("commits", 8),
-    ("cycles", 9),
-    ("pm-bytes", 9),
-    ("violations", 10),
-)
-
-
-def _mc_row(values: List[str]) -> str:
-    return "  ".join(
-        str(v).ljust(width) for (_, width), v in zip(_MC_COLUMNS, values)
-    ).rstrip()
-
-
-def format_multicore_report(result: MultiCoreCampaignResult) -> str:
-    """The contention-campaign table plus totals, as written to
-    ``benchmarks/results/multicore_campaign.txt``."""
-    lines = [
-        "SLPMT multi-core contention crash campaign",
-        f"budget={result.budget} crash points per cell, seed={result.seed}, "
-        f"ops/core={result.ops_per_core}, keys={result.num_keys}, "
-        f"value_bytes={result.value_bytes}, "
-        "config=stress (512B/1KB/8KB caches)",
-        "",
-        _mc_row([name for name, _ in _MC_COLUMNS]),
-        _mc_row(["-" * min(w, 10) for _, w in _MC_COLUMNS]),
-    ]
-    for cell in result.cells:
-        switch = f"{cell.switch_points_run}/{cell.switch_points_total}"
-        if cell.exhaustive:
-            switch += " all"
-        lines.append(
-            _mc_row(
-                [
-                    cell.cell.workload,
-                    cell.cell.scheme,
-                    cell.cell.cores,
-                    f"{cell.cell.theta:g}",
-                    switch,
-                    cell.cases_run,
-                    cell.conflicts,
-                    cell.aborts,
-                    cell.commits,
-                    cell.cycles,
-                    cell.pm_bytes,
-                    len(cell.violations),
-                ]
-            )
-        )
-    exhaustive_cells = sum(1 for c in result.cells if c.exhaustive)
-    lines += [
-        "",
-        f"cells: {len(result.cells)} "
-        f"({exhaustive_cells} with exhaustive switch-point coverage)",
-        f"cases: {result.total_cases}",
-        f"violations: {len(result.violations)}",
-    ]
-    for violation in result.violations:
-        lines.append(f"  VIOLATION {violation}")
-    lines.append("")
-    return "\n".join(lines)
-
-
-_SVC_COLUMNS = (
-    ("workload", 10),
-    ("scheme", 7),
-    ("batch", 5),
-    ("reqs", 5),
-    ("persist-pts", 12),
-    ("instr-pts", 12),
-    ("cases", 6),
-    ("commits", 8),
-    ("acked", 6),
-    ("cycles", 9),
-    ("pm-bytes", 9),
-    ("steady-win", 11),
-    ("kcyc", 6),
-    ("violations", 10),
-)
-
-
-def _svc_row(values: List[str]) -> str:
-    return "  ".join(
-        str(v).ljust(width) for (_, width), v in zip(_SVC_COLUMNS, values)
-    ).rstrip()
-
-
-def format_service_report(result: ServiceCampaignResult) -> str:
-    """The service-campaign table plus totals, as written to
-    ``benchmarks/results/service_campaign.txt``."""
-    lines = [
-        "SLPMT transaction-service group-commit crash campaign",
-        f"budget={result.budget} per cell, seed={result.seed}, "
-        f"clients={result.num_clients}x{result.requests_per_client} requests, "
-        f"value_bytes={result.value_bytes}, "
-        "config=stress (512B/1KB/8KB caches)",
-        "acceptance: every acked request durable; unacked requests absent "
-        "or one whole in-flight batch",
-        "",
-        _svc_row([name for name, _ in _SVC_COLUMNS]),
-        _svc_row(["-" * min(w, 10) for _, w in _SVC_COLUMNS]),
-    ]
-    for cell in result.cells:
-        persist = f"{cell.persist_points_run}/{cell.persist_points_total}"
-        if cell.exhaustive:
-            persist += " all"
-        instr = f"{cell.instr_points_run}/{cell.instr_points_total}"
-        steady = f"{cell.window_lo}..{cell.window_hi}/{cell.windows}"
-        if not cell.steady:
-            steady += "!"
-        lines.append(
-            _svc_row(
-                [
-                    cell.cell.workload,
-                    cell.cell.scheme,
-                    cell.cell.batch_size,
-                    cell.num_requests,
-                    persist,
-                    instr,
-                    cell.cases_run,
-                    cell.batches,
-                    cell.acked,
-                    cell.cycles,
-                    cell.pm_bytes,
-                    steady,
-                    f"{cell.steady_kcyc:g}",
-                    len(cell.violations),
-                ]
-            )
-        )
-    exhaustive_cells = sum(1 for c in result.cells if c.exhaustive)
-    lines += [
-        "",
-        f"cells: {len(result.cells)} "
-        f"({exhaustive_cells} with exhaustive durability-point coverage)",
+        f"cells: {len(result.cells)} ({family.coverage(result.cells)})",
         f"cases: {result.total_cases}",
         f"violations: {len(result.violations)}",
     ]

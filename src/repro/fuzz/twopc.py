@@ -1,4 +1,4 @@
-"""The cross-shard 2PC crash/fault campaign (``fuzz --twopc``).
+"""The cross-shard 2PC family (``fuzz --twopc``).
 
 Every cell is a (workload × scheme × shard count × fault flavour)
 quadruple over a deterministic :class:`~repro.shard.deployment.
@@ -10,12 +10,12 @@ atomicity**:
 * **crash cells** sweep two surfaces:
 
   - **protocol steps** — the coordinator's :class:`~repro.shard.twopc.
-    StepTracker` cuts ``commit_global`` at every named step a dry run
-    enumerated: before any prepare, after each participant's prepared
-    seal, immediately before the decision persist, after the durable
-    decision but before any participant applied, and after each
-    participant's apply (stratified sampling keeps every step *family*
-    covered when the budget is smaller than the step count);
+    StepTracker` cuts ``commit_global`` at every named step the clean
+    run enumerated: before any prepare, after each participant's
+    prepared seal, immediately before the decision persist, after the
+    durable decision but before any participant applied, and after each
+    participant's apply (the pool is stratified by step *family*, so a
+    budget smaller than the step count still covers every family);
   - **persist points** — ``schedule_crash_after_persists`` on each
     labelled machine (``coord``, ``s0``, ``s1``, …) crashes that node
     mid-drain: participants die inside prepare-persist and group-commit
@@ -25,9 +25,9 @@ atomicity**:
   themselves: every word-boundary cut of every protocol append
   (``prepare`` / ``prepared`` / ``decide-commit`` / ``decide-abort``)
   plus one seeded bit flip per append, injected through the node's
-  :class:`~repro.faults.FaultModel` exactly as the media-fault campaign
-  does, then judged under ``salvage`` recovery with the same strict
-  probe / detection discipline.
+  :class:`~repro.faults.FaultModel` exactly as the media-fault family
+  does, then judged by the kernel's media double judgement under
+  ``salvage`` recovery.
 
 The acceptance contract (module docstring of :mod:`repro.shard.
 deployment`): every *acked* write durable on its home shard; the only
@@ -35,32 +35,36 @@ other legal per-shard image adds one whole in-flight group-commit
 batch; the in-flight global transaction is all-or-nothing *across*
 shards — resolved commit means its writes are durable on every
 participant, presumed abort means they appear on none.
-
-Everything derives from ``(cell, seed)``; cells fan out over
-:func:`repro.parallel.engine.run_tasks` and the ordered merge keeps
-reports byte-identical between serial and ``--jobs N`` campaigns.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Dict, Iterator, List, Tuple
 
 from repro.common.config import SystemConfig
-from repro.common.errors import (
-    LogChecksumError,
-    PowerFailure,
-    RecoveryError,
-    SimulationError,
-    TornLogError,
-)
-from repro.faults import BitFlip, FaultModel, TornAppend
+from repro.common.errors import RecoveryError
 from repro.faults.model import tear_points
-from repro.fuzz.campaign import STRESS_CONFIG, CaseResult, _diagnose
-from repro.fuzz.invariants import InvariantViolation, durable_state
+from repro.fuzz.campaign import _STRESS, STRESS_CONFIG, _points
+from repro.fuzz.invariants import InvariantViolation
+from repro.fuzz.kernel import (
+    REST,
+    Family,
+    Pool,
+    Violation,
+    accept,
+    durable_image,
+    judge_media,
+    oracle_states,
+    plan_fault,
+    register,
+    run_cell,
+    structural,
+)
 from repro.mem.logregion import TWOPC_KINDS
-from repro.recovery.engine import recover
 from repro.shard.deployment import ShardedConfig, ShardedDeployment
 from repro.shard.recovery import recover_deployment
 from repro.shard.router import home_shard
@@ -110,24 +114,6 @@ DEFAULT_TWOPC_CELLS: Tuple[TwoPCCell, ...] = tuple(
 
 
 @dataclass
-class TwoPCViolation:
-    """One global-atomicity failure with its full reproduction key."""
-
-    cell: TwoPCCell
-    crash_kind: str
-    crash_point: int
-    check: str
-    message: str
-    fault: Optional[Dict] = None
-
-    def __str__(self) -> str:
-        where = f"@{self.crash_kind}:{self.crash_point}"
-        if self.fault is not None:
-            where = f"@{self.fault}"
-        return f"{self.cell} {where} [{self.check}] {self.message}"
-
-
-@dataclass
 class TwoPCCellReport:
     """Coverage and outcome summary for one 2PC cell."""
 
@@ -145,36 +131,17 @@ class TwoPCCellReport:
     xshard_commits: int
     cycles: int = 0
     pm_bytes: int = 0
-    violations: List[TwoPCViolation] = field(default_factory=list)
+    violations: List[Violation] = field(default_factory=list)
 
     @property
     def cases_run(self) -> int:
         return self.step_points_run + self.persist_points_run + self.fault_points_run
 
 
-@dataclass
-class TwoPCCampaignResult:
-    """A whole 2PC campaign: parameters plus every cell report."""
-
-    budget: int
-    seed: int
-    num_clients: int
-    requests_per_client: int
-    value_bytes: int
-    cells: List[TwoPCCellReport] = field(default_factory=list)
-
-    @property
-    def total_cases(self) -> int:
-        return sum(c.cases_run for c in self.cells)
-
-    @property
-    def violations(self) -> List[TwoPCViolation]:
-        return [v for c in self.cells for v in c.violations]
-
-
-# ----------------------------------------------------------------------
-# one case
-# ----------------------------------------------------------------------
+def step_family(name: str) -> str:
+    """The protocol-step family of a step name (``prepared:g3:s1`` →
+    ``prepared``) — the unit of stratified coverage."""
+    return name.split(":", 1)[0]
 
 
 def _build_twopc(
@@ -215,26 +182,23 @@ def _build_twopc(
     )
 
 
-def _check_twopc_recovered(dep: ShardedDeployment, resolution) -> Tuple[Optional[str], str]:
+@contextmanager
+def _on_shard(shard: int) -> Iterator[None]:
+    """Name the shard in a violation raised inside."""
+    try:
+        yield
+    except InvariantViolation as exc:
+        raise InvariantViolation(exc.check, f"s{shard}: {exc.message}") from None
+
+
+def _check_deployment(dep: ShardedDeployment, resolution) -> None:
     """Post-recovery acceptance: per-shard structure, placement and
     two-state oracles, then the explicit cross-shard atomicity check on
     the in-flight global transaction (see module docstring)."""
     durable: Dict[int, Tuple] = {}
     for node in dep.nodes:
-        subject = node.subject
-        try:
-            if hasattr(subject, "check_integrity"):
-                subject.check_integrity(subject.reader(durable=True))
-            durable[node.shard_id] = durable_state(subject)
-        except RecoveryError as exc:
-            return f"s{node.shard_id}: {exc}", "structure"
-        except SimulationError as exc:
-            return (
-                f"s{node.shard_id}: durable traversal failed: {exc}",
-                "structure",
-            )
-        except InvariantViolation as exc:
-            return f"s{node.shard_id}: {exc.message}", exc.check
+        with _on_shard(node.shard_id):
+            durable[node.shard_id] = durable_image(node.subject)
 
     # Placement: the router is the only write path, so every durable
     # key must live on its home shard.
@@ -242,26 +206,20 @@ def _check_twopc_recovered(dep: ShardedDeployment, resolution) -> Tuple[Optional
         for key, _value in state:
             home = home_shard(key, dep.cfg.num_shards)
             if home != shard:
-                return (
-                    f"key {key} durable on shard {shard} but homes to {home}",
+                raise InvariantViolation(
                     "placement",
+                    f"key {key} durable on shard {shard} but homes to {home}",
                 )
 
     # Per-shard two-state acceptance: the acked oracle, or the oracle
     # plus one whole in-flight group-commit batch (its commit marker
     # may have turned durable on the crashing drain).
     for node in dep.nodes:
-        committed = {k: tuple(v) for k, v in node.rm.committed.items()}
-        acceptable = [tuple(sorted(committed.items()))]
+        batch = None
         if dep.inflight_local is not None and dep.inflight_local[0] == node.shard_id:
-            after = dict(committed)
-            for request in dep.inflight_local[1]:
-                for key, value in zip(request.keys, request.values):
-                    after[key] = tuple(value)
-            acceptable.append(tuple(sorted(after.items())))
-        if durable[node.shard_id] not in acceptable:
-            message, check = _diagnose(durable[node.shard_id], acceptable[0])
-            return f"s{node.shard_id}: {message}", check
+            batch = dep.inflight_local[1]
+        with _on_shard(node.shard_id):
+            accept(durable[node.shard_id], oracle_states(node.rm.committed, batch))
 
     # Global atomicity of the in-flight global transaction: resolved
     # commit => its writes durable on *every* participant; presumed
@@ -280,10 +238,10 @@ def _check_twopc_recovered(dep: ShardedDeployment, resolution) -> Tuple[Optional
                 )
             )
             if missing:
-                return (
+                raise InvariantViolation(
+                    "atomicity",
                     f"{label} resolved commit but shard(s) {missing} "
                     "lack its writes",
-                    "atomicity",
                 )
         else:
             for shard, writes in sorted(plan.items()):
@@ -295,432 +253,238 @@ def _check_twopc_recovered(dep: ShardedDeployment, resolution) -> Tuple[Optional
                     and oracle.get(key) != tuple(value)
                 )
                 if leaked:
-                    return (
+                    raise InvariantViolation(
+                        "atomicity",
                         f"{label} presumed abort but shard {shard} durably "
                         f"holds its write(s) {leaked[:4]}",
-                        "atomicity",
                     )
 
     # Resolution sanity: the campaign never damages prepare records of
     # a *decided* transaction, so a commit over an unsealed stage means
     # the resolver mis-read the logs.
     if resolution.incomplete_stages:
-        return (
+        raise InvariantViolation(
+            "resolution",
             f"commit resolved over unsealed stage(s) "
             f"{resolution.incomplete_stages[:4]}",
-            "resolution",
-        )
-    return None, ""
-
-
-def run_twopc_case(
-    cell: TwoPCCell,
-    crash_kind: str,
-    crash_point: int,
-    *,
-    fault: Optional[Dict] = None,
-    num_clients: int = 4,
-    requests_per_client: int = 12,
-    value_bytes: int = 32,
-    seed: int = 7,
-    config: SystemConfig = STRESS_CONFIG,
-) -> CaseResult:
-    """One crash-inject-recover-judge case over a fresh deployment.
-
-    *crash_kind* is ``"step"`` (coordinator protocol-step index),
-    ``"persist:<node>"`` (the *crash_point*-th post-setup durability
-    event on machine ``coord`` / ``s0`` / …), or ``"fault"`` with
-    *fault* carrying media-fault coordinates
-    ``{"node": label, "kind": "torn-tail", "append": i, "cut": c}`` or
-    ``{"node": label, "kind": "bit-flip", "append": i, "word": w,
-    "bit": b}`` on that node's global append clock."""
-    dep = _build_twopc(
-        cell,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=value_bytes,
-        seed=seed,
-        config=config,
-    )
-    machines = dict(dep.all_machines())
-    model: Optional[FaultModel] = None
-    if fault is not None:
-        if fault["kind"] == "torn-tail":
-            model = FaultModel(TornAppend(fault["append"], fault["cut"]))
-        elif fault["kind"] == "bit-flip":
-            model = FaultModel(
-                BitFlip(fault["append"], fault["word"], fault["bit"])
-            )
-        else:
-            raise SimulationError(f"unknown fault kind {fault['kind']!r}")
-        machines[fault["node"]].pm.fault_model = model
-    elif crash_kind == "step":
-        dep.coordinator.steps.crash_at = crash_point
-    elif crash_kind.startswith("persist:"):
-        machines[crash_kind.split(":", 1)[1]].schedule_crash_after_persists(
-            crash_point
-        )
-    else:
-        raise ValueError(f"unknown crash kind {crash_kind!r}")
-
-    crashed = False
-    try:
-        dep.serve()
-    except PowerFailure:
-        crashed = True
-
-    if not crashed:
-        # The armed point lay beyond this run (caller-chosen points
-        # only): finish cleanly and judge like a clean run.
-        for machine in machines.values():
-            machine.cancel_scheduled_crash()
-            machine.pm.fault_model = None
-        dep.coordinator.steps.crash_at = None
-        violation: Optional[str] = None
-        check = ""
-        try:
-            dep.finish()
-            for node in dep.nodes:
-                node.rm.sync_expected()
-                node.subject.verify(durable=True)
-        except RecoveryError as exc:
-            violation, check = str(exc), "structure"
-        return CaseResult(
-            crashed=False,
-            committed_ops=len(dep.committed),
-            tx_commits=dep.coordinator.committed_gtxs,
-            violation=violation,
-            check=check,
         )
 
-    dep.crash()
-    damaged = False
-    if fault is not None:
-        pm = machines[fault["node"]].pm
-        pm.fault_model = None
-        parsed = pm.parse_byte_log_tolerant()
-        damaged = not parsed.clean
-        # Detection: damage the injection actually left on media must
-        # be visible to the tolerant byte parse (CRC escape otherwise).
-        if pm.log_damage and not damaged:
-            return CaseResult(
-                crashed=True,
-                committed_ops=len(dep.committed),
-                tx_commits=dep.coordinator.committed_gtxs,
-                violation=f"media damage escaped the tolerant parse ({fault})",
-                check="detection",
-            )
-        # Strict probe on a snapshot: must raise iff damaged.
-        strict_err: Optional[RecoveryError] = None
-        try:
-            recover(
-                pm.snapshot(),
-                mode=machines[fault["node"]].scheme.logging_mode,
-                from_bytes=True,
-                policy="strict",
-            )
-        except (TornLogError, LogChecksumError) as err:
-            strict_err = err
-        if damaged and strict_err is None:
-            return CaseResult(
-                crashed=True,
-                committed_ops=len(dep.committed),
-                tx_commits=dep.coordinator.committed_gtxs,
-                violation="strict recovery silently accepted a damaged "
-                f"protocol log on {fault['node']}",
-                check="strict",
-            )
-        if not damaged and strict_err is not None:
-            return CaseResult(
-                crashed=True,
-                committed_ops=len(dep.committed),
-                tx_commits=dep.coordinator.committed_gtxs,
-                violation=f"strict recovery rejected an undamaged log "
-                f"on {fault['node']}: {strict_err}",
-                check="strict",
-            )
 
-    try:
-        resolution = recover_deployment(
-            dep,
-            policy="salvage" if fault is not None else "strict",
-            from_bytes=fault is not None,
-        )
-    except RecoveryError as exc:
-        return CaseResult(
-            crashed=True,
-            committed_ops=len(dep.committed),
-            tx_commits=dep.coordinator.committed_gtxs,
-            violation=f"deployment recovery failed: {exc}",
-            check="salvage" if fault is not None else "structure",
-        )
-    if fault is not None and damaged:
-        report = resolution.reports.get(fault["node"])
-        if report is not None and not report.damaged:
-            return CaseResult(
-                crashed=True,
-                committed_ops=len(dep.committed),
-                tx_commits=dep.coordinator.committed_gtxs,
-                violation=f"salvage recovery on {fault['node']} did not "
-                "disclose the media damage",
-                check="report",
-            )
-
-    violation, check = _check_twopc_recovered(dep, resolution)
-    return CaseResult(
-        crashed=True,
-        committed_ops=len(dep.committed),
-        tx_commits=dep.coordinator.committed_gtxs,
-        violation=violation,
-        check=check,
-    )
-
-
-# ----------------------------------------------------------------------
-# cell driver
-# ----------------------------------------------------------------------
-
-
-def _step_family(name: str) -> str:
-    """The protocol-step family of a step name (``prepared:g3:s1`` →
-    ``prepared``) — the unit of stratified coverage."""
-    return name.split(":", 1)[0]
-
-
-def _stratified_steps(
-    names: Sequence[str], budget: int, rng: random.Random
-) -> List[int]:
-    """Pick up to *budget* step indices covering every step family.
-
-    Round-robin over families (each shuffled by the cell RNG) so even a
-    small budget crashes the coordinator at least once per protocol
-    step kind — the ISSUE's coverage floor."""
-    if len(names) <= budget:
-        return list(range(len(names)))
-    families: Dict[str, List[int]] = {}
-    for index, name in enumerate(names):
-        families.setdefault(_step_family(name), []).append(index)
-    pools = [families[f] for f in sorted(families)]
-    for pool in pools:
-        rng.shuffle(pool)
-    picked: List[int] = []
-    round_i = 0
-    while len(picked) < budget and any(pools):
-        for pool in pools:
-            if round_i < len(pool) and len(picked) < budget:
-                picked.append(pool[round_i])
-        round_i += 1
-        if all(round_i >= len(pool) for pool in pools):
-            break
-    return sorted(picked)
-
-
-def run_twopc_cell(
-    cell: TwoPCCell,
-    *,
-    budget: int,
-    seed: int,
-    num_clients: int = 4,
-    requests_per_client: int = 12,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-) -> TwoPCCellReport:
-    """Run one 2PC cell's sweep.
-
-    A clean dry run of the identical deployment enumerates the
-    coordinator's protocol steps, every machine's post-setup durability
-    events, and (for torn-decision cells) the protocol appends in every
-    node's log; the sweep then crashes a fresh, identically seeded
-    deployment at each chosen coordinate.  Case failures that are *not*
-    judged violations (a harness bug, not a consistency bug) re-raise
-    with the dying node and protocol step attached, so the parallel
-    engine's :class:`~repro.parallel.engine.WorkerCrash` names exactly
-    which shard and step died."""
-    dep = _build_twopc(
-        cell,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=value_bytes,
-        seed=seed,
-        config=config,
-    )
-    machines = dep.all_machines()
-    events0 = {label: m.wpq.total_inserts for label, m in machines}
-    appends0 = {label: m.pm.log_appends for label, m in machines}
-    cycles0 = sum(m.now for _, m in machines)
-    pm0 = sum(m.stats.pm_bytes_written for _, m in machines)
-    dep.serve()
-    step_names = list(dep.coordinator.steps.names)
-    events = {
-        label: m.wpq.total_inserts - events0[label] for label, m in machines
-    }
-    protocol_appends: List[Tuple[str, int, int]] = []
-    for label, m in machines:
-        for index in range(appends0[label], m.pm.log_appends):
-            extent = m.pm.log_extents[index]
-            if extent.entry.kind in TWOPC_KINDS:
-                protocol_appends.append((label, index, extent.nwords))
-    clean = dep.result()
-    cycles = sum(m.now for _, m in machines) - cycles0
-    pm_bytes = sum(m.stats.pm_bytes_written for _, m in machines) - pm0
-    # Clean-run sanity: the deployment's own durability verify must
-    # pass before any crash case of this cell is trusted.
+def _finish_deployment(dep: ShardedDeployment) -> None:
     dep.finish()
     for node in dep.nodes:
         node.rm.sync_expected()
         node.subject.verify(durable=True)
 
-    rng = random.Random(f"2pc-cell:{seed}:{cell}")
-    step_points: List[int] = []
-    persist_points: List[Tuple[str, int]] = []
-    faults: List[Dict] = []
-    if cell.fault == "crash":
-        step_points = _stratified_steps(step_names, max(1, budget // 2), rng)
-        persist_pool = [
-            (label, point)
-            for label, _ in machines
-            for point in range(events[label])
-        ]
-        persist_budget = max(0, budget - len(step_points))
-        if len(persist_pool) <= persist_budget:
-            persist_points = persist_pool
-        else:
-            persist_points = sorted(
-                rng.sample(persist_pool, persist_budget)
-            )
-        exhaustive = (
-            len(step_points) == len(step_names)
-            and len(persist_points) == len(persist_pool)
+
+class TwoPCFamily(Family):
+    """Coordinator-step, per-node persist-point and decision-record
+    fault cases over a sharded deployment."""
+
+    name = "twopc"
+    cell_type = TwoPCCell
+    knobs = dict(num_clients=4, requests_per_client=12, value_bytes=32, config=STRESS_CONFIG)
+    budget = 70
+    shrink = "volume"
+    title = "SLPMT cross-shard 2PC crash campaign"
+    columns = (
+        ("workload", 10, lambda c: c.cell.workload),
+        ("scheme", 7, lambda c: c.cell.scheme),
+        ("shards", 6, lambda c: c.cell.shards),
+        ("fault", 13, lambda c: c.cell.fault),
+        ("reqs", 5, lambda c: c.num_requests),
+        ("step-pts", 10, lambda c: _points(
+            c.step_points_run, c.step_points_total,
+            c.exhaustive and c.cell.fault == "crash")),
+        ("persist-pts", 12, lambda c: _points(c.persist_points_run, c.persist_points_total)),
+        ("fault-pts", 10, lambda c: _points(
+            c.fault_points_run, c.fault_points_total,
+            c.exhaustive and c.cell.fault != "crash")),
+        ("cases", 6, lambda c: c.cases_run),
+        ("acked", 6, lambda c: c.acked),
+        ("xcommits", 8, lambda c: c.xshard_commits),
+        ("violations", 10, lambda c: len(c.violations)),
+    )
+
+    def seed_key(self, cell, seed):
+        return f"2pc-cell:{seed}:{cell}"
+
+    def build(self, cell, seed, knobs, *, clean=False):
+        return _build_twopc(cell, seed=seed, **knobs)
+
+    def gauge(self, dep):
+        machines = dep.all_machines()
+        return (
+            {label: m.wpq.total_inserts for label, m in machines},
+            {label: m.pm.log_appends for label, m in machines},
+            sum(m.now for _, m in machines),
+            sum(m.stats.pm_bytes_written for _, m in machines),
         )
-        fault_pool_total = 0
-    else:
-        for label, index, nwords in protocol_appends:
+
+    def arm(self, dep, kind, point):
+        """``"step"`` cuts the coordinator at a protocol-step index,
+        ``"persist:<node>"`` crashes machine ``coord`` / ``s0`` / … at a
+        post-setup durability event, and ``"fault"`` carries media-fault
+        coordinates ``{"node", "kind": "torn-tail" | "bit-flip", ...}``
+        on that node's global append clock."""
+        machines = dict(dep.all_machines())
+        if kind == "fault":
+            machines[point["node"]].pm.fault_model = plan_fault(point)
+        elif kind == "step":
+            dep.coordinator.steps.crash_at = point
+        elif kind.startswith("persist:"):
+            machines[kind.split(":", 1)[1]].schedule_crash_after_persists(point)
+        else:
+            raise ValueError(f"unknown crash kind {kind!r}")
+
+    def execute(self, dep):
+        dep.serve()
+
+    def judge(self, dep, kind, point):
+        dep.crash()
+        if kind == "fault":
+            node = point["node"]
+            machine = dict(dep.all_machines())[node]
+            machine.pm.fault_model = None
+
+            def salvage():
+                resolution = recover_deployment(dep, policy="salvage", from_bytes=True)
+                return resolution, resolution.reports.get(node)
+
+            resolution = judge_media(
+                machine.pm, machine.scheme.logging_mode, point, salvage, node=node
+            )
+        else:
+            try:
+                resolution = recover_deployment(dep, policy="strict", from_bytes=False)
+            except RecoveryError as exc:
+                raise InvariantViolation(
+                    "structure", f"deployment recovery failed: {exc}"
+                ) from exc
+        _check_deployment(dep, resolution)
+
+    def settle(self, dep):
+        for _, machine in dep.all_machines():
+            machine.cancel_scheduled_crash()
+            machine.pm.fault_model = None
+        dep.coordinator.steps.crash_at = None
+        with structural():
+            _finish_deployment(dep)
+
+    def outcome(self, dep):
+        return len(dep.committed), dep.coordinator.committed_gtxs
+
+    def measure(self, dep, start):
+        events0, appends0, cycles0, pm0 = start
+        machines = dep.all_machines()
+        clean = SimpleNamespace(
+            steps=list(dep.coordinator.steps.names),
+            events={label: m.wpq.total_inserts - events0[label] for label, m in machines},
+            protocol_appends=[
+                (label, index, m.pm.log_extents[index].nwords)
+                for label, m in machines
+                for index in range(appends0[label], m.pm.log_appends)
+                if m.pm.log_extents[index].entry.kind in TWOPC_KINDS
+            ],
+            result=dep.result(),
+            cycles=sum(m.now for _, m in machines) - cycles0,
+            pm_bytes=sum(m.stats.pm_bytes_written for _, m in machines) - pm0,
+        )
+        # Clean-run sanity: the deployment's own durability verify must
+        # pass before any crash case of this cell is trusted.
+        _finish_deployment(dep)
+        return clean
+
+    def crash_space(self, cell, seed, budget, knobs, clean):
+        if cell.fault == "crash":
+            steps = clean.steps
+            return [
+                Pool(
+                    "step", range(len(steps)), take=max(1, budget // 2),
+                    strata=lambda index: step_family(steps[index]),
+                ),
+                Pool(None, [
+                    (f"persist:{label}", point)
+                    for label, events in clean.events.items()
+                    for point in range(events)
+                ], take=REST),
+            ]
+        faults: List[Dict] = []
+        for label, index, nwords in clean.protocol_appends:
             for _, cut in tear_points([nwords]):
                 faults.append(
-                    {
-                        "node": label,
-                        "kind": "torn-tail",
-                        "append": index,
-                        "cut": cut,
-                    }
+                    {"node": label, "kind": "torn-tail", "append": index, "cut": cut}
                 )
             flip_rng = random.Random(f"2pc-flip:{seed}:{cell}:{label}:{index}")
-            faults.append(
-                {
-                    "node": label,
-                    "kind": "bit-flip",
-                    "append": index,
-                    "word": flip_rng.randrange(nwords),
-                    "bit": flip_rng.randrange(64),
-                }
-            )
-        fault_pool_total = len(faults)
-        if len(faults) > budget:
-            faults = [faults[i] for i in sorted(rng.sample(range(len(faults)), budget))]
-            exhaustive = False
-        else:
-            exhaustive = True
+            faults.append({
+                "node": label,
+                "kind": "bit-flip",
+                "append": index,
+                "word": flip_rng.randrange(nwords),
+                "bit": flip_rng.randrange(64),
+            })
+        return [Pool("fault", faults, take=budget)]
 
-    report = TwoPCCellReport(
-        cell=cell,
-        num_requests=clean.requests,
-        step_points_total=len(step_names),
-        step_points_run=len(step_points),
-        persist_points_total=sum(events.values()),
-        persist_points_run=len(persist_points),
-        fault_points_total=fault_pool_total,
-        fault_points_run=len(faults),
-        exhaustive=exhaustive,
-        acked=clean.acked,
-        xshard_commits=clean.xshard_commits,
-        cycles=cycles,
-        pm_bytes=pm_bytes,
-    )
+    def report(self, cell, knobs, clean, pools, fired):
+        run = {pool.kind: len(pool.chosen) for pool in pools}
+        return TwoPCCellReport(
+            cell=cell,
+            num_requests=clean.result.requests,
+            step_points_total=len(clean.steps),
+            step_points_run=run.get("step", 0),
+            persist_points_total=sum(clean.events.values()),
+            persist_points_run=run.get(None, 0),
+            fault_points_total=sum(p.total for p in pools if p.kind == "fault"),
+            fault_points_run=run.get("fault", 0),
+            exhaustive=all(pool.full for pool in pools),
+            acked=clean.result.acked,
+            xshard_commits=clean.result.xshard_commits,
+            cycles=clean.cycles,
+            pm_bytes=clean.pm_bytes,
+        )
 
-    def _run(crash_kind: str, crash_point: int, fault: Optional[Dict], where: str) -> None:
-        try:
-            result = run_twopc_case(
-                cell,
-                crash_kind,
-                crash_point,
-                fault=fault,
-                num_clients=num_clients,
-                requests_per_client=requests_per_client,
-                value_bytes=value_bytes,
-                seed=seed,
-                config=config,
-            )
-        except Exception as exc:  # harness failure, not a judged violation
-            raise SimulationError(
-                f"2pc case died at {where}: {type(exc).__name__}: {exc}"
-            ) from exc
-        if result.violation is not None:
-            report.violations.append(
-                TwoPCViolation(
-                    cell=cell,
-                    crash_kind=crash_kind,
-                    crash_point=crash_point,
-                    check=result.check,
-                    message=result.violation,
-                    fault=fault,
-                )
-            )
+    def describe(self, result):
+        knobs = result.knobs
+        return [
+            f"budget={result.budget} per cell, seed={result.seed}, "
+            f"clients={knobs['num_clients']}x{knobs['requests_per_client']} "
+            f"requests, value_bytes={knobs['value_bytes']}, " + _STRESS,
+            "acceptance: acked => durable on every home shard; the in-flight "
+            "global txn is all-or-nothing",
+            "across shards (resolved commit => applied everywhere, presumed "
+            "abort => applied nowhere)",
+        ]
 
-    for point in step_points:
-        _run("step", point, None, f"step #{point} ({step_names[point]})")
-    for label, point in persist_points:
-        _run(f"persist:{label}", point, None, f"persist #{point} on {label}")
-    for fault in faults:
-        _run("fault", int(fault.get("cut", fault.get("bit", 0))), fault,
-             f"{fault['kind']} on {fault['node']} append #{fault['append']}")
-    return report
+    def coverage(self, cells):
+        torn = sum(
+            1 for c in cells if c.cell.fault == "torn-decision" and c.fault_points_run
+        )
+        return f"{torn} attacking durable decision records"
+
+    def freeze(self, cell, seed, knobs):
+        return dict(
+            policy="none",
+            value_bytes=knobs["value_bytes"],
+            ops=[],
+            twopc={
+                "shards": cell.shards,
+                "num_clients": knobs["num_clients"],
+                "requests_per_client": knobs["requests_per_client"],
+                "seed": seed,
+            },
+        )
+
+    def thaw(self, rep):
+        fault = "torn-decision" if rep.fault is not None else "crash"
+        cell = TwoPCCell(rep.workload, rep.scheme, rep.twopc["shards"], fault)
+        return cell, rep.twopc["seed"], dict(
+            num_clients=rep.twopc["num_clients"],
+            requests_per_client=rep.twopc["requests_per_client"],
+            value_bytes=rep.value_bytes,
+        )
 
 
-def run_twopc_campaign(
-    budget: int = 70,
-    seed: int = 7,
-    *,
-    cells: Sequence[TwoPCCell] = DEFAULT_TWOPC_CELLS,
-    num_clients: int = 4,
-    requests_per_client: int = 12,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    jobs: int = 1,
-    progress=None,
-) -> TwoPCCampaignResult:
-    """Run the 2PC campaign grid.
+TWOPC = register(TwoPCFamily())
 
-    *budget* is the per-cell case budget.  Cells are keyed by
-    ``(cell, seed)`` alone — each worker rebuilds the deployment from
-    those scalars, and the ordered merge keeps the report byte-identical
-    to a serial campaign."""
-    from repro.parallel import engine
-    from repro.parallel.tasks import twopc_fuzz_cell
-
-    result = TwoPCCampaignResult(
-        budget=budget,
-        seed=seed,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=value_bytes,
-    )
-    descriptors = [
-        {
-            "cell": cell,
-            "budget": budget,
-            "seed": seed,
-            "num_clients": num_clients,
-            "requests_per_client": requests_per_client,
-            "value_bytes": value_bytes,
-            "config": config,
-        }
-        for cell in cells
-    ]
-    result.cells = engine.run_tasks(
-        twopc_fuzz_cell,
-        descriptors,
-        jobs=jobs,
-        labels=[str(cell) for cell in cells],
-        progress=progress,
-    )
-    return result
+#: One 2PC cell's sweep: the kernel's, with a :class:`TwoPCCell`.
+run_twopc_cell = run_cell

@@ -31,11 +31,7 @@ from repro.model.predict import (
 )
 from repro.model.validate import format_validation, validate_model
 from repro.obs import bench as bench_mod
-from repro.parallel.engine import WorkerCrash, resolve_jobs
-
-
-def _progress(done: int, total: int, label: str) -> None:
-    print(f"[{done}/{total}] {label}", file=sys.stderr)
+from repro.parallel.engine import WorkerCrash, print_progress, resolve_jobs
 
 
 def _print_validation(doc) -> None:
@@ -86,7 +82,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     try:
         doc = fit_mod.fit_model(
             jobs=jobs,
-            progress=_progress if jobs > 1 else None,
+            progress=print_progress if jobs > 1 else None,
             **fit_kwargs,
         )
     except WorkerCrash as exc:
@@ -153,7 +149,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         report = validate_model(
             model,
             jobs=jobs,
-            progress=_progress if jobs > 1 else None,
+            progress=print_progress if jobs > 1 else None,
             max_error=args.max_error,
         )
     except WorkerCrash as exc:

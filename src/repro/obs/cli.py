@@ -35,11 +35,7 @@ from repro.obs.trace import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.parallel.engine import WorkerCrash, resolve_jobs
-
-
-def _progress(done: int, total: int, label: str) -> None:
-    print(f"[{done}/{total}] {label}", file=sys.stderr)
+from repro.parallel.engine import WorkerCrash, print_progress, resolve_jobs
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
@@ -357,7 +353,7 @@ def _model_equivalence(jobs: int) -> int:
     )
     serial_fit = bench_mod.strip_host(fit_model(jobs=1, **grid))
     parallel_fit = bench_mod.strip_host(
-        fit_model(jobs=jobs, progress=_progress, **grid)
+        fit_model(jobs=jobs, progress=print_progress, **grid)
     )
     if serial_fit != parallel_fit:
         for key in _diff_keys(serial_fit, parallel_fit)[:20]:
@@ -393,7 +389,7 @@ def _model_equivalence(jobs: int) -> int:
         bench_mod.run_model_bench(jobs=1, **bench_grid)
     )
     parallel_bench = bench_mod.strip_host(
-        bench_mod.run_model_bench(jobs=jobs, progress=_progress, **bench_grid)
+        bench_mod.run_model_bench(jobs=jobs, progress=print_progress, **bench_grid)
     )
     if serial_bench != parallel_bench:
         for key in _diff_keys(serial_bench, parallel_bench)[:20]:
@@ -438,7 +434,7 @@ def _sustained_equivalence(jobs: int) -> int:
     )
     serial = bench_mod.strip_host(run_sustained(jobs=1, **shape))
     parallel = bench_mod.strip_host(
-        run_sustained(jobs=jobs, progress=_progress, **shape)
+        run_sustained(jobs=jobs, progress=print_progress, **shape)
     )
     if serial != parallel:
         for key in _diff_keys(serial, parallel)[:20]:
@@ -544,7 +540,7 @@ def _cmd_equivalence(args: argparse.Namespace) -> int:
         )
         run = bench_mod.run_bench
     serial = run(jobs=1, **kwargs)
-    parallel = run(jobs=jobs, progress=_progress, **kwargs)
+    parallel = run(jobs=jobs, progress=print_progress, **kwargs)
 
     failures = 0
     a = bench_mod.strip_host(serial)
@@ -696,7 +692,7 @@ def _bench_curves(args: argparse.Namespace) -> int:
             seed=args.seed,
             jobs=jobs,
             duration_cycles=args.duration,
-            progress=_progress if jobs > 1 else None,
+            progress=print_progress if jobs > 1 else None,
         )
     except WorkerCrash as exc:
         print(f"curve sweep failed: {exc}", file=sys.stderr)
@@ -769,7 +765,7 @@ def _bench_sustained(args: argparse.Namespace) -> int:
         kwargs["target_load"] = args.target_load
     try:
         doc = run_sustained(
-            progress=_progress if jobs > 1 else None, **kwargs
+            progress=print_progress if jobs > 1 else None, **kwargs
         )
     except WorkerCrash as exc:
         print(f"sustained run failed: {exc}", file=sys.stderr)
@@ -825,7 +821,7 @@ def _bench_model(args: argparse.Namespace) -> int:
             else bench_mod.DEFAULT_SPOT_CHECKS,
             max_error=args.max_error,
             jobs=jobs,
-            progress=_progress if jobs > 1 else None,
+            progress=print_progress if jobs > 1 else None,
         )
     except FileNotFoundError as exc:
         print(
@@ -1038,7 +1034,7 @@ def bench_main(argv: "List[str] | None" = None) -> int:
                 spans=spans,
                 seed=args.seed,
                 jobs=jobs,
-                progress=_progress if jobs > 1 else None,
+                progress=print_progress if jobs > 1 else None,
             )
         elif args.service:
             from repro.service.bench import run_service_bench
@@ -1049,7 +1045,7 @@ def bench_main(argv: "List[str] | None" = None) -> int:
                 duration_cycles=args.duration,
                 target_load=args.target_load,
                 jobs=jobs,
-                progress=_progress if jobs > 1 else None,
+                progress=print_progress if jobs > 1 else None,
             )
         elif args.multicore:
             cores = (
@@ -1072,7 +1068,7 @@ def bench_main(argv: "List[str] | None" = None) -> int:
                 value_bytes=args.value_bytes,
                 seed=args.seed,
                 jobs=jobs,
-                progress=_progress if jobs > 1 else None,
+                progress=print_progress if jobs > 1 else None,
             )
         else:
             doc = bench_mod.run_bench(
@@ -1084,7 +1080,7 @@ def bench_main(argv: "List[str] | None" = None) -> int:
                 seed=args.seed,
                 jobs=jobs,
                 best_of=args.best_of,
-                progress=_progress if jobs > 1 else None,
+                progress=print_progress if jobs > 1 else None,
             )
     except WorkerCrash as exc:
         print(f"bench sweep failed: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -57,6 +58,12 @@ def resolve_jobs(jobs: "Optional[int]" = None) -> int:
 
 
 ProgressFn = Callable[[int, int, str], None]
+
+
+def print_progress(done: int, total: int, label: str) -> None:
+    """The CLIs' :data:`ProgressFn`: one ``[done/total] label`` line on
+    stderr per finished cell."""
+    print(f"[{done}/{total}] {label}", file=sys.stderr)
 
 
 def run_tasks(

@@ -310,50 +310,17 @@ def runner_cell(*, key: "Tuple") -> Any:
 
 
 # ----------------------------------------------------------------------
-# crash-consistency and media-fault campaigns
+# crash campaigns (every fuzz family)
 # ----------------------------------------------------------------------
 
 
-def fuzz_cell(*, cell, **kwargs) -> Any:
-    """One crash-campaign cell: runs the full crash-point sweep."""
+def campaign_cell(*, cell, **kwargs) -> Any:
+    """One campaign cell of any fuzz family: its full crash-point sweep
+    (the cell's type selects the family)."""
     _poison_check(str(cell))
-    from repro.fuzz.campaign import run_cell
+    from repro.fuzz.kernel import run_cell
 
     return run_cell(cell, **kwargs)
-
-
-def multicore_fuzz_cell(*, cell, **kwargs) -> Any:
-    """One contention-campaign cell: crash-point sweep over N cores."""
-    _poison_check(str(cell))
-    from repro.fuzz.campaign import run_multicore_cell
-
-    return run_multicore_cell(cell, **kwargs)
-
-
-def service_fuzz_cell(*, cell, **kwargs) -> Any:
-    """One service-campaign cell: crash-point sweep over group commits."""
-    _poison_check(str(cell))
-    from repro.fuzz.campaign import run_service_cell
-
-    return run_service_cell(cell, **kwargs)
-
-
-def twopc_fuzz_cell(*, cell, **kwargs) -> Any:
-    """One 2PC-campaign cell: protocol-step and persist-point crash
-    sweep (plus decision-record fault injection) over a sharded
-    deployment."""
-    _poison_check(str(cell))
-    from repro.fuzz.twopc import run_twopc_cell
-
-    return run_twopc_cell(cell, **kwargs)
-
-
-def fault_cell(*, cell, **kwargs) -> Any:
-    """One media-fault-campaign cell: runs the full injection sweep."""
-    _poison_check(str(cell))
-    from repro.fuzz.faultcampaign import run_fault_cell
-
-    return run_fault_cell(cell, **kwargs)
 
 
 # ----------------------------------------------------------------------

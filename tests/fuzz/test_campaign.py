@@ -8,10 +8,8 @@ from repro.fuzz.campaign import (
     FuzzCell,
     baseline_states,
     generate_ops,
-    run_campaign,
-    run_case,
-    run_cell,
 )
+from repro.fuzz.kernel import CampaignResult, run_campaign, run_case, run_cell
 from repro.fuzz.minimize import Reproducer, minimize, replay
 from repro.fuzz.report import format_report
 
@@ -64,7 +62,8 @@ def test_baseline_states_track_committed_prefixes():
 def test_run_case_without_crash_verifies_cleanly():
     ops = generate_ops("hashtable", 6, 3)
     result = run_case(
-        "hashtable", "SLPMT", "manual", ops, "persist", 10**9
+        FuzzCell("hashtable", "SLPMT", "manual"), "persist", 10**9,
+        seed=3, ops=ops,
     )
     assert not result.crashed
     assert result.committed_ops == len(ops)
@@ -88,7 +87,7 @@ def test_hazard_is_caught_minimized_and_replayed():
     )
     assert report.violations, "the mis-annotated tombstone went undetected"
 
-    rep = Reproducer.from_violation(report.violations[0], ops, value_bytes=32)
+    rep = Reproducer.from_violation(report.violations[0], seed=7, ops=ops)
     shrunk = minimize(rep)
     assert len(shrunk.ops) <= len(rep.ops)
     assert shrunk.crash_point <= rep.crash_point
@@ -137,31 +136,19 @@ def test_service_cell_reports_steady_telemetry():
     """The service campaign's clean run carries windowed telemetry:
     every cell report quotes a steady window range and throughput, and
     the table renders them."""
-    from repro.fuzz.campaign import (
-        ServiceCampaignResult,
-        ServiceCell,
-        run_service_cell,
-    )
-    from repro.fuzz.report import format_service_report
+    from repro.fuzz.campaign import SERVICE, ServiceCell, run_service_cell
 
+    knobs = dict(num_clients=3, requests_per_client=10)
     report = run_service_cell(
-        ServiceCell("hashtable", "SLPMT", 8),
-        budget=4,
-        seed=7,
-        num_clients=3,
-        requests_per_client=10,
+        ServiceCell("hashtable", "SLPMT", 8), budget=4, seed=7, **knobs
     )
     assert report.windows > 0
     assert 0 <= report.window_lo < report.window_hi <= report.windows
     assert report.steady_kcyc > 0
-    result = ServiceCampaignResult(
-        budget=4,
-        seed=7,
-        num_clients=3,
-        requests_per_client=10,
-        value_bytes=32,
+    result = CampaignResult(
+        "service", budget=4, seed=7, knobs={**SERVICE.knobs, **knobs},
         cells=[report],
     )
-    text = format_service_report(result)
+    text = format_report(result)
     assert "steady-win" in text and "kcyc" in text
     assert f"{report.window_lo}..{report.window_hi}/{report.windows}" in text

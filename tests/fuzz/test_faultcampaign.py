@@ -5,20 +5,16 @@ import json
 
 import pytest
 
+from repro.fuzz.campaign import generate_ops
 from repro.fuzz.faultcampaign import (
     DEFAULT_FAULT_SCHEMES,
     FAULT_POLICY,
     FaultCell,
-    FaultViolation,
     default_fault_cells,
-    format_fault_report,
-    run_fault_campaign,
-    run_fault_case,
-    run_fault_cell,
-    wire_layout,
 )
-from repro.fuzz.campaign import generate_ops
+from repro.fuzz.kernel import Violation, clean_run, run_campaign, run_case, run_cell
 from repro.fuzz.minimize import Reproducer, replay
+from repro.fuzz.report import format_report
 
 OPS = 4
 SEED = 7
@@ -26,7 +22,16 @@ SEED = 7
 
 def small_cell_report(workload, scheme, kind, *, budget=6):
     cell = FaultCell(workload, scheme, kind)
-    return run_fault_cell(cell, budget=budget, seed=SEED, num_ops=OPS)
+    return run_cell(cell, budget=budget, seed=SEED, num_ops=OPS)
+
+
+TORN = FaultCell("inplace", "SLPMT", "torn-tail")
+
+
+def wire_layout(ops):
+    """The clean run's op-phase appends: first global index, wire words."""
+    clean = clean_run(TORN, seed=SEED, ops=ops)
+    return clean.append0, clean.lengths
 
 
 class TestTornTailSweep:
@@ -44,7 +49,7 @@ class TestTornTailSweep:
 
     def test_sweep_covers_every_cut(self):
         ops = generate_ops("inplace", OPS, SEED)
-        _, lengths, _ = wire_layout("inplace", "SLPMT", FAULT_POLICY, ops)
+        _, lengths = wire_layout(ops)
         report = small_cell_report("inplace", "SLPMT", "torn-tail")
         assert report.cases_run == sum(n + 1 for n in lengths)
         assert report.appends == len(lengths)
@@ -53,18 +58,16 @@ class TestTornTailSweep:
         # A cut equal to the entry's wire length means the append
         # completed; recovery must treat the log as undamaged.
         ops = generate_ops("inplace", OPS, SEED)
-        append0, lengths, _ = wire_layout(
-            "inplace", "SLPMT", FAULT_POLICY, ops
-        )
+        append0, lengths = wire_layout(ops)
         fault = {"kind": "torn-tail", "append": append0, "cut": lengths[0]}
-        result = run_fault_case("inplace", "SLPMT", FAULT_POLICY, ops, fault)
+        result = run_case(TORN, "fault", fault, seed=SEED, ops=ops)
         assert result.crashed
         assert result.violation is None
 
     def test_plan_past_run_end_never_fires(self):
         ops = generate_ops("inplace", OPS, SEED)
         fault = {"kind": "torn-tail", "append": 10_000, "cut": 0}
-        result = run_fault_case("inplace", "SLPMT", FAULT_POLICY, ops, fault)
+        result = run_case(TORN, "fault", fault, seed=SEED, ops=ops)
         assert not result.crashed
         assert result.violation is None
 
@@ -96,17 +99,17 @@ class TestCampaign:
             FaultCell("inplace", "SLPMT", "torn-tail"),
             FaultCell("inplace", "SLPMT", "bit-flip"),
         ]
-        result = run_fault_campaign(
+        result = run_campaign(
             budget=4, seed=SEED, cells=cells, num_ops=3
         )
         assert result.total_cases > 0
         assert result.violations == []
-        text = format_fault_report(result)
+        text = format_report(result)
         assert "all-cuts" in text and "sampled" in text
         assert "violations: 0" in text
         # Stable output: same inputs, byte-identical report.
-        rerun = run_fault_campaign(budget=4, seed=SEED, cells=cells, num_ops=3)
-        assert format_fault_report(rerun) == text
+        rerun = run_campaign(budget=4, seed=SEED, cells=cells, num_ops=3)
+        assert format_report(rerun) == text
 
     def test_default_cells_grid(self):
         cells = default_fault_cells(
@@ -144,9 +147,7 @@ class TestFaultReproducer:
 
     def test_replay_dispatches_to_fault_case(self):
         ops = generate_ops("inplace", OPS, SEED)
-        append0, lengths, _ = wire_layout(
-            "inplace", "SLPMT", FAULT_POLICY, ops
-        )
+        append0, lengths = wire_layout(ops)
         rep = self.fault_rep(
             {"kind": "torn-tail", "append": append0, "cut": 1},
             ops=[list(op) for op in ops],
@@ -156,14 +157,16 @@ class TestFaultReproducer:
         assert result.violation is None
 
     def test_from_fault_violation_freezes_coordinates(self):
-        violation = FaultViolation(
+        violation = Violation(
             cell=FaultCell("inplace", "SLPMT", "drop-drains"),
+            crash_kind="fault",
+            crash_point=9,
             fault={"kind": "drop-drains", "crash_point": 9, "count": 2},
             check="prefix",
             message="durable state matches no committed prefix",
         )
         ops = generate_ops("inplace", 3, SEED)
-        rep = Reproducer.from_fault_violation(violation, ops, value_bytes=32)
+        rep = Reproducer.from_violation(violation, seed=SEED, ops=ops)
         assert rep.crash_kind == "fault"
         assert rep.crash_point == 9
         assert rep.policy == FAULT_POLICY

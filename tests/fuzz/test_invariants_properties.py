@@ -11,7 +11,8 @@ log path respectively.
 
 import pytest
 
-from repro.fuzz.campaign import SUBJECTS, FuzzCell, generate_ops, run_cell
+from repro.fuzz.campaign import SUBJECTS, FuzzCell, generate_ops
+from repro.fuzz.kernel import run_cell
 
 #: (scheme, policy) pairs from the ISSUE's satellite matrix.
 SCHEME_MATRIX = (

@@ -18,9 +18,9 @@ from repro.fuzz.campaign import (
     FuzzCell,
     apply_op,
     generate_ops,
-    run_cell,
 )
 from repro.fuzz.invariants import make_subject
+from repro.fuzz.kernel import run_cell
 from repro.core.machine import Machine
 from repro.core.schemes import scheme_by_name
 from repro.recovery.crashsim import dry_run

@@ -4,22 +4,17 @@ import json
 
 import pytest
 
-from repro.fuzz.campaign import ServiceCell, Violation
+from repro.fuzz.campaign import ServiceCell
+from repro.fuzz.kernel import Violation, run_campaign
 from repro.fuzz.minimize import Reproducer, replay
-from repro.fuzz.report import format_twopc_report
-from repro.fuzz.twopc import (
-    DEFAULT_TWOPC_CELLS,
-    TWOPC_FAULTS,
-    TwoPCCell,
-    TwoPCViolation,
-    run_twopc_campaign,
-)
+from repro.fuzz.report import format_report
+from repro.fuzz.twopc import DEFAULT_TWOPC_CELLS, TWOPC_FAULTS, TwoPCCell
 
 SMALL = dict(num_clients=2, requests_per_client=8, value_bytes=32)
 
 
 def twopc_violation(fault=None):
-    return TwoPCViolation(
+    return Violation(
         cell=TwoPCCell(
             "hashtable", "SLPMT", 2,
             "torn-decision" if fault else "crash",
@@ -50,9 +45,7 @@ class TestDefaultGrid:
 
 class TestTwoPCReproducer:
     def test_json_round_trip(self):
-        rep = Reproducer.from_twopc_violation(
-            twopc_violation(), seed=7, **SMALL
-        )
+        rep = Reproducer.from_violation(twopc_violation(), seed=7, **SMALL)
         back = Reproducer.from_json(rep.to_json())
         assert back == rep
         assert back.twopc["shards"] == 2
@@ -60,25 +53,19 @@ class TestTwoPCReproducer:
 
     def test_fault_coordinates_survive(self):
         fault = {"node": "coord", "kind": "torn-tail", "append": 0, "cut": 2}
-        rep = Reproducer.from_twopc_violation(
-            twopc_violation(fault), seed=7, **SMALL
-        )
+        rep = Reproducer.from_violation(twopc_violation(fault), seed=7, **SMALL)
         back = Reproducer.from_json(rep.to_json())
         assert back.fault == fault
 
     def test_replay_reruns_the_exact_case(self):
-        rep = Reproducer.from_twopc_violation(
-            twopc_violation(), seed=7, **SMALL
-        )
+        rep = Reproducer.from_violation(twopc_violation(), seed=7, **SMALL)
         result = replay(rep)
         assert result.crashed
         # The synthetic "violation" is not real: replay judges clean.
         assert result.violation is None
 
     def test_files_without_service_or_twopc_keys_are_rejected(self):
-        rep = Reproducer.from_twopc_violation(
-            twopc_violation(), seed=7, **SMALL
-        )
+        rep = Reproducer.from_violation(twopc_violation(), seed=7, **SMALL)
         data = json.loads(rep.to_json())
         del data["twopc"]
         del data["service"]
@@ -95,7 +82,7 @@ class TestServiceReproducer:
             check="completeness",
             message="synthetic",
         )
-        rep = Reproducer.from_service_violation(
+        rep = Reproducer.from_violation(
             violation, num_clients=2, requests_per_client=6,
             value_bytes=32, seed=7,
         )
@@ -111,9 +98,9 @@ class TestReportFormat:
             TwoPCCell("hashtable", "SLPMT", 2, "crash"),
             TwoPCCell("hashtable", "SLPMT", 2, "torn-decision"),
         ]
-        result = run_twopc_campaign(budget=2, seed=7, cells=cells, **SMALL)
-        a = format_twopc_report(result)
-        b = format_twopc_report(result)
+        result = run_campaign(budget=2, seed=7, cells=cells, **SMALL)
+        a = format_report(result)
+        b = format_report(result)
         assert a == b
         assert "SLPMT cross-shard 2PC crash campaign" in a
         assert "torn-decision" in a

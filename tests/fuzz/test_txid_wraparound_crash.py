@@ -12,8 +12,9 @@ recover to a legal state.
 
 import pytest
 
-from repro.fuzz.campaign import STRESS_CONFIG, FuzzCell, apply_op, run_cell
+from repro.fuzz.campaign import STRESS_CONFIG, FuzzCell, apply_op
 from repro.fuzz.invariants import make_subject
+from repro.fuzz.kernel import run_cell
 from repro.core.machine import Machine
 from repro.core.schemes import scheme_by_name
 from repro.fuzz.campaign import POLICIES

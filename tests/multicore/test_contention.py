@@ -3,13 +3,8 @@
 import pytest
 
 from repro.common.stats import SimStats
-from repro.fuzz.campaign import (
-    DEFAULT_MULTICORE_CELLS,
-    MultiCoreCell,
-    run_multicore_campaign,
-    run_multicore_case,
-    run_multicore_cell,
-)
+from repro.fuzz.campaign import DEFAULT_MULTICORE_CELLS, MultiCoreCell
+from repro.fuzz.kernel import run_case, run_cell
 from repro.harness.runner import run_contention, run_workload
 from repro.multicore.system import MultiCoreSystem
 from repro.workloads import HashTable, generate_streams, zipfian_cdf
@@ -134,16 +129,16 @@ class TestContentionCounters:
 class TestMultiCoreCampaign:
     def test_cell_report_is_deterministic(self):
         cell = MultiCoreCell("hashtable", "SLPMT", 2, 0.9)
-        a = run_multicore_cell(cell, budget=8, seed=7, ops_per_core=4)
-        b = run_multicore_cell(cell, budget=8, seed=7, ops_per_core=4)
+        a = run_cell(cell, budget=8, seed=7, ops_per_core=4)
+        b = run_cell(cell, budget=8, seed=7, ops_per_core=4)
         assert a == b
         assert a.switch_points_run == 8
         assert not a.violations
 
     def test_case_judges_recovery(self):
         cell = MultiCoreCell("hashtable", "SLPMT", 2, 0.0)
-        result = run_multicore_case(
-            cell, 40, ops_per_core=4, num_keys=16, value_bytes=32,
+        result = run_case(
+            cell, "switch", 40, ops_per_core=4, num_keys=16, value_bytes=32,
             seed=7, config=_stress(),
         )
         assert result.crashed
@@ -163,21 +158,6 @@ class TestMultiCoreCampaign:
         assert str(MultiCoreCell("hashtable", "FG", 2, 0.0)) == (
             "hashtable/FG/c2/t0"
         )
-
-    def test_parallel_campaign_matches_serial(self):
-        cells = (
-            MultiCoreCell("hashtable", "FG", 2, 0.9),
-            MultiCoreCell("hashtable", "SLPMT", 2, 0.9),
-        )
-        serial = run_multicore_campaign(
-            budget=4, seed=7, cells=cells, ops_per_core=3, jobs=1
-        )
-        fanned = run_multicore_campaign(
-            budget=4, seed=7, cells=cells, ops_per_core=3, jobs=2
-        )
-        assert serial.cells == fanned.cells
-        assert serial.total_cases == 8
-        assert not serial.violations
 
 
 def _scheme(name):

@@ -1,19 +1,17 @@
 """The determinism contract: parallel sweeps == serial sweeps, byte for
-byte, for every artifact kind (bench JSON, fuzz report, fault report,
-Perfetto trace).  These are the checked-in form of the CI equivalence
-gate."""
+byte, for every artifact kind (bench JSON, every campaign family's
+result and report, Perfetto trace).  These are the checked-in form of
+the CI equivalence gate."""
 
 import json
 
 import pytest
 
-from repro.fuzz.campaign import FuzzCell, run_campaign
-from repro.fuzz.faultcampaign import (
-    FaultCell,
-    format_fault_report,
-    run_fault_campaign,
-)
+from repro.fuzz.campaign import FuzzCell, MultiCoreCell, ServiceCell
+from repro.fuzz.faultcampaign import FaultCell
+from repro.fuzz.kernel import FAMILIES, run_campaign
 from repro.fuzz.report import format_report
+from repro.fuzz.twopc import TwoPCCell
 from repro.obs import bench
 from repro.obs.run import observed_run
 from repro.obs.trace import chrome_trace
@@ -60,31 +58,67 @@ class TestBenchEquivalence:
 
 
 class TestCampaignEquivalence:
-    CELLS = (
-        FuzzCell("hashtable", "FG", "none"),
-        FuzzCell("hashtable", "SLPMT", "manual"),
-        FuzzCell("dlist", "SLPMT", "manual"),
-    )
+    """Every campaign family: serial == ``--jobs 2``, result and report."""
 
-    def test_fuzz_report_identical(self):
-        serial = run_campaign(budget=6, seed=7, cells=self.CELLS, num_ops=4)
-        parallel = run_campaign(
-            budget=6, seed=7, cells=self.CELLS, num_ops=4, jobs=2
-        )
+    #: Per family: a tiny campaign (cells, budget and knobs) and its
+    #: case count.
+    CAMPAIGNS = {
+        "crash": (
+            [
+                FuzzCell("hashtable", "FG", "none"),
+                FuzzCell("hashtable", "SLPMT", "manual"),
+                FuzzCell("dlist", "SLPMT", "manual"),
+            ],
+            dict(budget=6, num_ops=4),
+            18,
+        ),
+        "faults": (
+            [
+                FaultCell("hashtable", "SLPMT", "torn-tail"),
+                FaultCell("hashtable", "SLPMT", "drop-drains"),
+            ],
+            dict(budget=4, num_ops=3),
+            27,
+        ),
+        "multicore": (
+            [
+                MultiCoreCell("hashtable", "FG", 2, 0.9),
+                MultiCoreCell("hashtable", "SLPMT", 2, 0.9),
+            ],
+            dict(budget=4, ops_per_core=3),
+            8,
+        ),
+        "service": (
+            [
+                ServiceCell("hashtable", "SLPMT", 1),
+                ServiceCell("multistruct", "FG", 8, locking=True),
+            ],
+            dict(budget=3, num_clients=2, requests_per_client=6),
+            6,
+        ),
+        "twopc": (
+            [
+                TwoPCCell("hashtable", "SLPMT", 2, "crash"),
+                TwoPCCell("hashtable", "SLPMT", 2, "torn-decision"),
+            ],
+            dict(budget=3, num_clients=2, requests_per_client=8, value_bytes=32),
+            6,
+        ),
+    }
+
+    def test_every_family_is_covered(self):
+        assert set(self.CAMPAIGNS) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(CAMPAIGNS))
+    def test_jobs_matches_serial(self, family):
+        cells, kwargs, cases = self.CAMPAIGNS[family]
+        serial = run_campaign(cells, seed=7, **kwargs)
+        parallel = run_campaign(cells, seed=7, jobs=2, **kwargs)
         assert serial == parallel
         assert format_report(serial) == format_report(parallel)
-
-    def test_fault_report_identical(self):
-        cells = [
-            FaultCell("hashtable", "SLPMT", "torn-tail"),
-            FaultCell("hashtable", "SLPMT", "drop-drains"),
-        ]
-        serial = run_fault_campaign(budget=4, seed=7, cells=cells, num_ops=3)
-        parallel = run_fault_campaign(
-            budget=4, seed=7, cells=cells, num_ops=3, jobs=2
-        )
-        assert serial == parallel
-        assert format_fault_report(serial) == format_fault_report(parallel)
+        assert serial.family == family
+        assert serial.total_cases == cases
+        assert not serial.violations
 
 
 class TestEquivalenceCommand:

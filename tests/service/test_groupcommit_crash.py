@@ -13,11 +13,8 @@ Fixed seeds make each point a standalone reproducer: the same
 
 import pytest
 
-from repro.fuzz.campaign import (
-    STRESS_CONFIG,
-    ServiceCell,
-    run_service_case,
-)
+from repro.fuzz.campaign import SERVICE, STRESS_CONFIG, ServiceCell
+from repro.fuzz.kernel import play, run_case
 from repro.service.admission import AdmissionPolicy
 from repro.service.server import ServiceConfig, TransactionService
 from repro.service.tm import GroupCommitPolicy
@@ -61,36 +58,12 @@ def count_durability_events(scheme):
 
 
 def run_point(scheme, kind, point):
-    # The campaign builder uses its own traffic shape; drive the case
-    # directly so the single-batch shape above is what crashes.
-    cell = ServiceCell("hashtable", scheme, 8)
+    # The campaign's own service has another traffic shape; play the
+    # service family's case on this one so the single-batch shape above
+    # is what crashes.
     svc = TransactionService(single_batch_config(scheme), config=STRESS_CONFIG)
-    machine = svc.machine
-    from repro.common.errors import PowerFailure
-    from repro.fuzz.campaign import _check_service_recovered
-    from repro.recovery.crashsim import InstructionLimit
-    from repro.recovery.engine import recover
-
-    if kind == "persist":
-        machine.schedule_crash_after_persists(point)
-    else:
-        machine.checkpoint = InstructionLimit(point)
-    try:
-        svc.serve()
-    except PowerFailure:
-        machine.checkpoint = None
-        machine.crash()
-        recover(
-            machine.pm, mode=machine.scheme.logging_mode, hooks=[svc.subject]
-        )
-        violation, check = _check_service_recovered(svc)
-        return True, len(svc.rm.committed), violation, check
-    machine.cancel_scheduled_crash()
-    machine.checkpoint = None
-    svc.finish()
-    svc.rm.sync_expected()
-    svc.subject.verify(durable=True)
-    return False, len(svc.rm.committed), None, ""
+    result = play(SERVICE, svc, kind, point)
+    return result.crashed, result.committed_ops, result.violation, result.check
 
 
 @pytest.mark.parametrize("scheme", ["FG", "SLPMT"])
@@ -135,5 +108,5 @@ def test_campaign_case_api_matches_direct_harness():
     the acceptance contract."""
     cell = ServiceCell("hashtable", "SLPMT", 8)
     for point in (0, 25, 90):
-        result = run_service_case(cell, "persist", point, seed=7)
+        result = run_case(cell, "persist", point, seed=7)
         assert result.violation is None

@@ -10,7 +10,7 @@ For every (scheme × group-commit policy) cell and several stream seeds:
   order, under both fairness disciplines and both loop modes.
 
 The properties reuse the campaign's acceptance machinery
-(:func:`repro.fuzz.campaign.run_service_case`), so a failure here is a
+(:func:`repro.fuzz.kernel.run_case` on a service cell), so a failure here is a
 failure of the same contract ``python -m repro fuzz --service`` sweeps
 at scale.
 """
@@ -19,7 +19,8 @@ import random
 
 import pytest
 
-from repro.fuzz.campaign import STRESS_CONFIG, ServiceCell, run_service_case
+from repro.fuzz.campaign import STRESS_CONFIG, ServiceCell
+from repro.fuzz.kernel import run_case
 from repro.fuzz.invariants import durable_state
 from repro.service.admission import AdmissionPolicy
 from repro.service.server import ServiceConfig, TransactionService
@@ -74,7 +75,7 @@ class TestCrashProperties:
 
     def test_ack_durable_and_atomic_at_sampled_points(self, cell, seed):
         for point in self._sampled_points(cell, seed, count=8):
-            result = run_service_case(
+            result = run_case(
                 cell,
                 "persist",
                 point,

@@ -2,25 +2,17 @@
 
 Step-indexed coordinator crashes, participant persist-point crashes,
 fault-injected decision records, idempotent resolution, and the
-campaign front door (determinism, serial==parallel, poison
-propagation with shard/step labels).
+campaign front door (determinism, poison propagation with shard/step
+labels).
 """
 
 import pytest
 
 from repro.common.errors import PowerFailure
 from repro.fuzz.campaign import STRESS_CONFIG
-from repro.fuzz.report import format_twopc_report
-from repro.fuzz.twopc import (
-    TwoPCCell,
-    _build_twopc,
-    _step_family,
-    _stratified_steps,
-    run_twopc_campaign,
-    run_twopc_case,
-    run_twopc_cell,
-)
 from repro.fuzz.invariants import durable_state
+from repro.fuzz.kernel import clean_run, run_campaign, run_case, run_cell
+from repro.fuzz.twopc import TWOPC, TwoPCCell, _build_twopc, step_family
 from repro.parallel.engine import WorkerCrash
 from repro.parallel.tasks import POISON_ENV
 
@@ -42,7 +34,7 @@ def step_names():
 
 class TestStepCrashes:
     def test_protocol_exposes_every_family(self):
-        families = {_step_family(n) for n in step_names()}
+        families = {step_family(n) for n in step_names()}
         assert {"pre-prepare", "prepared", "pre-decision",
                 "post-decision", "applied"} <= families
 
@@ -53,14 +45,14 @@ class TestStepCrashes:
     def test_crash_at_first_step_of_each_family_recovers(self, family):
         names = step_names()
         point = next(
-            i for i, n in enumerate(names) if _step_family(n) == family
+            i for i, n in enumerate(names) if step_family(n) == family
         )
-        result = run_twopc_case(CELL, "step", point, **CASE_KW)
+        result = run_case(CELL, "step", point, seed=7, **CASE_KW)
         assert result.crashed
         assert result.violation is None, (family, result.violation)
 
     def test_unreached_step_point_finishes_clean(self):
-        result = run_twopc_case(CELL, "step", 10_000, **CASE_KW)
+        result = run_case(CELL, "step", 10_000, seed=7, **CASE_KW)
         assert not result.crashed
         assert result.violation is None
 
@@ -68,7 +60,7 @@ class TestStepCrashes:
 class TestPersistCrashes:
     @pytest.mark.parametrize("node", ["coord", "s0", "s1"])
     def test_early_persist_crash_recovers(self, node):
-        result = run_twopc_case(CELL, f"persist:{node}", 3, **CASE_KW)
+        result = run_case(CELL, f"persist:{node}", 3, seed=7, **CASE_KW)
         assert result.crashed
         assert result.violation is None, (node, result.violation)
 
@@ -76,7 +68,7 @@ class TestPersistCrashes:
 class TestTornDecisionFaults:
     def test_torn_coordinator_decision_is_detected_and_salvaged(self):
         fault = {"node": "coord", "kind": "torn-tail", "append": 0, "cut": 2}
-        result = run_twopc_case(TORN, "fault", 2, fault=fault, **CASE_KW)
+        result = run_case(TORN, "fault", fault, seed=7, **CASE_KW)
         assert result.crashed
         assert result.violation is None, result.violation
 
@@ -101,7 +93,7 @@ class TestTornDecisionFaults:
             "node": "s0", "kind": "bit-flip", "append": append, "word": 0,
             "bit": 13,
         }
-        result = run_twopc_case(TORN, "fault", 13, fault=fault, **CASE_KW)
+        result = run_case(TORN, "fault", fault, seed=7, **CASE_KW)
         assert result.crashed
         assert result.violation is None, result.violation
 
@@ -111,7 +103,7 @@ class TestIdempotentResolution:
         names = step_names()
         point = next(
             i for i, n in enumerate(names)
-            if _step_family(n) == "post-decision"
+            if step_family(n) == "post-decision"
         )
         dep = build()
         dep.coordinator.steps.crash_at = point
@@ -135,43 +127,44 @@ def recover_twopc(dep):
     return recover_deployment(dep, policy="strict")
 
 
+def step_pool():
+    """The step names and the step pool of the crash cell's crash space."""
+    clean = clean_run(CELL, seed=7, **CASE_KW)
+    steps, _persist = TWOPC.crash_space(CELL, 7, 0, {}, clean)
+    return clean.steps, steps
+
+
 class TestStratifiedSampling:
     def test_small_budget_covers_every_family(self):
         import random
 
-        names = step_names()
-        families = {_step_family(n) for n in names}
-        picked = _stratified_steps(names, len(families), random.Random(1))
-        assert {_step_family(names[i]) for i in picked} == families
+        names, pool = step_pool()
+        families = {step_family(n) for n in names}
+        picked = pool.choose(len(families), random.Random(1))
+        assert {step_family(names[i]) for i in picked} == families
 
     def test_large_budget_is_exhaustive(self):
         import random
 
-        names = step_names()
-        picked = _stratified_steps(names, 10_000, random.Random(1))
+        names, pool = step_pool()
+        picked = pool.choose(10_000, random.Random(1))
         assert picked == list(range(len(names)))
 
 
 class TestCampaign:
     def test_cell_sweep_finds_no_violations(self):
-        report = run_twopc_cell(CELL, budget=8, seed=7, **CASE_KW)
+        report = run_cell(CELL, budget=8, seed=7, **CASE_KW)
         assert report.cases_run == 8
         assert report.violations == []
         assert report.step_points_total > 0
         assert report.xshard_commits > 0
 
     def test_torn_cell_attacks_decision_records(self):
-        report = run_twopc_cell(TORN, budget=6, seed=7, **CASE_KW)
+        report = run_cell(TORN, budget=6, seed=7, **CASE_KW)
         assert report.cases_run == 6
         assert report.fault_points_run == 6
         assert report.fault_points_total > 6
         assert report.violations == []
-
-    def test_serial_and_parallel_reports_are_byte_identical(self):
-        kwargs = dict(budget=3, seed=7, cells=[CELL, TORN], **CASE_KW)
-        serial = run_twopc_campaign(jobs=1, **kwargs)
-        parallel = run_twopc_campaign(jobs=2, **kwargs)
-        assert format_twopc_report(serial) == format_twopc_report(parallel)
 
 
 class TestPoisonPropagation:
@@ -182,7 +175,7 @@ class TestPoisonPropagation:
     def test_poisoned_cell_surfaces_with_label(self, monkeypatch, jobs):
         monkeypatch.setenv(POISON_ENV, str(CELL))
         with pytest.raises(WorkerCrash) as exc:
-            run_twopc_campaign(
+            run_campaign(
                 budget=2, seed=7, cells=[CELL], jobs=jobs, **CASE_KW
             )
         assert "2pc/hashtable/SLPMT/s2/crash" in str(exc.value)
