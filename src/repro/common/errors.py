@@ -37,6 +37,16 @@ class LogParseError(SimulationError):
         self.offset = offset
 
 
+class ArtifactError(ReproError):
+    """A checked-in or user-supplied artifact could not be used.
+
+    Raised for a missing or unreadable file, bytes that are not a JSON
+    object, or a field (``kind``, ``schema_version``, ...) that does not
+    match what the reader expects; the message names the file and the
+    field.
+    """
+
+
 class TransactionError(ReproError):
     """Transactional API misuse (nested begin, commit outside txn, ...)."""
 

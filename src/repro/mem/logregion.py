@@ -23,9 +23,10 @@ Stream wire format, version 1 (64-bit words):
   complement — never zero, so a checksum can not mimic the terminator);
 * a zero word terminates the stream (kind 0 is invalid).
 
-The legacy version-0 stream (no header, no checksums) is still decoded:
-a stream whose first word is not :data:`LOG_MAGIC` is parsed as v0, so
-old durable images keep recovering.
+A region whose base word is zero holds an empty log (pristine, reset,
+or its first drain never reached media).  Any other base word that is
+not :data:`LOG_MAGIC` is damage: :func:`decode_region` reports it at
+the base, and the strict path raises there.
 
 The stream is append-only.  Entries are never erased — markers make
 stale records inert: recovery ignores any record whose transaction has a
@@ -86,9 +87,9 @@ TWOPC_KINDS = ("prepare", "prepared", "decide-commit", "decide-abort")
 #: The durable decision markers among :data:`TWOPC_KINDS`.
 DECISION_KINDS = ("decide-commit", "decide-abort")
 
-#: First word of a versioned stream ("SLPMTLOG", little-endian).  The
-#: low nibble (0x53 & 0xF = 3) is irrelevant: version detection matches
-#: the whole word, never the tag field.
+#: First word of a stream ("SLPMTLOG", little-endian).  The low nibble
+#: (0x53 & 0xF = 3) is irrelevant: the region check matches the whole
+#: word, never the tag field.
 LOG_MAGIC = int.from_bytes(b"SLPMTLOG", "little")
 
 #: Current stream format version.
@@ -112,8 +113,8 @@ def entry_checksum(words: List[int]) -> int:
     return crc | ((crc ^ 0xFFFF_FFFF) << 32)
 
 
-def encode_entry(entry: DurableLogEntry, *, version: int = LOG_VERSION) -> List[int]:
-    """Serialize one entry into its wire words (checksummed for v1)."""
+def encode_entry(entry: DurableLogEntry) -> List[int]:
+    """Serialize one entry into its checksummed wire words."""
     try:
         tag = KIND_TAGS[entry.kind]
     except KeyError:
@@ -128,25 +129,18 @@ def encode_entry(entry: DurableLogEntry, *, version: int = LOG_VERSION) -> List[
         words = [header, entry.addr] + [w & _WORD_MASK for w in entry.words]
     else:
         words = [header]
-    if version >= 1:
-        words.append(entry_checksum(words))
+    words.append(entry_checksum(words))
     return words
 
 
-def entry_wire_words(entry: DurableLogEntry, *, version: int = LOG_VERSION) -> int:
+def entry_wire_words(entry: DurableLogEntry) -> int:
     """Number of words the entry occupies on the wire."""
-    body = 2 + len(entry.words) if entry.kind in PAYLOAD_KINDS else 1
-    return body + (1 if version >= 1 else 0)
+    return (3 + len(entry.words)) if entry.kind in PAYLOAD_KINDS else 2
 
 
 def stream_header_words() -> List[int]:
     """The two words opening a v1 serialized stream."""
     return [LOG_MAGIC, LOG_VERSION]
-
-
-def detect_version(first_word: int) -> int:
-    """Stream version from the word at the log base (v0 has no header)."""
-    return LOG_VERSION if first_word == LOG_MAGIC else 0
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +174,6 @@ class DamagedEntry:
 class ParsedLog:
     """Outcome of a tolerant parse of the serialized log region."""
 
-    version: int
     entries: List[DurableLogEntry] = field(default_factory=list)
     damaged: List[DamagedEntry] = field(default_factory=list)
     torn_tail: Optional[DamagedEntry] = None
@@ -196,17 +189,18 @@ class ParsedLog:
 
 
 def decode_stream(
-    read_word: Callable[[int], int],
-    base: int,
-    limit: int,
-    *,
-    version: int = LOG_VERSION,
+    read_word: Callable[[int], int], base: int, limit: int
 ) -> List[DurableLogEntry]:
     """Parse entries from PM words starting at *base* (which must point
-    at the first entry, past any stream header) until a zero header or
+    at the first entry, past the stream header) until a zero header or
     *limit* is reached.  Raises :class:`LogParseError` on any framing or
     checksum damage — the strict, trust-the-media path."""
-    parsed = decode_stream_tolerant(read_word, base, limit, version=version)
+    return strict_entries(decode_stream_tolerant(read_word, base, limit))
+
+
+def strict_entries(parsed: ParsedLog) -> List[DurableLogEntry]:
+    """The entries of *parsed*, or :class:`LogParseError` at its first
+    damage (torn tail first)."""
     if parsed.torn_tail is not None:
         raise LogParseError(
             f"torn log tail ({parsed.torn_tail.reason})",
@@ -220,12 +214,30 @@ def decode_stream(
     return parsed.entries
 
 
+def decode_region(
+    read_word: Callable[[int], int], base: int, limit: int
+) -> ParsedLog:
+    """Tolerant parse of a whole log region whose header sits at *base*.
+
+    A zero base word is an empty log.  Any other word that is not
+    :data:`LOG_MAGIC` destroys framing: it is reported as ``"header"``
+    damage at *base* and nothing after it is parsed.
+    """
+    first = read_word(base)
+    if first == LOG_MAGIC:
+        return decode_stream_tolerant(
+            read_word, base + HEADER_WORDS * units.WORD_BYTES, limit
+        )
+    parsed = ParsedLog()
+    if first:
+        parsed.damaged.append(
+            DamagedEntry(offset=base, reason="header", words=(first,))
+        )
+    return parsed
+
+
 def decode_stream_tolerant(
-    read_word: Callable[[int], int],
-    base: int,
-    limit: int,
-    *,
-    version: int = LOG_VERSION,
+    read_word: Callable[[int], int], base: int, limit: int
 ) -> ParsedLog:
     """Parse as much of the stream as the media supports, never raising.
 
@@ -234,13 +246,13 @@ def decode_stream_tolerant(
     * an entry whose header carries an unknown kind tag or an absurd
       ``nwords`` destroys framing — it is recorded and parsing stops
       (everything after it is unreachable, exactly like real media);
-    * a v1 entry whose checksum word mismatches is recorded as
+    * an entry whose checksum word mismatches is recorded as
       ``"checksum"`` damage and *skipped* (its claimed extent is known,
       so framing survives) — unless nothing but zeros follows, in which
       case it is the torn tail of the final in-flight append;
     * a header claiming words past *limit* is a torn tail.
     """
-    out = ParsedLog(version=version)
+    out = ParsedLog()
     cursor = base
     while cursor < limit:
         header = read_word(cursor)
@@ -263,8 +275,7 @@ def decode_stream_tolerant(
                 )
             )
             break
-        body = 2 + nwords if kind in PAYLOAD_KINDS else 1
-        total = body + (1 if version >= 1 else 0)
+        total = (3 + nwords) if kind in PAYLOAD_KINDS else 2
         end = cursor + total * units.WORD_BYTES
         if end > limit:
             out.torn_tail = DamagedEntry(
@@ -275,7 +286,7 @@ def decode_stream_tolerant(
         wire = [
             read_word(cursor + i * units.WORD_BYTES) for i in range(total)
         ]
-        if version >= 1 and wire[-1] != entry_checksum(wire[:-1]):
+        if wire[-1] != entry_checksum(wire[:-1]):
             damage = DamagedEntry(
                 offset=cursor,
                 reason="torn" if _only_zeros(read_word, end, limit) else "checksum",

@@ -227,7 +227,7 @@ class PersistentMemory:
 
     def _log_limit(self) -> int:
         """Upper parse bound: past everything ever written to the log
-        region (hand-written legacy streams included), so the tolerant
+        region (hand-written words included), so the tolerant
         decoder's is-anything-after-this scan stays cheap."""
         end = layout.PM_LOG_BASE + layout.PM_LOG_BYTES
         top = max(
@@ -239,20 +239,6 @@ class PersistentMemory:
             limit = max(limit, top + units.WORD_BYTES)
         return limit
 
-    def serialized_log_version(self) -> int:
-        """Stream version of the serialized region (v0 = legacy)."""
-        from repro.mem import logregion
-
-        return logregion.detect_version(
-            self._words.get(layout.PM_LOG_BASE, 0)
-        )
-
-    def _parse_base(self, version: int) -> int:
-        from repro.mem import logregion
-
-        skip = logregion.HEADER_WORDS * units.WORD_BYTES if version >= 1 else 0
-        return layout.PM_LOG_BASE + skip
-
     def parse_byte_log(self) -> List[DurableLogEntry]:
         """Re-derive every entry from the serialized PM words (what a
         controller sees post-crash).  Includes entries the structural
@@ -260,26 +246,18 @@ class PersistentMemory:
         :class:`~repro.common.errors.LogParseError` on damaged media."""
         from repro.mem import logregion
 
-        version = self.serialized_log_version()
-        return logregion.decode_stream(
-            lambda addr: self._words.get(addr, 0),
-            self._parse_base(version),
-            self._log_limit(),
-            version=version,
-        )
+        return logregion.strict_entries(self.parse_byte_log_tolerant())
 
     def parse_byte_log_tolerant(self) -> "object":
         """Tolerant parse of the serialized region: never raises,
         classifies torn/corrupt entries (see
-        :func:`repro.mem.logregion.decode_stream_tolerant`)."""
+        :func:`repro.mem.logregion.decode_region`)."""
         from repro.mem import logregion
 
-        version = self.serialized_log_version()
-        return logregion.decode_stream_tolerant(
+        return logregion.decode_region(
             lambda addr: self._words.get(addr, 0),
-            self._parse_base(version),
+            layout.PM_LOG_BASE,
             self._log_limit(),
-            version=version,
         )
 
     def structural_parsed(self) -> "object":
@@ -288,7 +266,7 @@ class PersistentMemory:
         :meth:`parse_byte_log_tolerant` for pristine-or-injected media."""
         from repro.mem import logregion
 
-        parsed = logregion.ParsedLog(version=logregion.LOG_VERSION)
+        parsed = logregion.ParsedLog()
         parsed.entries = list(self.log)
         for damage in self.log_damage:
             if damage.reason == "torn" and parsed.torn_tail is None:

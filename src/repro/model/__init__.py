@@ -11,8 +11,9 @@ cell of a campaign grid.  This package provides the surrogate tier:
 * :mod:`repro.model.fit` — fits one linear model per obs phase bucket
   per (workload, scheme) over a seeded training grid of real simulator
   runs and serialises the versioned ``cost_model.json`` artifact;
-* :mod:`repro.model.predict` — loads the artifact and predicts whole
-  grids in milliseconds, flagging extrapolated cells;
+* :mod:`repro.model.predict` — checks the artifact against this build
+  and predicts whole grids in milliseconds, flagging extrapolated
+  cells;
 * :mod:`repro.model.validate` — scores held-out cells (per-cell and
   geomean relative error) behind a hard ``--max-error`` gate.
 
@@ -20,7 +21,7 @@ The model predicts; the simulator audits.  ``bench --model`` combines
 both: grid-scale prediction plus seeded simulator spot-checks.
 """
 
-from repro.model.predict import CostModel, load_model
+from repro.model.predict import CostModel
 from repro.model.fit import fit_model, run_training_grid
 
-__all__ = ["CostModel", "load_model", "fit_model", "run_training_grid"]
+__all__ = ["CostModel", "fit_model", "run_training_grid"]

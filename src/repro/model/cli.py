@@ -16,22 +16,23 @@ Three subcommands around ``benchmarks/results/cost_model.json``:
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from typing import List
 
+from repro.common.errors import ArtifactError
 from repro.model import fit as fit_mod
 from repro.model.features import CellSpec
-from repro.model.predict import (
-    CostModel,
-    ModelSchemaError,
-    load_model,
-    write_model,
-)
+from repro.model.predict import ARTIFACT, CostModel
 from repro.model.validate import format_validation, validate_model
-from repro.obs import bench as bench_mod
+from repro.obs.bench import exact_gate, load_artifact, write_artifact
 from repro.parallel.engine import WorkerCrash, print_progress, resolve_jobs
+
+#: The ``fit_model`` keywords a cost-model artifact records in
+#: ``params`` (``model fit --check`` refits with exactly these).
+FIT_PARAMS = (
+    "workloads", "schemes", "ops_grid", "value_bytes_grid", "seed",
+    "holdout_seed",
+)
 
 
 def _print_validation(doc) -> None:
@@ -54,62 +55,28 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     fit_kwargs = dict(seed=args.seed, holdout_seed=args.holdout_seed)
     baseline = None
     if args.check:
-        # The staleness gate refits with the *artifact's own*
-        # parameters (grids and seeds) — CLI seed flags are ignored —
-        # so any byte difference is a simulator/feature change, not a
-        # parameter mismatch.
+        # The staleness gate refits with the *artifact's own* parameters
+        # (grids and seeds) — CLI seed flags are ignored — so any byte
+        # difference is a simulator/feature change, not a parameter
+        # mismatch.
+        baseline = load_artifact(args.out, **ARTIFACT)
         try:
-            baseline = load_model(args.out).doc
-        except FileNotFoundError:
-            print(
-                f"model fit --check: no artifact at {args.out} "
-                "(fit without --check first)",
-                file=sys.stderr,
-            )
-            return 1
-        except ModelSchemaError as exc:
-            print(f"model fit --check: {exc}", file=sys.stderr)
-            return 1
-        params = baseline["params"]
-        fit_kwargs = dict(
-            workloads=tuple(params["workloads"]),
-            schemes=tuple(params["schemes"]),
-            ops_grid=tuple(params["ops_grid"]),
-            value_bytes_grid=tuple(params["value_bytes_grid"]),
-            seed=params["seed"],
-            holdout_seed=params["holdout_seed"],
-        )
-    try:
-        doc = fit_mod.fit_model(
-            jobs=jobs,
-            progress=print_progress if jobs > 1 else None,
-            **fit_kwargs,
-        )
-    except WorkerCrash as exc:
-        print(f"model fit failed: {exc}", file=sys.stderr)
-        return 1
+            fit_kwargs = {k: baseline["params"][k] for k in FIT_PARAMS}
+        except KeyError as exc:
+            raise ArtifactError(f"{args.out}: missing field {exc}") from None
+    doc = fit_mod.fit_model(
+        jobs=jobs, progress=print_progress if jobs > 1 else None, **fit_kwargs
+    )
     _print_validation(doc)
     if args.check:
-        fresh = bench_mod.strip_host(doc)
-        pinned = bench_mod.strip_host(baseline)
-        if fresh != pinned:
-            drift = _diff_keys(fresh, pinned)
-            for key in drift[:20]:
-                print(
-                    f"MODEL DRIFT vs {args.out}: {key}", file=sys.stderr
-                )
-            print(
-                f"model fit --check: refit differs from {args.out} in "
-                f"{len(drift)} keys — simulator or feature change "
-                "without a refit; re-pin with `model fit`",
-                file=sys.stderr,
-            )
-            return 1
+        if exact_gate(doc, baseline, args.out):
+            return 0
         print(
-            f"model fit --check: refit byte-identical to {args.out} "
-            "(modulo host timing)"
+            "model fit --check: simulator or feature change without a "
+            "refit; re-pin with `model fit`",
+            file=sys.stderr,
         )
-        return 0
+        return 1
     if doc["validation"]["geomean_rel_error"] > args.max_error:
         print(
             f"model fit: geomean rel error exceeds the "
@@ -118,65 +85,29 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    write_model(args.out, doc)
+    write_artifact(args.out, doc)
     print(f"wrote {args.out}")
     return 0
 
 
-def _diff_keys(a, b) -> List[str]:
-    from repro.obs.cli import _diff_keys as obs_diff_keys
-
-    return obs_diff_keys(a, b)
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        model = load_model(args.model_path)
-    except FileNotFoundError:
-        print(
-            f"model validate: no artifact at {args.model_path}",
-            file=sys.stderr,
-        )
-        return 1
-    except ModelSchemaError as exc:
-        print(f"model validate: {exc}", file=sys.stderr)
-        return 1
     jobs = resolve_jobs(args.jobs)
-    try:
-        report = validate_model(
-            model,
-            jobs=jobs,
-            progress=print_progress if jobs > 1 else None,
-            max_error=args.max_error,
-        )
-    except WorkerCrash as exc:
-        print(f"model validate failed: {exc}", file=sys.stderr)
-        return 1
+    report = validate_model(
+        CostModel(load_artifact(args.model_path, **ARTIFACT)),
+        jobs=jobs,
+        progress=print_progress if jobs > 1 else None,
+        max_error=args.max_error,
+    )
     print(format_validation(report))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_artifact(args.json, report)
         print(f"wrote {args.json}")
     return 0 if report["ok"] else 1
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    try:
-        model: CostModel = load_model(args.model_path)
-    except FileNotFoundError:
-        print(
-            f"model predict: no artifact at {args.model_path}",
-            file=sys.stderr,
-        )
-        return 1
-    except ModelSchemaError as exc:
-        print(f"model predict: {exc}", file=sys.stderr)
-        return 1
     spec = CellSpec(args.workload, args.scheme, args.ops, args.value_bytes)
+    model = CostModel(load_artifact(args.model_path, **ARTIFACT))
     try:
         predicted = model.predict_cell(spec)
     except KeyError as exc:
@@ -255,4 +186,8 @@ def model_main(argv: "List[str] | None" = None) -> int:
     p_pred.set_defaults(func=_cmd_predict)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ArtifactError, WorkerCrash) as exc:
+        print(f"model {args.command}: {exc}", file=sys.stderr)
+        return 1

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.features import (
@@ -37,9 +38,9 @@ from repro.model.features import (
     statics,
 )
 from repro.model.linalg import lstsq, predict_row, rms_residual
-from repro.obs.profiler import PHASES
+from repro.obs.profiler import PHASES, CycleProfiler
 from repro.parallel import engine
-from repro.parallel import tasks as partasks
+from repro.parallel.tasks import run_sweep
 from repro.workloads import KERNELS
 
 SCHEMA_VERSION = 1
@@ -119,25 +120,37 @@ def run_training_grid(
         for ops in ops_grid
         for vb in value_bytes_grid
     ]
-    descriptors = [
-        {
-            "workload": spec.workload,
-            "scheme": spec.scheme,
-            "num_ops": spec.num_ops,
-            "value_bytes": spec.value_bytes,
-            "seed": seed,
-        }
-        for spec in specs
-    ]
-    labels = [spec.key for spec in specs]
-    results = engine.run_tasks(
-        partasks.model_train_cell,
-        descriptors,
-        jobs=jobs,
-        labels=labels,
-        progress=progress,
+    cells = {spec.key: dict(asdict(spec), seed=seed) for spec in specs}
+    results = run_sweep(train_cell, cells, jobs=jobs, progress=progress)
+    return dict(zip(cells, results))
+
+
+def train_cell(
+    *, workload: str, scheme: str, num_ops: int, value_bytes: int, seed: int
+) -> Dict[str, Any]:
+    """One cost-model training/validation cell: a profiled simulator run.
+
+    Returns the phase buckets the fitter regresses against (they
+    exactly partition ``cycles``) plus the totals the validator gates
+    on.  Deterministic from its arguments.
+    """
+    from repro.core.schemes import scheme_by_name
+    from repro.harness.runner import run_workload
+
+    profiler = CycleProfiler()
+    res = run_workload(
+        workload,
+        scheme_by_name(scheme),
+        num_ops=num_ops,
+        value_bytes=value_bytes,
+        seed=seed,
+        profiler=profiler,
     )
-    return dict(zip(labels, results))
+    return {
+        "cycles": res.cycles,
+        "pm_bytes": res.pm_bytes,
+        "phases": {p: profiler.phase_cycles.get(p, 0) for p in PHASES},
+    }
 
 
 def _fit_pair(

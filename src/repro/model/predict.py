@@ -14,9 +14,9 @@ Cells whose knobs fall outside the training range are still predicted
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.common.errors import ArtifactError
 from repro.model.features import (
     FEATURE_NAMES,
     CellSpec,
@@ -26,11 +26,11 @@ from repro.model.fit import KIND, SCHEMA_VERSION
 from repro.obs.profiler import PHASES
 
 
-class ModelSchemaError(ValueError):
+class ModelSchemaError(ArtifactError):
     """The artifact does not match this build's phases or features."""
 
 
-def check_schema(doc: Dict[str, Any]) -> None:
+def check_lockstep(doc: Dict[str, Any]) -> None:
     """Validate an artifact against the *current* profiler taxonomy.
 
     The phase list and every pair's coefficient keys must match
@@ -38,15 +38,6 @@ def check_schema(doc: Dict[str, Any]) -> None:
     profiler makes stale artifacts (and stale fitters) fail loudly here
     instead of silently predicting zero for the new bucket.
     """
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ModelSchemaError(
-            f"cost model schema {doc.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    if doc.get("kind") != KIND:
-        raise ModelSchemaError(
-            f"artifact kind {doc.get('kind')!r}, expected {KIND!r}"
-        )
     if tuple(doc.get("phases", ())) != tuple(PHASES):
         raise ModelSchemaError(
             "artifact phases do not match the profiler taxonomy: "
@@ -85,7 +76,7 @@ class CostModel:
     """A fitted model ready to predict cells."""
 
     def __init__(self, doc: Dict[str, Any]) -> None:
-        check_schema(doc)
+        check_lockstep(doc)
         self.doc = doc
         self.train_range = doc["train_range"]
         # Pre-resolve the nonzero phase rows per pair: most pairs only
@@ -167,14 +158,5 @@ class CostModel:
         return out
 
 
-def load_model(path: str) -> CostModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return CostModel(doc)
-
-
-def write_model(path: str, doc: Dict[str, Any]) -> None:
-    check_schema(doc)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+#: What :func:`repro.obs.bench.load_artifact` checks a cost model for.
+ARTIFACT = dict(kind=KIND, schema_version=SCHEMA_VERSION, check=check_lockstep)

@@ -11,15 +11,16 @@ up as error growth and fails the ``--max-error`` gate.
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional
 
 from repro.model.features import CellSpec, feature_vector
-from repro.model.fit import DEFAULT_MAX_ERROR, geomean_error
+from repro.model.fit import DEFAULT_MAX_ERROR, geomean_error, train_cell
 from repro.model.linalg import predict_row
 from repro.model.predict import CostModel
 from repro.obs.profiler import PHASES
 from repro.parallel import engine
-from repro.parallel import tasks as partasks
+from repro.parallel.tasks import run_sweep
 
 
 def validate_model(
@@ -43,22 +44,11 @@ def validate_model(
         for s in params["schemes"]
         for ops, vb in held
     ]
-    descriptors = [
-        {
-            "workload": spec.workload,
-            "scheme": spec.scheme,
-            "num_ops": spec.num_ops,
-            "value_bytes": spec.value_bytes,
-            "seed": params["seed"],
-        }
-        for spec in specs
-    ]
     t0 = time.perf_counter()
-    results = engine.run_tasks(
-        partasks.model_train_cell,
-        descriptors,
+    results = run_sweep(
+        train_cell,
+        {spec.key: dict(asdict(spec), seed=params["seed"]) for spec in specs},
         jobs=jobs,
-        labels=[spec.key for spec in specs],
         progress=progress,
     )
     cells: Dict[str, Any] = {}

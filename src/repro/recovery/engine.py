@@ -84,7 +84,6 @@ class RecoveryReport:
 
     mode: LoggingMode = LoggingMode.UNDO
     policy: str = "strict"
-    log_version: int = 0
     rolled_back_tx_seqs: List[int] = field(default_factory=list)
     replayed_tx_seqs: List[int] = field(default_factory=list)
     words_restored: int = 0
@@ -148,7 +147,7 @@ def recover(
     parsed: ParsedLog = (
         pm.parse_byte_log_tolerant() if from_bytes else pm.structural_parsed()
     )
-    report = RecoveryReport(mode=mode, policy=policy, log_version=parsed.version)
+    report = RecoveryReport(mode=mode, policy=policy)
     _classify_damage(parsed, report, policy)
     # Protocol records must outlive the log reset below: the cross-shard
     # resolution pass needs them after every local log is spent.

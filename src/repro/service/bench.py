@@ -13,168 +13,121 @@ The grid deliberately runs a put-heavy mix with ``block`` admission so
 every cell commits the identical request set: the batch-size axis then
 isolates group commit, and the amortization ratios are apples-to-apples.
 
-``cycles``/``pm_bytes`` cells and per-scheme geomeans follow the same
-shape as the YCSB bench, so :func:`repro.obs.bench.check_bench` gates
-this artifact unchanged (±2% drift on every cell and geomean).
+The grid itself is :data:`repro.obs.bench.SERVICE_GRID`: cells and
+per-scheme geomeans follow the same shape as every bench grid, gated
+at ±2% drift on every cell and geomean.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, Optional, Sequence
-
-from repro.harness.metrics import geomean
-from repro.parallel import engine
-from repro.parallel import tasks as partasks
-
-#: Service bench grid: the FG baseline against the full design, over a
-#: hashtable (O(1) paths) and an rbtree (pointer-chasing, rebalancing).
-SERVICE_WORKLOADS = ("hashtable", "rbtree")
-SERVICE_SCHEMES = ("FG", "SLPMT")
-
-#: Batch-size axis: no batching, the default group, and a deep group.
-#: The amortization headline compares the first against the last.
-SERVICE_BATCHES = (1, 8, 16)
+import json
+from typing import Any, Dict, Optional
 
 #: Request mix for the grid: put-heavy so batch size 1 really means one
 #: write per commit (``txn`` requests would smuggle mini-batches into
 #: the baseline and flatten the amortization signal).
 SERVICE_MIX: Dict[str, float] = {"put": 0.80, "get": 0.14, "scan": 0.06}
 
-DEFAULT_SERVICE_CLIENTS = 6
-DEFAULT_SERVICE_REQUESTS = 25
-DEFAULT_SERVICE_VALUE_BYTES = 32
-#: 48 keys over 150 requests: enough same-key pressure that deep
-#: batches coalesce repeated lines, which is where group commit's
-#: amortization comes from on the pointer-chasing structures.
-DEFAULT_SERVICE_KEYS = 48
-DEFAULT_SERVICE_THETA = 0.6
-DEFAULT_SERVICE_ARRIVAL = 800
-DEFAULT_SERVICE_MAX_WAIT = 4000
-DEFAULT_SERVICE_DEPTH = 64
-DEFAULT_SERVICE_SEED = 2023
+#: The grid's parameters and defaults (``params`` of the artifact).
+SERVICE_PARAMS: Dict[str, Any] = dict(
+    # The FG baseline against the full design, over a hashtable (O(1)
+    # paths) and an rbtree (pointer-chasing, rebalancing).
+    workloads=("hashtable", "rbtree"),
+    schemes=("FG", "SLPMT"),
+    # Batch-size axis: no batching, the default group, and a deep
+    # group.  The amortization headline compares the first against the
+    # last.
+    batches=(1, 8, 16),
+    num_clients=6,
+    requests_per_client=25,
+    value_bytes=32,
+    # 48 keys over 150 requests: enough same-key pressure that deep
+    # batches coalesce repeated lines, which is where group commit's
+    # amortization comes from on the pointer-chasing structures.
+    num_keys=48,
+    theta=0.6,
+    arrival_cycles=800,
+    max_wait_cycles=4000,
+    max_depth=64,
+    seed=2023,
+    duration_cycles=None,
+    target_load=None,
+)
 
-#: The checked-in baseline for the service bench.
-DEFAULT_SERVICE_BASELINE = "BENCH_service.json"
 
-#: Bumped to 2 with the sustained-load release: the ``max_retries``
-#: alias removal this schema change was scheduled against, plus the new
-#: duration/target-load grid knobs recorded in ``params``.
-SCHEMA_VERSION = 2
-
-
-def run_service_bench(
+def service_cell(
     *,
-    name: str = "service",
-    workloads: "Sequence[str]" = SERVICE_WORKLOADS,
-    schemes: "Sequence[str]" = SERVICE_SCHEMES,
-    batches: "Sequence[int]" = SERVICE_BATCHES,
-    num_clients: int = DEFAULT_SERVICE_CLIENTS,
-    requests_per_client: int = DEFAULT_SERVICE_REQUESTS,
-    value_bytes: int = DEFAULT_SERVICE_VALUE_BYTES,
-    num_keys: int = DEFAULT_SERVICE_KEYS,
-    theta: float = DEFAULT_SERVICE_THETA,
-    arrival_cycles: int = DEFAULT_SERVICE_ARRIVAL,
-    max_wait_cycles: int = DEFAULT_SERVICE_MAX_WAIT,
-    max_depth: int = DEFAULT_SERVICE_DEPTH,
-    seed: int = DEFAULT_SERVICE_SEED,
+    workload: str,
+    scheme: str,
+    batch_size: int,
+    num_clients: int,
+    requests_per_client: int,
+    value_bytes: int,
+    num_keys: int,
+    theta: float,
+    arrival_cycles: int,
+    max_wait_cycles: int,
+    max_depth: int,
+    seed: int,
     duration_cycles: "Optional[int]" = None,
     target_load: "Optional[float]" = None,
-    jobs: int = 1,
-    progress: "Optional[engine.ProgressFn]" = None,
 ) -> Dict[str, Any]:
-    """Run the service sweep and build the artifact document.
+    """One ``BENCH_service.json`` cell: a full transaction-service run.
 
-    Cells are keyed ``workload/scheme/bN``.  Every cell is one
-    self-contained deterministic service run, so the stripped document
-    is byte-identical between serial and ``--jobs N`` sweeps.  With
-    *duration_cycles* every cell runs in duration mode (until the
-    simulated clock passes the horizon) instead of a fixed request
-    count; *target_load* offers that many requests/kcyc spread over the
-    clients instead of the ``arrival_cycles`` gap.
+    The grid fixes ``block`` admission and :data:`SERVICE_MIX` so every
+    batch size commits the identical request set; the cell carries the
+    latency quantiles and the commit-persist bucket the amortization
+    headline derives from.  With *duration_cycles* the cell runs in
+    duration mode (the fixed request count is ignored); *target_load*
+    spreads an offered load in requests/kcyc over the clients instead
+    of ``arrival_cycles``.
     """
-    grid = [(w, s, b) for w in workloads for s in schemes for b in batches]
-    keys = [f"{w}/{s}/b{b}" for w, s, b in grid]
-    descriptors = [
-        {
-            "workload": w,
-            "scheme": s,
-            "batch_size": b,
-            "num_clients": num_clients,
-            "requests_per_client": requests_per_client,
-            "value_bytes": value_bytes,
-            "num_keys": num_keys,
-            "theta": theta,
-            "arrival_cycles": arrival_cycles,
-            "max_wait_cycles": max_wait_cycles,
-            "max_depth": max_depth,
-            "seed": seed,
-            "duration_cycles": duration_cycles,
-            "target_load": target_load,
-        }
-        for w, s, b in grid
-    ]
-    t0 = time.perf_counter()
-    results = engine.run_tasks(
-        partasks.service_bench_cell,
-        descriptors,
-        jobs=jobs,
-        labels=keys,
-        progress=progress,
+    from repro.service.admission import AdmissionPolicy
+    from repro.service.server import ServiceConfig, run_service
+    from repro.service.tm import GroupCommitPolicy
+
+    res = run_service(
+        ServiceConfig(
+            workload=workload,
+            scheme=scheme,
+            num_clients=num_clients,
+            requests_per_client=requests_per_client,
+            value_bytes=value_bytes,
+            num_keys=num_keys,
+            theta=theta,
+            mix=dict(SERVICE_MIX),
+            arrival_cycles=arrival_cycles,
+            batch=GroupCommitPolicy(
+                batch_size=batch_size, max_wait_cycles=max_wait_cycles
+            ),
+            admission=AdmissionPolicy(max_depth=max_depth, mode="block"),
+            seed=seed,
+            duration_cycles=duration_cycles,
+            target_load=target_load,
+        )
     )
-    host_seconds = time.perf_counter() - t0
-    cells: Dict[str, Any] = dict(zip(keys, results))
-    geomeans: Dict[str, Any] = {}
-    for scheme in schemes:
-        mine = [key for key, (w, s, b) in zip(keys, grid) if s == scheme]
-        geomeans[scheme] = {
-            "cycles": round(geomean(cells[k]["cycles"] for k in mine), 1),
-            "pm_bytes": round(geomean(cells[k]["pm_bytes"] for k in mine), 1),
-        }
-    # The group-commit headline: per (workload, scheme), the ratio of
-    # commit-persist cycles per committed write at batch 1 over the
-    # deepest batch, then the per-scheme geomean over workloads.
-    lo, hi = min(batches), max(batches)
-    amortization: Dict[str, Any] = {}
-    for scheme in schemes:
-        per_workload = {}
-        for w in workloads:
-            base = cells[f"{w}/{scheme}/b{lo}"]["commit_persist_per_write"]
-            deep = cells[f"{w}/{scheme}/b{hi}"]["commit_persist_per_write"]
-            per_workload[w] = round(base / deep, 3) if deep else 0.0
-        amortization[scheme] = {
-            "batch_lo": lo,
-            "batch_hi": hi,
-            "per_workload": per_workload,
-            "geomean": round(geomean(per_workload.values()), 3),
-        }
+    return dict(
+        run_totals(res),
+        latency=res.latency.summary(),
+        batch_occupancy=res.batch_occupancy.summary(),
+        queue_depth=res.queue_depth.summary(),
+    )
+
+
+def run_totals(res: Any) -> Dict[str, Any]:
+    """The simulated totals of one service run, shared by the bench
+    cell and the ``serve --json`` document."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "params": {
-            "workloads": list(workloads),
-            "schemes": list(schemes),
-            "batches": list(batches),
-            "num_clients": num_clients,
-            "requests_per_client": requests_per_client,
-            "value_bytes": value_bytes,
-            "num_keys": num_keys,
-            "theta": theta,
-            "arrival_cycles": arrival_cycles,
-            "max_wait_cycles": max_wait_cycles,
-            "max_depth": max_depth,
-            "seed": seed,
-            "duration_cycles": duration_cycles,
-            "target_load": target_load,
-        },
-        "cells": cells,
-        "geomean": geomeans,
-        "amortization": amortization,
-        "host": {
-            "seconds": round(host_seconds, 3),
-            "cells_per_sec": round(len(keys) / host_seconds, 3)
-            if host_seconds > 0
-            else 0.0,
-            "jobs": jobs,
-        },
+        "cycles": res.cycles,
+        "pm_bytes": res.pm_bytes,
+        "requests": res.requests,
+        "acked": res.acked,
+        "shed": res.shed,
+        "reads": res.reads,
+        "batches": res.batches,
+        "committed_writes": res.committed_writes,
+        "commit_persist_cycles": res.commit_persist_cycles,
+        "commit_persist_per_write": round(res.commit_persist_per_write, 3),
+        "phases": dict(res.phases),
+        "stats": json.loads(res.stats.to_json()),
     }

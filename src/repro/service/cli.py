@@ -25,10 +25,11 @@ artifact under ``python -m repro bench --sustained``.
 from __future__ import annotations
 
 import argparse
-import json
 from typing import List, Optional
 
+from repro.obs.bench import write_artifact
 from repro.service.admission import FAIRNESS, MODES, AdmissionPolicy
+from repro.service.bench import run_totals
 from repro.service.model import DEFAULT_MIX
 from repro.service.server import (
     CLIENT_MODES,
@@ -67,21 +68,10 @@ def _result_doc(res: ServiceResult) -> dict:
         "num_keys": res.num_keys,
         "value_bytes": res.value_bytes,
         "seed": res.seed,
-        "requests": res.requests,
-        "acked": res.acked,
-        "shed": res.shed,
-        "reads": res.reads,
-        "batches": res.batches,
-        "committed_writes": res.committed_writes,
-        "cycles": res.cycles,
-        "pm_bytes": res.pm_bytes,
-        "commit_persist_cycles": res.commit_persist_cycles,
-        "commit_persist_per_write": round(res.commit_persist_per_write, 3),
-        "phases": dict(res.phases),
+        **run_totals(res),
         "latency": _hist_doc(res.latency),
         "batch_occupancy": _hist_doc(res.batch_occupancy),
         "queue_depth": _hist_doc(res.queue_depth),
-        "stats": json.loads(res.stats.to_json()),
         "duration_cycles": res.duration_cycles,
         "client_base": res.client_base,
         "lock_grants": res.lock_grants,
@@ -220,9 +210,7 @@ def serve_main(argv: "Optional[List[str]]" = None) -> int:
         doc = _result_doc(res)
         if telemetry is not None:
             doc["telemetry"] = telemetry.to_dict()
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_artifact(args.json, doc)
         print(f"wrote {args.json}")
         return 0
 
@@ -309,9 +297,7 @@ def _curve_main(args) -> int:
     )
     wrote = False
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_artifact(args.json, doc)
         print(f"wrote {args.json}")
         wrote = True
     if args.table:
@@ -350,9 +336,7 @@ def _sustained_main(args) -> int:
         jobs=resolve_jobs(args.jobs),
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_artifact(args.json, doc)
         print(f"wrote {args.json}")
         return 0
     print(format_sustained(doc))

@@ -162,31 +162,29 @@ def run_curve(
     a serial sweep.  With *duration_cycles* every cell runs in duration
     mode instead of a fixed request count.
     """
-    from repro.parallel.engine import run_tasks
-    from repro.parallel.tasks import curve_cell
+    from repro.obs.bench import strip_host
+    from repro.parallel.tasks import run_sweep
 
-    kwargs_list = [
+    cells = run_sweep(
+        run_curve_cell,
         {
-            "scheme": scheme,
-            "arrival_cycles": arrival,
-            "workload": workload,
-            "seed": seed,
-            "duration_cycles": duration_cycles,
-        }
-        for scheme in schemes
-        for arrival in arrivals
-    ]
-    labels = [
-        f"curve/{kw['scheme']}/a{kw['arrival_cycles']}" for kw in kwargs_list
-    ]
-    cells = run_tasks(
-        curve_cell, kwargs_list, jobs=jobs, labels=labels, progress=progress
+            f"curve/{scheme}/a{arrival}": {
+                "scheme": scheme,
+                "arrival_cycles": arrival,
+                "workload": workload,
+                "seed": seed,
+                "duration_cycles": duration_cycles,
+            }
+            for scheme in schemes
+            for arrival in arrivals
+        },
+        jobs=jobs,
+        progress=progress,
     )
     # host_ms is wall-clock; everything else in a cell is simulated and
     # deterministic, and the artifact must stay byte-identical across
     # serial and --jobs runs.
-    for cell in cells:
-        cell.pop("host_ms", None)
+    cells = strip_host(cells)
     rows: List[Dict[str, Any]] = []
     knees: Dict[str, Dict[str, Any]] = {}
     for scheme in schemes:

@@ -11,8 +11,7 @@ document parameters.
 
 Populations are independent simulated machines (each with its own clock
 starting at zero), which is exactly what lets the run ride the parallel
-engine: each population is one
-:func:`~repro.parallel.tasks.sustained_population_cell`, and the parent
+engine: each population is one :func:`population_cell`, and the parent
 folds the per-population :class:`~repro.obs.telemetry.TelemetryWindows`
 registries **in population order** via
 :func:`~repro.obs.telemetry.merge_telemetry` — the byte-identical
@@ -27,9 +26,10 @@ steady-state throughput of the *merged* registry with the straddled
 tail window trimmed (:func:`~repro.obs.steady.steady_summary` with
 ``horizon_cycles``).
 
-The checked-in artifact lives at :data:`DEFAULT_SUSTAINED_PATH` and is
-gated by ``python -m repro bench --sustained --check`` (exact compare,
-modulo host timing) and ``python -m repro obs equivalence --sustained``
+The checked-in artifact lives at
+``benchmarks/results/sustained_service.json`` and is gated by
+``python -m repro bench --sustained --check`` (exact compare, modulo
+host timing) and ``python -m repro obs equivalence --sustained``
 (serial vs ``--jobs N`` byte-identity on a reduced shape).
 """
 
@@ -38,15 +38,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.steady import steady_summary
 from repro.obs.telemetry import TelemetryWindows, merge_telemetry
-
-#: The checked-in sustained-run artifact.
-DEFAULT_SUSTAINED_PATH = "benchmarks/results/sustained_service.json"
-
-SCHEMA_VERSION = 2
 
 #: Default sustained shape: 4 populations x 8 clients at ~75% of the
 #: service's measured capacity (~1.1 req/kcyc on this shape), run for
@@ -71,6 +66,9 @@ DEFAULT_SUSTAINED_SEED = 2023
 SUSTAINED_WINDOW_CYCLES = 262_144
 TARGET_SUSTAINED_WINDOWS = 24
 
+#: Document params that shape the deployment rather than each service.
+_SHAPE_PARAMS = ("populations", "clients_per_population", "num_clients")
+
 #: Counters every population cell carries into the artifact totals.
 _TOTAL_FIELDS = (
     "requests",
@@ -84,6 +82,76 @@ _TOTAL_FIELDS = (
     "lock_wounds",
     "lock_waits",
 )
+
+
+def population_cell(
+    *,
+    population: int,
+    client_base: int,
+    workload: str,
+    scheme: str,
+    clients: int,
+    value_bytes: int,
+    num_keys: int,
+    theta: float,
+    arrival_cycles: int,
+    batch_size: int,
+    duration_cycles: int,
+    window_cycles: int,
+    seed: int,
+    locking: bool = False,
+    target_load: "Optional[float]" = None,
+) -> Dict[str, Any]:
+    """One client population of a sustained run: a full duration-mode
+    service with its own machine, clock and telemetry registry.
+
+    The population slice is identified purely by ``client_base``: every
+    stream and arrival seed hashes the *global* client id, so the same
+    population simulated serially or in a worker process produces the
+    identical request sequence.  The telemetry registry comes back as
+    its ``to_dict`` form for the parent's ordered merge.
+    """
+    from repro.service.server import ServiceConfig, run_service
+    from repro.service.tm import GroupCommitPolicy
+
+    telemetry = TelemetryWindows(window_cycles)
+    res = run_service(
+        ServiceConfig(
+            workload=workload,
+            scheme=scheme,
+            num_clients=clients,
+            client_base=client_base,
+            value_bytes=value_bytes,
+            num_keys=num_keys,
+            theta=theta,
+            mode="open",
+            arrival_cycles=arrival_cycles,
+            duration_cycles=duration_cycles,
+            target_load=target_load,
+            locking=locking,
+            keep_responses=False,
+            batch=GroupCommitPolicy(batch_size=batch_size),
+            seed=seed,
+        ),
+        telemetry=telemetry,
+    )
+    return {
+        "population": population,
+        "client_base": client_base,
+        "clients": clients,
+        "requests": res.requests,
+        "acked": res.acked,
+        "shed": res.shed,
+        "reads": res.reads,
+        "batches": res.batches,
+        "committed_writes": res.committed_writes,
+        "cycles": res.cycles,
+        "pm_bytes": res.pm_bytes,
+        "lock_grants": res.lock_grants,
+        "lock_wounds": res.lock_wounds,
+        "lock_waits": res.lock_waits,
+        "telemetry": telemetry.to_dict(),
+    }
 
 
 def run_sustained(
@@ -116,36 +184,42 @@ def run_sustained(
     """
     if populations < 1:
         raise ValueError("populations must be at least 1")
-    from repro.parallel.engine import run_tasks
-    from repro.parallel.tasks import sustained_population_cell
+    from repro.obs.bench import SCHEMA_VERSION, strip_host
+    from repro.parallel.tasks import run_sweep
 
-    kwargs_list = [
-        {
-            "population": p,
-            "client_base": p * clients_per_population,
-            "workload": workload,
-            "scheme": scheme,
-            "clients": clients_per_population,
-            "value_bytes": value_bytes,
-            "num_keys": num_keys,
-            "theta": theta,
-            "arrival_cycles": arrival_cycles,
-            "target_load": target_load,
-            "batch_size": batch_size,
-            "duration_cycles": duration_cycles,
-            "window_cycles": window_cycles,
-            "locking": locking,
-            "seed": seed,
-        }
-        for p in range(populations)
-    ]
-    labels = [f"sustained/p{p}" for p in range(populations)]
+    params = {
+        "populations": populations,
+        "clients_per_population": clients_per_population,
+        "num_clients": populations * clients_per_population,
+        "workload": workload,
+        "scheme": scheme,
+        "value_bytes": value_bytes,
+        "num_keys": num_keys,
+        "theta": theta,
+        "arrival_cycles": arrival_cycles,
+        "target_load": target_load,
+        "batch_size": batch_size,
+        "duration_cycles": duration_cycles,
+        "window_cycles": window_cycles,
+        "locking": locking,
+        "seed": seed,
+    }
+    # Every population cell gets the service knobs; only its slice of
+    # the global client-id space differs.
+    knobs = {k: v for k, v in params.items() if k not in _SHAPE_PARAMS}
     t0 = time.perf_counter()
-    cells = run_tasks(
-        sustained_population_cell,
-        kwargs_list,
+    cells = run_sweep(
+        population_cell,
+        {
+            f"sustained/p{p}": dict(
+                knobs,
+                population=p,
+                client_base=p * clients_per_population,
+                clients=clients_per_population,
+            )
+            for p in range(populations)
+        },
         jobs=jobs,
-        labels=labels,
         progress=progress,
     )
     host_seconds = time.perf_counter() - t0
@@ -167,36 +241,15 @@ def run_sustained(
     )
     steady = steady_summary(rebinned, horizon_cycles=duration_cycles)
 
-    per_population: List[Dict[str, Any]] = []
-    for cell in cells:
-        row = dict(cell)
-        row.pop("host_ms", None)
-        per_population.append(row)
     totals = {
         name: sum(cell[name] for cell in cells) for name in _TOTAL_FIELDS
     }
     return {
         "kind": "sustained",
         "schema_version": SCHEMA_VERSION,
-        "params": {
-            "populations": populations,
-            "clients_per_population": clients_per_population,
-            "num_clients": populations * clients_per_population,
-            "workload": workload,
-            "scheme": scheme,
-            "value_bytes": value_bytes,
-            "num_keys": num_keys,
-            "theta": theta,
-            "arrival_cycles": arrival_cycles,
-            "target_load": target_load,
-            "batch_size": batch_size,
-            "duration_cycles": duration_cycles,
-            "window_cycles": window_cycles,
-            "locking": locking,
-            "seed": seed,
-        },
+        "params": params,
         "totals": totals,
-        "per_population": per_population,
+        "per_population": strip_host(cells),
         "steady": steady,
         "acked_series": rebinned.series("acked"),
         "series_window_cycles": rebinned.window_cycles,
@@ -246,20 +299,3 @@ def format_sustained(doc: Dict[str, Any]) -> str:
         )
     lines.append(f"  telemetry sha256 {doc['telemetry_sha256'][:16]}…")
     return "\n".join(lines)
-
-
-def write_sustained(path: str, doc: Dict[str, Any]) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_sustained(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: sustained schema {doc.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    return doc

@@ -16,158 +16,105 @@ argument applied to protocol records.
 The grid runs a txn-heavy mix so cross-shard traffic dominates;
 ``txn_keys`` is the span axis (a ``txn`` draws 2..span distinct keys).
 
-``cycles``/``pm_bytes`` cells and per-scheme geomeans follow the same
-shape as the other benches, so :func:`repro.obs.bench.check_bench`
-gates this artifact unchanged (±2% drift on every cell and geomean).
+The grid itself is :data:`repro.obs.bench.TWOPC_GRID`: cells and
+per-scheme geomeans follow the same shape as every bench grid, gated
+at ±2% drift on every cell and geomean.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, Optional, Sequence
-
-from repro.harness.metrics import geomean
-from repro.parallel import engine
-from repro.parallel import tasks as partasks
-
-#: 2PC bench grid: the FG baseline against the full design, over a
-#: hashtable (O(1) paths) and an rbtree (pointer-chasing, rebalancing).
-TWOPC_WORKLOADS = ("hashtable", "rbtree")
-TWOPC_SCHEMES = ("FG", "SLPMT")
-
-#: Transaction-span axis (``txn_keys``): narrow spans barely cross
-#: shards; wide spans touch most of the deployment per global commit.
-#: The amortization headline compares the first against the last.
-TWOPC_SPANS = (2, 4, 8)
+import json
+from typing import Any, Dict
 
 #: Request mix for the grid: txn-heavy so the cross-shard protocol is
 #: the dominant write path and the span axis has signal.
 TWOPC_MIX: Dict[str, float] = {"put": 0.30, "get": 0.10, "scan": 0.05, "txn": 0.55}
 
-DEFAULT_TWOPC_SHARDS = 4
-DEFAULT_TWOPC_CLIENTS = 6
-DEFAULT_TWOPC_REQUESTS = 25
-DEFAULT_TWOPC_VALUE_BYTES = 32
-DEFAULT_TWOPC_KEYS = 48
-DEFAULT_TWOPC_THETA = 0.6
-DEFAULT_TWOPC_ARRIVAL = 800
-DEFAULT_TWOPC_BATCH = 8
-DEFAULT_TWOPC_MAX_WAIT = 4000
-DEFAULT_TWOPC_SEED = 2023
+#: The grid's parameters and defaults (``params`` of the artifact).
+TWOPC_PARAMS: Dict[str, Any] = dict(
+    # The FG baseline against the full design, over a hashtable (O(1)
+    # paths) and an rbtree (pointer-chasing, rebalancing).
+    workloads=("hashtable", "rbtree"),
+    schemes=("FG", "SLPMT"),
+    # Transaction-span axis (``txn_keys``): narrow spans barely cross
+    # shards; wide spans touch most of the deployment per global
+    # commit.  The amortization headline compares the first against
+    # the last.
+    spans=(2, 4, 8),
+    num_shards=4,
+    num_clients=6,
+    requests_per_client=25,
+    value_bytes=32,
+    num_keys=48,
+    theta=0.6,
+    arrival_cycles=800,
+    batch_size=8,
+    max_wait_cycles=4000,
+    seed=2023,
+)
 
-#: The checked-in baseline for the 2PC bench.
-DEFAULT_TWOPC_BASELINE = "BENCH_twopc.json"
 
-#: Bumped to 2 with the sustained-load release (all BENCH_*.json
-#: artifacts regenerate together; see repro.obs.bench).
-SCHEMA_VERSION = 2
-
-
-def run_twopc_bench(
+def twopc_cell(
     *,
-    name: str = "twopc",
-    workloads: "Sequence[str]" = TWOPC_WORKLOADS,
-    schemes: "Sequence[str]" = TWOPC_SCHEMES,
-    spans: "Sequence[int]" = TWOPC_SPANS,
-    num_shards: int = DEFAULT_TWOPC_SHARDS,
-    num_clients: int = DEFAULT_TWOPC_CLIENTS,
-    requests_per_client: int = DEFAULT_TWOPC_REQUESTS,
-    value_bytes: int = DEFAULT_TWOPC_VALUE_BYTES,
-    num_keys: int = DEFAULT_TWOPC_KEYS,
-    theta: float = DEFAULT_TWOPC_THETA,
-    arrival_cycles: int = DEFAULT_TWOPC_ARRIVAL,
-    batch_size: int = DEFAULT_TWOPC_BATCH,
-    max_wait_cycles: int = DEFAULT_TWOPC_MAX_WAIT,
-    seed: int = DEFAULT_TWOPC_SEED,
-    jobs: int = 1,
-    progress: "Optional[engine.ProgressFn]" = None,
+    workload: str,
+    scheme: str,
+    txn_keys: int,
+    num_shards: int,
+    num_clients: int,
+    requests_per_client: int,
+    value_bytes: int,
+    num_keys: int,
+    theta: float,
+    arrival_cycles: int,
+    batch_size: int,
+    max_wait_cycles: int,
+    seed: int,
 ) -> Dict[str, Any]:
-    """Run the 2PC sweep and build the artifact document.
+    """One ``BENCH_twopc.json`` cell: a full sharded-deployment run.
 
-    Cells are keyed ``workload/scheme/kSPAN``.  Every cell is one
-    self-contained deterministic sharded run, so the stripped document
-    is byte-identical between serial and ``--jobs N`` sweeps.
+    The grid fixes the shard count and varies the transaction span
+    (``txn_keys``); the cell carries the 2PC phase buckets and the
+    decision-persist-per-cross-shard-write figure the amortization
+    headline derives from.
     """
-    grid = [(w, s, k) for w in workloads for s in schemes for k in spans]
-    keys = [f"{w}/{s}/k{k}" for w, s, k in grid]
-    descriptors = [
-        {
-            "workload": w,
-            "scheme": s,
-            "txn_keys": k,
-            "num_shards": num_shards,
-            "num_clients": num_clients,
-            "requests_per_client": requests_per_client,
-            "value_bytes": value_bytes,
-            "num_keys": num_keys,
-            "theta": theta,
-            "arrival_cycles": arrival_cycles,
-            "batch_size": batch_size,
-            "max_wait_cycles": max_wait_cycles,
-            "seed": seed,
-        }
-        for w, s, k in grid
-    ]
-    t0 = time.perf_counter()
-    results = engine.run_tasks(
-        partasks.twopc_bench_cell,
-        descriptors,
-        jobs=jobs,
-        labels=keys,
-        progress=progress,
+    from repro.service.tm import GroupCommitPolicy
+    from repro.shard.deployment import ShardedConfig, run_sharded
+
+    res = run_sharded(
+        ShardedConfig(
+            num_shards=num_shards,
+            workload=workload,
+            scheme=scheme,
+            num_clients=num_clients,
+            requests_per_client=requests_per_client,
+            value_bytes=value_bytes,
+            num_keys=num_keys,
+            theta=theta,
+            mix=dict(TWOPC_MIX),
+            txn_keys=txn_keys,
+            arrival_cycles=arrival_cycles,
+            batch=GroupCommitPolicy(
+                batch_size=batch_size, max_wait_cycles=max_wait_cycles
+            ),
+            seed=seed,
+        )
     )
-    host_seconds = time.perf_counter() - t0
-    cells: Dict[str, Any] = dict(zip(keys, results))
-    geomeans: Dict[str, Any] = {}
-    for scheme in schemes:
-        mine = [key for key, (w, s, k) in zip(keys, grid) if s == scheme]
-        geomeans[scheme] = {
-            "cycles": round(geomean(cells[k]["cycles"] for k in mine), 1),
-            "pm_bytes": round(geomean(cells[k]["pm_bytes"] for k in mine), 1),
-        }
-    # The protocol headline: per (workload, scheme), the ratio of
-    # decision-persist cycles per committed cross-shard key write at
-    # the narrowest span over the widest, then the per-scheme geomean.
-    lo, hi = min(spans), max(spans)
-    amortization: Dict[str, Any] = {}
-    for scheme in schemes:
-        per_workload = {}
-        for w in workloads:
-            base = cells[f"{w}/{scheme}/k{lo}"]["decide_persist_per_xwrite"]
-            deep = cells[f"{w}/{scheme}/k{hi}"]["decide_persist_per_xwrite"]
-            per_workload[w] = round(base / deep, 3) if deep else 0.0
-        amortization[scheme] = {
-            "span_lo": lo,
-            "span_hi": hi,
-            "per_workload": per_workload,
-            "geomean": round(geomean(per_workload.values()), 3),
-        }
     return {
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "params": {
-            "workloads": list(workloads),
-            "schemes": list(schemes),
-            "spans": list(spans),
-            "num_shards": num_shards,
-            "num_clients": num_clients,
-            "requests_per_client": requests_per_client,
-            "value_bytes": value_bytes,
-            "num_keys": num_keys,
-            "theta": theta,
-            "arrival_cycles": arrival_cycles,
-            "batch_size": batch_size,
-            "max_wait_cycles": max_wait_cycles,
-            "seed": seed,
-        },
-        "cells": cells,
-        "geomean": geomeans,
-        "amortization": amortization,
-        "host": {
-            "seconds": round(host_seconds, 3),
-            "cells_per_sec": round(len(keys) / host_seconds, 3)
-            if host_seconds > 0
-            else 0.0,
-            "jobs": jobs,
-        },
+        "cycles": res.cycles,
+        "pm_bytes": res.pm_bytes,
+        "requests": res.requests,
+        "acked": res.acked,
+        "aborted": res.aborted,
+        "reads": res.reads,
+        "batches": res.batches,
+        "committed_writes": res.committed_writes,
+        "xshard_commits": res.xshard_commits,
+        "xshard_aborts": res.xshard_aborts,
+        "xshard_writes": res.xshard_writes,
+        "prepare_retries": res.prepare_retries,
+        "prepare_persist_cycles": res.prepare_persist_cycles,
+        "decide_persist_cycles": res.decide_persist_cycles,
+        "decide_persist_per_xwrite": round(res.decide_persist_per_xwrite, 3),
+        "phases": dict(res.phases),
+        "stats": json.loads(res.stats.to_json()),
     }

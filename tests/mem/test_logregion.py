@@ -10,11 +10,8 @@ from repro.common.errors import LogParseError, SimulationError
 from repro.mem import layout
 from repro.mem.logregion import (
     KIND_TAGS,
-    LOG_MAGIC,
-    LOG_VERSION,
     decode_stream,
     decode_stream_tolerant,
-    detect_version,
     encode_entry,
     entry_checksum,
     entry_wire_words,
@@ -25,24 +22,22 @@ from repro.mem.pm import DurableLogEntry, PersistentMemory
 BASE = layout.PM_HEAP_BASE
 
 
-def decode_words(words, *, version=LOG_VERSION):
+def decode_words(words):
     """Decode a hand-assembled word list as a log stream."""
     store = {layout.PM_LOG_BASE + i * 8: w for i, w in enumerate(words)}
     return decode_stream(
         lambda a: store.get(a, 0),
         layout.PM_LOG_BASE,
         layout.PM_LOG_BASE + (len(words) + 4) * 8,
-        version=version,
     )
 
 
-def decode_words_tolerant(words, *, version=LOG_VERSION):
+def decode_words_tolerant(words):
     store = {layout.PM_LOG_BASE + i * 8: w for i, w in enumerate(words)}
     return decode_stream_tolerant(
         lambda a: store.get(a, 0),
         layout.PM_LOG_BASE,
         layout.PM_LOG_BASE + (len(words) + 4) * 8,
-        version=version,
     )
 
 
@@ -80,11 +75,9 @@ class TestCodec:
         assert decoded == entries
 
     def test_wire_sizes(self):
-        # v1 adds one checksum word to every entry.
+        # Every entry ends with one checksum word.
         assert entry_wire_words(DurableLogEntry("commit", 1)) == 2
         assert entry_wire_words(DurableLogEntry("undo", 1, BASE, (1, 2))) == 5
-        assert entry_wire_words(DurableLogEntry("commit", 1), version=0) == 1
-        assert entry_wire_words(DurableLogEntry("undo", 1, BASE, (1, 2)), version=0) == 4
 
     def test_oversize_payload_rejected(self):
         with pytest.raises(SimulationError):
@@ -172,34 +165,37 @@ class TestChecksums:
 
 
 class TestLegacyV0:
-    """v0 streams (no header, no checksums) keep decoding."""
+    """No v0 (headerless) stream is decoded any more: a region opens
+    with the v1 header, or its base word is zero (an empty log), or the
+    region is damaged at its base."""
 
-    # Hand-computed v0 wire image: undo tx_seq=3 addr=BASE payload=(42,)
-    # then commit tx_seq=3.  Pins the legacy format word for word.
+    # A headerless stream: undo tx_seq=3 addr=BASE payload=(42,), then
+    # commit tx_seq=3.
     V0_WORDS = [
         1 | (1 << 4) | (3 << 12), BASE, 42,  # undo header, addr, payload
         3 | (3 << 12),  # commit marker
     ]
 
-    def test_pinned_v0_image_decodes(self):
-        decoded = decode_words(self.V0_WORDS, version=0)
-        assert decoded == [
-            DurableLogEntry("undo", 3, BASE, (42,)),
-            DurableLogEntry("commit", 3),
-        ]
+    def test_zero_base_word_is_an_empty_log(self):
+        pm = PersistentMemory()
+        assert pm.parse_byte_log() == []
+        assert pm.parse_byte_log_tolerant().clean
+        # Words past a zero base are never reached.
+        pm.write_word(layout.PM_LOG_BASE + 16, 3 | (3 << 12))
+        assert pm.parse_byte_log() == []
 
-    def test_version_detection(self):
-        assert detect_version(LOG_MAGIC) == LOG_VERSION
-        assert detect_version(self.V0_WORDS[0]) == 0
-        assert detect_version(0) == 0
-
-    def test_pm_accepts_handwritten_v0_stream(self):
+    def test_non_magic_base_word_is_damage(self):
         pm = PersistentMemory()
         for i, word in enumerate(self.V0_WORDS):
             pm.write_word(layout.PM_LOG_BASE + i * 8, word)
-        assert pm.serialized_log_version() == 0
-        decoded = pm.parse_byte_log()
-        assert [e.kind for e in decoded] == ["undo", "commit"]
+        with pytest.raises(LogParseError) as err:
+            pm.parse_byte_log()
+        assert err.value.offset == layout.PM_LOG_BASE
+        parsed = pm.parse_byte_log_tolerant()
+        assert parsed.entries == []
+        assert [(d.offset, d.reason) for d in parsed.damaged] == [
+            (layout.PM_LOG_BASE, "header")
+        ]
 
     def test_v1_stream_header_pinned(self):
         assert stream_header_words() == [
@@ -215,11 +211,10 @@ class TestWordSoup:
         words=st.lists(
             st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=64
         ),
-        version=st.sampled_from([0, 1]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_tolerant_never_raises(self, words, version):
-        parsed = decode_words_tolerant(words, version=version)
+    def test_tolerant_never_raises(self, words):
+        parsed = decode_words_tolerant(words)
         # Whatever decoded must re-encode to legal wire entries.
         for entry in parsed.entries:
             assert entry.kind in KIND_TAGS
@@ -229,7 +224,7 @@ class TestWordSoup:
         for _ in range(300):
             words = [rng.getrandbits(64) for _ in range(rng.randrange(32))]
             try:
-                decode_words(words, version=rng.randrange(2))
+                decode_words(words)
             except LogParseError as err:
                 assert err.offset >= layout.PM_LOG_BASE
 

@@ -5,13 +5,17 @@ import json
 
 import pytest
 
+from repro.common.errors import ArtifactError
 from repro.obs import bench
+
+
+YCSB = bench.SPECS["slpmt_ycsb"]
 
 
 @pytest.fixture(scope="module")
 def doc():
     # Tiny but real sweep: 2 workloads x 2 schemes.
-    return bench.run_bench(
+    return YCSB.run(
         name="test",
         workloads=("hashtable", "rbtree"),
         schemes=("FG", "SLPMT"),
@@ -47,18 +51,19 @@ class TestArtifact:
 
     def test_write_load_round_trip(self, doc, tmp_path):
         path = tmp_path / "BENCH_test.json"
-        bench.write_bench(str(path), doc)
-        assert bench.load_bench(str(path)) == doc
+        bench.write_artifact(str(path), doc)
+        assert bench.load_artifact(str(path)) == doc
         # And it is valid JSON with sorted keys (stable diffs).
         raw = path.read_text()
         assert json.loads(raw) == doc
+        assert raw == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
     def test_load_rejects_wrong_schema(self, doc, tmp_path):
         path = tmp_path / "bad.json"
         wrong = dict(doc, schema_version=99)
-        bench.write_bench(str(path), wrong)
-        with pytest.raises(ValueError, match="schema"):
-            bench.load_bench(str(path))
+        bench.write_artifact(str(path), wrong)
+        with pytest.raises(ArtifactError, match="schema_version"):
+            bench.load_artifact(str(path))
 
 
 class TestCheck:
@@ -76,7 +81,7 @@ class TestCheck:
         from repro.harness.runner import _cached
 
         _cached.cache_clear()
-        again = bench.run_bench(
+        again = YCSB.run(
             name="test",
             workloads=("hashtable", "rbtree"),
             schemes=("FG", "SLPMT"),
@@ -106,27 +111,27 @@ class TestCheck:
             cell["cycles"] = int(cell["cycles"] * 1.10)
         for geo in inflated["geomean"].values():
             geo["cycles"] = round(geo["cycles"] * 1.10, 1)
-        result = bench.check_bench(inflated, doc, threshold=0.02)
+        result = bench.check_bench(inflated, doc)
         assert not result.ok
         assert any("cycles" == d.metric for d in result.regressions)
-        text = bench.format_check(result, threshold=0.02)
+        text = bench.format_check(result)
         assert "FAIL" in text and "REGRESSION" in text
 
     def test_drift_within_threshold_passes(self, doc):
         nudged = copy.deepcopy(doc)
         for cell in nudged["cells"].values():
             cell["cycles"] = int(cell["cycles"] * 1.01)
-        result = bench.check_bench(nudged, doc, threshold=0.02)
+        result = bench.check_bench(nudged, doc)
         assert result.ok
 
     def test_improvement_reported_not_failed(self, doc):
         improved = copy.deepcopy(doc)
         for geo in improved["geomean"].values():
             geo["cycles"] = round(geo["cycles"] * 0.80, 1)
-        result = bench.check_bench(improved, doc, threshold=0.02)
+        result = bench.check_bench(improved, doc)
         assert result.ok
         assert result.improvements
-        assert "improvement" in bench.format_check(result, threshold=0.02)
+        assert "improvement" in bench.format_check(result)
 
     def test_params_mismatch_rejected(self, doc):
         other = copy.deepcopy(doc)
@@ -139,16 +144,8 @@ class TestCheck:
         # the same parameters — the real CI gate, run as a test.
         from pathlib import Path
 
-        path = Path(__file__).resolve().parents[2] / bench.DEFAULT_BASELINE
-        baseline = bench.load_bench(str(path))
-        params = baseline["params"]
-        current = bench.run_bench(
-            name=baseline["name"],
-            workloads=tuple(params["workloads"]),
-            schemes=tuple(params["schemes"]),
-            num_ops=params["num_ops"],
-            value_bytes=params["value_bytes"],
-            seed=params["seed"],
-        )
+        path = Path(__file__).resolve().parents[2] / YCSB.path()
+        baseline, kwargs = YCSB.load(str(path))
+        current = YCSB.run(**kwargs)
         result = bench.check_bench(current, baseline)
-        assert result.ok, bench.format_check(result, threshold=0.02)
+        assert result.ok, bench.format_check(result)

@@ -1,11 +1,10 @@
-"""Model-tier bench: grid prediction + seeded spot-check audit,
-recursive host stripping, and best-of-N wall-clock reps."""
+"""Model-tier bench: grid prediction + seeded spot-check audit, and
+recursive host stripping."""
 
 import pytest
 
 from repro.model.fit import fit_model
-from repro.model.predict import write_model
-from repro.obs.bench import run_bench, run_model_bench, strip_host
+from repro.obs.bench import run_model_bench, strip_host, write_artifact
 
 WORKLOADS = ("hashtable", "rbtree")
 SCHEMES = ("FG", "SLPMT")
@@ -20,7 +19,7 @@ def model_path(tmp_path_factory):
         value_bytes_grid=(64, 128),
     )
     path = tmp_path_factory.mktemp("model") / "cost_model.json"
-    write_model(path, doc)
+    write_artifact(str(path), doc)
     return str(path)
 
 
@@ -108,26 +107,3 @@ class TestStripHostRecursive:
         doc = {"host": 1, "inner": {"host_ms": 2, "x": 3}}
         strip_host(doc)
         assert doc == {"host": 1, "inner": {"host_ms": 2, "x": 3}}
-
-
-class TestBestOf:
-    def test_best_of_reps_recorded(self):
-        doc = run_bench(
-            workloads=("rbtree",),
-            schemes=("FG",),
-            num_ops=40,
-            best_of=3,
-        )
-        assert doc["host"]["best_of"] == 3
-        assert len(doc["host"]["rep_seconds"]) == 3
-        assert doc["host"]["seconds"] == min(doc["host"]["rep_seconds"])
-
-    def test_best_of_results_match_single_run(self):
-        single = run_bench(
-            workloads=("rbtree",), schemes=("FG",), num_ops=40
-        )
-        multi = run_bench(
-            workloads=("rbtree",), schemes=("FG",), num_ops=40, best_of=2
-        )
-        assert single["host"]["best_of"] == 1
-        assert strip_host(multi) == strip_host(single)

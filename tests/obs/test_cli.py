@@ -80,9 +80,8 @@ class TestBenchCli:
         assert bench_main(
             ["--ops", "40", "--baseline", str(path), "--update"]
         ) == 0
-        assert bench_main(
-            ["--ops", "40", "--baseline", str(path), "--check"]
-        ) == 0
+        # --check regenerates at the params recorded in the artifact.
+        assert bench_main(["--baseline", str(path), "--check"]) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_check_fails_on_inflated_baseline(self, tmp_path, capsys):
@@ -90,19 +89,23 @@ class TestBenchCli:
         # regression: the gate must exit non-zero.
         path = tmp_path / "BENCH_smoke.json"
         bench_main(["--ops", "40", "--baseline", str(path), "--update"])
-        doc = bench.load_bench(str(path))
+        doc = bench.load_artifact(str(path))
         for cell in doc["cells"].values():
             cell["cycles"] = int(cell["cycles"] * 0.80)
         for geo in doc["geomean"].values():
             geo["cycles"] = round(geo["cycles"] * 0.80, 1)
-        bench.write_bench(str(path), doc)
+        bench.write_artifact(str(path), doc)
         capsys.readouterr()
-        rc = bench_main(["--ops", "40", "--baseline", str(path), "--check"])
+        rc = bench_main(["--baseline", str(path), "--check"])
         assert rc == 1
         assert "REGRESSION" in capsys.readouterr().out
 
-    def test_check_rejects_mismatched_params(self, tmp_path):
+    def test_check_rejects_mismatched_params(self, tmp_path, capsys):
+        # A shape override cannot be combined with --check (which runs at
+        # the artifact's params): a usage error before any cell runs.
         path = tmp_path / "BENCH_smoke.json"
         bench_main(["--ops", "40", "--baseline", str(path), "--update"])
-        with pytest.raises(ValueError, match="parameters"):
+        with pytest.raises(SystemExit) as exc:
             bench_main(["--ops", "41", "--baseline", str(path), "--check"])
+        assert exc.value.code == 2
+        assert "--check regenerates" in capsys.readouterr().err

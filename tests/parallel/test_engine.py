@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.parallel import engine
-from repro.parallel.tasks import POISON_ENV, bench_cell
+from repro.obs.bench import ycsb_cell
+from repro.parallel.tasks import POISON_ENV, sweep_cell
 
 
 def _double(*, x):
@@ -68,10 +69,12 @@ class TestRunTasksSerial:
 
 class TestRunTasksParallel:
     def test_results_in_submission_order(self):
-        # bench_cell is the real spawn-safe task; tiny grid keeps the
+        # sweep_cell is the real spawn-safe task; tiny grid keeps the
         # worker wall-clock small.
         descriptors = [
             {
+                "cell": ycsb_cell,
+                "label": f"hashtable/{scheme}",
                 "workload": "hashtable",
                 "scheme": scheme,
                 "num_ops": 20,
@@ -80,8 +83,8 @@ class TestRunTasksParallel:
             }
             for scheme in ("FG", "SLPMT")
         ]
-        serial = engine.run_tasks(bench_cell, descriptors, jobs=1)
-        parallel = engine.run_tasks(bench_cell, descriptors, jobs=2)
+        serial = engine.run_tasks(sweep_cell, descriptors, jobs=1)
+        parallel = engine.run_tasks(sweep_cell, descriptors, jobs=2)
         for s, p in zip(serial, parallel):
             s = dict(s)
             p = dict(p)
@@ -93,6 +96,8 @@ class TestRunTasksParallel:
         monkeypatch.setenv(POISON_ENV, "hashtable/SLPMT")
         descriptors = [
             {
+                "cell": ycsb_cell,
+                "label": f"hashtable/{scheme}",
                 "workload": "hashtable",
                 "scheme": scheme,
                 "num_ops": 20,
@@ -103,7 +108,7 @@ class TestRunTasksParallel:
         ]
         with pytest.raises(engine.WorkerCrash, match="hashtable/SLPMT"):
             engine.run_tasks(
-                bench_cell,
+                sweep_cell,
                 descriptors,
                 jobs=2,
                 labels=["hashtable/FG", "hashtable/SLPMT"],

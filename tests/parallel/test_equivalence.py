@@ -19,6 +19,8 @@ from repro.parallel import engine
 from repro.parallel.merge import rewrap_tracers
 from repro.parallel.tasks import trace_cell
 
+YCSB = bench.SPECS["slpmt_ycsb"]
+
 BENCH_KW = dict(
     name="equiv",
     workloads=("hashtable", "rbtree"),
@@ -31,15 +33,15 @@ BENCH_KW = dict(
 
 class TestBenchEquivalence:
     def test_jobs_matches_serial_modulo_host(self):
-        serial = bench.run_bench(jobs=1, **BENCH_KW)
-        parallel = bench.run_bench(jobs=4, **BENCH_KW)
+        serial = YCSB.run(jobs=1, **BENCH_KW)
+        parallel = YCSB.run(jobs=4, **BENCH_KW)
         # Byte-identical: compare the serialised artifact form.
         a = json.dumps(bench.strip_host(serial), indent=1, sort_keys=True)
         b = json.dumps(bench.strip_host(parallel), indent=1, sort_keys=True)
         assert a == b
 
     def test_host_block_reflects_jobs(self):
-        doc = bench.run_bench(jobs=1, **BENCH_KW)
+        doc = YCSB.run(jobs=1, **BENCH_KW)
         assert doc["host"]["jobs"] == 1
         assert doc["host"]["seconds"] >= 0.0
         assert all("host_ms" in cell for cell in doc["cells"].values())
@@ -47,7 +49,7 @@ class TestBenchEquivalence:
     def test_check_bench_ignores_host_fields(self):
         # The regression gate must not see wall-clock: two runs with
         # wildly different host timings still compare clean.
-        doc = bench.run_bench(jobs=1, **BENCH_KW)
+        doc = YCSB.run(jobs=1, **BENCH_KW)
         other = bench.strip_host(doc)
         other["host"] = {"seconds": 9999.0, "cells_per_sec": 0.001, "jobs": 64}
         for cell in other["cells"].values():
@@ -125,9 +127,9 @@ class TestEquivalenceCommand:
     def test_passes_on_fresh_tiny_baseline(self, tmp_path, capsys):
         from repro.obs.cli import obs_main
 
-        doc = bench.run_bench(jobs=1, **BENCH_KW)
+        doc = YCSB.run(jobs=1, **BENCH_KW)
         path = tmp_path / "BENCH_equiv.json"
-        bench.write_bench(str(path), doc)
+        bench.write_artifact(str(path), doc)
         rc = obs_main(
             ["equivalence", "--jobs", "2", "--baseline", str(path)]
         )
@@ -139,11 +141,11 @@ class TestEquivalenceCommand:
     def test_fails_on_drifted_baseline(self, tmp_path, capsys):
         from repro.obs.cli import obs_main
 
-        doc = bench.run_bench(jobs=1, **BENCH_KW)
+        doc = YCSB.run(jobs=1, **BENCH_KW)
         cell = doc["cells"]["hashtable/SLPMT"]
         cell["cycles"] += 1
         path = tmp_path / "BENCH_equiv.json"
-        bench.write_bench(str(path), doc)
+        bench.write_artifact(str(path), doc)
         rc = obs_main(
             ["equivalence", "--jobs", "2", "--baseline", str(path)]
         )

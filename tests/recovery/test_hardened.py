@@ -56,7 +56,9 @@ class TestCleanRecovery:
         recover(pm, mode=LoggingMode.UNDO)
         assert pm.log == []
         assert pm.parse_byte_log() == []
-        assert pm.serialized_log_version() == 0  # pristine region
+        # The region is back to pristine: no word left at all.
+        assert pm.read_word(layout.PM_LOG_BASE) == 0
+        assert pm.parse_byte_log_tolerant().clean
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(SimulationError):

@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.obs.bench import check_bench, strip_host
-from repro.parallel import tasks as partasks
-from repro.service.bench import SCHEMA_VERSION, SERVICE_MIX, run_service_bench
+from repro.obs.bench import (
+    SCHEMA_VERSION,
+    SERVICE_GRID,
+    check_bench,
+    run_grid,
+    strip_host,
+)
+from repro.parallel.tasks import sweep_cell
+from repro.service.bench import SERVICE_MIX, service_cell
 
 CELL_KWARGS = dict(
     workload="hashtable",
@@ -37,7 +43,7 @@ GRID_KWARGS = dict(
 
 class TestServiceBenchCell:
     def test_cell_document_shape(self):
-        doc = partasks.service_bench_cell(**CELL_KWARGS)
+        doc = sweep_cell(cell=service_cell, label="cell", **CELL_KWARGS)
         for key in (
             "cycles", "pm_bytes", "requests", "acked", "shed", "reads",
             "batches", "committed_writes", "commit_persist_cycles",
@@ -53,8 +59,8 @@ class TestServiceBenchCell:
         }
 
     def test_cell_deterministic_modulo_host(self):
-        a = partasks.service_bench_cell(**CELL_KWARGS)
-        b = partasks.service_bench_cell(**CELL_KWARGS)
+        a = sweep_cell(cell=service_cell, label="cell", **CELL_KWARGS)
+        b = sweep_cell(cell=service_cell, label="cell", **CELL_KWARGS)
         a.pop("host_ms"), b.pop("host_ms")
         assert a == b
 
@@ -62,7 +68,7 @@ class TestServiceBenchCell:
 class TestRunServiceBench:
     @pytest.fixture(scope="class")
     def doc(self):
-        return run_service_bench(**GRID_KWARGS)
+        return run_grid(SERVICE_GRID, **GRID_KWARGS)
 
     def test_document_shape(self, doc):
         assert doc["schema_version"] == SCHEMA_VERSION
@@ -89,7 +95,7 @@ class TestRunServiceBench:
         assert not result.regressions
 
     def test_parallel_sweep_matches_serial(self, doc):
-        two = run_service_bench(jobs=2, **GRID_KWARGS)
+        two = run_grid(SERVICE_GRID, jobs=2, **GRID_KWARGS)
         assert strip_host(two) == strip_host(doc)
 
     def test_grid_isolates_batch_axis(self, doc):

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.obs.bench import SPECS
 from repro.service.cli import serve_main
 from repro.service.curve import (
     curve_to_table,
@@ -76,11 +77,8 @@ class TestCheckedInArtifact:
     def test_curve_artifact_schema(self):
         # The acceptance shape of the checked-in artifact: >= 2 schemes
         # x >= 4 load points, every cell quoting a steady window range.
-        path = os.path.join(
-            self.REPO, "benchmarks", "results", "curve_service.json"
-        )
-        with open(path) as fh:
-            doc = json.load(fh)
+        spec = SPECS["curves"]
+        doc, _ = spec.load(os.path.join(self.REPO, spec.path()))
         assert doc["kind"] == "curve"
         assert len(doc["schemes"]) >= 2
         assert len(doc["arrivals"]) >= 4

@@ -5,14 +5,11 @@ import json
 
 import pytest
 
-from repro.obs.bench import strip_host
-from repro.service.sustained import (
-    SCHEMA_VERSION,
-    format_sustained,
-    load_sustained,
-    run_sustained,
-    write_sustained,
-)
+from repro.common.errors import ArtifactError
+from repro.obs.bench import SCHEMA_VERSION, SPECS, strip_host, write_artifact
+from repro.service.sustained import format_sustained, run_sustained
+
+SUSTAINED = SPECS["sustained"]
 
 #: Small but misaligned shape: 60_000 / 4096 = 14.65 windows, so the
 #: final telemetry window straddles the horizon in every population.
@@ -76,17 +73,19 @@ class TestMergeEquivalence:
 class TestArtifact:
     def test_write_load_roundtrip(self, serial_doc, tmp_path):
         path = tmp_path / "sustained.json"
-        write_sustained(str(path), serial_doc)
-        loaded = load_sustained(str(path))
+        write_artifact(str(path), serial_doc)
+        loaded, kwargs = SUSTAINED.load(str(path))
         assert strip_host(loaded) == strip_host(serial_doc)
+        # The recorded params read back to this run's shape.
+        assert {k: kwargs[k] for k in SHAPE} == SHAPE
 
     def test_load_rejects_wrong_schema(self, serial_doc, tmp_path):
         stale = dict(serial_doc)
         stale["schema_version"] = SCHEMA_VERSION - 1
         path = tmp_path / "stale.json"
         path.write_text(json.dumps(stale))
-        with pytest.raises(ValueError, match="schema"):
-            load_sustained(str(path))
+        with pytest.raises(ArtifactError, match="schema_version"):
+            SUSTAINED.load(str(path))
 
     def test_format_mentions_the_headline_numbers(self, serial_doc):
         text = format_sustained(serial_doc)
