@@ -46,7 +46,6 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Sequence,
     Set,
     Tuple,
 )
@@ -106,7 +105,6 @@ ISSUE_CYCLES = 1
 # Address arithmetic, inlined from repro.common.units for the store/load
 # inner loops (a line is 64 bytes of eight 8-byte words).
 _LINE_MASK = ~(units.LINE_BYTES - 1)
-_LINE_SHIFT = units.LINE_BYTES.bit_length() - 1
 _OFFSET_MASK = units.LINE_BYTES - 1
 _WORD_SHIFT = units.WORD_BYTES.bit_length() - 1
 _GROUP = units.L1_BITS_PER_L2_BIT
@@ -246,63 +244,59 @@ class Machine:
 
     def execute(self, instr: Instruction) -> Optional[int]:
         """Execute one instruction; loads return the value read."""
+        if isinstance(instr, Load):
+            return self.exec_load(instr.addr)
+        if isinstance(instr, StoreT):
+            self.exec_storeT(instr.addr, instr.value, instr.lazy, instr.log_free)
+            return None
+        if isinstance(instr, Store):
+            self.exec_store(instr.addr, instr.value)
+            return None
         if self.checkpoint is not None:
             self.checkpoint()
         self.stats.instructions += 1
         self.now += ISSUE_CYCLES
-        # Monomorphic dispatch: the concrete classes cover every
-        # instruction the generators emit; isinstance below is the
-        # fallback for subclasses.
-        cls = instr.__class__
-        if cls is Load:
-            return self._exec_load(instr.addr)
-        if cls is StoreT:
-            self._exec_storeT(instr)
-            return None
-        if cls is Store:
-            self._exec_store(instr.addr, instr.value)
-            return None
-        if isinstance(instr, Load):
-            return self._exec_load(instr.addr)
-        if isinstance(instr, StoreT):
-            self._exec_storeT(instr)
-            return None
-        if isinstance(instr, Store):
-            self._exec_store(instr.addr, instr.value)
-            return None
         if isinstance(instr, TxBegin):
             self.tx_begin()
-            return None
-        if isinstance(instr, TxEnd):
+        elif isinstance(instr, TxEnd):
             self.tx_end()
-            return None
-        if isinstance(instr, TxAbort):
+        elif isinstance(instr, TxAbort):
             self.tx_abort()
-            return None
-        if isinstance(instr, Fence):
+        elif isinstance(instr, Fence):
             self.fence()
-            return None
-        raise SimulationError(f"unknown instruction {instr!r}")
+        else:
+            raise SimulationError(f"unknown instruction {instr!r}")
+        return None
 
-    # --- allocation-free execution fast paths -------------------------
+    # --- the memory instructions ---------------------------------------
     #
-    # Semantically identical to execute(Load(...)) / execute(Store(...))
-    # / execute(StoreT(...)) — same operand validation, same issue
-    # accounting — minus the per-operation instruction object.  The
-    # runtime's load/store API uses these; programs built as explicit
-    # instruction lists still go through execute().
+    # ``load``, ``store`` and ``storeT`` with their operands passed
+    # directly: the runtime calls these, and execute() dispatches Load /
+    # Store / StoreT objects onto them.  Each validates its operand, pays
+    # one issue slot, then does one cache access.
 
     def exec_load(self, addr: int) -> int:
-        """Fast path of ``execute(Load(addr))``."""
+        """Execute ``load addr`` and return the word read."""
         _check_word_operand(addr)
         if self.checkpoint is not None:
             self.checkpoint()
         self.stats.instructions += 1
         self.now += ISSUE_CYCLES
-        return self._exec_load(addr)
+        self.stats.loads += 1
+        persistent = addr >= _PM_BASE
+        if self.coherence is not None and persistent:
+            self.coherence.before_read(self.core_id, addr & _LINE_MASK)
+        line = self._access(addr, for_write=False)
+        if persistent:
+            self._check_line_txid(line)
+            if self._in_tx:
+                self._tx_read_lines.add(line.addr)
+                if self.scheme.honor_lazy:
+                    self.signatures[self._cur_txid].insert(line.addr)
+        return line.words[(addr & _OFFSET_MASK) >> _WORD_SHIFT]
 
     def exec_store(self, addr: int, value: int) -> None:
-        """Fast path of ``execute(Store(addr, value))``."""
+        """Execute ``store value, addr`` (Table I: persist and log)."""
         _check_word_operand(addr)
         if self.checkpoint is not None:
             self.checkpoint()
@@ -312,7 +306,8 @@ class Machine:
         self._do_store(addr, value, persist_flag=True, log_flag=True)
 
     def exec_storeT(self, addr: int, value: int, lazy: bool, log_free: bool) -> None:
-        """Fast path of ``execute(StoreT(addr, value, lazy=, log_free=))``."""
+        """Execute ``storeT value, addr, lazy, log_free`` (Table I); the
+        scheme may ignore either flag."""
         _check_word_operand(addr)
         if self.checkpoint is not None:
             self.checkpoint()
@@ -324,156 +319,6 @@ class Machine:
         if log_free:
             self.stats.logfree_stores += 1
         self._do_store(addr, value, persist_flag=not lazy, log_flag=not log_free)
-
-    # --- batched execution of homogeneous op runs ---------------------
-    #
-    # A contiguous run of word stores (a value payload) or loads with one
-    # shared hint is the hottest repeated pattern the runtime issues.
-    # The batch paths below are bit-identical to the per-word loop: the
-    # first word of every cache line takes the full path (miss handling,
-    # signature probe, log-record creation), and the remaining words of
-    # the line are folded into one bulk update ONLY when no per-word
-    # event could fire between them — no deferred-lazy state to probe
-    # (``self._lazy`` empty, so signature probes and tx-id forcing are
-    # no-ops) and no log record to create (the run's log-mask bits are
-    # already covered, the line record already exists, or the store is
-    # log-free).  Under those conditions every skipped word would have
-    # been exactly ``ISSUE_CYCLES + L1 latency`` of clock, three counter
-    # bumps and a word write, in an order nothing observes — so summing
-    # them preserves the clock, the WPQ timing and every SimStats
-    # counter.  Fuzz/multicore runs install ``checkpoint``/``coherence``
-    # hooks that must see every word; they fall back to the per-word
-    # loop unchanged.
-
-    def exec_store_run(
-        self, addr: int, values: "Sequence[int]", lazy: bool, log_free: bool
-    ) -> None:
-        """Fast path of ``for i, v: exec_storeT(addr + 8*i, v, ...)``.
-
-        ``lazy``/``log_free`` are the raw storeT flags (pre scheme
-        honour), matching :meth:`exec_storeT`; both False means the run
-        is plain :meth:`exec_store` stores.
-        """
-        n = len(values)
-        storeT = lazy or log_free
-        if n < 2 or self.checkpoint is not None or self.coherence is not None:
-            if storeT:
-                for i in range(n):
-                    self.exec_storeT(addr + i * 8, values[i], lazy, log_free)
-            else:
-                for i in range(n):
-                    self.exec_store(addr + i * 8, values[i])
-            return
-        eff_lazy = lazy and self.scheme.honor_lazy
-        eff_log_free = log_free and self.scheme.honor_log_free
-        log_flag = not eff_log_free
-        word_grain = self.scheme.log_granularity != "line"
-        undo = self.scheme.logging_mode is not LoggingMode.REDO
-        stats = self.stats
-        l1 = self.l1
-        i = 0
-        while i < n:
-            a = addr + i * 8
-            # First word of the line: the full path (possible miss fill,
-            # signature probe, tx-id check, log-record creation).
-            if storeT:
-                self.exec_storeT(a, values[i], lazy, log_free)
-            else:
-                self.exec_store(a, values[i])
-            line_addr = a & _LINE_MASK
-            w0 = (a & _OFFSET_MASK) >> _WORD_SHIFT
-            seg = min(n - i, units.WORDS_PER_LINE - w0)
-            rest = seg - 1
-            if rest <= 0:
-                i += 1
-                continue
-            if self._lazy:
-                # Deferred lazy transactions outstanding: every word must
-                # probe the signatures (a hit forces persists whose WPQ
-                # cost depends on the exact clock).  Per-word path.
-                for j in range(i + 1, i + seg):
-                    aj = addr + j * 8
-                    if storeT:
-                        self.exec_storeT(aj, values[j], lazy, log_free)
-                    else:
-                        self.exec_store(aj, values[j])
-                i += seg
-                continue
-            line = l1.lookup(line_addr, touch=False)
-            in_tx = self._in_tx and line_addr >= _PM_BASE
-            if in_tx and log_flag:
-                # The tail words may only be folded when none of them
-                # would create a log record (vectorized log-bit check
-                # across the whole run instead of per-word dispatch).
-                if word_grain:
-                    seg_mask = ((1 << rest) - 1) << (w0 + 1)
-                    covered = undo and (line.log_mask & seg_mask) == seg_mask
-                else:
-                    covered = line.log_mask != 0
-                if not covered:
-                    for j in range(i + 1, i + seg):
-                        aj = addr + j * 8
-                        if storeT:
-                            self.exec_storeT(aj, values[j], lazy, log_free)
-                        else:
-                            self.exec_store(aj, values[j])
-                    i += seg
-                    continue
-            # Bulk-account the remaining words of the line: each would
-            # have been an L1 hit costing ISSUE + L1 latency with no
-            # observable event in between.
-            stats.instructions += rest
-            if storeT:
-                stats.storeTs += rest
-                if eff_log_free:
-                    stats.logfree_stores += rest
-            else:
-                stats.stores += rest
-            stats.l1_hits += rest
-            self.now += rest * (ISSUE_CYCLES + l1.latency)
-            if in_tx:
-                if self.scheme.honor_lazy:
-                    self.signatures[self._cur_txid].insert_many(
-                        line_addr, rest
-                    )
-                if not eff_lazy:
-                    line.persist = True
-                line.tx_id = self._cur_txid
-            line.words[w0 + 1 : w0 + seg] = values[i + 1 : i + seg]
-            line.dirty = True
-            line.state = Mesi.MODIFIED
-            i += seg
-
-    def exec_load_run(self, addr: int, count: int) -> "List[int]":
-        """Fast path of ``[exec_load(addr + 8*i) for i in range(count)]``."""
-        if count < 2 or self.checkpoint is not None or self.coherence is not None:
-            return [self.exec_load(addr + i * 8) for i in range(count)]
-        stats = self.stats
-        l1 = self.l1
-        values: List[int] = []
-        i = 0
-        while i < count:
-            a = addr + i * 8
-            values.append(self.exec_load(a))
-            line_addr = a & _LINE_MASK
-            w0 = (a & _OFFSET_MASK) >> _WORD_SHIFT
-            seg = min(count - i, units.WORDS_PER_LINE - w0)
-            rest = seg - 1
-            if rest <= 0 or self._lazy:
-                # Outstanding deferred-lazy state: a tagged line would
-                # force persists mid-run, so keep the per-word path.
-                i += 1
-                continue
-            line = l1.lookup(line_addr, touch=False)
-            stats.instructions += rest
-            stats.loads += rest
-            stats.l1_hits += rest
-            self.now += rest * (ISSUE_CYCLES + l1.latency)
-            if line_addr >= _PM_BASE and self._in_tx and self.scheme.honor_lazy:
-                self.signatures[self._cur_txid].insert_many(line_addr, rest)
-            values.extend(line.words[w0 + 1 : w0 + seg])
-            i += seg
-        return values
 
     # --- direct (non-simulated) access for setup and validation ---------
 
@@ -513,37 +358,6 @@ class Machine:
     # ------------------------------------------------------------------
     # instruction implementations
     # ------------------------------------------------------------------
-
-    def _exec_load(self, addr: int) -> int:
-        self.stats.loads += 1
-        persistent = addr >= _PM_BASE
-        if self.coherence is not None and persistent:
-            self.coherence.before_read(self.core_id, addr & _LINE_MASK)
-        line = self._access(addr, for_write=False)
-        if persistent:
-            self._check_line_txid(line)
-            if self._in_tx:
-                self._tx_read_lines.add(line.addr)
-                if self.scheme.honor_lazy:
-                    self.signatures[self._cur_txid].insert(line.addr)
-        return line.words[(addr & _OFFSET_MASK) >> _WORD_SHIFT]
-
-    def _exec_store(self, addr: int, value: int) -> None:
-        self.stats.stores += 1
-        self._do_store(addr, value, persist_flag=True, log_flag=True)
-
-    def _exec_storeT(self, instr: StoreT) -> None:
-        self.stats.storeTs += 1
-        lazy = instr.lazy and self.scheme.honor_lazy
-        log_free = instr.log_free and self.scheme.honor_log_free
-        if log_free:
-            self.stats.logfree_stores += 1
-        self._do_store(
-            instr.addr,
-            instr.value,
-            persist_flag=not lazy,
-            log_flag=not log_free,
-        )
 
     def _do_store(self, addr: int, value: int, *, persist_flag: bool, log_flag: bool) -> None:
         if addr < _PM_BASE:
@@ -662,26 +476,13 @@ class Machine:
     def _access(self, addr: int, *, for_write: bool) -> CacheLine:
         """Bring the line containing *addr* into L1 and return it."""
         line_addr = addr & _LINE_MASK
-        # Inlined L1 hit probe (the single hottest path in the machine):
-        # same dict get + MRU promotion SetAssocCache.lookup performs.
         l1 = self.l1
-        mask = l1._index_mask
-        if mask is not None:
-            cache_set = l1._sets[(line_addr >> _LINE_SHIFT) & mask]
-            line = cache_set.get(line_addr)
-            if line is not None:
-                cache_set.move_to_end(line_addr)
-                self.stats.l1_hits += 1
-                self.now += l1.latency
-                return line
-        else:
-            line = l1.lookup(line_addr)
-            if line is not None:
-                self.stats.l1_hits += 1
-                self.now += l1.latency
-                return line
-        self.stats.l1_misses += 1
+        line = l1.lookup(line_addr)
         self.now += l1.latency
+        if line is not None:
+            self.stats.l1_hits += 1
+            return line
+        self.stats.l1_misses += 1
 
         l2_line = self.l2.remove(line_addr)
         if l2_line is not None:

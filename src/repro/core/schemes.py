@@ -10,12 +10,14 @@ the machine:
   persistency, used for the benefit breakdown in Figure 8.
 * ``SLPMT`` — the full design.
 * ``ATOM`` — prior work logging whole cache lines, with a log buffer that
-  coalesces up to eight line records at a time and a relaxed persistence
-  domain (no log/data ordering constraint).
+  coalesces up to eight line records at a time.
 * ``EDE`` — prior work logging at arbitrary granularity but with no
-  hardware coalescing buffer (records drain in arrival order), ordering
-  relaxed via its issue-queue sorting.
+  hardware coalescing buffer (records drain in arrival order).
 * ``FG_LINE`` / ``SLPMT_LINE`` — line-granularity variants for Figure 9.
+
+ATOM's relaxed persistence domain and EDE's sorted issue queue are not
+modelled: both persist in the same Figure-4 commit order as ``FG``
+(DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -43,20 +45,12 @@ class Scheme:
     #: Speculatively log clean sibling words to aid L2 bit aggregation
     #: (the optional optimisation in Section III-B1).
     speculative_logging: bool = False
-    #: Relaxed log/data persist ordering (ATOM's persistence-domain change
-    #: and EDE's sorted issue queue).
-    relaxed_ordering: bool = False
     #: Undo or redo logging discipline.
     logging_mode: LoggingMode = LoggingMode.UNDO
 
     def __post_init__(self) -> None:
         if self.log_granularity not in ("word", "line"):
             raise ReproError(f"unknown log granularity {self.log_granularity!r}")
-
-    @property
-    def selective(self) -> bool:
-        """True when any storeT semantics are honoured."""
-        return self.honor_log_free or self.honor_lazy
 
     def with_logging_mode(self, mode: LoggingMode) -> "Scheme":
         return replace(self, logging_mode=mode)
@@ -75,8 +69,8 @@ SLPMT_SPEC = Scheme(
 #: Ablation: the FG baseline with the coalescing buffer removed
 #: (isolates the tiered buffer's contribution from EDE's other changes).
 FG_NOCOAL = Scheme(name="FG-nocoal", coalescing=False)
-ATOM = Scheme(name="ATOM", log_granularity="line", relaxed_ordering=True)
-EDE = Scheme(name="EDE", coalescing=False, relaxed_ordering=True)
+ATOM = Scheme(name="ATOM", log_granularity="line")
+EDE = Scheme(name="EDE", coalescing=False)
 FG_LINE = Scheme(name="FG-line", log_granularity="line")
 SLPMT_LINE = Scheme(
     name="SLPMT-line",

@@ -67,16 +67,6 @@ class BloomSignature:
         self._bits |= self._mask(line_addr)
         self._count += 1
 
-    def insert_many(self, line_addr: int, n: int) -> None:
-        """*n* repeated inserts of the same address in one update.
-
-        The batched machine paths use this so the signature state —
-        including the insert counter — stays bit-identical to *n*
-        individual :meth:`insert` calls.
-        """
-        self._bits |= self._mask(line_addr)
-        self._count += n
-
     def maybe_contains(self, line_addr: int) -> bool:
         mask = self._mask(line_addr)
         return self._bits & mask == mask

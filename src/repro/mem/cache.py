@@ -8,14 +8,8 @@ returned from :meth:`SetAssocCache.insert`.
 
 Each set is an ``OrderedDict`` from line address to line; the MRU entry
 sits at the end.  Lookups re-order; fills evict the LRU entry when the set
-is full.
-
-Perf note: the geometry (latency, ways, set count/mask) is precomputed at
-construction instead of re-deriving it from the config on every access,
-and set selection is a shift-and-mask when the set count is a power of
-two.  :meth:`iter_matching` / :meth:`iter_lines` are the non-allocating
-scan paths used by fence/drain loops; :meth:`lines_matching` keeps the
-historical list-returning contract.
+is full.  A line's set is its line number modulo the set count, for every
+geometry.
 """
 
 from __future__ import annotations
@@ -34,49 +28,20 @@ _LINE_SHIFT = units.LINE_BYTES.bit_length() - 1  # 64 -> 6
 class SetAssocCache:
     """A single cache level."""
 
-    __slots__ = (
-        "name",
-        "config",
-        "latency",
-        "ways",
-        "num_sets",
-        "_index_mask",
-        "_sets",
-        "_set_memo",
-    )
+    __slots__ = ("name", "config", "latency", "ways", "num_sets", "_sets")
 
     def __init__(self, name: str, config: CacheConfig) -> None:
         self.name = name
         self.config = config
         self.latency = config.latency_cycles
         self.ways = config.ways
-        num_sets = config.num_sets
-        self.num_sets = num_sets
-        # Power-of-two set counts (every shipped config) take the mask
-        # fast path; anything else falls back to modulo.
-        self._index_mask = num_sets - 1 if num_sets & (num_sets - 1) == 0 else None
+        self.num_sets = config.num_sets
         self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(num_sets)
+            OrderedDict() for _ in range(self.num_sets)
         ]
-        # line_addr -> set memo: the address→set mapping is a pure static
-        # function of the geometry, so it is computed once per distinct
-        # line address and never invalidated (clear() drops lines, not
-        # sets).  Bounded by the distinct working-set line count.
-        self._set_memo: "dict[int, OrderedDict[int, CacheLine]]" = {}
-
-    # --- geometry -----------------------------------------------------
-
-    def set_index(self, line_addr: int) -> int:
-        if self._index_mask is not None:
-            return (line_addr >> _LINE_SHIFT) & self._index_mask
-        return (line_addr >> _LINE_SHIFT) % self.num_sets
 
     def _set_for(self, line_addr: int) -> "OrderedDict[int, CacheLine]":
-        cache_set = self._set_memo.get(line_addr)
-        if cache_set is None:
-            cache_set = self._sets[self.set_index(line_addr)]
-            self._set_memo[line_addr] = cache_set
-        return cache_set
+        return self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets]
 
     # --- lookup ---------------------------------------------------------
 
@@ -86,16 +51,7 @@ class SetAssocCache:
         ``touch=True`` promotes the line to MRU (the normal access path);
         metadata-only scans pass ``touch=False`` to avoid perturbing LRU.
         """
-        cache_set = self._set_memo.get(line_addr)
-        if cache_set is None:
-            mask = self._index_mask
-            if mask is not None:
-                cache_set = self._sets[(line_addr >> _LINE_SHIFT) & mask]
-            else:
-                cache_set = self._sets[
-                    (line_addr >> _LINE_SHIFT) % self.num_sets
-                ]
-            self._set_memo[line_addr] = cache_set
+        cache_set = self._set_for(line_addr)
         line = cache_set.get(line_addr)
         if line is not None and touch:
             cache_set.move_to_end(line_addr)
@@ -128,44 +84,19 @@ class SetAssocCache:
         """Remove and return the line, or None if absent."""
         return self._set_for(line_addr).pop(line_addr, None)
 
-    def pick_victim(self, line_addr: int) -> Optional[CacheLine]:
-        """Return (without removing) the line that :meth:`insert` would
-        evict when filling the set of *line_addr*; None if there is room."""
-        cache_set = self._set_for(line_addr)
-        if len(cache_set) < self.ways:
-            return None
-        return next(iter(cache_set.values()))
-
     # --- scans ---------------------------------------------------------
-
-    def __iter__(self) -> Iterator[CacheLine]:
-        for cache_set in self._sets:
-            yield from cache_set.values()
-
-    def iter_lines(self) -> Iterator[CacheLine]:
-        """Non-allocating scan of every resident line (no LRU effect).
-
-        Callers must not insert/remove lines while iterating; mutating a
-        *line's* fields is fine.
-        """
-        for cache_set in self._sets:
-            yield from cache_set.values()
 
     def iter_matching(
         self, predicate: Callable[[CacheLine], bool]
     ) -> Iterator[CacheLine]:
         """Lazily yield resident lines satisfying *predicate* (no LRU
-        effect, no intermediate list).  Same no-structural-mutation rule
-        as :meth:`iter_lines`; use :meth:`lines_matching` when the loop
-        body inserts or evicts."""
+        effect, no intermediate list).  Callers may mutate a yielded
+        line's fields but must not insert or remove lines while
+        iterating."""
         for cache_set in self._sets:
             for line in cache_set.values():
                 if predicate(line):
                     yield line
-
-    def lines_matching(self, predicate: Callable[[CacheLine], bool]) -> List[CacheLine]:
-        """Return all resident lines satisfying *predicate* (no LRU effect)."""
-        return [line for line in self.iter_lines() if predicate(line)]
 
     def resident_count(self) -> int:
         return sum(len(s) for s in self._sets)

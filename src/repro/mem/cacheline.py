@@ -161,17 +161,6 @@ class CacheLine:
     def any_log_bit(self) -> bool:
         return self.log_mask != 0
 
-    def all_log_bits(self) -> bool:
-        width = self.log_width
-        return width != 0 and self.log_mask == (1 << width) - 1
-
-    def clear_transactional_state(self) -> None:
-        """Drop persist/log/tx metadata (used when a line leaves the
-        transactional domain, e.g. on fill from L3)."""
-        self.persist = False
-        self.log_mask = 0
-        self.tx_id = None
-
     def is_lazy(self) -> bool:
         """A committed-lazy line: dirty, not scheduled for eager persist,
         and tagged with the transaction that produced it."""

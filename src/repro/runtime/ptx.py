@@ -197,17 +197,20 @@ class PTx:
     def write_words(
         self, addr: int, values: Sequence[int], hint: Hint = Hint.NONE
     ) -> None:
-        """Store a contiguous run of words (e.g. a value payload).
-
-        The whole run shares one hint, so the machine can execute it as
-        a batch (:meth:`~repro.core.machine.Machine.exec_store_run`) —
-        bit-identical to the word-by-word loop.
-        """
+        """Store a contiguous run of words (e.g. a value payload), one
+        store per word, all with the same hint."""
         lazy, log_free = self.policy.flags(hint)
-        self.machine.exec_store_run(addr, values, lazy, log_free)
+        machine = self.machine
+        if lazy or log_free:
+            for i, value in enumerate(values):
+                machine.exec_storeT(addr + i * 8, value, lazy, log_free)
+        else:
+            for i, value in enumerate(values):
+                machine.exec_store(addr + i * 8, value)
 
     def read_words(self, addr: int, count: int) -> List[int]:
-        return self.machine.exec_load_run(addr, count)
+        """Load a contiguous run of *count* words, one load per word."""
+        return [self.machine.exec_load(addr + i * 8) for i in range(count)]
 
     # --- struct helpers -------------------------------------------------------------
 

@@ -1,11 +1,13 @@
-"""Batched store/load runs must be bit-identical to the per-word loop.
+"""Word runs through the runtime equal the instruction-at-a-time machine.
 
-``exec_store_run`` / ``exec_load_run`` are pure hot-path work: same
-clock, same SimStats counters, same cache/log/signature state as
-issuing one ``exec_store``/``exec_storeT``/``exec_load`` per word — for
-every scheme, both logging disciplines, every hint combination, and
-every alignment, including runs that straddle log-coverage boundaries
-and deferred-lazy state where the batch path must bail out.
+The paper defines SLPMT one instruction at a time.  ``PTx.write_words`` /
+``read_words`` issue a value payload as a run of direct
+``exec_store``/``exec_storeT``/``exec_load`` calls; the same run built as
+``Store``/``StoreT``/``Load`` objects and handed to ``Machine.execute``
+must leave the same clock, SimStats counters and cached and durable
+images — for every scheme, both logging disciplines, every flag
+combination a hint maps to, every alignment and run length, and with
+deferred-lazy state outstanding.
 """
 
 import pytest
@@ -13,50 +15,67 @@ import pytest
 from repro.common.config import DEFAULT_CONFIG
 from repro.core.machine import Machine
 from repro.core.schemes import SCHEMES, scheme_by_name
+from repro.isa.instructions import Load, Store, StoreT
 from repro.mem import layout
+from repro.runtime.hints import MANUAL, Hint
+from repro.runtime.ptx import PTx
 
 BASE = layout.PM_HEAP_BASE
 
 ALL_SCHEMES = sorted(SCHEMES) + ["SLPMT:redo", "FG:redo"]
 
-#: (lazy, log_free) hint grids the runtime can emit.
-HINTS = [(False, False), (True, False), (False, True), (True, True)]
+#: (lazy, log_free) storeT flags -> the hint MANUAL maps to them.
+HINT_FOR = {
+    (False, False): Hint.NONE,
+    (True, False): Hint.TOMBSTONE,
+    (False, True): Hint.NEW_ALLOC,
+    (True, True): Hint.DEAD_REGION,
+}
 
 
-def _drive(machine, *, batched, lazy, log_free, base=BASE, offset_words=0,
-           payload_words=19, interleave_load=True):
-    """One deterministic transaction mix, word-at-a-time or batched."""
+class _Issuer:
+    """Issues word runs either through PTx or as instruction objects."""
+
+    def __init__(self, machine, *, via_runtime, lazy, log_free):
+        self.machine = machine
+        self.rt = PTx(machine, policy=MANUAL) if via_runtime else None
+        self.lazy, self.log_free = lazy, log_free
+
+    def store_run(self, addr, values):
+        if self.rt is not None:
+            self.rt.write_words(addr, values, HINT_FOR[self.lazy, self.log_free])
+            return
+        for i, value in enumerate(values):
+            if self.lazy or self.log_free:
+                instr = StoreT(addr + i * 8, value, self.lazy, self.log_free)
+            else:
+                instr = Store(addr + i * 8, value)
+            self.machine.execute(instr)
+
+    def load_run(self, addr, count):
+        if self.rt is not None:
+            return self.rt.read_words(addr, count)
+        return [self.machine.execute(Load(addr + i * 8)) for i in range(count)]
+
+
+def _drive(machine, *, via_runtime, lazy, log_free, base=BASE, offset_words=0,
+           payload_words=19):
+    """One deterministic transaction mix over a payload run."""
+    issue = _Issuer(machine, via_runtime=via_runtime, lazy=lazy,
+                    log_free=log_free)
     addr = base + offset_words * 8
     payload = [(i * 2654435761) % (1 << 40) for i in range(payload_words)]
-
-    def store_run(a, values):
-        if batched:
-            machine.exec_store_run(a, values, lazy, log_free)
-        elif lazy or log_free:
-            for i, v in enumerate(values):
-                machine.exec_storeT(a + i * 8, v, lazy, log_free)
-        else:
-            for i, v in enumerate(values):
-                machine.exec_store(a + i * 8, v)
-
-    def load_run(a, count):
-        if batched:
-            return machine.exec_load_run(a, count)
-        return [machine.exec_load(a + i * 8) for i in range(count)]
-
     machine.tx_begin()
-    store_run(addr, payload)
-    if interleave_load:
-        assert load_run(addr, payload_words) == payload
-    # Overwrite part of the run: log bits are now covered, so the
-    # batch path's bulk branch is reachable for word-grain undo.
-    store_run(addr + 8, payload[:7])
+    issue.store_run(addr, payload)
+    assert issue.load_run(addr, payload_words) == payload
+    # Overwrite part of the run: its log bits are already set.
+    issue.store_run(addr + 8, payload[:7])
     machine.tx_end()
-    # Second transaction re-touching the same lines (fresh tx id, log
-    # masks reset): exercises the not-covered -> per-word fallback.
+    # A second transaction re-touching the same lines (fresh tx id, log
+    # masks reset) after the first one's lazy lines were deferred.
     machine.tx_begin()
-    store_run(addr + 16, payload[3:12])
-    assert load_run(addr, payload_words) [3:5]  # touch without asserting all
+    issue.store_run(addr + 16, payload[3:12])
+    issue.load_run(addr, payload_words)
     machine.tx_end()
     machine.finalize()
 
@@ -70,116 +89,83 @@ def _state(machine, base=BASE, words=40):
     )
 
 
-@pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
-@pytest.mark.parametrize("lazy,log_free", HINTS)
-def test_store_run_bit_identical(scheme_name, lazy, log_free):
+def _both(scheme_name, **kwargs):
     scheme = scheme_by_name(scheme_name)
-    a = Machine(scheme, DEFAULT_CONFIG)
-    b = Machine(scheme, DEFAULT_CONFIG)
-    _drive(a, batched=False, lazy=lazy, log_free=log_free)
-    _drive(b, batched=True, lazy=lazy, log_free=log_free)
-    assert _state(a) == _state(b)
+    states = []
+    for via_runtime in (False, True):
+        machine = Machine(scheme, DEFAULT_CONFIG)
+        _drive(machine, via_runtime=via_runtime, **kwargs)
+        states.append(_state(machine))
+    return states
+
+
+@pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+@pytest.mark.parametrize("lazy,log_free", list(HINT_FOR))
+def test_store_run_bit_identical(scheme_name, lazy, log_free):
+    by_instruction, by_runtime = _both(scheme_name, lazy=lazy, log_free=log_free)
+    assert by_instruction == by_runtime
 
 
 @pytest.mark.parametrize("scheme_name", ["SLPMT", "FG", "SLPMT:redo"])
 @pytest.mark.parametrize("offset_words", [0, 1, 3, 7])
 def test_unaligned_runs_bit_identical(scheme_name, offset_words):
-    # Runs starting mid-line: the first-word/tail split lands at every
-    # alignment within the 8-word line.
-    scheme = scheme_by_name(scheme_name)
-    a = Machine(scheme, DEFAULT_CONFIG)
-    b = Machine(scheme, DEFAULT_CONFIG)
-    _drive(a, batched=False, lazy=True, log_free=False,
-           offset_words=offset_words)
-    _drive(b, batched=True, lazy=True, log_free=False,
-           offset_words=offset_words)
-    assert _state(a) == _state(b)
+    # Runs starting mid-line cross line boundaries at every alignment.
+    by_instruction, by_runtime = _both(
+        scheme_name, lazy=True, log_free=False, offset_words=offset_words
+    )
+    assert by_instruction == by_runtime
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 8, 9, 24])
 def test_run_lengths_bit_identical(count):
-    scheme = scheme_by_name("SLPMT")
-    a = Machine(scheme, DEFAULT_CONFIG)
-    b = Machine(scheme, DEFAULT_CONFIG)
-    payload = list(range(1, count + 1))
-    for machine, batched in ((a, False), (b, True)):
-        machine.tx_begin()
-        if batched:
-            machine.exec_store_run(BASE, payload, False, False)
-            got = machine.exec_load_run(BASE, count)
-        else:
-            for i, v in enumerate(payload):
-                machine.exec_store(BASE + i * 8, v)
-            got = [machine.exec_load(BASE + i * 8) for i in range(count)]
-        assert got == payload
-        machine.tx_end()
-        machine.finalize()
-    assert _state(a) == _state(b)
+    by_instruction, by_runtime = _both(
+        "SLPMT", lazy=False, log_free=False, payload_words=count
+    )
+    assert by_instruction == by_runtime
 
 
 def test_deferred_lazy_state_forces_per_word_path():
-    # A committed lazy transaction leaves deferred-lazy state behind;
-    # a later run over the same lines must probe signatures per word.
-    # Bit-identity must hold through that fallback.
-    scheme = scheme_by_name("SLPMT")
-    machines = [Machine(scheme, DEFAULT_CONFIG) for _ in range(2)]
-    for machine, batched in zip(machines, (False, True)):
+    # A committed lazy transaction leaves deferred-lazy state behind; a
+    # later plain run over the same lines probes the signatures on every
+    # word, and the first hit forces the deferred lines to PM.
+    states = []
+    for via_runtime in (False, True):
+        machine = Machine(scheme_by_name("SLPMT"), DEFAULT_CONFIG)
         machine.tx_begin()
-        values = list(range(10, 26))
-        if batched:
-            machine.exec_store_run(BASE, values, True, False)
-        else:
-            for i, v in enumerate(values):
-                machine.exec_storeT(BASE + i * 8, v, True, False)
+        _Issuer(machine, via_runtime=via_runtime, lazy=True,
+                log_free=False).store_run(BASE, list(range(10, 26)))
         machine.tx_end()
-        assert machine._lazy  # deferred-lazy state is live
+        assert machine.lazy_tx_ids()  # deferred-lazy state is live
         machine.tx_begin()
-        more = list(range(50, 62))
-        if batched:
-            machine.exec_store_run(BASE + 8, more, False, False)
-        else:
-            for i, v in enumerate(more):
-                machine.exec_store(BASE + 8 + i * 8, v)
+        _Issuer(machine, via_runtime=via_runtime, lazy=False,
+                log_free=False).store_run(BASE + 8, list(range(50, 62)))
         machine.tx_end()
+        assert machine.stats.lazy_lines_forced > 0
         machine.finalize()
-    assert _state(machines[0]) == _state(machines[1])
+        states.append(_state(machine))
+    assert states[0] == states[1]
 
 
 def test_checkpoint_hook_sees_every_word():
-    # Fuzz crash hooks count per-word callbacks; the batch API must
-    # fall back so the hook fires once per word, exactly as before.
-    scheme = scheme_by_name("SLPMT")
-    machine = Machine(scheme, DEFAULT_CONFIG)
+    # Fuzz crash hooks count per-word callbacks: a word run fires the
+    # scheduler checkpoint once per word.
+    rt = PTx(Machine(scheme_by_name("SLPMT"), DEFAULT_CONFIG))
     calls = []
-    machine.checkpoint = lambda: calls.append(machine.now)
-    machine.tx_begin()
-    machine.exec_store_run(BASE, [1, 2, 3, 4, 5], False, False)
-    machine.exec_load_run(BASE, 5)
-    machine.tx_end()
+    rt.machine.checkpoint = lambda: calls.append(rt.machine.now)
+    with rt.transaction():
+        rt.write_words(BASE, [1, 2, 3, 4, 5])
+        assert rt.read_words(BASE, 5) == [1, 2, 3, 4, 5]
     assert len(calls) == 10  # 5 stores + 5 loads, one checkpoint each
 
 
 def test_store_run_outside_transaction():
-    # DRAM / non-transactional runs take the in_tx=False branch.
-    scheme = scheme_by_name("SLPMT")
-    a = Machine(scheme, DEFAULT_CONFIG)
-    b = Machine(scheme, DEFAULT_CONFIG)
+    # Non-transactional runs are plain cached writes on both paths.
     values = list(range(7, 27))
-    for i, v in enumerate(values):
-        a.exec_store(BASE + i * 8, v)
-    b.exec_store_run(BASE, values, False, False)
-    assert [a.raw_read(BASE + i * 8) for i in range(20)] == values
-    assert _state(a) == _state(b)
-
-
-def test_insert_many_matches_repeated_inserts():
-    from repro.core.signatures import BloomSignature
-
-    one = BloomSignature(DEFAULT_CONFIG.signature)
-    many = BloomSignature(DEFAULT_CONFIG.signature)
-    for _ in range(5):
-        one.insert(BASE)
-    many.insert_many(BASE, 5)
-    assert one._bits == many._bits
-    assert one._count == many._count
-    assert one.maybe_contains(BASE) and many.maybe_contains(BASE)
+    states = []
+    for via_runtime in (False, True):
+        machine = Machine(scheme_by_name("SLPMT"), DEFAULT_CONFIG)
+        _Issuer(machine, via_runtime=via_runtime, lazy=False,
+                log_free=False).store_run(BASE, values)
+        assert [machine.raw_read(BASE + i * 8) for i in range(20)] == values
+        states.append(_state(machine))
+    assert states[0] == states[1]

@@ -31,22 +31,20 @@ class TestEvaluatedSchemes:
 
     def test_slpmt_full(self):
         assert SLPMT.honor_log_free and SLPMT.honor_lazy
-        assert SLPMT.selective
 
     def test_atom_logs_lines(self):
         assert ATOM.log_granularity == "line"
         assert ATOM.coalescing
-        assert not ATOM.selective
-        assert ATOM.relaxed_ordering
+        assert not (ATOM.honor_log_free or ATOM.honor_lazy)
 
     def test_ede_has_no_coalescing_buffer(self):
         assert not EDE.coalescing
         assert EDE.log_granularity == "word"
-        assert not EDE.selective
+        assert not (EDE.honor_log_free or EDE.honor_lazy)
 
     def test_line_variant(self):
         assert SLPMT_LINE.log_granularity == "line"
-        assert SLPMT_LINE.selective
+        assert SLPMT_LINE.honor_log_free and SLPMT_LINE.honor_lazy
 
 
 class TestLookup:

@@ -4,6 +4,9 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.mem.cacheline import (
+    AGGREGATE_MASK,
+    POPCOUNT,
+    REPLICATE_MASK,
     CacheLine,
     Mesi,
     aggregate_log_bits_l1_to_l2,
@@ -92,20 +95,25 @@ class TestLogBitAggregation:
         bits = [True] * 4 + [False] * 4
         assert replicate_log_bits_l2_to_l1(aggregate_log_bits_l1_to_l2(bits)) == bits
 
+    def test_machine_tables_match_figure5_functions(self):
+        # The machine reads the precomputed tables; pin every entry to
+        # the readable Figure-5 functions above.
+        def bits(mask, width):
+            return [bool(mask & (1 << i)) for i in range(width)]
+
+        def mask(bits):
+            return sum(1 << i for i, bit in enumerate(bits) if bit)
+
+        assert len(AGGREGATE_MASK) == len(POPCOUNT) == 256
+        for m in range(256):
+            assert AGGREGATE_MASK[m] == mask(aggregate_log_bits_l1_to_l2(bits(m, 8)))
+            assert POPCOUNT[m] == bin(m).count("1")
+        assert len(REPLICATE_MASK) == 4
+        for m in range(4):
+            assert REPLICATE_MASK[m] == mask(replicate_log_bits_l2_to_l1(bits(m, 2)))
+
     def test_wrong_width_rejected(self):
         with pytest.raises(SimulationError):
             aggregate_log_bits_l1_to_l2([True] * 4)
         with pytest.raises(SimulationError):
             replicate_log_bits_l2_to_l1([True] * 8)
-
-
-class TestClearTransactionalState:
-    def test_clears_metadata(self):
-        line = new_l1_line(0x1000, WORDS.copy())
-        line.persist = True
-        line.log_bits = [True] * 8
-        line.tx_id = 1
-        line.clear_transactional_state()
-        assert not line.persist
-        assert line.log_bits == [False] * 8
-        assert line.tx_id is None
