@@ -146,6 +146,19 @@ class PersistentAllocator:
     def free_bytes(self) -> int:
         return sum(size for _, size in self._free)
 
+    def load(self, other: "PersistentAllocator") -> None:
+        """Become a copy of *other*'s heap state in place, so every
+        runtime holding this allocator sees it (crash images carry the
+        allocator a recovery hook may allocate from)."""
+        self.base = other.base
+        self.capacity = other.capacity
+        self.default_align = other.default_align
+        self._bump = other._bump
+        self._free = list(other._free)
+        self._live = dict(other._live)
+        self.total_allocated = other.total_allocated
+        self.total_freed = other.total_freed
+
     # --- post-crash GC (Pattern 1 recovery) ------------------------------------
 
     def rebuild_from_reachable(self, reachable: "Iterable[Tuple[int, int]]") -> int:

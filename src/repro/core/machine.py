@@ -195,6 +195,9 @@ class Machine:
 
         # --- crash injection and persist-order tracing ---
         self._persist_countdown: Optional[int] = None
+        #: A recording pass's capture probe at the persist-countdown
+        #: site (see :meth:`probe_persists`); None crashes there instead.
+        self.persist_probe = None
         self.persist_trace: List[CommitPhase] = []
         self.trace_persist_order = False
         #: Optional event tracer (see :mod:`repro.core.tracing`); purely
@@ -846,8 +849,9 @@ class Machine:
         """
         if self._persist_countdown is not None:
             if self._persist_countdown <= 0:
-                raise PowerFailure("persist-countdown crash")
-            self._persist_countdown -= 1
+                self._persist_point()
+            else:
+                self._persist_countdown -= 1
         if self.trace_persist_order:
             self.persist_trace.append(phase)
         # Close the current PM write-journal group: everything written
@@ -1221,8 +1225,26 @@ class Machine:
         event (0 crashes at the very next one)."""
         self._persist_countdown = count
 
+    def probe_persists(self, probe) -> None:
+        """Arm a recording pass's capture *probe* where
+        :meth:`schedule_crash_after_persists` would crash: at each of its
+        points (durability events from now, ascending) the machine calls
+        ``probe.hit()`` — which captures the crash image and returns the
+        next point, or None — and runs on."""
+        self.persist_probe = probe
+        self._persist_countdown = probe.at
+
+    def _persist_point(self) -> None:
+        probe = self.persist_probe
+        if probe is None:
+            raise PowerFailure("persist-countdown crash")
+        point = probe.at
+        after = probe.hit()
+        self._persist_countdown = None if after is None else after - point - 1
+
     def cancel_scheduled_crash(self) -> None:
         self._persist_countdown = None
+        self.persist_probe = None
 
     def crash(self) -> None:
         """Power failure: everything volatile vanishes; the WPQ drains

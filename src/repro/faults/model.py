@@ -72,12 +72,17 @@ Plan = Union[TornAppend, BitFlip, DropDrains]
 class FaultModel:
     """One planned media fault, deterministic and replayable."""
 
-    def __init__(self, plan: Optional[Plan] = None, *, seed: int = 0) -> None:
+    def __init__(self, plan: Optional[Plan] = None, *, seed: int = 0, probe=None) -> None:
         self.plan = plan
         self.seed = seed
         self.rng = random.Random(f"faults:{seed}")
         #: Set once the plan actually fired (coverage accounting).
         self.fired = False
+        #: A recording pass's capture probe: at each of its append
+        #: indices ``probe.hit(entry)`` captures the image the append is
+        #: about to change (and returns the next index, or None); the
+        #: append then lands undamaged.
+        self.probe = probe
 
     # --- append-clock injection (called by PersistentMemory) -----------
 
@@ -87,24 +92,37 @@ class FaultModel:
         """Intercept one log append.  Returns True when the model
         handled the append itself (the normal path must not run).  May
         raise :class:`PowerFailure` — the fault's crash."""
+        probe = self.probe
+        if probe is not None and index == probe.at:
+            probe.hit(entry)
+            return False
         plan = self.plan
         if isinstance(plan, TornAppend) and index == plan.append_index:
             self.fired = True
-            pm.serialize_partial(entry, plan.cut_words)
+            self.damage(pm, entry)
             raise PowerFailure(
                 f"torn log append #{index} (cut at word {plan.cut_words})"
             )
         if isinstance(plan, BitFlip) and index == plan.append_index:
-            pm.append_clean(entry)
             self.fired = True
-            pm.flip_serialized_bit(
-                len(pm.log_extents) - 1, plan.word, plan.bit
-            )
+            self.damage(pm, entry)
             raise PowerFailure(
                 f"bit flip in log append #{index} "
                 f"(word {plan.word}, bit {plan.bit})"
             )
         return False
+
+    def damage(self, pm: PersistentMemory, entry: DurableLogEntry) -> None:
+        """Write *entry* to *pm* the way the torn-append or bit-flip plan
+        lets it reach the media (the crash itself is the caller's)."""
+        plan = self.plan
+        if isinstance(plan, TornAppend):
+            pm.serialize_partial(entry, plan.cut_words)
+        elif isinstance(plan, BitFlip):
+            pm.append_clean(entry)
+            pm.flip_serialized_bit(len(pm.log_extents) - 1, plan.word, plan.bit)
+        else:
+            raise SimulationError(f"plan {plan!r} damages no append")
 
     # --- post-crash injection ------------------------------------------
 

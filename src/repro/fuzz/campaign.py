@@ -38,6 +38,7 @@ image adds one whole in-flight batch.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 from dataclasses import dataclass, field
@@ -155,13 +156,36 @@ def _durability_pools(
     ]
 
 
+def _machine_site(kind: str, point: int) -> Tuple[str, int]:
+    """Durability-event and instruction-boundary cases crash at the
+    machine site of their own name."""
+    if kind not in ("persist", "instr"):
+        raise ValueError(f"unknown crash kind {kind!r}")
+    return kind, point
+
+
 def _arm_machine(machine: Machine, kind: str, point: int) -> None:
+    _machine_site(kind, point)
     if kind == "persist":
         machine.schedule_crash_after_persists(point)
-    elif kind == "instr":
-        machine.checkpoint = InstructionLimit(point)
     else:
-        raise ValueError(f"unknown crash kind {kind!r}")
+        machine.checkpoint = InstructionLimit(point)
+
+
+def _probe_machine(machine: Machine, site: str, probe) -> None:
+    if site == "persist":
+        machine.probe_persists(probe)
+    else:
+        machine.checkpoint = InstructionLimit(probe=probe)
+
+
+def _load_subject(shell, subject) -> None:
+    """Copy the volatile facts a judge reads off a live subject: its
+    oracle (durable traversals scale their cycle guards with it) and its
+    runtime's allocator (a recovery hook may allocate, e.g. the
+    hashtable's migration replay)."""
+    shell.expected = dict(subject.expected)
+    shell.rt.allocator.load(subject.rt.allocator)
 
 
 def _power_cycle(machine: Machine, subject) -> None:
@@ -427,6 +451,17 @@ class CrashFamily(Family):
     def gauge(self, run):
         return _machine_gauge(run.machine)
 
+    def site(self, kind, point):
+        return _machine_site(kind, point)
+
+    def probe(self, run, site, probe):
+        _probe_machine(run.machine, site, probe)
+
+    def load_image(self, shell, run, kind, point, entry):
+        shell.machine.pm.load(run.machine.pm)
+        _load_subject(shell.subject, run.subject)
+        shell.committed = run.committed
+
     def arm(self, run, kind, point):
         _arm_machine(run.machine, kind, point)
 
@@ -663,7 +698,9 @@ class MultiCoreFamily(Family):
             value_words=subject.value_words,
             seed=seed,
         )
-        return SimpleNamespace(system=system, subject=subject, streams=streams, in_flight=[])
+        return SimpleNamespace(
+            system=system, subject=subject, streams=streams, in_flight=[None] * cell.cores
+        )
 
     def gauge(self, run):
         return (
@@ -671,15 +708,29 @@ class MultiCoreFamily(Family):
             run.system.merged_stats().pm_bytes_written,
         )
 
-    def arm(self, run, kind, point):
+    def site(self, kind, point):
         if kind != "switch":
             raise ValueError(f"unknown crash kind {kind!r}")
+        return kind, point
+
+    def probe(self, run, site, probe):
+        scheduler = run.system.scheduler
+        scheduler.switch_probe = probe
+        scheduler.crash_at_switch = probe.at
+
+    def load_image(self, shell, run, kind, point, entry):
+        shell.system.pm.load(run.system.pm)
+        _load_subject(shell.subject, run.subject)
+        shell.in_flight = list(run.in_flight)
+
+    def arm(self, run, kind, point):
+        self.site(kind, point)
         run.system.scheduler.crash_at_switch = point
 
     def execute(self, run):
         from repro.workloads.shared import replay_contention
 
-        run.in_flight = replay_contention(run.system, run.subject, run.streams)
+        replay_contention(run.system, run.subject, run.streams, in_flight=run.in_flight)
         if run.system.scheduler.crashed:
             raise PowerFailure("power failure at an armed turn switch")
 
@@ -995,6 +1046,20 @@ class ServiceFamily(Family):
 
     def gauge(self, svc):
         return _machine_gauge(svc.machine)
+
+    def site(self, kind, point):
+        return _machine_site(kind, point)
+
+    def probe(self, svc, site, probe):
+        _probe_machine(svc.machine, site, probe)
+
+    def load_image(self, shell, svc, kind, point, entry):
+        shell.machine.pm.load(svc.machine.pm)
+        _load_subject(shell.subject, svc.subject)
+        shell.rm.committed = dict(svc.rm.committed)
+        if hasattr(svc.rm, "structures"):
+            shell.rm.structures = copy.deepcopy(svc.rm.structures)
+        shell.inflight = list(svc.inflight)
 
     def arm(self, svc, kind, point):
         _arm_machine(svc.machine, kind, point)

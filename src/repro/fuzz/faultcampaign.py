@@ -159,6 +159,26 @@ class FaultFamily(CrashFamily):
             events=run.machine.wpq.total_inserts - events0,
         )
 
+    def site(self, kind, fault):
+        """A dropped-drain case crashes at its durability event, a torn
+        or flipped append at the append it damages."""
+        if fault["kind"] == "drop-drains":
+            return "persist", fault["crash_point"]
+        return "append", fault["append"]
+
+    def probe(self, run, site, probe):
+        if site == "persist":
+            run.machine.pm.arm_journal()
+            run.machine.probe_persists(probe)
+        else:
+            run.machine.pm.fault_model = FaultModel(probe=probe)
+
+    def load_image(self, shell, run, kind, fault, entry):
+        super().load_image(shell, run, kind, fault, entry)
+        shell.model = plan_fault(fault)
+        if entry is not None:
+            shell.model.damage(shell.machine.pm, entry)
+
     def arm(self, run, kind, fault):
         run.model = plan_fault(fault)
         run.machine.pm.fault_model = run.model

@@ -16,21 +16,43 @@ A family is a :class:`Family` and supplies:
 * ``crash_space(cell, seed, budget, knobs, clean)`` — the named
   :class:`Pool` s of crash points its clean run exposes, with their
   totals;
-* ``arm(run, kind, point)`` — plan the crash or media fault of one case;
+* ``site(kind, point)`` / ``probe(run, site, probe)`` — where a case's
+  crash lands in a run, and how a recording pass arms a capture
+  :class:`Probe` there;
+* ``load_image(shell, run, kind, point, entry)`` — copy the crash image
+  of a live run paused at a crash point into a freshly built shell;
 * ``judge(run, kind, point)`` — power off, recover, and check the
   durable image, raising :class:`~repro.fuzz.invariants.
   InvariantViolation` on failure;
+* ``arm(run, kind, point)`` — plan the crash or media fault of one case
+  the way :func:`play`, the tests' reference, crashes it;
 * its cell-report dataclass and report columns.
 
 The kernel owns the generic machinery: the clean run (:func:`clean_run`),
 budgeted exhaustive-or-seeded point selection (:func:`select`), the
-build → arm → run → crash → recover → judge case loop (:func:`play`,
+recording pass that judges every case of a cell (:func:`run_cases`,
 :func:`run_cell`), the :class:`CampaignResult`, the fan-out over
 :func:`repro.parallel.engine.run_tasks` (:func:`run_campaign`), and the
 media-fault double judgement both media families share
 (:func:`judge_media`).  The report table (:mod:`repro.fuzz.report`),
 the reproducer and minimizer (:mod:`repro.fuzz.minimize`) and the CLI
 (:mod:`repro.fuzz.cli`) are written once against it too.
+
+**Crash images.**  A crash discards volatile state and ADR has already
+made every WPQ-accepted write durable, so the durable image at a crash
+point is the clean run's PM at that instant.  A cell therefore never
+re-executes a prefix per case: one recording pass — the same build the
+clean run executes — arms a :class:`Probe` at every crash site its
+cases use (the persist countdown, the instruction checkpoint, a
+scheduler turn switch, a 2PC protocol step, a log append), and where a
+case would crash the site hands the live run to the kernel instead.
+Each case at that point builds a fresh *shell* (sharing no mutable
+state with the live run), loads a copy of the image into it — every
+machine's PM, the volatile facts the judge reads, the fault damage its
+coordinates call for — and the family's one judge recovers and checks
+the shell, on the spot.  Images are never held, so memory stays at one
+run plus one shell.  :func:`play` keeps the old way, build → arm → run
+→ crash → judge on the live crashed run, as the tests' reference.
 
 Everything is seeded and free of wall-clock time: a cell's sampled
 points derive from the family's seed string for ``(cell, seed)`` alone,
@@ -40,6 +62,7 @@ every violation replays exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -49,6 +72,7 @@ from repro.common.errors import (
     LogChecksumError,
     PowerFailure,
     RecoveryError,
+    ReproError,
     SimulationError,
     TornLogError,
 )
@@ -59,6 +83,10 @@ from repro.recovery.engine import recover
 #: :attr:`Pool.take` of a pool that gets what the cell budget has left
 #: after the pools before it.
 REST = -1
+
+
+class CrashImageError(ReproError):
+    """A campaign config whose crash the image model cannot reproduce."""
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +269,25 @@ class Family:
         """Counters read before the clean run, for :meth:`measure`."""
         raise NotImplementedError
 
+    def site(self, kind: str, point) -> Tuple[str, int]:
+        """The crash site a ``(kind, point)`` case crashes at and the
+        site's clock reading there; ValueError for an unknown kind."""
+        raise NotImplementedError
+
+    def probe(self, run, site: str, probe: "Probe") -> None:
+        """Arm *probe* at *site* of a freshly built recording *run*."""
+        raise NotImplementedError
+
+    def load_image(self, shell, run, kind: str, point, entry) -> None:
+        """Make the fresh *shell* the crash image of the live *run*,
+        paused at the case's crash point: copies of every machine's PM
+        and of the volatile facts :meth:`judge` reads, plus the damage
+        the case's media fault does (*entry*: the log entry an append
+        site was about to write, else None)."""
+        raise NotImplementedError
+
     def arm(self, run, kind: str, point) -> None:
+        """Plan one case's crash or media fault (:func:`play` only)."""
         raise NotImplementedError
 
     def execute(self, run) -> None:
@@ -249,7 +295,8 @@ class Family:
         raise NotImplementedError
 
     def judge(self, run, kind: str, point) -> None:
-        """Power off, recover and check the crashed *run*."""
+        """Power off, recover and check a crashed *run* or crash-image
+        shell."""
         raise NotImplementedError
 
     def settle(self, run) -> None:
@@ -310,7 +357,15 @@ def _setup(cell, seed: int, knobs: Dict, cache: Optional[Dict] = None) -> Tuple[
     unknown = sorted(set(knobs) - set(family.knobs))
     if unknown:
         raise TypeError(f"unknown {family.name} campaign knob(s) {unknown}")
-    return family, family.share(cell, seed, {**family.knobs, **knobs}, cache)
+    knobs = {**family.knobs, **knobs}
+    config = knobs.get("config")
+    if config is not None and config.battery_backed_cache:
+        raise CrashImageError(
+            "battery_backed_cache=True: Machine.crash() would drain the log "
+            "buffer and dirty cached lines into PM, which no crash image "
+            "captured at the crash site holds"
+        )
+    return family, family.share(cell, seed, knobs, cache)
 
 
 def shared_knobs(cell, *, seed: int, **knobs) -> Dict:
@@ -325,16 +380,37 @@ def shared_knobs(cell, *, seed: int, **knobs) -> Dict:
 # ----------------------------------------------------------------------
 
 
-def play(family: Family, run, kind: str, point) -> CaseResult:
-    """Arm a freshly built *run*, run it, and judge it: the recovered
-    image after a crash, or the clean finish when the armed point lay
-    beyond the run (caller-chosen points only)."""
-    family.arm(run, kind, point)
-    try:
-        family.execute(run)
-        crashed = False
-    except PowerFailure:
-        crashed = True
+class Probe:
+    """The capture points of one crash site in a recording pass.
+
+    The site keeps its own clock (durability events, instructions, turn
+    switches, protocol steps or log appends since arming) exactly as it
+    would for a crash; at :attr:`at` it calls :meth:`hit` instead of
+    crashing, and runs on.
+    """
+
+    def __init__(self, points: Sequence[int], capture: Callable[..., None]) -> None:
+        self.points = sorted(set(points))
+        self.capture = capture
+        self._next = 0
+
+    @property
+    def at(self) -> Optional[int]:
+        """The next capture point, None once all were captured."""
+        return self.points[self._next] if self._next < len(self.points) else None
+
+    def hit(self, *entry) -> Optional[int]:
+        """Capture at :attr:`at` (an append site passes the entry it is
+        about to write) and return the next point."""
+        point = self.points[self._next]
+        self._next += 1
+        self.capture(point, *entry)
+        return self.at
+
+
+def _verdict(family: Family, run, kind: str, point, crashed: bool, outcome=None) -> CaseResult:
+    """Judge a crashed run or shell (settle an uncrashed run) and report
+    the case; *outcome* overrides ``family.outcome(run)``."""
     violation, check = None, ""
     try:
         if crashed:
@@ -343,14 +419,107 @@ def play(family: Family, run, kind: str, point) -> CaseResult:
             family.settle(run)
     except InvariantViolation as exc:
         violation, check = exc.message, exc.check
-    committed, commits = family.outcome(run)
+    committed, commits = family.outcome(run) if outcome is None else outcome
     return CaseResult(crashed, committed, commits, violation, check)
+
+
+def play(family: Family, run, kind: str, point) -> CaseResult:
+    """The reference case loop the tests check crash images against:
+    arm a freshly built *run*, run it, and judge the live run — the
+    recovered image after a crash, or the clean finish when the armed
+    point lay beyond the run."""
+    family.arm(run, kind, point)
+    try:
+        family.execute(run)
+        crashed = False
+    except PowerFailure:
+        crashed = True
+    return _verdict(family, run, kind, point, crashed)
+
+
+class _Stop(PowerFailure):
+    """Ends a recording pass at its first violation."""
+
+
+def _record(
+    family: Family, cell, seed: int, knobs: Dict, cases: Sequence[Tuple[str, Any]], stop: bool
+) -> List[Optional[CaseResult]]:
+    """Judge *cases* from one recording pass (see the module docstring).
+
+    Cases sharing a crash point share its capture; a case whose point
+    the run never reaches gets the run's clean finish, as :func:`play`
+    would.  With *stop*, the pass ends at the first violation and the
+    cases it never reached stay None.
+    """
+    at: Dict[str, Dict[int, List[int]]] = {}
+    for index, (kind, point) in enumerate(cases):
+        site, clock = family.site(kind, point)
+        at.setdefault(site, {}).setdefault(clock, []).append(index)
+    results: List[Optional[CaseResult]] = [None] * len(cases)
+    died: List[Tuple[int, Exception]] = []
+    stopped: List[int] = []
+    run = family.build(cell, seed, knobs)
+
+    def capturing(site: str) -> Callable[..., None]:
+        def capture(clock: int, entry=None) -> None:
+            if died or stopped:
+                return
+            outcome = family.outcome(run)
+            for index in at[site][clock]:
+                kind, point = cases[index]
+                try:
+                    shell = family.build(cell, seed, knobs)
+                    family.load_image(shell, run, kind, point, entry)
+                    results[index] = _verdict(family, shell, kind, point, True, outcome)
+                except Exception as exc:  # a harness failure, not a judged violation
+                    died.append((index, exc))
+                    return
+                if stop and results[index].violation is not None:
+                    stopped.append(index)
+                    raise _Stop("first violation")
+
+        return capture
+
+    for site, clocks in at.items():
+        family.probe(run, site, Probe(clocks, capturing(site)))
+    try:
+        family.execute(run)
+    except _Stop:
+        pass
+    except Exception as exc:
+        raise SimulationError(
+            f"{cell} recording pass died: {type(exc).__name__}: {exc}"
+        ) from exc
+    if died:
+        index, exc = died[0]
+        kind, point = cases[index]
+        raise SimulationError(
+            f"{cell} case {kind}:{point} died: {type(exc).__name__}: {exc}"
+        ) from exc
+    if stopped:
+        return results
+    beyond = [index for index, result in enumerate(results) if result is None]
+    if beyond:
+        kind, point = cases[beyond[0]]
+        finish = _verdict(family, run, kind, point, False)
+        for index in beyond:
+            results[index] = dataclasses.replace(finish)
+    return results
+
+
+def run_cases(
+    cell, cases: Sequence[Tuple[str, Any]], *, seed: int, stop: bool = False, **knobs
+) -> List[Optional[CaseResult]]:
+    """Crash-inject-recover-check ``(kind, point)`` *cases* of *cell*'s
+    family, all judged from one recording pass; *stop* ends it at the
+    first violation in run order (later cases stay None)."""
+    family, knobs = _setup(cell, seed, knobs)
+    return _record(family, cell, seed, knobs, cases, stop)
 
 
 def run_case(cell, kind: str, point, *, seed: int, **knobs) -> CaseResult:
     """One crash-inject-recover-check case of *cell*'s family."""
-    family, knobs = _setup(cell, seed, knobs)
-    return play(family, family.build(cell, seed, knobs), kind, point)
+    return run_cases(cell, [(kind, point)], seed=seed, **knobs)[0]
 
 
 def _clean(family: Family, cell, seed: int, knobs: Dict):
@@ -389,24 +558,14 @@ def run_cell(cell, *, budget: int, seed: int, **knobs):
     clean = _clean(family, cell, seed, knobs)
     pools = family.crash_space(cell, seed, budget, knobs, clean)
     select(pools, budget, random.Random(family.seed_key(cell, seed)))
-    violations: List[Violation] = []
-    fired = 0
-    for pool in pools:
-        for chosen in pool.chosen:
-            kind, point = pool.case(chosen)
-            try:
-                result = play(family, family.build(cell, seed, knobs), kind, point)
-            except Exception as exc:  # a harness failure, not a judged violation
-                raise SimulationError(
-                    f"{cell} case {kind}:{point} died: {type(exc).__name__}: {exc}"
-                ) from exc
-            fired += result.crashed
-            if result.violation is not None:
-                violations.append(
-                    violation(cell, kind, point, result.check, result.violation)
-                )
-    report = family.report(cell, knobs, clean, pools, fired)
-    report.violations.extend(violations)
+    cases = [pool.case(chosen) for pool in pools for chosen in pool.chosen]
+    results = _record(family, cell, seed, knobs, cases, False)
+    report = family.report(cell, knobs, clean, pools, sum(r.crashed for r in results))
+    report.violations.extend(
+        violation(cell, kind, point, result.check, result.violation)
+        for (kind, point), result in zip(cases, results)
+        if result.violation is not None
+    )
     return report
 
 

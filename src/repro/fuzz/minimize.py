@@ -18,8 +18,9 @@ Shrinking follows the family's :attr:`~repro.fuzz.kernel.Family.shrink`:
    while the violation survives, then peel clients off one at a time;
 2. **crash point** — each candidate is judged by the first violating
    point of the reproducer's crash kind, scanned in ascending order from
-   the family's own crash space.  Media-fault coordinates address the
-   physical log layout, so a ``"fault"`` case is held fixed instead.
+   the family's own crash space, all from one recording pass that stops
+   at that violation.  Media-fault coordinates address the physical log
+   layout, so a ``"fault"`` case is held fixed instead.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.fuzz.kernel import (
     crash_cases,
     family_of,
     run_case,
+    run_cases,
     shared_knobs,
     violation,
 )
@@ -136,7 +138,9 @@ def _first_violation(
     rep: Reproducer, cell, seed: int, knobs: Dict
 ) -> Optional[Tuple[Any, str, str]]:
     """The first ``(point, message, check)`` of the reproducer's crash
-    kind that violates under *knobs*, or None."""
+    kind that violates under *knobs*, or None.  One kind's points are
+    ascending in run order too, so the recording pass that judges them
+    stops at the first."""
     knobs = shared_knobs(cell, seed=seed, **knobs)
     if rep.crash_kind == "fault":
         points = [rep.fault]
@@ -145,9 +149,9 @@ def _first_violation(
             point for kind, point in crash_cases(cell, seed=seed, **knobs)
             if kind == rep.crash_kind
         ][:_SCAN_CAP]
-    for point in points:
-        result = run_case(cell, rep.crash_kind, point, seed=seed, **knobs)
-        if result.violation is not None:
+    cases = [(rep.crash_kind, point) for point in points]
+    for point, result in zip(points, run_cases(cell, cases, seed=seed, stop=True, **knobs)):
+        if result is not None and result.violation is not None:
             return point, result.violation, result.check
     return None
 

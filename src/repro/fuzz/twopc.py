@@ -47,8 +47,9 @@ from typing import Dict, Iterator, List, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import RecoveryError
+from repro.faults import FaultModel
 from repro.faults.model import tear_points
-from repro.fuzz.campaign import _STRESS, STRESS_CONFIG, _points
+from repro.fuzz.campaign import _STRESS, STRESS_CONFIG, _load_subject, _points
 from repro.fuzz.invariants import InvariantViolation
 from repro.fuzz.kernel import (
     REST,
@@ -321,21 +322,55 @@ class TwoPCFamily(Family):
             sum(m.stats.pm_bytes_written for _, m in machines),
         )
 
-    def arm(self, dep, kind, point):
+    def site(self, kind, point):
         """``"step"`` cuts the coordinator at a protocol-step index,
         ``"persist:<node>"`` crashes machine ``coord`` / ``s0`` / … at a
         post-setup durability event, and ``"fault"`` carries media-fault
         coordinates ``{"node", "kind": "torn-tail" | "bit-flip", ...}``
         on that node's global append clock."""
+        if kind == "step" or kind.startswith("persist:"):
+            return kind, point
+        if kind == "fault":
+            return f"append:{point['node']}", point["append"]
+        raise ValueError(f"unknown crash kind {kind!r}")
+
+    def probe(self, dep, site, probe):
+        if site == "step":
+            dep.coordinator.steps.probe = probe
+            dep.coordinator.steps.crash_at = probe.at
+            return
+        kind, node = site.split(":", 1)
+        machine = dict(dep.all_machines())[node]
+        if kind == "persist":
+            machine.probe_persists(probe)
+        else:
+            machine.pm.fault_model = FaultModel(probe=probe)
+
+    def load_image(self, shell, dep, kind, point, entry):
+        for (_, machine), (_, live) in zip(shell.all_machines(), dep.all_machines()):
+            machine.pm.load(live.pm)
+        for node, live in zip(shell.nodes, dep.nodes):
+            _load_subject(node.subject, live.subject)
+            node.rm.committed = dict(live.rm.committed)
+        if dep.inflight_local is not None:
+            shard, requests = dep.inflight_local
+            shell.inflight_local = (shard, list(requests))
+        if dep.inflight_gtx is not None:
+            gtx, plan, request = dep.inflight_gtx
+            shell.inflight_gtx = (gtx, {s: list(w) for s, w in plan.items()}, request)
+        if entry is not None:
+            machine = dict(shell.all_machines())[point["node"]]
+            plan_fault(point).damage(machine.pm, entry)
+
+    def arm(self, dep, kind, point):
+        self.site(kind, point)
         machines = dict(dep.all_machines())
         if kind == "fault":
             machines[point["node"]].pm.fault_model = plan_fault(point)
         elif kind == "step":
             dep.coordinator.steps.crash_at = point
-        elif kind.startswith("persist:"):
-            machines[kind.split(":", 1)[1]].schedule_crash_after_persists(point)
         else:
-            raise ValueError(f"unknown crash kind {kind!r}")
+            machines[kind.split(":", 1)[1]].schedule_crash_after_persists(point)
 
     def execute(self, dep):
         dep.serve()

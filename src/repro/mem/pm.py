@@ -33,6 +33,8 @@ from repro.common.errors import SimulationError
 from repro.mem import layout
 
 _logregion = None
+_PM_BASE = layout.PM_BASE
+_WORD_MASK = ~(units.WORD_BYTES - 1)
 
 
 def _logregion_module():
@@ -105,6 +107,11 @@ class _JournalGroup:
     cursor0: int
     writes: List[Tuple[int, Optional[int]]] = field(default_factory=list)
     appends: int = 0
+    #: Structural-log prunes made in this group, in order: each lists
+    #: the ``(index, entry)`` pairs one :meth:`PersistentMemory.
+    #: log_discard_tx` removed, ascending.  Prunes never touch media,
+    #: so they do not make a group a durability group of their own.
+    prunes: List[List[Tuple[int, DurableLogEntry]]] = field(default_factory=list)
 
 
 @dataclass
@@ -136,9 +143,11 @@ class PersistentMemory:
     # --- data region ------------------------------------------------------
 
     def read_word(self, addr: int) -> int:
-        if not layout.is_persistent(addr):
+        # Every durable traversal of a crash judge reads through here:
+        # the region test and word alignment are inlined.
+        if addr < _PM_BASE:
             raise SimulationError(f"PM read of volatile address {addr:#x}")
-        return self._words.get(units.word_addr(addr), 0)
+        return self._words.get(addr & _WORD_MASK, 0)
 
     def write_word(self, addr: int, value: int) -> None:
         if not layout.is_persistent(addr):
@@ -293,8 +302,19 @@ class PersistentMemory:
             self._journal = [_JournalGroup(cursor0=self._log_cursor)]
 
     def log_discard_tx(self, tx_seq: int) -> None:
-        """Reclaim the (now useless) records of a committed transaction."""
-        self.log = [e for e in self.log if e.tx_seq != tx_seq]
+        """Reclaim the (now useless) records of a committed transaction.
+
+        With the write journal armed the prune is journaled, so reverting
+        the group that holds the transaction's commit marker restores its
+        records too: the byte stream never prunes, and the two log forms
+        must recover alike."""
+        if self._journal is None:
+            self.log = [e for e in self.log if e.tx_seq != tx_seq]
+            return
+        pruned = [(i, e) for i, e in enumerate(self.log) if e.tx_seq == tx_seq]
+        if pruned:
+            self.log = [e for e in self.log if e.tx_seq != tx_seq]
+            self._journal[-1].prunes.append(pruned)
 
     def log_entries_for(self, tx_seq: int) -> List[DurableLogEntry]:
         return [e for e in self.log if e.tx_seq == tx_seq]
@@ -388,13 +408,16 @@ class PersistentMemory:
     def drop_last_drains(self, count: int) -> int:
         """Revert the last *count* durability groups: those WPQ drains
         never reached media (an ADR/battery failure).  Both the word
-        store and the structural log rewind together.  Returns how many
-        groups were actually reverted."""
+        store and the structural log rewind together (journaled prunes
+        included).  Returns how many groups were actually reverted."""
         if self._journal is None:
             raise SimulationError("journal not armed; call arm_journal() first")
         dropped = 0
         while dropped < count and self._journal:
             group = self._journal.pop()
+            for pruned in reversed(group.prunes):
+                for index, entry in pruned:
+                    self.log.insert(index, entry)
             if not (group.writes or group.appends):
                 continue
             for addr, prior in reversed(group.writes):
@@ -418,7 +441,15 @@ class PersistentMemory:
     # --- introspection -------------------------------------------------
 
     def snapshot(self) -> "PersistentMemory":
-        """Deep copy for before/after comparisons in tests."""
+        """Deep copy of the durable image: the words, both log forms, the
+        damage ledger, the append clock and, when armed, the write
+        journal.  The fault model is not carried over."""
+        journal = self._journal
+        if journal is not None:
+            journal = [
+                _JournalGroup(g.cursor0, list(g.writes), g.appends, list(g.prunes))
+                for g in journal
+            ]
         return PersistentMemory(
             _words=dict(self._words),
             log=list(self.log),
@@ -426,7 +457,13 @@ class PersistentMemory:
             log_extents=list(self.log_extents),
             log_damage=list(self.log_damage),
             log_appends=self.log_appends,
+            _journal=journal,
         )
+
+    def load(self, other: "PersistentMemory") -> None:
+        """Become a :meth:`snapshot` of *other* in place, so every
+        machine holding this object sees the copied image."""
+        vars(self).update(vars(other.snapshot()))
 
     def words_equal(self, other: "PersistentMemory", addrs: "List[int]") -> bool:
         return all(self.read_word(a) == other.read_word(a) for a in addrs)

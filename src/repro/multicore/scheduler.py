@@ -75,6 +75,11 @@ class InterleavedScheduler:
         #: campaign's deterministic "crash at the k-th interleaving
         #: point" hook.  Armed by the caller before :meth:`run`.
         self.crash_at_switch: Optional[int] = None
+        #: A recording pass's capture probe: with one armed, reaching
+        #: :attr:`crash_at_switch` calls ``switch_probe.hit()`` (which
+        #: captures the crash image and returns the next switch point, or
+        #: None) instead of crashing.
+        self.switch_probe = None
 
     # --- turn management (callers hold self._cond) ---------------------
 
@@ -93,8 +98,11 @@ class InterleavedScheduler:
                 self.crash_at_switch is not None
                 and self.switches >= self.crash_at_switch
             ):
-                # The sampled interleaving point: everyone unwinds.
-                self._crashed = True
+                if self.switch_probe is None:
+                    # The sampled interleaving point: everyone unwinds.
+                    self._crashed = True
+                else:
+                    self.crash_at_switch = self.switch_probe.hit()
         else:
             self._current = None
         self._cond.notify_all()

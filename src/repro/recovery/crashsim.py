@@ -109,13 +109,20 @@ class InstructionLimit:
     :meth:`Machine.run`, so instruction-boundary crash injection hooks
     the per-instruction ``machine.checkpoint`` callback instead.
     Install after setup to count only the instructions under test.
+
+    Given a recording pass's capture *probe* instead of a limit, it calls
+    ``probe.hit()`` at each of the probe's instruction indices (which
+    returns the next one, or None) and never crashes.
     """
 
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
+    def __init__(self, limit: Optional[int] = None, *, probe=None) -> None:
+        self.probe = probe
+        self.limit = probe.at if probe is not None else limit
         self.seen = 0
 
     def __call__(self) -> None:
-        if self.seen >= self.limit:
-            raise PowerFailure("instruction-boundary crash")
+        if self.limit is not None and self.seen >= self.limit:
+            if self.probe is None:
+                raise PowerFailure("instruction-boundary crash")
+            self.limit = self.probe.hit()
         self.seen += 1

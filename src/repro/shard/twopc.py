@@ -76,12 +76,19 @@ class StepTracker:
     def __init__(self) -> None:
         self.names: List[str] = []
         self.crash_at: Optional[int] = None
+        #: A recording pass's capture probe: with one armed, reaching
+        #: :attr:`crash_at` calls ``probe.hit()`` (which captures the
+        #: crash image and returns the next step index, or None) instead
+        #: of crashing.
+        self.probe = None
 
     def hit(self, name: str) -> None:
         index = len(self.names)
         self.names.append(name)
         if self.crash_at is not None and index == self.crash_at:
-            raise PowerFailure(f"2pc step crash at #{index} ({name})")
+            if self.probe is None:
+                raise PowerFailure(f"2pc step crash at #{index} ({name})")
+            self.crash_at = self.probe.hit()
 
 
 class Coordinator:

@@ -191,7 +191,9 @@ class Workload(abc.ABC):
 
     def reader(self, *, durable: bool = False) -> MemReader:
         machine = self.rt.machine
-        return machine.durable_read if durable else machine.raw_read
+        # The durable reader is the PM's own (what Machine.durable_read
+        # returns): crash judges traverse whole structures through it.
+        return machine.pm.read_word if durable else machine.raw_read
 
     # --- verification helpers -------------------------------------------------
 

@@ -110,6 +110,7 @@ def replay_contention(
     streams: List[List[SharedOp]],
     *,
     max_attempts: int = 512,
+    in_flight: Optional[List[Optional[SharedOp]]] = None,
 ) -> List[Optional[SharedOp]]:
     """Replay the streams concurrently against *subject* under the
     system's deterministic interleaving.
@@ -125,6 +126,8 @@ def replay_contention(
     completed).  The caller uses it as the set of operations whose
     commit marker may or may not have become durable — the multi-core
     generalisation of the single-core campaign's two-state check.
+    Pass *in_flight* (one ``None`` per core) to watch the table while
+    the replay runs.
     """
     from repro.multicore.system import run_atomically
 
@@ -135,7 +138,8 @@ def replay_contention(
     handles = [subject] + [
         subject.clone_for(rt) for rt in system.runtimes[1:]
     ]
-    in_flight: List[Optional[SharedOp]] = [None] * len(handles)
+    if in_flight is None:
+        in_flight = [None] * len(handles)
 
     def worker_for(idx: int):
         handle = handles[idx]

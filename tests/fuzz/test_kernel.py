@@ -5,8 +5,21 @@ import random
 
 import pytest
 
-from repro.fuzz.campaign import FuzzCell, ServiceCell
-from repro.fuzz.kernel import REST, Pool, family_of, run_case, run_cell, select
+import dataclasses
+
+from repro.common.errors import ReproError, SimulationError
+from repro.fuzz.campaign import STRESS_CONFIG, FuzzCell, ServiceCell, generate_ops
+from repro.fuzz.kernel import (
+    REST,
+    CrashImageError,
+    Pool,
+    family_of,
+    run_campaign,
+    run_case,
+    run_cases,
+    run_cell,
+    select,
+)
 
 
 class TestSelection:
@@ -54,6 +67,60 @@ class TestKnobs:
         assert family_of(ServiceCell("hashtable", "FG", 1)).name == "service"
         with pytest.raises(TypeError):
             family_of(("hashtable", "FG"))
+
+
+class TestRecordingPass:
+    HAZARD = FuzzCell("hashtable", "SLPMT", "manual-buggy-tombstone")
+
+    def test_stop_ends_the_pass_at_the_first_violation(self):
+        ops = generate_ops("hashtable", 10, 7)
+        cases = [("persist", point) for point in range(10, 20)]
+        results = run_cases(self.HAZARD, cases, seed=7, stop=True, ops=ops)
+        assert [r is not None for r in results] == [True] * 4 + [False] * 6
+        assert [r.violation is not None for r in results[:4]] == [False] * 3 + [True]
+
+    def test_a_judge_that_dies_names_its_case(self, monkeypatch):
+        family = family_of(ServiceCell("hashtable", "SLPMT", 1))
+
+        def broken(*args):
+            raise RuntimeError("judge bug")
+
+        monkeypatch.setattr(family, "judge", broken)
+        with pytest.raises(SimulationError, match=r"case persist:\d+ died: RuntimeError: judge bug"):
+            run_cell(ServiceCell("hashtable", "SLPMT", 1), budget=4, seed=7,
+                     num_clients=2, requests_per_client=4)
+
+
+class TestBatteryBackedCaches:
+    """A battery-backed crash drains volatile state into PM, which no
+    image captured at the crash site holds: the kernel refuses such a
+    config before anything runs."""
+
+    CONFIG = dataclasses.replace(STRESS_CONFIG, battery_backed_cache=True)
+
+    @pytest.fixture(autouse=True)
+    def nothing_builds(self, monkeypatch):
+        for cell in (FuzzCell("hashtable", "SLPMT", "manual"), ServiceCell("hashtable", "SLPMT", 1)):
+            family = family_of(cell)
+            monkeypatch.setattr(family, "build", self.unreachable)
+            monkeypatch.setattr(family, "share", self.unreachable)
+
+    @staticmethod
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected config must not run")
+
+    @pytest.mark.parametrize("run", [
+        lambda cell, config: run_cell(cell, budget=4, seed=7, config=config),
+        lambda cell, config: run_case(cell, "persist", 3, seed=7, config=config),
+        lambda cell, config: run_campaign([cell], budget=4, seed=7, config=config),
+    ], ids=["run_cell", "run_case", "run_campaign"])
+    @pytest.mark.parametrize("cell", [
+        FuzzCell("hashtable", "SLPMT", "manual"), ServiceCell("hashtable", "SLPMT", 1),
+    ], ids=str)
+    def test_rejected_before_any_run(self, run, cell):
+        with pytest.raises(CrashImageError, match="battery_backed_cache"):
+            run(cell, self.CONFIG)
+        assert issubclass(CrashImageError, ReproError)
 
 
 @pytest.mark.fuzz

@@ -83,3 +83,48 @@ class TestSnapshot:
         assert pm.words_equal(snap, [BASE, BASE + 8])
         pm.write_word(BASE + 8, 9)
         assert not pm.words_equal(snap, [BASE + 8])
+
+
+class TestDroppedDrainsKeepBothLogFormsInStep:
+    """Reverting durability groups must rewind the structural log the
+    way the byte stream rewinds: a committed transaction's records are
+    pruned from ``pm.log`` at commit, and dropping the group that holds
+    its commit marker must bring them back, or structural recovery skips
+    the rollback that byte recovery performs."""
+
+    def test_structural_recovery_equals_byte_recovery(self):
+        from repro.fuzz.campaign import FuzzCell
+        from repro.fuzz.kernel import Probe, clean_run, family_of, shared_knobs
+        from repro.recovery.engine import recover
+
+        cell = FuzzCell("rbtree", "SLPMT", "manual")
+        family = family_of(cell)
+        knobs = shared_knobs(cell, seed=7, num_ops=6)
+        events = clean_run(cell, seed=7, **knobs).events
+        run = family.build(cell, 7, knobs)
+        mode = run.machine.scheme.logging_mode
+        log_end = layout.PM_LOG_BASE + layout.PM_LOG_BYTES
+
+        def data(pm):
+            return {
+                a: v for a, v in pm._words.items()
+                if v and not layout.PM_LOG_BASE <= a < log_end
+            }
+
+        mismatches = []
+
+        def capture(point):
+            for count in (1, 2, 3):
+                structural = run.machine.pm.snapshot()
+                structural.drop_last_drains(count)
+                serialized = structural.snapshot()
+                recover(structural, mode=mode, from_bytes=False)
+                recover(serialized, mode=mode, from_bytes=True)
+                if data(structural) != data(serialized):
+                    mismatches.append((point, count))
+
+        run.machine.pm.arm_journal()
+        run.machine.probe_persists(Probe(range(events), capture))
+        family.execute(run)
+        assert events > 0
+        assert mismatches == []
