@@ -1,13 +1,14 @@
 """Byte-accurate encoding of the durable log region.
 
-The simulator keeps the durable log in two equivalent forms: the
-*structural* list on :class:`~repro.mem.pm.PersistentMemory` (fast to
-query, pruned on commit) and a *serialized* stream of words written into
-the PM log region at :data:`~repro.mem.layout.PM_LOG_BASE`.  The
-serialized form is what a real controller would see after a crash: this
-module defines the codec, and recovery can re-derive every entry purely
-from PM words (``repro.recovery.engine.recover(..., from_bytes=True)``),
-proving the byte stream alone carries the recovery protocol.
+The simulator keeps the durable log as one extent store, a live index
+and a view on :class:`~repro.mem.pm.PersistentMemory` (the *structural*
+log, fast to query, pruned on commit) over a *serialized* stream of
+words written into the PM log region at
+:data:`~repro.mem.layout.PM_LOG_BASE`.  The serialized form is what a
+real controller would see after a crash: this module defines the codec,
+and recovery can re-derive every entry purely from PM words
+(``repro.recovery.engine.recover(..., from_bytes=True)``), proving the
+byte stream alone carries the recovery protocol.
 
 Stream wire format, version 1 (64-bit words):
 

@@ -6,10 +6,11 @@ apply writes here the moment the WPQ accepts them — the store therefore
 always holds exactly the post-crash contents of the media plus the
 drained queue.
 
-The log region is kept in two equivalent forms: the *structural*
-append-only list of :class:`DurableLogEntry` (fast to query, pruned on
-commit) and the *serialized* word stream the codec in
-:mod:`repro.mem.logregion` defines (versioned header, per-entry CRC).
+The log region is one extent store, a live index and a view: each
+append is *serialized* with the codec in :mod:`repro.mem.logregion`
+(versioned header, per-entry CRC) and placed in ``log_extents``; a
+per-``tx_seq`` index of live positions is pruned on commit in O(that
+transaction); ``log`` is the *structural* view of the live entries.
 Byte/line accounting for the log's *traffic* is done by the log buffer
 and machine, which know the packed record sizes.
 
@@ -18,8 +19,8 @@ consistent: a :class:`repro.faults.model.FaultModel` attached to
 :attr:`fault_model` can tear the in-flight append at a word boundary,
 flip bits in serialized entries, or (via the write journal armed with
 :meth:`arm_journal`) revert the last N durability groups, modelling WPQ
-drains that never reached media.  Every injection updates the structural
-list and the damage ledger (:attr:`log_damage`) to mirror exactly what
+drains that never reached media.  Every injection updates the live
+index and the damage ledger (:attr:`log_damage`) to mirror exactly what
 the serialized stream now carries.
 """
 
@@ -35,6 +36,7 @@ from repro.mem import layout
 _logregion = None
 _PM_BASE = layout.PM_BASE
 _WORD_MASK = ~(units.WORD_BYTES - 1)
+_LOG_END = layout.PM_LOG_BASE + layout.PM_LOG_BYTES
 
 
 def _logregion_module():
@@ -107,29 +109,29 @@ class _JournalGroup:
     cursor0: int
     writes: List[Tuple[int, Optional[int]]] = field(default_factory=list)
     appends: int = 0
-    #: Structural-log prunes made in this group, in order: each lists
-    #: the ``(index, entry)`` pairs one :meth:`PersistentMemory.
-    #: log_discard_tx` removed, ascending.  Prunes never touch media,
-    #: so they do not make a group a durability group of their own.
-    prunes: List[List[Tuple[int, DurableLogEntry]]] = field(default_factory=list)
+    #: Live-index prunes made in this group, in order: the ``(tx_seq,
+    #: positions)`` each :meth:`PersistentMemory.log_discard_tx` popped.
+    #: Prunes never touch media, so they do not make a group a
+    #: durability group of their own.
+    prunes: List[Tuple[int, Tuple[int, ...]]] = field(default_factory=list)
 
 
 @dataclass
 class PersistentMemory:
-    """Durable word store + the log region in two equivalent forms.
+    """Durable word store + the log region: extents, live index, view.
 
-    ``log`` is the structural list (pruned after commit/abort); the same
-    entries are also *serialized* as words into the PM log region at
+    Entries are *serialized* into the PM log region at
     :data:`~repro.mem.layout.PM_LOG_BASE` (append-only, markers make
     stale records inert), so recovery can run from raw bytes — see
-    :mod:`repro.mem.logregion`.
+    :mod:`repro.mem.logregion`; :attr:`log` views the live ones.
     """
 
     _words: Dict[int, int] = field(default_factory=dict)
-    log: List[DurableLogEntry] = field(default_factory=list)
     _log_cursor: int = layout.PM_LOG_BASE
-    #: Serialized placement of every appended entry, in append order.
+    #: Every appended entry and its placement, in append order.
     log_extents: List[LogExtent] = field(default_factory=list)
+    #: Live index: tx_seq -> ascending positions in :attr:`log_extents`.
+    _live: Dict[int, List[int]] = field(default_factory=dict)
     #: Structural ledger of injected media damage, mirroring what the
     #: serialized stream's checksums would reveal (see module docstring).
     log_damage: List["object"] = field(default_factory=list)
@@ -183,6 +185,12 @@ class PersistentMemory:
 
     # --- log region -----------------------------------------------------
 
+    @property
+    def log(self) -> List[DurableLogEntry]:
+        """The structural log: live entries in append order (a copy)."""
+        live = sorted(p for ps in self._live.values() for p in ps)
+        return [self.log_extents[p].entry for p in live]
+
     def log_append(self, entry: DurableLogEntry) -> None:
         index = self.log_appends
         self.log_appends = index + 1
@@ -193,19 +201,11 @@ class PersistentMemory:
         self.append_clean(entry)
 
     def append_clean(self, entry: DurableLogEntry) -> None:
-        """The undamaged append path: structural list + serialization."""
-        self.log.append(entry)
-        self._serialize(entry)
-        if self._journal is not None:
-            self._journal[-1].appends += 1
-
-    def _serialize(self, entry: DurableLogEntry) -> None:
-        logregion = _logregion_module()
-
-        words = logregion.encode_entry(entry)
+        """The undamaged append path: serialize, then index live."""
+        words = _logregion_module().encode_entry(entry)
         start = self._next_entry_start()
         end = start + len(words) * units.WORD_BYTES
-        if end > layout.PM_LOG_BASE + layout.PM_LOG_BYTES:
+        if end > _LOG_END:
             raise SimulationError("PM log region exhausted")
         if self._journal is None:
             store = self._words
@@ -214,17 +214,21 @@ class PersistentMemory:
         else:
             for i, word in enumerate(words):
                 self._raw_store(start + i * units.WORD_BYTES, word)
+            self._journal[-1].appends += 1
         self._log_cursor = end
-        self.log_extents.append(
-            LogExtent(start=start, nwords=len(words), entry=entry)
-        )
+        extents = self.log_extents
+        positions = self._live.get(entry.tx_seq)
+        if positions is None:
+            self._live[entry.tx_seq] = [len(extents)]
+        else:
+            positions.append(len(extents))
+        extents.append(LogExtent(start, len(words), entry))
 
     def _next_entry_start(self) -> int:
         """Cursor for the next entry, writing the v1 stream header first
         if this is the very first append into a pristine region."""
-        from repro.mem import logregion
-
         if self._log_cursor == layout.PM_LOG_BASE:
+            logregion = _logregion_module()
             for i, word in enumerate(logregion.stream_header_words()):
                 self._raw_store(
                     layout.PM_LOG_BASE + i * units.WORD_BYTES, word
@@ -238,9 +242,8 @@ class PersistentMemory:
         """Upper parse bound: past everything ever written to the log
         region (hand-written words included), so the tolerant
         decoder's is-anything-after-this scan stays cheap."""
-        end = layout.PM_LOG_BASE + layout.PM_LOG_BYTES
         top = max(
-            (a for a in self._words if layout.PM_LOG_BASE <= a < end),
+            (a for a in self._words if layout.PM_LOG_BASE <= a < _LOG_END),
             default=None,
         )
         limit = self._log_cursor
@@ -250,33 +253,29 @@ class PersistentMemory:
 
     def parse_byte_log(self) -> List[DurableLogEntry]:
         """Re-derive every entry from the serialized PM words (what a
-        controller sees post-crash).  Includes entries the structural
-        list already pruned; markers keep them inert.  Strict: raises
+        controller sees post-crash).  Includes entries the live index
+        already pruned; markers keep them inert.  Strict: raises
         :class:`~repro.common.errors.LogParseError` on damaged media."""
-        from repro.mem import logregion
-
-        return logregion.strict_entries(self.parse_byte_log_tolerant())
+        return _logregion_module().strict_entries(
+            self.parse_byte_log_tolerant()
+        )
 
     def parse_byte_log_tolerant(self) -> "object":
         """Tolerant parse of the serialized region: never raises,
         classifies torn/corrupt entries (see
         :func:`repro.mem.logregion.decode_region`)."""
-        from repro.mem import logregion
-
-        return logregion.decode_region(
+        return _logregion_module().decode_region(
             lambda addr: self._words.get(addr, 0),
             layout.PM_LOG_BASE,
             self._log_limit(),
         )
 
     def structural_parsed(self) -> "object":
-        """The structural list presented as a parse result, including
+        """The structural view presented as a parse result, including
         the damage ledger — the fast-path twin of
         :meth:`parse_byte_log_tolerant` for pristine-or-injected media."""
-        from repro.mem import logregion
-
-        parsed = logregion.ParsedLog()
-        parsed.entries = list(self.log)
+        parsed = _logregion_module().ParsedLog()
+        parsed.entries = self.log
         for damage in self.log_damage:
             if damage.reason == "torn" and parsed.torn_tail is None:
                 parsed.torn_tail = damage
@@ -285,42 +284,45 @@ class PersistentMemory:
         return parsed
 
     def log_reset(self) -> None:
-        """Erase the whole log region (structural, serialized, damage).
+        """Erase the whole log region (extents, index, words, damage).
 
         Recovery calls this once replay and application hooks succeeded:
         afterwards a second recovery is a no-op, which is what makes
         ``recover(); recover()`` ≡ ``recover()``.
         """
-        end = layout.PM_LOG_BASE + layout.PM_LOG_BYTES
-        for addr in [a for a in self._words if layout.PM_LOG_BASE <= a < end]:
+        for addr in [a for a in self._words if layout.PM_LOG_BASE <= a < _LOG_END]:
             del self._words[addr]
-        self.log.clear()
         self.log_extents.clear()
+        self._live.clear()
         self.log_damage.clear()
         self._log_cursor = layout.PM_LOG_BASE
         if self._journal is not None:
             self._journal = [_JournalGroup(cursor0=self._log_cursor)]
 
     def log_discard_tx(self, tx_seq: int) -> None:
-        """Reclaim the (now useless) records of a committed transaction.
+        """Reclaim the (now useless) records of a committed transaction
+        in O(its records).
 
         With the write journal armed the prune is journaled, so reverting
         the group that holds the transaction's commit marker restores its
         records too: the byte stream never prunes, and the two log forms
         must recover alike."""
-        if self._journal is None:
-            self.log = [e for e in self.log if e.tx_seq != tx_seq]
-            return
-        pruned = [(i, e) for i, e in enumerate(self.log) if e.tx_seq == tx_seq]
-        if pruned:
-            self.log = [e for e in self.log if e.tx_seq != tx_seq]
-            self._journal[-1].prunes.append(pruned)
+        positions = self._live.pop(tx_seq, None)
+        if positions is not None and self._journal is not None:
+            self._journal[-1].prunes.append((tx_seq, tuple(positions)))
 
     def log_entries_for(self, tx_seq: int) -> List[DurableLogEntry]:
-        return [e for e in self.log if e.tx_seq == tx_seq]
+        extents = self.log_extents
+        return [extents[p].entry for p in self._live.get(tx_seq, ())]
 
-    def committed_tx_seqs(self) -> "set[int]":
-        return {e.tx_seq for e in self.log if e.kind == "commit"}
+    def _unlink(self, position: int) -> None:
+        """Drop extent *position* from the live index, if it is there."""
+        tx_seq = self.log_extents[position].entry.tx_seq
+        positions = self._live.get(tx_seq, [])
+        if position in positions:
+            positions.remove(position)
+            if not positions:
+                del self._live[tx_seq]
 
     @staticmethod
     def resolved_tx_seqs(entries: List[DurableLogEntry]) -> "set[int]":
@@ -328,15 +330,14 @@ class PersistentMemory:
         rolled back by an in-place abort (both leave markers)."""
         return {e.tx_seq for e in entries if e.kind in ("commit", "abort")}
 
-    # --- media fault injection (serialized + structural, in lockstep) ---
+    # --- media fault injection (serialized stream + live index) ---------
 
     def serialize_partial(self, entry: DurableLogEntry, cut_words: int) -> int:
         """Apply a torn append: only the first *cut_words* wire words of
         *entry* reach the media (8-byte-atomic controller, power cut
-        mid-append).  The structural list never sees the entry; the
-        damage ledger records the tear.  Returns the header offset."""
-        from repro.mem import logregion
-
+        mid-append).  No extent is placed and the damage ledger records
+        the tear.  Returns the header offset."""
+        logregion = _logregion_module()
         words = logregion.encode_entry(entry)
         if not 0 <= cut_words <= len(words):
             raise SimulationError(
@@ -358,12 +359,10 @@ class PersistentMemory:
     def flip_serialized_bit(self, append_index: int, word: int, bit: int) -> int:
         """Flip one bit of the *append_index*-th serialized entry.
 
-        The structural twin is removed and the damage ledger updated, so
-        both views agree the entry is untrustworthy — exactly what the
-        byte stream's checksum will report.  Returns the flipped word's
-        PM address."""
-        from repro.mem import logregion
-
+        The extent leaves the live index and the damage ledger is
+        updated, so both views agree the entry is untrustworthy —
+        exactly what the byte stream's checksum will report.  Returns
+        the flipped word's PM address."""
         extent = self.log_extents[append_index]
         if not 0 <= word < extent.nwords:
             raise SimulationError(
@@ -371,12 +370,9 @@ class PersistentMemory:
             )
         addr = extent.start + word * units.WORD_BYTES
         self._raw_store(addr, self._words.get(addr, 0) ^ (1 << bit))
-        for i in range(len(self.log) - 1, -1, -1):
-            if self.log[i] is extent.entry:
-                del self.log[i]
-                break
+        self._unlink(append_index)
         self.log_damage.append(
-            logregion.DamagedEntry(
+            _logregion_module().DamagedEntry(
                 offset=extent.start,
                 reason="checksum",
                 kind=extent.entry.kind,
@@ -407,17 +403,18 @@ class PersistentMemory:
 
     def drop_last_drains(self, count: int) -> int:
         """Revert the last *count* durability groups: those WPQ drains
-        never reached media (an ADR/battery failure).  Both the word
-        store and the structural log rewind together (journaled prunes
+        never reached media (an ADR/battery failure).  The word store,
+        the extents and the live index rewind together (journaled prunes
         included).  Returns how many groups were actually reverted."""
         if self._journal is None:
             raise SimulationError("journal not armed; call arm_journal() first")
         dropped = 0
         while dropped < count and self._journal:
             group = self._journal.pop()
-            for pruned in reversed(group.prunes):
-                for index, entry in pruned:
-                    self.log.insert(index, entry)
+            for tx_seq, positions in reversed(group.prunes):
+                # Records appended after the prune sort after it; the
+                # journal's tuple is copied, never adopted.
+                self._live[tx_seq] = [*positions, *self._live.get(tx_seq, ())]
             if not (group.writes or group.appends):
                 continue
             for addr, prior in reversed(group.writes):
@@ -427,11 +424,8 @@ class PersistentMemory:
                     self._words[addr] = prior
             for _ in range(group.appends):
                 if self.log_extents:
-                    extent = self.log_extents.pop()
-                    for i in range(len(self.log) - 1, -1, -1):
-                        if self.log[i] is extent.entry:
-                            del self.log[i]
-                            break
+                    self._unlink(len(self.log_extents) - 1)
+                    self.log_extents.pop()
             self._log_cursor = group.cursor0
             dropped += 1
         if not self._journal:
@@ -441,9 +435,9 @@ class PersistentMemory:
     # --- introspection -------------------------------------------------
 
     def snapshot(self) -> "PersistentMemory":
-        """Deep copy of the durable image: the words, both log forms, the
-        damage ledger, the append clock and, when armed, the write
-        journal.  The fault model is not carried over."""
+        """Deep copy of the durable image: the words, the extents and
+        live index, the damage ledger, the append clock and, when armed,
+        the write journal.  The fault model is not carried over."""
         journal = self._journal
         if journal is not None:
             journal = [
@@ -452,9 +446,9 @@ class PersistentMemory:
             ]
         return PersistentMemory(
             _words=dict(self._words),
-            log=list(self.log),
             _log_cursor=self._log_cursor,
             log_extents=list(self.log_extents),
+            _live={t: list(ps) for t, ps in self._live.items()},
             log_damage=list(self.log_damage),
             log_appends=self.log_appends,
             _journal=journal,

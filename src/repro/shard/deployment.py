@@ -1,10 +1,10 @@
 """The N-shard deployment: hash-routed serving over independent systems.
 
 Each shard is a complete single-core system behind the PR 6 service
-stack — its own :class:`~repro.mem.pm.PersistentMemory`, allocator,
-durable structure, resource manager and transaction manager — built as a
-one-core :class:`~repro.multicore.system.MultiCoreSystem` so shards stay
-upgrade-compatible with the contention scheduler.  A
+stack — its own :class:`~repro.core.machine.Machine` and
+:class:`~repro.mem.pm.PersistentMemory`, allocator, durable structure,
+resource manager and transaction manager, built the way
+:class:`~repro.service.server.TransactionService` builds its node.  A
 :class:`~repro.shard.router.HashRouter` sends single-key traffic to its
 home shard; multi-key transactions that span shards go through the
 :class:`~repro.shard.twopc.Coordinator`'s presumed-abort two-phase
@@ -44,11 +44,14 @@ from repro.common import units
 from repro.common.config import DEFAULT_CONFIG, SystemConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import SimStats
+from repro.core.machine import Machine
 from repro.core.schemes import scheme_by_name
 from repro.mem.pm import DurableLogEntry
-from repro.multicore.system import MultiCoreSystem, run_atomically
+from repro.multicore.system import run_atomically
 from repro.obs.context import TraceContext, for_request
 from repro.obs.profiler import CycleProfiler
+from repro.runtime.hints import MANUAL
+from repro.runtime.ptx import PTx
 from repro.service.admission import AdmissionPolicy
 from repro.service.model import Request, Response, arrival_gaps, generate_streams
 from repro.service.rm import ResourceManager
@@ -129,7 +132,7 @@ class ShardedConfig:
 
 
 class ShardNode:
-    """One shard: a single-core system plus its 2PC participant half.
+    """One shard: a single-core machine plus its 2PC participant half.
 
     The participant contract (what the coordinator calls):
 
@@ -155,9 +158,8 @@ class ShardNode:
         self.shard_id = shard_id
         self.cfg = cfg
         self.request_tracer = request_tracer
-        self.system = MultiCoreSystem(1, scheme_by_name(cfg.scheme), config)
-        self.machine = self.system.cores[0]
-        self.rt = self.system.runtimes[0]
+        self.machine = Machine(scheme_by_name(cfg.scheme), config)
+        self.rt = PTx(self.machine, policy=MANUAL)
         self.profiler = CycleProfiler()
         self.profiler.bind(self.machine.now)
         self.machine.profiler = self.profiler
@@ -395,16 +397,9 @@ class ShardedDeployment:
         return out
 
     def crash(self) -> None:
-        """Power-fail every node *directly at the machine level* (the
-        one-core scheduler never runs, so it must not enter its crashed
-        state — recovery re-apply transactions still need checkpoints to
-        no-op)."""
-        if self.service is not None:
-            self.service.machine.crash()
-            return
-        self.coordinator.machine.crash()
-        for node in self.nodes:
-            node.machine.crash()
+        """Power-fail every machine, the coordinator first."""
+        for _, machine in self.all_machines():
+            machine.crash()
 
     # --- serving ---------------------------------------------------------
 

@@ -52,7 +52,7 @@ class TestLogRegion:
     def test_commit_markers(self):
         pm = PersistentMemory()
         pm.log_append(DurableLogEntry("commit", tx_seq=3))
-        assert pm.committed_tx_seqs() == {3}
+        assert [e.tx_seq for e in pm.log if e.kind == "commit"] == [3]
 
     def test_discard_tx(self):
         pm = PersistentMemory()

@@ -198,3 +198,24 @@ class TestGtxNamespace:
         assert all(gtx > GTX_BASE for gtx in dep.fates)
         # Local per-core seqs live at core_id * 10**12 + n — far below.
         assert GTX_BASE > 8 * 10**12
+
+
+class TestLiveLog:
+    """Each shard is a plain single-core machine, and a commit reclaims
+    its transaction's records at once: after serving, the live
+    structural log on every node holds only 2PC history."""
+
+    def test_no_local_record_outlives_its_commit(self):
+        mix = {"put": 0.40, "get": 0.20, "scan": 0.05, "txn": 0.35}
+        dep = ShardedDeployment(
+            small_cfg(num_shards=4, mix=mix, requests_per_client=20),
+            config=STRESS_CONFIG,
+        )
+        dep.serve()
+        assert dep.batches and dep.fates, "run must commit local and global work"
+        for label, machine in dep.all_machines():
+            assert machine.pm.log, label
+            assert all(e.tx_seq >= GTX_BASE for e in machine.pm.log), label
+        for node in dep.nodes:
+            assert node.machine.checkpoint is None
+            assert node.machine.coherence is None
