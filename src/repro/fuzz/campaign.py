@@ -49,7 +49,14 @@ from repro.common.config import DEFAULT_CONFIG, CacheConfig, SystemConfig
 from repro.common.errors import PowerFailure, SimulationError
 from repro.core.machine import Machine
 from repro.core.schemes import scheme_by_name
-from repro.fuzz.invariants import InvariantViolation, State, Subject, durable_state, make_subject
+from repro.fuzz.invariants import (
+    INPLACE_SLOTS,
+    InvariantViolation,
+    State,
+    Subject,
+    durable_state,
+    make_subject,
+)
 from repro.fuzz.kernel import (
     REST,
     Family,
@@ -57,8 +64,12 @@ from repro.fuzz.kernel import (
     Violation,
     accept,
     durable_image,
+    is_count,
     oracle_states,
     register,
+    require,
+    require_block,
+    require_choice,
     run_case,
     run_cell,
     structural,
@@ -305,6 +316,22 @@ def generate_ops(workload: str, num_ops: int, seed: int) -> List[Op]:
     return ops
 
 
+def require_ops(ops, workload: str) -> None:
+    """A reproducer's op list: ``[kind, key, value]`` ops of the kinds
+    :func:`generate_ops` draws for *workload*, with word-sized keys and
+    values (and, in place, a key that names a slot)."""
+    kinds = ("update", "checkpoint") if workload == "inplace" else WORKLOADS[workload].fuzz_ops
+    keys = INPLACE_SLOTS if workload == "inplace" else 1 << 64
+    require(isinstance(ops, list), "ops", ops, "a list of [kind, key, value] ops")
+    for i, op in enumerate(ops):
+        require(
+            isinstance(op, list) and len(op) == 3 and op[0] in kinds
+            and is_count(op[1]) and op[1] < keys and is_count(op[2]) and op[2] < 1 << 64,
+            f"ops[{i}]", op, f"[kind, key, value]: kind one of {list(kinds)}, "
+            f"key in [0, {keys}), value in [0, 2**64)",
+        )
+
+
 def apply_op(subject: Subject, op: Op) -> None:
     """Apply one driver op to a live subject (one durable operation)."""
     kind, key, value = op[0], op[1], op[2]
@@ -534,6 +561,9 @@ class CrashFamily(Family):
         )
 
     def thaw(self, rep):
+        require_choice("workload", rep.workload, SUBJECTS)
+        require_ops(rep.ops, rep.workload)
+        require_choice("crash_kind", rep.crash_kind, ("persist", "instr"))
         cell = FuzzCell(rep.workload, rep.scheme, rep.policy)
         return cell, 0, dict(ops=rep.ops, value_bytes=rep.value_bytes)
 
@@ -1156,7 +1186,16 @@ class ServiceFamily(Family):
         )
 
     def thaw(self, rep):
+        require_choice("workload", rep.workload, WORKLOADS)
+        require(rep.ops == [], "ops", rep.ops, "[] (a service case replays its requests)")
+        require_choice("crash_kind", rep.crash_kind, ("persist", "instr"))
+        require(rep.fault is None, "fault", rep.fault, "null")
         service = rep.service
+        require_block(
+            "service", service,
+            {"batch_size": 1, "num_clients": 1, "requests_per_client": 1, "seed": None},
+            flags=("locking",),
+        )
         cell = ServiceCell(
             rep.workload, rep.scheme, service["batch_size"], locking=service["locking"]
         )

@@ -21,8 +21,12 @@ the other families; override with ``--out``) and exits 1 when any
 invariant violation was found, 2 when a cell's worker crashed.  Every
 violation of a family with reproducers is shrunk to a minimal one and
 saved as ``<prefix>_repro_<n>.json`` next to the report.  Malformed
-campaign input — a budget below 1, an unknown scheme, workload or fault
-kind — is a usage error before any cell runs.
+campaign input is a usage error before any cell runs: a budget, op
+count, key count or duration below 1, a value size that is not a
+positive multiple of the word size, or an unknown or empty scheme,
+workload or fault-kind list.  A reproducer file ``--replay`` cannot use
+is one stderr line and exit 1 (2 when its fault coordinates lie beyond
+the log entry they damage, which only the replay can tell).
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ import os
 import sys
 from typing import List, Sequence
 
-from repro.common.errors import ReproError
+from repro.common.errors import ArtifactError, ReproError, SimulationError
+from repro.common.units import WORD_BYTES
 from repro.core.schemes import scheme_by_name
 from repro.faults import FAULT_KINDS
 from repro.fuzz.campaign import (
@@ -66,10 +71,19 @@ _FILES = {
 }
 
 
-def _budget(text: str) -> int:
+def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _value_bytes(text: str) -> int:
+    value = int(text)
+    if value < 1 or value % WORD_BYTES:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive multiple of {WORD_BYTES}, got {value}"
+        )
     return value
 
 
@@ -78,15 +92,16 @@ def _parser() -> argparse.ArgumentParser:
         prog="python -m repro fuzz",
         description="Deterministic crash-consistency fuzzing campaign.",
     )
-    parser.add_argument("--budget", type=_budget, default=None,
+    parser.add_argument("--budget", type=_positive, default=None,
                         help="crash cases per cell (default 200; 24 for "
                              "the sampled cells of --faults)")
     parser.add_argument("--seed", type=int, default=7,
                         help="campaign RNG seed (default 7)")
-    parser.add_argument("--ops", type=int, default=10,
+    parser.add_argument("--ops", type=_positive, default=10,
                         help="operations per cell (default 10)")
-    parser.add_argument("--value-bytes", type=int, default=32,
-                        help="value payload size (default 32)")
+    parser.add_argument("--value-bytes", type=_value_bytes, default=32,
+                        help="value payload size, a positive multiple of "
+                             f"{WORD_BYTES} (default 32)")
     parser.add_argument("--workloads", type=str, default=None,
                         help="comma-separated subject filter")
     parser.add_argument("--schemes", type=str, default=None,
@@ -123,7 +138,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--batches", type=str, default="1,8",
                         help="comma-separated group-commit batch sizes for "
                              "--service (default 1,8)")
-    parser.add_argument("--duration", type=int, default=None,
+    parser.add_argument("--duration", type=_positive, default=None,
                         metavar="CYCLES",
                         help="run each --service cell in duration mode: "
                              "clients submit until the simulated clock "
@@ -135,7 +150,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--thetas", type=str, default="0,0.9",
                         help="comma-separated zipfian skews for --multicore "
                              "(default 0,0.9)")
-    parser.add_argument("--num-keys", type=int, default=16,
+    parser.add_argument("--num-keys", type=_positive, default=16,
                         help="shared key-population size for --multicore "
                              "(default 16)")
     parser.add_argument("--jobs", type=int, default=None,
@@ -159,7 +174,7 @@ def _names(parser, flag: str, text: str, known: Sequence[str]) -> List[str]:
 
 
 def _schemes(parser, args, default: Sequence[str]) -> List[str]:
-    if not args.schemes:
+    if args.schemes is None:
         return list(default)
     schemes = [name.strip() for name in args.schemes.split(",")]
     for name in schemes:
@@ -171,7 +186,7 @@ def _schemes(parser, args, default: Sequence[str]) -> List[str]:
 
 
 def _workloads(parser, args, known: Sequence[str]) -> List[str]:
-    if not args.workloads:
+    if args.workloads is None:
         return ["hashtable"]
     return _names(parser, "--workloads", args.workloads, known)
 
@@ -188,10 +203,10 @@ def _numbers(parser, flag: str, text: str, kind, least, why: str) -> list:
 
 def _crash_grid(parser, args):
     cells = list(DEFAULT_CELLS)
-    if args.workloads:
+    if args.workloads is not None:
         wanted = set(_names(parser, "--workloads", args.workloads, SUBJECTS))
         cells = [c for c in cells if c.workload in wanted]
-    if args.schemes:
+    if args.schemes is not None:
         wanted = set(_schemes(parser, args, ()))
         cells = [c for c in cells if c.scheme in wanted]
     return cells, dict(num_ops=args.ops, value_bytes=args.value_bytes)
@@ -199,11 +214,11 @@ def _crash_grid(parser, args):
 
 def _faults_grid(parser, args):
     subjects = SUBJECTS
-    if args.workloads:
+    if args.workloads is not None:
         wanted = set(_names(parser, "--workloads", args.workloads, SUBJECTS))
         subjects = [s for s in SUBJECTS if s in wanted]
     kinds = list(FAULT_KINDS)
-    if args.fault_kinds:
+    if args.fault_kinds is not None:
         kinds = _names(parser, "--fault-kinds", args.fault_kinds, FAULT_KINDS)
     cells = default_fault_cells(
         subjects=subjects,
@@ -232,7 +247,7 @@ def _multicore_grid(parser, args):
 def _service_grid(parser, args):
     batches = _numbers(parser, "--batches", args.batches, int, 1, "positive batch sizes")
     knobs = dict(value_bytes=args.value_bytes, duration_cycles=args.duration)
-    if not (args.workloads or args.schemes or args.batches != "1,8"):
+    if args.workloads is None and args.schemes is None and args.batches == "1,8":
         # No grid filters: the default grid, including the composite
         # multi-structure cells behind the wound-wait lock manager.
         return list(DEFAULT_SERVICE_CELLS), knobs
@@ -292,11 +307,19 @@ def _replay_main(path: str) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rep = Reproducer.from_json(fh.read())
-    except OSError as exc:
-        raise SystemExit(f"cannot read reproducer: {exc}")
-    except (ValueError, TypeError, KeyError) as exc:
-        raise SystemExit(f"{path} is not a valid reproducer file: {exc}")
-    result = replay(rep)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read reproducer: {exc}", file=sys.stderr)
+        return 1
+    except ArtifactError as exc:
+        print(f"{path} is not a valid reproducer file: {exc}", file=sys.stderr)
+        return 1
+    try:
+        result = replay(rep)
+    except SimulationError as exc:
+        # Coordinates the run cannot apply (a flipped word or a cut
+        # beyond its entry) only show once the replay reaches them.
+        print(f"replaying {path} failed: {exc}", file=sys.stderr)
+        return 2
     print(f"replaying {path}: {rep.workload}/{rep.scheme}/{rep.policy} "
           f"@{rep.crash_kind}:{rep.crash_point} ({len(rep.ops)} ops)")
     if result.violation is None:
@@ -376,7 +399,7 @@ def fuzz_main(argv: "List[str] | None" = None) -> int:
         (n for n in ("faults", "multicore", "service", "twopc") if getattr(args, n)),
         "crash",
     )
-    if args.fault_kinds and name != "faults":
+    if args.fault_kinds is not None and name != "faults":
         parser.error("--fault-kinds requires --faults")
     if args.duration is not None and name != "service":
         parser.error("--duration requires --service")

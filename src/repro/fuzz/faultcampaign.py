@@ -37,9 +37,9 @@ from types import SimpleNamespace
 from typing import List, Sequence, Tuple
 
 from repro.common.errors import SimulationError
-from repro.faults import FaultModel
+from repro.faults import FAULT_KINDS, FaultModel
 from repro.faults.model import tear_points
-from repro.fuzz.campaign import _STRESS, STRESS_CONFIG, SUBJECTS, CrashFamily
+from repro.fuzz.campaign import _STRESS, STRESS_CONFIG, SUBJECTS, CrashFamily, require_ops
 from repro.fuzz.invariants import InvariantViolation
 from repro.fuzz.kernel import (
     Pool,
@@ -48,6 +48,8 @@ from repro.fuzz.kernel import (
     judge_media,
     plan_fault,
     register,
+    require_choice,
+    require_fault,
     structural,
 )
 from repro.recovery.engine import recover
@@ -285,6 +287,10 @@ class FaultFamily(CrashFamily):
         return f"{exhaustive} with exhaustive torn-tail coverage"
 
     def thaw(self, rep):
+        require_choice("workload", rep.workload, SUBJECTS)
+        require_ops(rep.ops, rep.workload)
+        require_choice("crash_kind", rep.crash_kind, ("fault",))
+        require_fault(rep.fault, FAULT_KINDS, {})
         cell = FaultCell(rep.workload, rep.scheme, rep.fault["kind"])
         return cell, 0, dict(ops=rep.ops, value_bytes=rep.value_bytes)
 

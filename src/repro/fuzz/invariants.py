@@ -44,11 +44,15 @@ class InvariantViolation(Exception):
         self.message = message
 
 
+#: Slots of the fuzzed in-place table.
+INPLACE_SLOTS = 32
+
+
 def make_subject(workload: str, rt: PTx, *, value_bytes: int = 32) -> Subject:
     """Instantiate a fuzz subject by name (workload names plus
     ``"inplace"`` for the Section V-A in-place table)."""
     if workload == "inplace":
-        return InPlaceTable(rt, num_slots=32, seq_capacity=256)
+        return InPlaceTable(rt, num_slots=INPLACE_SLOTS, seq_capacity=256)
     return WORKLOADS[workload](rt, value_bytes=value_bytes)
 
 

@@ -19,8 +19,9 @@ A family is a :class:`Family` and supplies:
 * ``site(kind, point)`` / ``probe(run, site, probe)`` — where a case's
   crash lands in a run, and how a recording pass arms a capture
   :class:`Probe` there;
-* ``load_image(shell, run, kind, point, entry)`` — copy the crash image
-  of a live run paused at a crash point into a freshly built shell;
+* ``load_image(shell, run, kind, point, entry)`` — make the cell's shell
+  the crash image of a live run paused at a crash point, replacing
+  whatever the previous case loaded and its judge wrote;
 * ``judge(run, kind, point)`` — power off, recover, and check the
   durable image, raising :class:`~repro.fuzz.invariants.
   InvariantViolation` on failure;
@@ -46,13 +47,19 @@ clean run executes — arms a :class:`Probe` at every crash site its
 cases use (the persist countdown, the instruction checkpoint, a
 scheduler turn switch, a 2PC protocol step, a log append), and where a
 case would crash the site hands the live run to the kernel instead.
-Each case at that point builds a fresh *shell* (sharing no mutable
-state with the live run), loads a copy of the image into it — every
-machine's PM, the volatile facts the judge reads, the fault damage its
-coordinates call for — and the family's one judge recovers and checks
-the shell, on the spot.  Images are never held, so memory stays at one
-run plus one shell.  :func:`play` keeps the old way, build → arm → run
-→ crash → judge on the live crashed run, as the tests' reference.
+The pass also builds one *shell*: a second build of the same subject
+that shares no mutable state with the run.  Each case at that point
+loads a copy of the image into the shell (every machine's PM, the
+volatile facts the judge reads, the fault damage its coordinates call
+for), and the family's one judge recovers and checks the shell, on the
+spot.  A load is a total reload: it assigns everything the judge reads
+or a previous judge may have written, and every judge opens with a
+power failure that clears the rest (caches, log buffer, signatures,
+transaction IDs, WPQ).  So a case judged after others reads as it
+would on a shell of its own.  Images are never held, so memory stays
+at one run plus one shell.  :func:`play` keeps the old way, build →
+arm → run → crash → judge on the live crashed run, as the tests'
+reference.
 
 Everything is seeded and free of wall-clock time: a cell's sampled
 points derive from the family's seed string for ``(cell, seed)`` alone,
@@ -69,6 +76,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import (
+    ArtifactError,
     LogChecksumError,
     PowerFailure,
     RecoveryError,
@@ -279,11 +287,16 @@ class Family:
         raise NotImplementedError
 
     def load_image(self, shell, run, kind: str, point, entry) -> None:
-        """Make the fresh *shell* the crash image of the live *run*,
-        paused at the case's crash point: copies of every machine's PM
-        and of the volatile facts :meth:`judge` reads, plus the damage
-        the case's media fault does (*entry*: the log entry an append
-        site was about to write, else None)."""
+        """Make *shell* the crash image of the live *run*, paused at the
+        case's crash point: copies of every machine's PM and of the
+        volatile facts :meth:`judge` reads, plus the damage the case's
+        media fault does (*entry*: the log entry an append site was
+        about to write, else None).
+
+        The shell is the cell's one shell, already judged for earlier
+        cases: assign every field the judge reads or a previous judge
+        may have written, None included, never only when the live run
+        has a value."""
         raise NotImplementedError
 
     def arm(self, run, kind: str, point) -> None:
@@ -332,7 +345,9 @@ class Family:
         raise NotImplementedError
 
     def thaw(self, rep) -> Tuple[Any, int, Dict]:
-        """``(cell, seed, knobs)`` that replay a reproducer."""
+        """``(cell, seed, knobs)`` that replay a reproducer; an
+        :class:`ArtifactError` (:func:`require`) naming the first of the
+        family's own fields a replay could not use."""
         raise NotImplementedError
 
 
@@ -459,6 +474,7 @@ def _record(
     died: List[Tuple[int, Exception]] = []
     stopped: List[int] = []
     run = family.build(cell, seed, knobs)
+    shell = family.build(cell, seed, knobs)
 
     def capturing(site: str) -> Callable[..., None]:
         def capture(clock: int, entry=None) -> None:
@@ -468,7 +484,6 @@ def _record(
             for index in at[site][clock]:
                 kind, point = cases[index]
                 try:
-                    shell = family.build(cell, seed, knobs)
                     family.load_image(shell, run, kind, point, entry)
                     results[index] = _verdict(family, shell, kind, point, True, outcome)
                 except Exception as exc:  # a harness failure, not a judged violation
@@ -688,6 +703,71 @@ def plan_fault(fault: Dict) -> FaultModel:
     if kind == "drop-drains":
         return FaultModel(DropDrains(fault["count"]))
     raise SimulationError(f"unknown fault kind {kind!r}")
+
+
+# ----------------------------------------------------------------------
+# reproducer fields: what each family's ``thaw`` checks before a replay
+# ----------------------------------------------------------------------
+
+#: The integer coordinates of each media-fault kind and their least
+#: values (:func:`plan_fault` reads them; a flipped bit is also < 64).
+FAULT_COORDS: Dict[str, Dict[str, int]] = {
+    "torn-tail": {"append": 0, "cut": 0},
+    "bit-flip": {"append": 0, "word": 0, "bit": 0},
+    "drop-drains": {"crash_point": 0, "count": 1},
+}
+
+
+def require(ok: bool, name: str, value, expected: str) -> None:
+    """Reject reproducer field *name* unless *ok*: an
+    :class:`ArtifactError` naming the field, its value and what a
+    replay needs."""
+    if not ok:
+        raise ArtifactError(f"field {name!r} is {value!r}, expected {expected}")
+
+
+def require_choice(name: str, value, choices) -> None:
+    """Require field *name* to be one of the names *choices*."""
+    require(isinstance(value, str) and value in choices, name, value, f"one of {sorted(choices)}")
+
+
+def is_count(value, least: int = 0) -> bool:
+    """Whether *value* is a JSON integer (not a boolean) of at least *least*."""
+    return type(value) is int and value >= least
+
+
+def require_block(
+    name: str, block, least: Dict[str, Optional[int]], flags: Sequence[str] = ()
+) -> None:
+    """An object of exactly the integers of *least* (each at least its
+    bound; None: any integer) and the booleans *flags*."""
+    require(isinstance(block, dict), name, block, "an object")
+    keys = {*least, *flags}
+    for problem, found in (("lacks", keys - set(block)), ("has unknown", set(block) - keys)):
+        if found:
+            raise ArtifactError(f"field {name!r} {problem} key(s) {sorted(found)}")
+    for key, bound in least.items():
+        value = block[key]
+        require(
+            type(value) is int and (bound is None or value >= bound), f"{name}.{key}", value,
+            "an integer" if bound is None else f"an integer >= {bound}",
+        )
+    for key in flags:
+        require(type(block[key]) is bool, f"{name}.{key}", block[key], "true or false")
+
+
+def require_fault(fault, kinds: Sequence[str], labels: Dict[str, Sequence[str]]) -> None:
+    """Media-fault coordinates: a ``kind`` of *kinds*, the kind's
+    :data:`FAULT_COORDS`, and each string field of *labels* (a 2PC
+    fault's ``node``) set to one of its values."""
+    require(isinstance(fault, dict), "fault", fault, "an object")
+    require_choice("fault.kind", fault.get("kind"), kinds)
+    for label, choices in labels.items():
+        require_choice(f"fault.{label}", fault.get(label), choices)
+    coords = {k: v for k, v in fault.items() if k != "kind" and k not in labels}
+    require_block("fault", coords, FAULT_COORDS[fault["kind"]])
+    if fault["kind"] == "bit-flip":
+        require(fault["bit"] < 64, "fault.bit", fault["bit"], "a bit of a 64-bit word (< 64)")
 
 
 def judge_media(pm, mode, fault: Dict, salvage: Callable[[], Tuple[Any, Any]], *, node: str = ""):

@@ -30,7 +30,10 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.config import SystemConfig
-from repro.fuzz.campaign import STRESS_CONFIG, Op
+from repro.common.errors import ArtifactError, ReproError
+from repro.common.units import WORD_BYTES
+from repro.core.schemes import scheme_by_name
+from repro.fuzz.campaign import POLICIES, STRESS_CONFIG, Op
 from repro.fuzz.kernel import (
     FAMILIES,
     CaseResult,
@@ -38,6 +41,9 @@ from repro.fuzz.kernel import (
     Violation,
     crash_cases,
     family_of,
+    is_count,
+    require,
+    require_choice,
     run_case,
     run_cases,
     shared_knobs,
@@ -81,12 +87,37 @@ class Reproducer:
 
     @classmethod
     def from_json(cls, text: str) -> "Reproducer":
-        data = json.loads(text)
-        missing = sorted({f.name for f in fields(cls)} - set(data))
+        """Parse a reproducer file and check every field a replay uses;
+        :class:`ArtifactError` names the first one it could not use."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ArtifactError(f"not a JSON document: {exc}") from None
+        if not isinstance(data, dict):
+            raise ArtifactError("not a JSON object")
+        names = {f.name for f in fields(cls)}
+        missing = sorted(names - set(data))
         if missing:
-            raise ValueError(f"reproducer lacks field(s) {missing}")
-        data["ops"] = [list(op) for op in data["ops"]]
-        return cls(**data)
+            raise ArtifactError(f"reproducer lacks field(s) {missing}")
+        unknown = sorted(set(data) - names)
+        if unknown:
+            raise ArtifactError(f"unknown reproducer field(s) {unknown}")
+        rep = cls(**data)
+        require(isinstance(rep.scheme, str), "scheme", rep.scheme, "a scheme name")
+        try:
+            scheme_by_name(rep.scheme)
+        except ReproError as exc:
+            raise ArtifactError(f"field 'scheme': {exc}") from None
+        require_choice("policy", rep.policy, POLICIES)
+        require(
+            is_count(rep.value_bytes, 1) and rep.value_bytes % WORD_BYTES == 0,
+            "value_bytes", rep.value_bytes, f"a positive multiple of {WORD_BYTES}",
+        )
+        require(is_count(rep.crash_point), "crash_point", rep.crash_point, "an integer >= 0")
+        for name in ("violation", "check"):
+            require(isinstance(getattr(rep, name), str), name, getattr(rep, name), "a string")
+        _thaw(rep)
+        return rep
 
     @classmethod
     def from_violation(cls, found: Violation, *, seed: int, **knobs) -> "Reproducer":

@@ -62,6 +62,10 @@ from repro.fuzz.kernel import (
     oracle_states,
     plan_fault,
     register,
+    require,
+    require_block,
+    require_choice,
+    require_fault,
     run_cell,
     structural,
 )
@@ -70,6 +74,7 @@ from repro.shard.deployment import ShardedConfig, ShardedDeployment
 from repro.shard.recovery import recover_deployment
 from repro.shard.router import home_shard
 from repro.shard.twopc import GTX_BASE
+from repro.workloads import WORKLOADS
 
 #: Fault flavours a cell can carry.
 TWOPC_FAULTS = ("crash", "torn-decision")
@@ -352,9 +357,11 @@ class TwoPCFamily(Family):
         for node, live in zip(shell.nodes, dep.nodes):
             _load_subject(node.subject, live.subject)
             node.rm.committed = dict(live.rm.committed)
+        shell.inflight_local = None
         if dep.inflight_local is not None:
             shard, requests = dep.inflight_local
             shell.inflight_local = (shard, list(requests))
+        shell.inflight_gtx = None
         if dep.inflight_gtx is not None:
             gtx, plan, request = dep.inflight_gtx
             shell.inflight_gtx = (gtx, {s: list(w) for s, w in plan.items()}, request)
@@ -510,6 +517,20 @@ class TwoPCFamily(Family):
         )
 
     def thaw(self, rep):
+        require_choice("workload", rep.workload, WORKLOADS)
+        require(rep.ops == [], "ops", rep.ops, "[] (a 2PC case replays its requests)")
+        require(rep.service is None, "service", rep.service, "null beside a twopc block")
+        require_block(
+            "twopc", rep.twopc,
+            {"shards": 2, "num_clients": 1, "requests_per_client": 1, "seed": None},
+        )
+        nodes = ["coord"] + [f"s{shard}" for shard in range(rep.twopc["shards"])]
+        if rep.fault is None:
+            kinds = ["step"] + [f"persist:{node}" for node in nodes]
+            require_choice("crash_kind", rep.crash_kind, kinds)
+        else:
+            require_choice("crash_kind", rep.crash_kind, ("fault",))
+            require_fault(rep.fault, ("torn-tail", "bit-flip"), {"node": nodes})
         fault = "torn-decision" if rep.fault is not None else "crash"
         cell = TwoPCCell(rep.workload, rep.scheme, rep.twopc["shards"], fault)
         return cell, rep.twopc["seed"], dict(

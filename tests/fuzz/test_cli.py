@@ -1,9 +1,16 @@
 """The shared fuzz CLI rejects malformed campaign input as a usage
-error before any cell runs."""
+error before any cell runs, and a malformed reproducer as one error
+line before any replay."""
+
+import json
+import re
 
 import pytest
 
+from repro.common.errors import ArtifactError
 from repro.fuzz import cli
+from repro.fuzz.campaign import generate_ops
+from repro.fuzz.minimize import Reproducer
 
 REJECTED = [
     ["--budget", "0"],
@@ -19,6 +26,20 @@ REJECTED = [
     ["--service", "--workloads", "nope"],
     ["--twopc", "--workloads", "inplace"],
     ["--faults", "--fault-kinds", "melt"],
+    ["--ops", "0"],
+    ["--ops", "-3"],
+    ["--multicore", "--ops", "0"],
+    ["--multicore", "--ops", "-3"],
+    ["--faults", "--ops", "0"],
+    ["--faults", "--ops", "-3"],
+    ["--multicore", "--num-keys", "0"],
+    ["--value-bytes", "7"],
+    ["--twopc", "--value-bytes", "0"],
+    ["--service", "--value-bytes", "12"],
+    ["--service", "--duration", "0"],
+    ["--schemes", ""],
+    ["--workloads", ""],
+    ["--faults", "--fault-kinds", ""],
 ]
 
 
@@ -34,3 +55,81 @@ def test_bad_campaign_input_is_a_usage_error(argv, tmp_path, capsys, monkeypatch
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
     assert not out.exists()
+
+
+CRASH_REPRODUCER = dict(
+    workload="hashtable", scheme="SLPMT", policy="manual-buggy-tombstone",
+    value_bytes=32, ops=[["insert", 5, 0], ["remove", 5, 0]],
+    crash_kind="persist", crash_point=8, violation="x", check="structure",
+    fault=None, service=None, twopc=None,
+)
+TWOPC_REPRODUCER = dict(
+    CRASH_REPRODUCER, policy="none", ops=[], crash_kind="step", crash_point=3,
+    twopc={"shards": 2, "num_clients": 3, "requests_per_client": 5, "seed": 7},
+)
+
+#: ``{probe: (field the error must name, malformed reproducer)}``.
+MALFORMED = {
+    "unknown scheme": ("scheme", dict(CRASH_REPRODUCER, scheme="BOGUS")),
+    "unknown workload": ("workload", dict(CRASH_REPRODUCER, workload="nope")),
+    "unknown policy": ("policy", dict(CRASH_REPRODUCER, policy="sloppy")),
+    "unknown crash kind": ("crash_kind", dict(CRASH_REPRODUCER, crash_kind="sideways")),
+    "string crash point": ("crash_point", dict(CRASH_REPRODUCER, crash_point="8")),
+    "negative crash point": ("crash_point", dict(CRASH_REPRODUCER, crash_point=-1)),
+    "value bytes 7": ("value_bytes", dict(CRASH_REPRODUCER, value_bytes=7)),
+    "twopc without seed": ("twopc", dict(
+        TWOPC_REPRODUCER, twopc={"shards": 2, "num_clients": 3, "requests_per_client": 5},
+    )),
+    "twopc node beyond the shards": ("crash_kind", dict(TWOPC_REPRODUCER, crash_kind="persist:s2")),
+    "op the workload lacks": ("ops[1]", dict(
+        CRASH_REPRODUCER, ops=[["insert", 5, 0], ["extract", 0, 0]],
+    )),
+    "unknown fault kind": ("fault.kind", dict(
+        CRASH_REPRODUCER, crash_kind="fault", fault={"kind": "melt"},
+    )),
+    "service batch 0": ("service.batch_size", dict(
+        CRASH_REPRODUCER, policy="none", ops=[],
+        service={"batch_size": 0, "locking": False, "num_clients": 2,
+                 "requests_per_client": 4, "seed": 7},
+    )),
+}
+PROBES = list(MALFORMED)
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_malformed_reproducer_is_rejected_at_load(probe):
+    name, doc = MALFORMED[probe]
+    with pytest.raises(ArtifactError, match=re.escape(f"field '{name}'")):
+        Reproducer.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_replaying_a_malformed_reproducer_is_one_line_exit_1(
+    probe, tmp_path, capsys, monkeypatch
+):
+    def no_replay(*args, **kwargs):
+        raise AssertionError("a malformed reproducer was replayed")
+
+    monkeypatch.setattr(cli, "replay", no_replay)
+    name, doc = MALFORMED[probe]
+    path = tmp_path / "repro.json"
+    path.write_text(json.dumps(doc))
+    assert cli.fuzz_main(["--replay", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"field '{name}'" in err
+
+
+
+def test_fault_beyond_its_entry_is_one_line_exit_2(tmp_path, capsys):
+    # Well-formed, but append 3 has only 4 wire words: only the replay
+    # can tell, and it says so in one line.
+    doc = dict(
+        CRASH_REPRODUCER, workload="inplace", policy="manual",
+        ops=[list(op) for op in generate_ops("inplace", 4, 7)], crash_kind="fault",
+        crash_point=0, fault={"kind": "bit-flip", "append": 3, "word": 999, "bit": 3},
+    )
+    path = tmp_path / "repro.json"
+    path.write_text(json.dumps(doc))
+    assert cli.fuzz_main(["--replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "word 999 outside" in err

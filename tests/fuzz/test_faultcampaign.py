@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.common.errors import ArtifactError
 from repro.fuzz.campaign import generate_ops
 from repro.fuzz.faultcampaign import (
     DEFAULT_FAULT_SCHEMES,
@@ -142,7 +143,7 @@ class TestFaultReproducer:
         rep = self.fault_rep(None)
         data = json.loads(rep.to_json())
         del data["fault"]
-        with pytest.raises(ValueError, match="fault"):
+        with pytest.raises(ArtifactError, match="fault"):
             Reproducer.from_json(json.dumps(data))
 
     def test_replay_dispatches_to_fault_case(self):

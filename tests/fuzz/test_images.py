@@ -4,8 +4,9 @@ Every campaign case is judged from an image captured while one
 recording pass runs (:func:`repro.fuzz.kernel.run_cases`).  These tests
 pin that path to the reference it replaced — :func:`~repro.fuzz.kernel.
 play`, which rebuilds the subject, re-executes the prefix and judges
-the live crashed run — case by case, and check that capturing and
-judging leave the recording pass itself untouched.
+the live crashed run — case by case, check that the cell's one shell
+judges a case after others as it judges it alone, and check that
+capturing and judging leave the recording pass itself untouched.
 """
 
 import random
@@ -20,6 +21,7 @@ from repro.fuzz.kernel import (
     clean_run,
     family_of,
     play,
+    run_case,
     run_cases,
     shared_knobs,
 )
@@ -143,9 +145,41 @@ def test_pinned_batch8_defect_reads_the_same_on_both_paths(scheme, point):
     assert image == reference
 
 
+SEQUENCES = [(cell, knobs, SEED, None) for cell, knobs in CELLS] + [
+    # Case 6 crashes with a global transaction in flight (it writes key
+    # 1023 on s0), case 70 with none: a shell that kept case 6's
+    # transaction would fold its stale write into s0's oracle at
+    # recovery and report a false differential violation on key 1023.
+    (TwoPCCell("hashtable", "SLPMT", 2, "crash"), {}, SEED,
+     [("persist:s1", 6), ("persist:s1", 70)]),
+    # The pinned batch-8 undo defect (first at points 14 and 26, above)
+    # must read as it does alone after other cases on one shell.
+    (ServiceCell("hashtable", "SLPMT", 8), {}, 5,
+     [("persist", point) for point in range(10, 17)]),
+    (ServiceCell("hashtable", "FG", 8), {}, 5,
+     [("persist", point) for point in range(22, 29)]),
+]
+SEQUENCE_IDS = IDS + [
+    "2pc/hashtable/SLPMT/s2/crash@7:stale-gtx",
+    "svc/hashtable/SLPMT/b8@5:persist-10..16",
+    "svc/hashtable/FG/b8@5:persist-22..28",
+]
+
+
+@pytest.mark.parametrize("cell, knobs, seed, cases", SEQUENCES, ids=SEQUENCE_IDS)
+def test_cases_judged_in_sequence_equal_each_judged_alone(cell, knobs, seed, cases):
+    """One shell judges every case of a recording pass: each image must
+    wholly replace the last, so a case judged after others reads as it
+    does on a shell of its own."""
+    cases = cases or sample(cell, knobs)
+    assert run_cases(cell, cases, seed=seed, **knobs) == [
+        run_case(cell, kind, point, seed=seed, **knobs) for kind, point in cases
+    ]
+
+
 @pytest.mark.parametrize("cell, knobs", CELLS, ids=IDS)
 def test_recording_pass_equals_the_clean_run(cell, knobs, monkeypatch):
-    """Judging every sampled case on its shell leaks nothing into the
+    """Judging every sampled case on the shell leaks nothing into the
     live run: per machine, the recording pass makes the clean run's
     durability events, instructions, cycles and PM bytes."""
     family = family_of(cell)
@@ -162,8 +196,8 @@ def test_recording_pass_equals_the_clean_run(cell, knobs, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(family, "build", spy)
-    results = run_cases(cell, cases, seed=SEED, **shared)
-    assert len(built) == 1 + len(results)  # the recording run, one shell per case
+    run_cases(cell, cases, seed=SEED, **shared)
+    assert len(built) == 2  # the recording run and the cell's one shell
     assert counters(built[0]) == counters(clean)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.common.errors import ArtifactError
 from repro.fuzz.campaign import ServiceCell
 from repro.fuzz.kernel import Violation, run_campaign
 from repro.fuzz.minimize import Reproducer, replay
@@ -69,7 +70,7 @@ class TestTwoPCReproducer:
         data = json.loads(rep.to_json())
         del data["twopc"]
         del data["service"]
-        with pytest.raises(ValueError, match="service.*twopc"):
+        with pytest.raises(ArtifactError, match="service.*twopc"):
             Reproducer.from_json(json.dumps(data))
 
 
