@@ -1,6 +1,10 @@
 """Deterministic crash-consistency fuzzing campaigns.
 
-The modules layer on :mod:`repro.recovery.crashsim`:
+Every campaign runs on the kernel: a clean run per cell
+(:func:`~repro.fuzz.kernel.clean_run`) sizes its crash space, one
+recording pass captures a crash image at each chosen point, and
+:mod:`repro.recovery` recovers each image before the family judges it.
+The modules:
 
 * :mod:`repro.fuzz.kernel` — the campaign kernel: the family protocol,
   clean run, point selection, case loop, result and parallel fan-out
@@ -11,8 +15,8 @@ The modules layer on :mod:`repro.recovery.crashsim`:
   judges, including the differential check against the FG baseline;
 * :mod:`repro.fuzz.oplog` — per-transaction outcome capture via the
   :class:`~repro.runtime.ptx.PTx` ``op_log`` hook;
-* :mod:`repro.fuzz.invariants` — durable-state checkers for every
-  workload (structure, completeness, exactness, canonical state);
+* :mod:`repro.fuzz.invariants` — fuzz subjects, the canonical durable
+  state the judges compare and the violation type;
 * :mod:`repro.fuzz.minimize` — violation shrinking and JSON replay;
 * :mod:`repro.fuzz.report` — the deterministic campaign table;
 * :mod:`repro.fuzz.cli` — ``python -m repro fuzz``.
@@ -29,7 +33,6 @@ from repro.fuzz.campaign import (
 from repro.fuzz.faultcampaign import FaultCell
 from repro.fuzz.invariants import (
     InvariantViolation,
-    check_subject,
     durable_state,
     make_subject,
 )
@@ -63,7 +66,6 @@ __all__ = [
     "InvariantViolation",
     "OpLog",
     "Reproducer",
-    "check_subject",
     "clean_run",
     "durable_state",
     "format_report",

@@ -38,7 +38,6 @@ image adds one whole in-flight batch.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import random
 from dataclasses import dataclass, field
@@ -990,18 +989,17 @@ def _check_service_recovered(svc) -> Tuple[Optional[str], str]:
 
     # Cross-structure atomicity: on composite subjects the durable
     # queue chain and event counter must land on the same side of the
-    # commit boundary as the map image — the acknowledged chain (queue
-    # facet order) or that plus the whole in-flight batch, never a mix.
-    if hasattr(subject, "queue_keys") and "queue" in getattr(
-        svc.rm, "structures", {}
-    ):
+    # commit boundary as the map image — the acknowledged chain (the
+    # RM's committed queue order) or that plus the whole in-flight
+    # batch, never a mix.
+    if hasattr(subject, "queue_keys") and hasattr(svc.rm, "queue_order"):
         read = subject.reader(durable=True)
         try:
             chain = tuple(subject.queue_keys(read))
             counter = subject.counter_value(read)
         except SimulationError as exc:
             return f"durable queue traversal failed: {exc}", "xstructure"
-        acked_chain = tuple(svc.rm.structures["queue"].order)
+        acked_chain = tuple(svc.rm.queue_order)
         legal_chains = [acked_chain]
         if svc.inflight:
             legal_chains.append(
@@ -1087,8 +1085,8 @@ class ServiceFamily(Family):
         shell.machine.pm.load(svc.machine.pm)
         _load_subject(shell.subject, svc.subject)
         shell.rm.committed = dict(svc.rm.committed)
-        if hasattr(svc.rm, "structures"):
-            shell.rm.structures = copy.deepcopy(svc.rm.structures)
+        if hasattr(svc.rm, "queue_order"):
+            shell.rm.queue_order = list(svc.rm.queue_order)
         shell.inflight = list(svc.inflight)
 
     def arm(self, svc, kind, point):
@@ -1178,6 +1176,7 @@ class ServiceFamily(Family):
             ops=[],
             service={
                 "batch_size": cell.batch_size,
+                "duration_cycles": knobs["duration_cycles"],
                 "locking": cell.locking,
                 "num_clients": knobs["num_clients"],
                 "requests_per_client": knobs["requests_per_client"],
@@ -1193,8 +1192,9 @@ class ServiceFamily(Family):
         service = rep.service
         require_block(
             "service", service,
-            {"batch_size": 1, "num_clients": 1, "requests_per_client": 1, "seed": None},
-            flags=("locking",),
+            {"batch_size": 1, "duration_cycles": 1, "num_clients": 1,
+             "requests_per_client": 1, "seed": None},
+            flags=("locking",), nullable=("duration_cycles",),
         )
         cell = ServiceCell(
             rep.workload, rep.scheme, service["batch_size"], locking=service["locking"]
@@ -1203,6 +1203,7 @@ class ServiceFamily(Family):
             num_clients=service["num_clients"],
             requests_per_client=service["requests_per_client"],
             value_bytes=rep.value_bytes,
+            duration_cycles=service["duration_cycles"],
         )
 
 

@@ -737,10 +737,15 @@ def is_count(value, least: int = 0) -> bool:
 
 
 def require_block(
-    name: str, block, least: Dict[str, Optional[int]], flags: Sequence[str] = ()
+    name: str,
+    block,
+    least: Dict[str, Optional[int]],
+    flags: Sequence[str] = (),
+    nullable: Sequence[str] = (),
 ) -> None:
     """An object of exactly the integers of *least* (each at least its
-    bound; None: any integer) and the booleans *flags*."""
+    bound; None: any integer; a key of *nullable* may also be null) and
+    the booleans *flags*."""
     require(isinstance(block, dict), name, block, "an object")
     keys = {*least, *flags}
     for problem, found in (("lacks", keys - set(block)), ("has unknown", set(block) - keys)):
@@ -748,9 +753,14 @@ def require_block(
             raise ArtifactError(f"field {name!r} {problem} key(s) {sorted(found)}")
     for key, bound in least.items():
         value = block[key]
+        expected = "an integer" if bound is None else f"an integer >= {bound}"
+        if key in nullable:
+            if value is None:
+                continue
+            expected = f"null or {expected}"
         require(
             type(value) is int and (bound is None or value >= bound), f"{name}.{key}", value,
-            "an integer" if bound is None else f"an integer >= {bound}",
+            expected,
         )
     for key in flags:
         require(type(block[key]) is bool, f"{name}.{key}", block[key], "true or false")

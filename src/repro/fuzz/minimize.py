@@ -161,17 +161,14 @@ def replay(
 # shrinking
 # ----------------------------------------------------------------------
 
-#: Safety cap on crash points scanned per shrink candidate.
-_SCAN_CAP = 800
-
 
 def _first_violation(
     rep: Reproducer, cell, seed: int, knobs: Dict
 ) -> Optional[Tuple[Any, str, str]]:
     """The first ``(point, message, check)`` of the reproducer's crash
-    kind that violates under *knobs*, or None.  One kind's points are
-    ascending in run order too, so the recording pass that judges them
-    stops at the first."""
+    kind that violates under *knobs*, or None.  Every point of the kind
+    is scanned; one kind's points are ascending in run order too, so the
+    recording pass that judges them stops at the first violation."""
     knobs = shared_knobs(cell, seed=seed, **knobs)
     if rep.crash_kind == "fault":
         points = [rep.fault]
@@ -179,7 +176,7 @@ def _first_violation(
         points = [
             point for kind, point in crash_cases(cell, seed=seed, **knobs)
             if kind == rep.crash_kind
-        ][:_SCAN_CAP]
+        ]
     cases = [(rep.crash_kind, point) for point in points]
     for point, result in zip(points, run_cases(cell, cases, seed=seed, stop=True, **knobs)):
         if result is not None and result.violation is not None:

@@ -58,9 +58,3 @@ class OpLog:
     @property
     def total_aborts(self) -> int:
         return sum(r.aborts for r in self.records)
-
-    def ops_with_commits(self) -> List[int]:
-        """Indices of operations during which at least one transaction
-        committed (a crashed op may still appear here when a helper
-        transaction — e.g. a growth — committed before the crash)."""
-        return [r.index for r in self.records if r.commits]

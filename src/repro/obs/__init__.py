@@ -11,10 +11,7 @@ This package layers *passive* measurement over the simulator:
 * :mod:`repro.obs.histogram` — the log-scaled, fixed-memory,
   mergeable histogram those distributions are stored in;
 * :mod:`repro.obs.trace` — Chrome/Perfetto ``trace_event`` JSON and
-  JSONL export of :class:`~repro.core.tracing.Tracer` streams,
-  including request-scoped async spans and cross-shard flow arrows;
-* :mod:`repro.obs.context` — the :class:`~repro.obs.context.TraceContext`
-  identity that request-scoped spans carry end to end;
+  JSONL export of :class:`~repro.core.tracing.Tracer` streams;
 * :mod:`repro.obs.telemetry` — fixed-width simulated-cycle windows of
   throughput, latency quantiles, queue depth and shed/abort rates;
 * :mod:`repro.obs.steady` — warm-up trimming, steady-state detection
@@ -36,7 +33,6 @@ from __future__ import annotations
 
 import os
 
-from repro.obs.context import REQUEST_EVENT_KINDS, TraceContext
 from repro.obs.histogram import LogHistogram
 from repro.obs.profiler import PHASES, CycleProfiler
 from repro.obs.steady import knee_index, steady_summary, steady_window_range
@@ -68,8 +64,6 @@ __all__ = [
     "CycleProfiler",
     "PHASES",
     "OBS_ENV_VAR",
-    "REQUEST_EVENT_KINDS",
-    "TraceContext",
     "TelemetryWindows",
     "merge_telemetry",
     "knee_index",

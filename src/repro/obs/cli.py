@@ -209,18 +209,17 @@ def _cmd_passivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_passivity_telemetry(args: argparse.Namespace) -> int:
-    """The windowed-telemetry / request-tracing CI gate.
+    """The windowed-telemetry CI gate.
 
     Three proofs, exit 1 if any fails:
 
-    1. a service run with telemetry + a request tracer attached is
-       bit-identical (cycles, SimStats) to the bare run;
+    1. a service run with telemetry attached is bit-identical (cycles,
+       SimStats) to the bare run;
     2. same for a sharded cross-shard run;
     3. two half-runs' telemetry registries merged in submission order
        serialise byte-identically to the registry of recording both
        halves into one — the contract ``--jobs N`` sweeps rely on.
     """
-    from repro.core.tracing import Tracer
     from repro.obs.telemetry import TelemetryWindows, merge_telemetry
     from repro.service.server import ServiceConfig, run_service
     from repro.shard.deployment import ShardedConfig, run_sharded
@@ -232,9 +231,7 @@ def _cmd_passivity_telemetry(args: argparse.Namespace) -> int:
     )
     bare = run_service(svc_cfg)
     telemetry = TelemetryWindows()
-    observed = run_service(
-        svc_cfg, telemetry=telemetry, request_tracer=Tracer()
-    )
+    observed = run_service(svc_cfg, telemetry=telemetry)
     if bare.stats.as_dict() != observed.stats.as_dict():
         failures.append(
             f"service {svc_cfg.workload}/{svc_cfg.scheme}: "
@@ -248,7 +245,7 @@ def _cmd_passivity_telemetry(args: argparse.Namespace) -> int:
     else:
         print(
             f"passive: service {svc_cfg.workload}/{svc_cfg.scheme} "
-            f"telemetry+tracing attached, {observed.cycles:,} cycles "
+            f"telemetry attached, {observed.cycles:,} cycles "
             f"bit-identical ({telemetry.total('acked')} acks windowed)"
         )
 
@@ -257,9 +254,7 @@ def _cmd_passivity_telemetry(args: argparse.Namespace) -> int:
     )
     bare_sh = run_sharded(shard_cfg)
     sh_tel = TelemetryWindows()
-    observed_sh = run_sharded(
-        shard_cfg, telemetry=sh_tel, request_tracer=Tracer()
-    )
+    observed_sh = run_sharded(shard_cfg, telemetry=sh_tel)
     if bare_sh.stats.as_dict() != observed_sh.stats.as_dict():
         failures.append(
             f"sharded {shard_cfg.workload}/{shard_cfg.scheme}: "
@@ -276,7 +271,7 @@ def _cmd_passivity_telemetry(args: argparse.Namespace) -> int:
     else:
         print(
             f"passive: sharded {shard_cfg.workload}/{shard_cfg.scheme} "
-            f"telemetry+tracing attached, {observed_sh.cycles:,} cycles "
+            f"telemetry attached, {observed_sh.cycles:,} cycles "
             f"bit-identical ({sh_tel.total('decisions')} 2PC decisions "
             "windowed)"
         )
@@ -402,9 +397,8 @@ def obs_main(argv: "List[str] | None" = None) -> int:
     _add_run_args(p_pass)
     p_pass.add_argument(
         "--telemetry", action="store_true",
-        help="gate the windowed-telemetry + request-tracing layer "
-        "instead (service + sharded runs, plus split-vs-serial merge "
-        "byte-identity)",
+        help="gate the windowed-telemetry layer instead (service + "
+        "sharded runs, plus split-vs-serial merge byte-identity)",
     )
     p_pass.set_defaults(func=_cmd_passivity)
 

@@ -34,31 +34,8 @@ from repro.core.tracing import TraceEvent, Tracer
 _TX_CLOSERS = ("commit", "abort", "conflict_abort")
 
 #: trace_event phase types this exporter emits: complete slices,
-#: instants, counters, metadata, async begin/end (request spans) and
-#: flow start/finish (cross-shard PREPARE/DECIDE arrows).
-_PHASES = ("X", "i", "C", "M", "b", "e", "s", "f")
-
-#: Request-span kinds that open/close an async slice and the flow-arrow
-#: endpoint pairs (see :data:`repro.obs.context.REQUEST_EVENT_KINDS`).
-_ASYNC_OPENERS = {
-    "req_begin": ("request", "req_ack", "req_shed"),
-    "batch_begin": ("batch", "batch_end", None),
-    "gtx_begin": ("gtx", "gtx_end", None),
-}
-_FLOW_PAIRS = {
-    "prepare_send": ("PREPARE", "prepare_done"),
-    "decide_send": ("DECIDE", "decide_done"),
-}
-
-#: Async-closing kinds -> their category, and flow-arrow finishing
-#: kinds -> arrow name (both derived from the tables above).
-_ASYNC_CLOSERS = {
-    kind: cat
-    for cat, closer, alt in _ASYNC_OPENERS.values()
-    for kind in (closer, alt)
-    if kind is not None
-}
-_FLOW_DONE = {done: name for name, done in _FLOW_PAIRS.values()}
+#: instants, counters and metadata.
+_PHASES = ("X", "i", "C", "M")
 
 
 def _slice_name(open_fields: Dict[str, Any], closer: TraceEvent) -> str:
@@ -141,163 +118,15 @@ def trace_events(
     return out
 
 
-def request_trace_events(
-    tracer: Tracer,
-    *,
-    pid: int = 2,
-    track_names: "Optional[Dict[int, str]]" = None,
-) -> List[Dict[str, Any]]:
-    """Request-scoped spans from one request tracer (see
-    :data:`repro.obs.context.REQUEST_EVENT_KINDS`).
-
-    Each event's ``core_id`` is its *track*: shard ``i`` on ``tid i``,
-    the 2PC coordinator on its own track, a single-machine service on
-    track 0.  The export stitches:
-
-    * a parent-linked **async span** per request (``ph "b"/"e"``, bound
-      by the request's ``flow`` id) from ``req_begin`` on its home
-      track to its ``req_ack``/``req_shed``;
-    * an async span per group-commit **batch** and per 2PC **gtx**,
-      carrying the request ids they serve (the parent link: a child
-      span's args name its parent's ``request``/``gtx``);
-    * **flow arrows** (``ph "s"/"f"``) for PREPARE and DECIDE crossing
-      from the coordinator track to each participant shard track;
-    * everything else (admissions, queue depths) as instant marks.
-
-    Timestamps are the emitting node's own simulated clock — tracks are
-    per-machine clock domains, like the per-core machine tracks.
-    """
-    out: List[Dict[str, Any]] = []
-    seen_tracks: List[int] = []
-    for event in tracer.events():
-        if event.core_id not in seen_tracks:
-            seen_tracks.append(event.core_id)
-    for track in sorted(seen_tracks):
-        name = (track_names or {}).get(track, f"shard {track}")
-        out.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": track,
-                "name": "thread_name",
-                "args": {"name": name},
-            }
-        )
-    open_async: Dict[int, str] = {}
-    for event in tracer.events():
-        base = {
-            "pid": pid,
-            "tid": event.core_id,
-            "ts": event.cycle,
-        }
-        fields = dict(event.fields)
-        flow = fields.pop("flow", None)
-        if event.kind in _ASYNC_OPENERS:
-            cat, _closer, _alt = _ASYNC_OPENERS[event.kind]
-            name = _async_name(event.kind, fields)
-            open_async[flow] = name
-            out.append(
-                {
-                    **base,
-                    "ph": "b",
-                    "cat": cat,
-                    "id": flow,
-                    "name": name,
-                    "args": fields,
-                }
-            )
-            continue
-        closer = _ASYNC_CLOSERS.get(event.kind)
-        if closer is not None and flow in open_async:
-            out.append(
-                {
-                    **base,
-                    "ph": "e",
-                    "cat": closer,
-                    "id": flow,
-                    "name": open_async.pop(flow),
-                    "args": fields,
-                }
-            )
-            continue
-        if event.kind in _FLOW_PAIRS:
-            name, _done = _FLOW_PAIRS[event.kind]
-            out.append(
-                {
-                    **base,
-                    "ph": "s",
-                    "cat": "twopc",
-                    "id": flow,
-                    "name": name,
-                    "args": fields,
-                }
-            )
-            continue
-        if event.kind in _FLOW_DONE:
-            out.append(
-                {
-                    **base,
-                    "ph": "f",
-                    "bp": "e",
-                    "cat": "twopc",
-                    "id": flow,
-                    "name": _FLOW_DONE[event.kind],
-                    "args": fields,
-                }
-            )
-            continue
-        out.append(
-            {
-                **base,
-                "ph": "i",
-                "s": "t",
-                "cat": "service",
-                "name": event.kind,
-                "args": fields,
-            }
-        )
-    return out
-
-
-def _async_name(kind: str, fields: Dict[str, Any]) -> str:
-    if kind == "req_begin":
-        return f"req {fields.get('request', '?')} ({fields.get('op', '?')})"
-    if kind == "batch_begin":
-        return f"batch {fields.get('batch', '?')} s{fields.get('shard', '?')}"
-    return f"gtx {fields.get('gtx', '?')}"
-
-
 def chrome_trace(
     tracers: "Sequence[Tracer]",
     *,
-    request_tracer: "Optional[Tracer]" = None,
-    request_track_names: "Optional[Dict[int, str]]" = None,
     metadata: "Optional[Dict[str, Any]]" = None,
 ) -> Dict[str, Any]:
-    """The complete Chrome ``trace_event`` JSON object for a run.
-
-    Machine tracks live under ``pid 1``; when a *request_tracer* is
-    given, its request/batch/gtx spans and flow arrows become a second
-    ``requests`` process (``pid 2``) in the same timeline.
-    """
-    events = trace_events(tracers)
-    if request_tracer is not None:
-        events.append(
-            {
-                "ph": "M",
-                "pid": 2,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": "requests"},
-            }
-        )
-        events.extend(
-            request_trace_events(
-                request_tracer, pid=2, track_names=request_track_names
-            )
-        )
+    """The complete Chrome ``trace_event`` JSON object for a run
+    (machine tracks under ``pid 1``)."""
     doc: Dict[str, Any] = {
-        "traceEvents": events,
+        "traceEvents": trace_events(tracers),
         "displayTimeUnit": "ms",
     }
     if metadata:
@@ -309,17 +138,10 @@ def write_chrome_trace(
     path: str,
     tracers: "Sequence[Tracer]",
     *,
-    request_tracer: "Optional[Tracer]" = None,
-    request_track_names: "Optional[Dict[int, str]]" = None,
     metadata: "Optional[Dict[str, Any]]" = None,
 ) -> Dict[str, Any]:
     """Write the trace JSON to *path*; returns the document."""
-    doc = chrome_trace(
-        tracers,
-        request_tracer=request_tracer,
-        request_track_names=request_track_names,
-        metadata=metadata,
-    )
+    doc = chrome_trace(tracers, metadata=metadata)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -358,10 +180,6 @@ def validate_chrome_trace(doc: Dict[str, Any]) -> List[str]:
                 problems.append(f"{where}: X slice needs dur >= 0")
         if ph == "C" and not isinstance(ev.get("args"), dict):
             problems.append(f"{where}: counter needs args")
-        if ph in ("b", "e", "s", "f") and not isinstance(ev.get("id"), int):
-            problems.append(f"{where}: {ph} event needs an integer id")
-        if ph == "f" and ev.get("bp") != "e":
-            problems.append(f"{where}: flow finish needs bp='e'")
     return problems
 
 

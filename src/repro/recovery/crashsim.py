@@ -76,11 +76,11 @@ def dry_run(machine_factory, body: "Callable[[Machine], None]") -> DryRunStats:
     """Run *body* to completion on a fresh machine, with no crash
     scheduled, and report the crash-point totals.
 
-    This is the single enumeration pathway shared by
-    :func:`count_durability_points` and the fuzz campaign driver: both
-    the Program-based harness and the eager PTx workloads funnel through
-    it, so their crash-point counts are measured identically (straight
-    off the WPQ insert and instruction counters).
+    :func:`count_durability_points` and the targeted crash tests
+    enumerate through it, for Program runs and eager PTx workloads
+    alike.  The fuzz campaigns measure their own clean runs
+    (:func:`repro.fuzz.kernel.clean_run`) off the same two counters:
+    WPQ inserts and instructions.
     """
     machine: Machine = machine_factory()
     body(machine)

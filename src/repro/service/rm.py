@@ -16,9 +16,8 @@ on every read when ``check_reads`` is on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.obs.context import TraceContext
 from repro.workloads.base import Workload
 
 from repro.service.model import Request
@@ -28,75 +27,11 @@ class ReadConsistencyError(AssertionError):
     """A service read diverged from the committed oracle."""
 
 
-class StructureManager:
-    """One named structure's committed-state facet.
-
-    The lock manager's unit of conflict: every write request names the
-    structures it touches (:meth:`ResourceManager.structures_of`) and
-    acquires them in canonical order.  Each facet keeps its own oracle
-    of the committed image so cross-structure invariants (queue length
-    == counter == insert events) can be checked independently of the
-    key→value map.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        #: Write requests committed through this structure.
-        self.commits = 0
-
-    def commit(self, request: Request) -> None:
-        self.commits += 1
-
-
-class MapStructure(StructureManager):
-    """The key→value map facet (mirror of the RM's committed dict)."""
-
-    def __init__(self, name: str = "map") -> None:
-        super().__init__(name)
-        self.committed: Dict[int, Tuple[int, ...]] = {}
-
-    def commit(self, request: Request) -> None:
-        super().commit(request)
-        for key, value in zip(request.keys, request.values):
-            self.committed[key] = tuple(value)
-
-
-class QueueStructure(StructureManager):
-    """The append-only queue facet: one entry per committed insert
-    event, duplicates included (keys may repeat)."""
-
-    def __init__(self, name: str = "queue") -> None:
-        super().__init__(name)
-        self.order: List[int] = []
-
-    def commit(self, request: Request) -> None:
-        super().commit(request)
-        self.order.extend(request.keys)
-
-
-class CounterStructure(StructureManager):
-    """The monotone event-counter facet."""
-
-    def __init__(self, name: str = "counter") -> None:
-        super().__init__(name)
-        self.count = 0
-
-    def commit(self, request: Request) -> None:
-        super().commit(request)
-        self.count += len(request.keys)
-
-
 class ResourceManager:
     """Typed-op adapter over one :class:`~repro.workloads.base.Workload`."""
 
-    def __init__(
-        self, subject: Workload, *, request_tracer=None, track: int = 0
-    ) -> None:
+    def __init__(self, subject: Workload) -> None:
         self.subject = subject
-        #: Request-span sink; reads served with a context attached emit
-        #: an ``rm_read`` instant on track *track* (the RM's shard id).
-        self.request_tracer = request_tracer
-        self.track = track
         #: Committed oracle: key -> value tuple, updated at group commit.
         self.committed: Dict[int, Tuple[int, ...]] = {}
 
@@ -105,18 +40,6 @@ class ResourceManager:
         lock manager sorts before acquiring).  Single-structure
         workloads expose one name, ``"main"``."""
         return getattr(self.subject, "lock_structures", ("main",))
-
-    def _trace_read(self, ctx: "Optional[TraceContext]", results: int) -> None:
-        if ctx is None or self.request_tracer is None:
-            return
-        self.request_tracer.emit(
-            self.subject.rt.machine.now,
-            self.track,
-            "rm_read",
-            flow=ctx.flow_id,
-            results=results,
-            **ctx.fields(),
-        )
 
     # --- writes (inside the TM's open transaction) ---------------------
 
@@ -134,18 +57,11 @@ class ResourceManager:
 
     # --- reads (simulated, non-transactional) --------------------------
 
-    def read_get(
-        self,
-        request: Request,
-        *,
-        check: bool = True,
-        ctx: "Optional[TraceContext]" = None,
-    ) -> Tuple:
+    def read_get(self, request: Request, *, check: bool = True) -> Tuple:
         """Serve a ``get``: the traversal and value fetch issue real
         simulated loads (cache behaviour and latency included)."""
         key = request.keys[0]
         got = self.subject.get(key)
-        self._trace_read(ctx, 0 if got is None else 1)
         if check:
             want = self.committed.get(key)
             if (None if got is None else tuple(got)) != want:
@@ -156,13 +72,7 @@ class ResourceManager:
                 )
         return () if got is None else (tuple(got),)
 
-    def read_scan(
-        self,
-        request: Request,
-        *,
-        check: bool = True,
-        ctx: "Optional[TraceContext]" = None,
-    ) -> Tuple:
+    def read_scan(self, request: Request, *, check: bool = True) -> Tuple:
         """Serve a ``scan``: one full simulated traversal to collect the
         key set, then up to ``scan_count`` point lookups from
         ``keys[0]`` upward."""
@@ -181,7 +91,6 @@ class ResourceManager:
                 break
             value = self.subject.get(key)
             out.append((key, () if value is None else tuple(value)))
-        self._trace_read(ctx, len(out))
         return tuple(out)
 
     # --- validation -----------------------------------------------------
@@ -195,52 +104,29 @@ class ResourceManager:
 
 
 class MultiStructResourceManager(ResourceManager):
-    """Per-structure resource managers over a composite workload.
+    """The resource manager of a composite workload: one map insert,
+    queue push and counter bump per key, committed together by the
+    enclosing batch transaction.
 
-    Every write request fans out into one facet update per named
-    structure — map insert, queue push, counter bump — committed
-    together (the enclosing batch transaction is atomic), so the facets
-    must never disagree: ``counter.count == len(queue.order)`` equals
-    the total committed insert events at every commit point, which is
-    exactly the cross-structure invariant the service crash campaign
-    checks on the durable image.
+    Beside the key→value oracle it keeps the committed queue order, one
+    entry per committed insert event (keys may repeat).  The service
+    crash campaign holds the durable queue chain and event counter to
+    it: the acked order, or that plus the whole in-flight batch.
     """
 
-    def __init__(
-        self, subject: Workload, *, request_tracer=None, track: int = 0
-    ) -> None:
-        super().__init__(subject, request_tracer=request_tracer, track=track)
-        names = getattr(subject, "lock_structures", ("main",))
-        self.structures: Dict[str, StructureManager] = {}
-        for name in names:
-            if name == "map":
-                self.structures[name] = MapStructure(name)
-            elif name == "queue":
-                self.structures[name] = QueueStructure(name)
-            elif name == "counter":
-                self.structures[name] = CounterStructure(name)
-            else:
-                self.structures[name] = StructureManager(name)
+    def __init__(self, subject: Workload) -> None:
+        super().__init__(subject)
+        #: Committed queue order: every committed insert event's key.
+        self.queue_order: List[int] = []
 
     def commit_write(self, request: Request) -> None:
         super().commit_write(request)
-        for name in self.structures_of(request):
-            self.structures[name].commit(request)
-
-    @property
-    def committed_events(self) -> int:
-        """Total committed insert events (the counter facet's oracle)."""
-        counter = self.structures.get("counter")
-        return counter.count if counter is not None else 0
+        self.queue_order.extend(request.keys)
 
 
-def make_resource_manager(
-    subject: Workload, *, request_tracer=None, track: int = 0
-) -> ResourceManager:
-    """The RM matching the workload: per-structure facets when the
-    subject names more than one lock structure."""
+def make_resource_manager(subject: Workload) -> ResourceManager:
+    """The RM matching the workload: the composite RM when the subject
+    names more than one lock structure."""
     if len(getattr(subject, "lock_structures", ("main",))) > 1:
-        return MultiStructResourceManager(
-            subject, request_tracer=request_tracer, track=track
-        )
-    return ResourceManager(subject, request_tracer=request_tracer, track=track)
+        return MultiStructResourceManager(subject)
+    return ResourceManager(subject)

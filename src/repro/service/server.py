@@ -40,7 +40,6 @@ from repro.common.config import DEFAULT_CONFIG, SystemConfig
 from repro.common.stats import SimStats
 from repro.core.machine import Machine
 from repro.core.schemes import scheme_by_name
-from repro.obs.context import TraceContext, for_request
 from repro.obs.histogram import LogHistogram
 from repro.obs.profiler import CycleProfiler
 from repro.obs.telemetry import TelemetryWindows
@@ -205,38 +204,22 @@ class TransactionService:
         *,
         config: SystemConfig = DEFAULT_CONFIG,
         policy: AnnotationPolicy = MANUAL,
-        tracer=None,
         telemetry: "Optional[TelemetryWindows]" = None,
-        request_tracer=None,
-        shard_id: "Optional[int]" = None,
     ) -> None:
         self.cfg = cfg
         #: Windowed metrics sink (passive: only reads the clock).
         self.telemetry = telemetry
-        #: Request-span sink (a :class:`~repro.core.tracing.Tracer`);
-        #: events land on track *shard_id* (0 on a standalone service).
-        self.request_tracer = request_tracer
-        self.shard_id = shard_id
-        self._track = 0 if shard_id is None else shard_id
         self.machine = Machine(scheme_by_name(cfg.scheme), config)
         self.profiler = CycleProfiler()
         self.profiler.bind(self.machine.now)
         self.machine.profiler = self.profiler
-        if tracer is not None:
-            self.machine.tracer = tracer
         self.rt = PTx(self.machine, policy=policy)
         self.subject = WORKLOADS[cfg.workload](
             self.rt, value_bytes=cfg.value_bytes
         )
-        self.rm = make_resource_manager(
-            self.subject, request_tracer=request_tracer, track=self._track
-        )
+        self.rm = make_resource_manager(self.subject)
         self.tm = TransactionManager(
-            self.rt,
-            self.rm,
-            max_attempts=cfg.max_attempts,
-            request_tracer=request_tracer,
-            track=self._track,
+            self.rt, self.rm, max_attempts=cfg.max_attempts
         )
         self.queue = AdmissionQueue(cfg.admission)
         self.locks = LockManager() if cfg.locking else None
@@ -337,31 +320,6 @@ class TransactionService:
 
     # --- event-loop steps ------------------------------------------------
 
-    def _ctx(self, request: Request) -> TraceContext:
-        return for_request(request, shard=self.shard_id)
-
-    def _emit_req(
-        self, kind: str, ctx: TraceContext, *, at: "Optional[int]" = None,
-        **extra,
-    ) -> None:
-        """Emit one request-scoped trace event (no-op without a sink).
-
-        *at* overrides the timestamp (e.g. a ``req_begin`` stamped at
-        the request's submission time); it is always a value previously
-        read from the simulated clock — never computed — so the request
-        tracer stays as passive as the machine tracer.
-        """
-        if self.request_tracer is None:
-            return
-        self.request_tracer.emit(
-            self.machine.now if at is None else at,
-            self._track,
-            kind,
-            flow=ctx.flow_id,
-            **ctx.fields(),
-            **extra,
-        )
-
     def _record(self, response: Response) -> None:
         if self.cfg.keep_responses:
             self.responses.append(response)
@@ -417,9 +375,6 @@ class TransactionService:
                         self.telemetry.record(
                             self.machine.now, "queue_depth", self.queue.depth
                         )
-                    ctx = self._ctx(request)
-                    self._emit_req("req_begin", ctx, at=at, op=request.kind)
-                    self._emit_req("req_admit", ctx, depth=self.queue.depth)
                     self.machine.stats.service_queue_peak = max(
                         self.machine.stats.service_queue_peak, self.queue.depth
                     )
@@ -431,9 +386,6 @@ class TransactionService:
                 elif self.cfg.admission.mode == "shed":
                     self.machine.stats.service_requests += 1
                     self.machine.stats.service_rejected += 1
-                    ctx = self._ctx(request)
-                    self._emit_req("req_begin", ctx, at=at, op=request.kind)
-                    self._emit_req("req_shed", ctx)
                     self._record(
                         Response(
                             client=request.client,
@@ -455,17 +407,11 @@ class TransactionService:
         ready = self.queue.pop_ready_reads()
         for item in ready:
             request = item.request
-            ctx = self._ctx(request)
             if request.kind == "get":
-                values = self.rm.read_get(
-                    request, check=self.cfg.check_reads, ctx=ctx
-                )
+                values = self.rm.read_get(request, check=self.cfg.check_reads)
             else:
-                values = self.rm.read_scan(
-                    request, check=self.cfg.check_reads, ctx=ctx
-                )
+                values = self.rm.read_scan(request, check=self.cfg.check_reads)
             self.machine.stats.service_reads += 1
-            self._emit_req("req_ack", ctx)
             self._record(
                 Response(
                     client=request.client,
@@ -516,28 +462,21 @@ class TransactionService:
                 return True
         requests = [item.request for item in batch]
         self.machine.stats.service_batches += 1
-        batch_no = self.machine.stats.service_batches
         self.machine.stats.service_batched_writes += len(batch)
         self.profiler.record("batch_occupancy", len(batch))
         if self.telemetry is not None:
             self.telemetry.count(self.machine.now, "batches")
-        contexts = None
-        if self.request_tracer is not None:
-            contexts = [self._ctx(r).child(batch=batch_no) for r in requests]
         for request in requests:
             for key in request.keys:
                 self.subject.before_transaction(key)
         self.inflight = requests
-        self.tm.commit_batch(requests, contexts=contexts)
+        self.tm.commit_batch(requests)
         # tx_end returned: the batch's commit marker is durable.  The
         # acks below involve no simulated work, so no crash point can
         # separate them from the commit.
         completed_at = self.machine.now
         for item in batch:
             self._committed_writes += 1
-            self._emit_req(
-                "req_ack", self._ctx(item.request).child(batch=batch_no)
-            )
             self._record(
                 Response(
                     client=item.request.client,
@@ -679,15 +618,7 @@ def run_service(
     cfg: ServiceConfig,
     *,
     config: SystemConfig = DEFAULT_CONFIG,
-    tracer=None,
     telemetry: "Optional[TelemetryWindows]" = None,
-    request_tracer=None,
 ) -> ServiceResult:
     """Build and run one :class:`TransactionService`."""
-    return TransactionService(
-        cfg,
-        config=config,
-        tracer=tracer,
-        telemetry=telemetry,
-        request_tracer=request_tracer,
-    ).run()
+    return TransactionService(cfg, config=config, telemetry=telemetry).run()

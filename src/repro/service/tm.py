@@ -22,9 +22,8 @@ returns, with no simulated work in between, which is what makes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.obs.context import TraceContext, batch_flow_id
 from repro.runtime.ptx import PTx
 
 from repro.service.model import Request
@@ -59,25 +58,14 @@ class TransactionManager:
         rm: ResourceManager,
         *,
         max_attempts: int = 64,
-        request_tracer=None,
-        track: int = 0,
     ) -> None:
         self.rt = rt
         self.rm = rm
         self.max_attempts = max_attempts
-        #: Request-span sink; the TM opens/closes one async ``batch``
-        #: span per group commit on track *track* (its shard id).
-        self.request_tracer = request_tracer
-        self.track = track
         #: Committed batch transactions so far.
         self.commits = 0
 
-    def commit_batch(
-        self,
-        batch: Sequence[Request],
-        *,
-        contexts: "Optional[Sequence[TraceContext]]" = None,
-    ) -> None:
+    def commit_batch(self, batch: Sequence[Request]) -> None:
         """Run *batch* in one transaction (via ``run_atomically``) and
         fold it into the committed oracle.
 
@@ -86,28 +74,12 @@ class TransactionManager:
         batch is then in flight, and recovery must surface either none
         of it or all of it (the group-commit campaign's acceptance
         states).
-
-        *contexts* carries the requests' trace identities; the batch
-        span then names every request it serves — the parent link the
-        Perfetto export stitches request spans to batch spans with.
         """
         from repro.multicore.system import run_atomically
 
         requests: List[Request] = list(batch)
         if not requests:
             return
-        batch_no = self.commits + 1
-        if self.request_tracer is not None:
-            self.request_tracer.emit(
-                self.rt.machine.now,
-                self.track,
-                "batch_begin",
-                flow=batch_flow_id(batch_no),
-                batch=batch_no,
-                shard=self.track,
-                size=len(requests),
-                requests=[ctx.request_id for ctx in contexts or ()],
-            )
 
         def body() -> None:
             for request in requests:
@@ -117,12 +89,3 @@ class TransactionManager:
         self.commits += 1
         for request in requests:
             self.rm.commit_write(request)
-        if self.request_tracer is not None:
-            self.request_tracer.emit(
-                self.rt.machine.now,
-                self.track,
-                "batch_end",
-                flow=batch_flow_id(batch_no),
-                batch=batch_no,
-                shard=self.track,
-            )

@@ -48,7 +48,6 @@ from repro.core.machine import Machine
 from repro.core.schemes import scheme_by_name
 from repro.mem.pm import DurableLogEntry
 from repro.multicore.system import run_atomically
-from repro.obs.context import TraceContext, for_request
 from repro.obs.profiler import CycleProfiler
 from repro.runtime.hints import MANUAL
 from repro.runtime.ptx import PTx
@@ -74,6 +73,12 @@ class ShardedConfig:
     The serving knobs mirror :class:`~repro.service.server.ServiceConfig`
     (open-loop only); ``prepare_attempts`` / ``retry_wait_cycles`` bound
     the coordinator's deterministic retry of unresponsive participants.
+
+    ``admission`` and ``batch.max_wait_cycles`` reach only the N = 1
+    delegate.  A shard of an N >= 2 deployment flushes its batch at
+    ``batch.batch_size``, before a cross-shard transaction that touches
+    it, and at end of stream, so ``params.max_wait_cycles`` in
+    ``BENCH_twopc.json`` changes nothing.
     """
 
     num_shards: int = 2
@@ -153,11 +158,9 @@ class ShardNode:
         cfg: ShardedConfig,
         *,
         config: SystemConfig = DEFAULT_CONFIG,
-        request_tracer=None,
     ) -> None:
         self.shard_id = shard_id
         self.cfg = cfg
-        self.request_tracer = request_tracer
         self.machine = Machine(scheme_by_name(cfg.scheme), config)
         self.rt = PTx(self.machine, policy=MANUAL)
         self.profiler = CycleProfiler()
@@ -166,15 +169,9 @@ class ShardNode:
         self.subject = WORKLOADS[cfg.workload](
             self.rt, value_bytes=cfg.value_bytes
         )
-        self.rm = ResourceManager(
-            self.subject, request_tracer=request_tracer, track=shard_id
-        )
+        self.rm = ResourceManager(self.subject)
         self.tm = TransactionManager(
-            self.rt,
-            self.rm,
-            max_attempts=cfg.max_attempts,
-            request_tracer=request_tracer,
-            track=shard_id,
+            self.rt, self.rm, max_attempts=cfg.max_attempts
         )
         #: Writes pending in this shard's group-commit batch:
         #: ``(request, submitted_at)`` in arrival order.
@@ -307,7 +304,6 @@ class ShardedDeployment:
         *,
         config: SystemConfig = DEFAULT_CONFIG,
         telemetry=None,
-        request_tracer=None,
     ) -> None:
         self.cfg = cfg
         self.config = config
@@ -318,25 +314,17 @@ class ShardedDeployment:
         #: windows.  2PC decide latency avoids this by living entirely
         #: on the coordinator clock.
         self.telemetry = telemetry
-        #: Request-span sink: shard *i* on track *i*, the coordinator on
-        #: track ``num_shards``.
-        self.request_tracer = request_tracer
         #: The N=1 delegate (2PC machinery provably passive).
         self.service: Optional[TransactionService] = None
         self.nodes: List[ShardNode] = []
         if cfg.num_shards == 1:
             self.service = TransactionService(
-                cfg.service_config(),
-                config=config,
-                telemetry=telemetry,
-                request_tracer=request_tracer,
+                cfg.service_config(), config=config, telemetry=telemetry
             )
             return
         self.router = HashRouter(cfg.num_shards)
         self.nodes = [
-            ShardNode(
-                shard, cfg, config=config, request_tracer=request_tracer
-            )
+            ShardNode(shard, cfg, config=config)
             for shard in range(cfg.num_shards)
         ]
         self.coordinator = Coordinator(
@@ -345,8 +333,6 @@ class ShardedDeployment:
             config,
             prepare_attempts=cfg.prepare_attempts,
             retry_wait_cycles=cfg.retry_wait_cycles,
-            max_attempts=cfg.max_attempts,
-            request_tracer=request_tracer,
             telemetry=telemetry,
         )
         value_words = cfg.value_bytes // units.WORD_BYTES
@@ -438,24 +424,15 @@ class ShardedDeployment:
     def _dispatch(self, request: Request, at: int) -> None:
         self.requests += 1
         if request.kind == "get":
-            shard = self.router.home(request.keys[0])
-            node = self.nodes[shard]
-            ctx = for_request(request, shard=shard)
-            self._open_span(ctx, at, op=request.kind)
-            values = node.rm.read_get(
-                request, check=self.cfg.check_reads, ctx=ctx
-            )
+            node = self.nodes[self.router.home(request.keys[0])]
+            values = node.rm.read_get(request, check=self.cfg.check_reads)
             self.reads += 1
-            self._record(request, at, "ok", node.machine.now, values,
-                         shard=shard)
+            self._record(request, at, "ok", node.machine.now, values)
         elif request.kind == "scan":
-            shard = self.router.home(request.keys[0])
-            ctx = for_request(request, shard=shard)
-            self._open_span(ctx, at, op=request.kind)
-            values = self._scan(request, ctx=ctx)
+            values = self._scan(request)
             self.reads += 1
             completed = max(node.machine.now for node in self.nodes)
-            self._record(request, at, "ok", completed, values, shard=shard)
+            self._record(request, at, "ok", completed, values)
         else:  # put / txn
             spans = self.router.spans(request.keys)
             if len(spans) == 1:
@@ -463,40 +440,14 @@ class ShardedDeployment:
             else:
                 self._commit_cross_shard(request, at)
 
-    def _scan(
-        self, request: Request, *, ctx: "Optional[TraceContext]" = None
-    ) -> Tuple:
+    def _scan(self, request: Request) -> Tuple:
         """A scan fans out to every shard (each checks against its own
         slice of the oracle) and merges by key order."""
         merged: List[Tuple[int, Tuple[int, ...]]] = []
         for node in self.nodes:
-            merged.extend(
-                node.rm.read_scan(
-                    request,
-                    check=self.cfg.check_reads,
-                    ctx=None if ctx is None else ctx.child(
-                        shard=node.shard_id
-                    ),
-                )
-            )
+            merged.extend(node.rm.read_scan(request, check=self.cfg.check_reads))
         merged.sort()
         return tuple(merged[: request.scan_count])
-
-    def _open_span(
-        self, ctx: TraceContext, submitted_at: int, *, op: str
-    ) -> None:
-        """Open a request span on its home-shard track (no-op without a
-        tracer); :meth:`_record` closes it at the response."""
-        if self.request_tracer is None:
-            return
-        self.request_tracer.emit(
-            submitted_at,
-            ctx.shard if ctx.shard is not None else 0,
-            "req_begin",
-            flow=ctx.flow_id,
-            op=op,
-            **ctx.fields(),
-        )
 
     def _record(
         self,
@@ -505,9 +456,6 @@ class ShardedDeployment:
         status: str,
         completed_at: int,
         values: Tuple = (),
-        *,
-        shard: "Optional[int]" = None,
-        gtx: "Optional[int]" = None,
     ) -> None:
         if self.telemetry is not None:
             if status == "ok":
@@ -521,18 +469,6 @@ class ShardedDeployment:
                     self.telemetry.count(completed_at, "writes")
             else:
                 self.telemetry.count(completed_at, "aborted")
-        if self.request_tracer is not None and shard is not None:
-            ctx = for_request(request, shard=shard)
-            if gtx is not None:
-                ctx = ctx.child(gtx=gtx)
-            self.request_tracer.emit(
-                completed_at,
-                shard,
-                "req_ack",
-                flow=ctx.flow_id,
-                status=status,
-                **ctx.fields(),
-            )
         self.responses.append(
             Response(
                 client=request.client,
@@ -548,9 +484,6 @@ class ShardedDeployment:
     # --- local (single-shard) writes -------------------------------------
 
     def _enqueue_write(self, node: ShardNode, request: Request, at: int) -> None:
-        self._open_span(
-            for_request(request, shard=node.shard_id), at, op=request.kind
-        )
         node.pending.append((request, at))
         if len(node.pending) >= self.cfg.batch.batch_size:
             self._flush(node)
@@ -563,18 +496,11 @@ class ShardedDeployment:
         requests = [request for request, _ in batch]
         if self.telemetry is not None:
             self.telemetry.count(node.machine.now, "batches")
-        contexts = None
-        if self.request_tracer is not None:
-            batch_no = node.tm.commits + 1
-            contexts = [
-                for_request(r, shard=node.shard_id).child(batch=batch_no)
-                for r in requests
-            ]
         for request in requests:
             for key in request.keys:
                 node.subject.before_transaction(key)
         self.inflight_local = (node.shard_id, requests)
-        node.tm.commit_batch(requests, contexts=contexts)
+        node.tm.commit_batch(requests)
         # tx_end returned: the batch commit marker is durable, and the
         # acks below involve no simulated work (no crash can separate
         # them from the commit).
@@ -583,10 +509,7 @@ class ShardedDeployment:
             for key, value in zip(request.keys, request.values):
                 self.committed[key] = tuple(value)
             self.committed_writes += 1
-            self._record(
-                request, submitted_at, "ok", completed_at,
-                shard=node.shard_id,
-            )
+            self._record(request, submitted_at, "ok", completed_at)
         self.inflight_local = None
         self.batches += 1
         return True
@@ -606,15 +529,9 @@ class ShardedDeployment:
             for shard, pairs in groups.items()
         }
         gtx = self.coordinator.new_gtx()
-        g = gtx - GTX_BASE
-        home = self.router.home(request.keys[0])
-        ctx = for_request(request, shard=home).child(gtx=g)
-        self._open_span(ctx, at, op=request.kind)
         participants = {shard: self.nodes[shard] for shard in groups}
         self.inflight_gtx = (gtx, plan, request)
-        fate = self.coordinator.commit_global(
-            gtx, plan, participants, ctx=ctx
-        )
+        fate = self.coordinator.commit_global(gtx, plan, participants)
         self.fates[gtx] = fate
         if fate == "commit":
             completed_at = max(
@@ -625,14 +542,11 @@ class ShardedDeployment:
                     self.committed[key] = tuple(value)
             self.committed_writes += 1
             self.xshard_writes += len(request.keys)
-            self._record(
-                request, at, "ok", completed_at, shard=home, gtx=g
-            )
+            self._record(request, at, "ok", completed_at)
         else:
             self.aborted += 1
             self._record(
-                request, at, "aborted", self.coordinator.machine.now,
-                shard=home, gtx=g,
+                request, at, "aborted", self.coordinator.machine.now
             )
         self.inflight_gtx = None
 
@@ -748,12 +662,6 @@ def run_sharded(
     *,
     config: SystemConfig = DEFAULT_CONFIG,
     telemetry=None,
-    request_tracer=None,
 ) -> ShardedResult:
     """Build and run one :class:`ShardedDeployment`."""
-    return ShardedDeployment(
-        cfg,
-        config=config,
-        telemetry=telemetry,
-        request_tracer=request_tracer,
-    ).run()
+    return ShardedDeployment(cfg, config=config, telemetry=telemetry).run()

@@ -61,13 +61,6 @@ class ResolutionReport:
     #: empty when faults target decision records).
     incomplete_stages: List[Tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def damaged_nodes(self) -> List[str]:
-        """Nodes whose local log carried torn/corrupt entries."""
-        return sorted(
-            label for label, r in self.reports.items() if r.damaged
-        )
-
 
 def recover_deployment(
     dep: "ShardedDeployment",

@@ -41,12 +41,6 @@ from repro.common.errors import PowerFailure, SimulationError
 from repro.core.machine import Machine
 from repro.core.schemes import Scheme, scheme_by_name
 from repro.mem.pm import DurableLogEntry
-from repro.obs.context import (
-    TraceContext,
-    decide_flow_id,
-    gtx_flow_id,
-    prepare_flow_id,
-)
 from repro.obs.profiler import CycleProfiler
 
 #: Base of the global (cross-shard) transaction sequence namespace.
@@ -109,8 +103,6 @@ class Coordinator:
         *,
         prepare_attempts: int = 3,
         retry_wait_cycles: int = 500,
-        max_attempts: int = 64,
-        request_tracer=None,
         telemetry=None,
     ) -> None:
         if prepare_attempts < 1:
@@ -119,9 +111,6 @@ class Coordinator:
             scheme = scheme_by_name(scheme)
         #: Node id: shards are 0..N-1, the coordinator is N.
         self.node_id = num_shards
-        #: Request-span sink; gtx spans and PREPARE/DECIDE flow arrows
-        #: originate on the coordinator's own track (``node_id``).
-        self.request_tracer = request_tracer
         #: Windowed metrics sink for ``decisions`` / ``decide_latency``
         #: (measured entirely on the coordinator clock).
         self.telemetry = telemetry
@@ -132,7 +121,6 @@ class Coordinator:
         self.steps = StepTracker()
         self.prepare_attempts = prepare_attempts
         self.retry_wait_cycles = retry_wait_cycles
-        self.max_attempts = max_attempts
         self.committed_gtxs = 0
         self.aborted_gtxs = 0
         self.prepare_retries = 0
@@ -167,17 +155,6 @@ class Coordinator:
             label={"gtx": gtx - GTX_BASE, "step": step},
         )
 
-    # --- request-span emission ------------------------------------------
-
-    def _emit(self, kind: str, track: int, ts: int, **fields) -> None:
-        if self.request_tracer is not None:
-            self.request_tracer.emit(ts, track, kind, **fields)
-
-    @staticmethod
-    def _participant_now(participant, fallback: int) -> int:
-        machine = getattr(participant, "machine", None)
-        return fallback if machine is None else machine.now
-
     # --- the protocol ---------------------------------------------------
 
     def commit_global(
@@ -185,8 +162,6 @@ class Coordinator:
         gtx: int,
         plan: "Dict[int, List[PreparedWrite]]",
         participants: "Dict[int, object]",
-        *,
-        ctx: "Optional[TraceContext]" = None,
     ) -> str:
         """Run one global transaction to a durable decision.
 
@@ -196,41 +171,17 @@ class Coordinator:
         every participant has applied and sealed its part before this
         returns — the caller's acknowledgement is covered by durable
         state on all shards.
-
-        *ctx* is the originating request's trace identity; when a
-        request tracer is attached, the gtx span opens on the
-        coordinator track carrying it, and every PREPARE / DECIDE
-        crossing to a participant emits a flow-arrow pair.
         """
         shard_ids = sorted(plan)
         if len(shard_ids) > 8:
             raise SimulationError(
                 "a decision record holds at most 8 participant ids"
             )
-        g = gtx - GTX_BASE
-        label = f"g{g}"
+        label = f"g{gtx - GTX_BASE}"
         started_at = self.machine.now
-        info = dict(ctx.fields()) if ctx is not None else {}
-        info["gtx"] = g
-        self._emit(
-            "gtx_begin",
-            self.node_id,
-            started_at,
-            flow=gtx_flow_id(g),
-            shards=list(shard_ids),
-            **info,
-        )
         self.steps.hit(f"pre-prepare:{label}")
         prepared: List[int] = []
         for shard in shard_ids:
-            self._emit(
-                "prepare_send",
-                self.node_id,
-                self.machine.now,
-                flow=prepare_flow_id(g, shard),
-                gtx=g,
-                shard=shard,
-            )
             if not self._prepare_with_retry(
                 participants[shard], gtx, plan[shard]
             ):
@@ -244,81 +195,19 @@ class Coordinator:
                 )
                 self._count_decision(started_at)
                 for done in prepared:
-                    self._emit(
-                        "decide_send",
-                        self.node_id,
-                        self.machine.now,
-                        flow=decide_flow_id(g, done),
-                        gtx=g,
-                        shard=done,
-                        fate="abort",
-                    )
                     participants[done].abort(gtx, shard_ids)
-                    self._emit(
-                        "decide_done",
-                        done,
-                        self._participant_now(
-                            participants[done], self.machine.now
-                        ),
-                        flow=decide_flow_id(g, done),
-                        gtx=g,
-                        shard=done,
-                        fate="abort",
-                    )
                 self.aborted_gtxs += 1
-                self._emit(
-                    "gtx_end",
-                    self.node_id,
-                    self.machine.now,
-                    flow=gtx_flow_id(g),
-                    fate="abort",
-                    **info,
-                )
                 return "abort"
             prepared.append(shard)
-            self._emit(
-                "prepare_done",
-                shard,
-                self._participant_now(participants[shard], self.machine.now),
-                flow=prepare_flow_id(g, shard),
-                gtx=g,
-                shard=shard,
-            )
             self.steps.hit(f"prepared:{label}:s{shard}")
         self.steps.hit(f"pre-decision:{label}")
         self.persist_decision(gtx, "decide-commit", shard_ids)
         self._count_decision(started_at)
         self.steps.hit(f"post-decision:{label}")
         for shard in shard_ids:
-            self._emit(
-                "decide_send",
-                self.node_id,
-                self.machine.now,
-                flow=decide_flow_id(g, shard),
-                gtx=g,
-                shard=shard,
-                fate="commit",
-            )
             participants[shard].commit(gtx, shard_ids)
-            self._emit(
-                "decide_done",
-                shard,
-                self._participant_now(participants[shard], self.machine.now),
-                flow=decide_flow_id(g, shard),
-                gtx=g,
-                shard=shard,
-                fate="commit",
-            )
             self.steps.hit(f"applied:{label}:s{shard}")
         self.committed_gtxs += 1
-        self._emit(
-            "gtx_end",
-            self.node_id,
-            self.machine.now,
-            flow=gtx_flow_id(g),
-            fate="commit",
-            **info,
-        )
         return "commit"
 
     def _count_decision(self, started_at: int) -> None:

@@ -67,6 +67,17 @@ TWOPC_REPRODUCER = dict(
     CRASH_REPRODUCER, policy="none", ops=[], crash_kind="step", crash_point=3,
     twopc={"shards": 2, "num_clients": 3, "requests_per_client": 5, "seed": 7},
 )
+SERVICE_BLOCK = {
+    "batch_size": 8, "duration_cycles": None, "locking": False,
+    "num_clients": 2, "requests_per_client": 4, "seed": 7,
+}
+
+
+def service_reproducer(**block):
+    return dict(
+        CRASH_REPRODUCER, policy="none", ops=[], service=dict(SERVICE_BLOCK, **block),
+    )
+
 
 #: ``{probe: (field the error must name, malformed reproducer)}``.
 MALFORMED = {
@@ -87,11 +98,14 @@ MALFORMED = {
     "unknown fault kind": ("fault.kind", dict(
         CRASH_REPRODUCER, crash_kind="fault", fault={"kind": "melt"},
     )),
-    "service batch 0": ("service.batch_size", dict(
-        CRASH_REPRODUCER, policy="none", ops=[],
-        service={"batch_size": 0, "locking": False, "num_clients": 2,
-                 "requests_per_client": 4, "seed": 7},
-    )),
+    "service batch 0": ("service.batch_size", service_reproducer(batch_size=0)),
+    "service string duration": (
+        "service.duration_cycles", service_reproducer(duration_cycles="200000"),
+    ),
+    "service duration 0": ("service.duration_cycles", service_reproducer(duration_cycles=0)),
+    "service negative duration": (
+        "service.duration_cycles", service_reproducer(duration_cycles=-1),
+    ),
 }
 PROBES = list(MALFORMED)
 

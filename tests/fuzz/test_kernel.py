@@ -1,5 +1,6 @@
-"""The campaign kernel: point selection, knobs, and the pinned
-batch-8 undo defect every family's case loop would report."""
+"""The campaign kernel: point selection, knobs, and the pinned undo
+defects (batch-8 hashtable, duration-mode multistruct FG) every
+family's case loop would report."""
 
 import random
 
@@ -136,5 +137,22 @@ class TestBatteryBackedCaches:
 def test_batch8_hashtable_undo_defect(scheme, point):
     result = run_case(
         ServiceCell("hashtable", scheme, 8), "persist", point, seed=5
+    )
+    assert result.violation is None, f"[{result.check}] {result.violation}"
+
+
+@pytest.mark.fuzz
+@pytest.mark.xfail(
+    strict=True,
+    reason="known multistruct FG undo defect: the in-flight batch holds two "
+    "durable undo records for the counter word, a 1-word record whose "
+    "pre-image is the batch's own first bump and a merged 4-word record "
+    "with the true pre-image; reverse replay applies the 1-word record "
+    "last, so the counter recovers one past the queue length",
+)
+def test_duration_multistruct_fg_undo_defect():
+    result = run_case(
+        ServiceCell("multistruct", "FG", 8, locking=True), "persist", 2505,
+        seed=7, num_clients=3, duration_cycles=200000,
     )
     assert result.violation is None, f"[{result.check}] {result.violation}"

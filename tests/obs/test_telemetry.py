@@ -1,10 +1,12 @@
-"""TelemetryWindows: attribution, rebinning, merge determinism."""
+"""TelemetryWindows: attribution, rebinning, merge determinism, and
+service passivity with telemetry attached."""
 
 import json
 
 import pytest
 
 from repro.obs.telemetry import TelemetryWindows, merge_telemetry
+from repro.service.server import ServiceConfig, run_service
 
 
 class TestRecording:
@@ -158,3 +160,28 @@ class TestMergeAndSerialise:
         assert rows[3]["counts"] == {"shed": 1}
         text = tel.format()
         assert "windows (50 cycles each)" in text
+
+
+class TestServiceTelemetryPassivity:
+    KW = dict(
+        workload="hashtable", scheme="SLPMT", num_clients=3,
+        requests_per_client=15, value_bytes=32, seed=23,
+    )
+
+    def test_bit_identical_with_telemetry(self):
+        bare = run_service(ServiceConfig(**self.KW))
+        telemetry = TelemetryWindows()
+        observed = run_service(ServiceConfig(**self.KW), telemetry=telemetry)
+        assert bare.cycles == observed.cycles
+        assert bare.stats.as_dict() == observed.stats.as_dict()
+        assert bare.pm_bytes == observed.pm_bytes
+        # And the registry actually saw the run.
+        assert telemetry.total("acked") == observed.acked
+
+    def test_telemetry_accounts_every_request(self):
+        telemetry = TelemetryWindows()
+        res = run_service(ServiceConfig(**self.KW), telemetry=telemetry)
+        assert telemetry.total("acked") == res.acked
+        assert telemetry.total("shed") == res.shed
+        assert telemetry.total("batches") == res.batches
+        assert telemetry.merged_hist("latency").count == res.acked

@@ -64,10 +64,12 @@ class TestChromeTrace:
                 {"ph": "X", "pid": 1, "tid": 0, "name": "x", "ts": 0, "dur": -1},
                 {"ph": "i", "pid": 1, "tid": 0, "name": "x", "ts": 1.5},
                 {"ph": "i", "pid": 1, "tid": 0, "ts": 0},
+                {"ph": "b", "pid": 1, "tid": 0, "name": "x", "ts": 0, "id": 1},
             ]
         }
         problems = validate_chrome_trace(bad)
-        assert len(problems) == 4
+        assert len(problems) == 5
+        assert problems[-1] == "traceEvents[4]: unknown phase 'b'"
 
     def test_validator_requires_event_list(self):
         assert validate_chrome_trace({}) != []
