@@ -289,7 +289,7 @@ class Machine:
         persistent = addr >= _PM_BASE
         if self.coherence is not None and persistent:
             self.coherence.before_read(self.core_id, addr & _LINE_MASK)
-        line = self._access(addr, for_write=False)
+        line = self._access(addr)
         if persistent:
             self._check_line_txid(line)
             if self._in_tx:
@@ -364,7 +364,7 @@ class Machine:
 
     def _do_store(self, addr: int, value: int, *, persist_flag: bool, log_flag: bool) -> None:
         if addr < _PM_BASE:
-            line = self._access(addr, for_write=True)
+            line = self._access(addr)
             line.write_word((addr & _OFFSET_MASK) >> _WORD_SHIFT, value)
             return
 
@@ -381,7 +381,7 @@ class Machine:
                 self._trace("signature_hit", line=hex(line_addr), tx_ids=tuple(hits))
                 self._force_persist_through(hits[-1])
 
-        line = self._access(addr, for_write=True)
+        line = self._access(addr)
         self._check_line_txid(line)
         word = (addr & _OFFSET_MASK) >> _WORD_SHIFT
 
@@ -476,7 +476,7 @@ class Machine:
     # cache hierarchy (exclusive L1/L2, metadata propagation per Fig. 5)
     # ------------------------------------------------------------------
 
-    def _access(self, addr: int, *, for_write: bool) -> CacheLine:
+    def _access(self, addr: int) -> CacheLine:
         """Bring the line containing *addr* into L1 and return it."""
         line_addr = addr & _LINE_MASK
         l1 = self.l1

@@ -1,10 +1,16 @@
 """Persistent-memory backing store and the durable log region.
 
-The backing store maps word addresses to values; untouched memory reads
-as zero.  Because durability is granted at WPQ insertion (ADR), callers
-apply writes here the moment the WPQ accepts them — the store therefore
-always holds exactly the post-crash contents of the media plus the
-drained queue.
+The backing store keeps two word stores and routes every accessor by
+address; untouched memory reads as zero.  Heap words sit in a dict
+keyed by word address.  The log region [``PM_LOG_BASE``,
+``PM_LOG_BASE + PM_LOG_BYTES``) is one dense ``array('Q')``: word *i*
+lives at ``PM_LOG_BASE + 8*i`` and the array ends one past the highest
+word ever written there.  The serialized stream is append-only and
+contiguous from ``PM_LOG_BASE``, so the array costs 8 bytes a word, its
+length bounds every parse in O(1) and a reset truncates it.  Because
+durability is granted at WPQ insertion (ADR), callers apply writes here
+the moment the WPQ accepts them — the store therefore always holds
+exactly the post-crash contents of the media plus the drained queue.
 
 The log region is one extent store, a live index and a view: each
 append is *serialized* with the codec in :mod:`repro.mem.logregion`
@@ -26,6 +32,7 @@ the serialized stream now carries.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -36,7 +43,12 @@ from repro.mem import layout
 _logregion = None
 _PM_BASE = layout.PM_BASE
 _WORD_MASK = ~(units.WORD_BYTES - 1)
+_WORD_SHIFT = units.WORD_BYTES.bit_length() - 1
+#: The log region opens the PM region (``PM_LOG_BASE == PM_BASE``), so
+#: a persistent address below ``_LOG_END`` is a log word.
+_LOG_BASE = layout.PM_LOG_BASE
 _LOG_END = layout.PM_LOG_BASE + layout.PM_LOG_BYTES
+_WORD_LIMIT = 1 << 64
 
 
 def _logregion_module():
@@ -93,6 +105,8 @@ class DurableLogEntry:
 class LogExtent:
     """Where one serialized entry lives on the media."""
 
+    __slots__ = ("start", "nwords", "entry")
+
     start: int
     nwords: int
     entry: DurableLogEntry
@@ -107,6 +121,12 @@ class _JournalGroup:
     """Durable writes between two durability events (one WPQ insert)."""
 
     cursor0: int
+    #: Log-array length when the group opened: a revert truncates to
+    #: it, which undoes every write that extended the array.
+    log_len0: int
+    #: ``(word address, prior value)`` per write, in order.  A heap
+    #: word's prior is None when it was absent; a log word's prior is
+    #: 0 past the array's end (the truncation removes it).
     writes: List[Tuple[int, Optional[int]]] = field(default_factory=list)
     appends: int = 0
     #: Live-index prunes made in this group, in order: the ``(tx_seq,
@@ -118,7 +138,8 @@ class _JournalGroup:
 
 @dataclass
 class PersistentMemory:
-    """Durable word store + the log region: extents, live index, view.
+    """Durable word stores (heap dict, dense log array) + the log
+    region's extents, live index and view.
 
     Entries are *serialized* into the PM log region at
     :data:`~repro.mem.layout.PM_LOG_BASE` (append-only, markers make
@@ -126,7 +147,10 @@ class PersistentMemory:
     :mod:`repro.mem.logregion`; :attr:`log` views the live ones.
     """
 
+    #: Heap words, by word address (never a log-region address).
     _words: Dict[int, int] = field(default_factory=dict)
+    #: The log region's words, dense from :data:`PM_LOG_BASE`.
+    _log_words: "array[int]" = field(default_factory=lambda: array("Q"))
     _log_cursor: int = layout.PM_LOG_BASE
     #: Every appended entry and its placement, in append order.
     log_extents: List[LogExtent] = field(default_factory=list)
@@ -146,10 +170,14 @@ class PersistentMemory:
 
     def read_word(self, addr: int) -> int:
         # Every durable traversal of a crash judge reads through here:
-        # the region test and word alignment are inlined.
+        # the region tests and word alignment are inlined.
         if addr < _PM_BASE:
             raise SimulationError(f"PM read of volatile address {addr:#x}")
-        return self._words.get(addr & _WORD_MASK, 0)
+        if addr >= _LOG_END:
+            return self._words.get(addr & _WORD_MASK, 0)
+        index = (addr - _LOG_BASE) >> _WORD_SHIFT
+        log = self._log_words
+        return log[index] if index < len(log) else 0
 
     def write_word(self, addr: int, value: int) -> None:
         if not layout.is_persistent(addr):
@@ -158,6 +186,10 @@ class PersistentMemory:
 
     def read_line(self, line_addr: int) -> List[int]:
         base = units.line_addr(line_addr)
+        if _LOG_BASE <= base < _LOG_END:
+            index = (base - _LOG_BASE) >> _WORD_SHIFT
+            words = self._log_words[index : index + units.WORDS_PER_LINE].tolist()
+            return words + [0] * (units.WORDS_PER_LINE - len(words))
         return [
             self._words.get(base + i * units.WORD_BYTES, 0)
             for i in range(units.WORDS_PER_LINE)
@@ -167,7 +199,7 @@ class PersistentMemory:
         base = units.line_addr(line_addr)
         if len(words) != units.WORDS_PER_LINE:
             raise SimulationError("write_line expects a full line of words")
-        if self._journal is None:
+        if self._journal is None and base >= _LOG_END:
             store = self._words
             for i, value in enumerate(words):
                 store[base + i * units.WORD_BYTES] = value
@@ -177,11 +209,34 @@ class PersistentMemory:
 
     def _raw_store(self, word_addr: int, value: int) -> None:
         """Apply one durable word write, journaling the prior value."""
+        if _LOG_BASE <= word_addr < _LOG_END:
+            self._log_store(word_addr, value)
+            return
         if self._journal is not None:
             self._journal[-1].writes.append(
                 (word_addr, self._words.get(word_addr))
             )
         self._words[word_addr] = value
+
+    def _log_store(self, word_addr: int, value: int) -> None:
+        """Store one log-region word, zero-padding any gap past the end."""
+        if not 0 <= value < _WORD_LIMIT:
+            raise SimulationError(
+                f"log word {value:#x} at {word_addr:#x} does not fit 64 bits"
+            )
+        log = self._log_words
+        index = (word_addr - _LOG_BASE) >> _WORD_SHIFT
+        size = len(log)
+        if self._journal is not None:
+            self._journal[-1].writes.append(
+                (word_addr, log[index] if index < size else 0)
+            )
+        if index < size:
+            log[index] = value
+            return
+        if index > size:
+            log.frombytes(bytes((index - size) * units.WORD_BYTES))
+        log.append(value)
 
     # --- log region -----------------------------------------------------
 
@@ -207,14 +262,14 @@ class PersistentMemory:
         end = start + len(words) * units.WORD_BYTES
         if end > _LOG_END:
             raise SimulationError("PM log region exhausted")
-        if self._journal is None:
-            store = self._words
-            for i, word in enumerate(words):
-                store[start + i * units.WORD_BYTES] = word
+        log = self._log_words
+        if self._journal is None and start == _LOG_BASE + len(log) * units.WORD_BYTES:
+            log.extend(words)
         else:
             for i, word in enumerate(words):
                 self._raw_store(start + i * units.WORD_BYTES, word)
-            self._journal[-1].appends += 1
+            if self._journal is not None:
+                self._journal[-1].appends += 1
         self._log_cursor = end
         extents = self.log_extents
         positions = self._live.get(entry.tx_seq)
@@ -242,14 +297,9 @@ class PersistentMemory:
         """Upper parse bound: past everything ever written to the log
         region (hand-written words included), so the tolerant
         decoder's is-anything-after-this scan stays cheap."""
-        top = max(
-            (a for a in self._words if layout.PM_LOG_BASE <= a < _LOG_END),
-            default=None,
+        return max(
+            self._log_cursor, _LOG_BASE + len(self._log_words) * units.WORD_BYTES
         )
-        limit = self._log_cursor
-        if top is not None:
-            limit = max(limit, top + units.WORD_BYTES)
-        return limit
 
     def parse_byte_log(self) -> List[DurableLogEntry]:
         """Re-derive every entry from the serialized PM words (what a
@@ -265,9 +315,7 @@ class PersistentMemory:
         classifies torn/corrupt entries (see
         :func:`repro.mem.logregion.decode_region`)."""
         return _logregion_module().decode_region(
-            lambda addr: self._words.get(addr, 0),
-            layout.PM_LOG_BASE,
-            self._log_limit(),
+            self.read_word, layout.PM_LOG_BASE, self._log_limit()
         )
 
     def structural_parsed(self) -> "object":
@@ -290,14 +338,13 @@ class PersistentMemory:
         afterwards a second recovery is a no-op, which is what makes
         ``recover(); recover()`` ≡ ``recover()``.
         """
-        for addr in [a for a in self._words if layout.PM_LOG_BASE <= a < _LOG_END]:
-            del self._words[addr]
+        del self._log_words[:]
         self.log_extents.clear()
         self._live.clear()
         self.log_damage.clear()
         self._log_cursor = layout.PM_LOG_BASE
         if self._journal is not None:
-            self._journal = [_JournalGroup(cursor0=self._log_cursor)]
+            self._journal = [self._open_group()]
 
     def log_discard_tx(self, tx_seq: int) -> None:
         """Reclaim the (now useless) records of a committed transaction
@@ -369,7 +416,7 @@ class PersistentMemory:
                 f"flip word {word} outside extent of {extent.nwords} words"
             )
         addr = extent.start + word * units.WORD_BYTES
-        self._raw_store(addr, self._words.get(addr, 0) ^ (1 << bit))
+        self._raw_store(addr, self.read_word(addr) ^ (1 << bit))
         self._unlink(append_index)
         self.log_damage.append(
             _logregion_module().DamagedEntry(
@@ -386,14 +433,17 @@ class PersistentMemory:
     def arm_journal(self) -> None:
         """Start journaling durable writes, grouped by durability event,
         so a suffix of WPQ drains can later be reverted."""
-        self._journal = [_JournalGroup(cursor0=self._log_cursor)]
+        self._journal = [self._open_group()]
+
+    def _open_group(self) -> _JournalGroup:
+        return _JournalGroup(self._log_cursor, len(self._log_words))
 
     def note_durability_event(self) -> None:
         """Close the current journal group (one WPQ insertion happened)."""
         if self._journal is not None and (
             self._journal[-1].writes or self._journal[-1].appends
         ):
-            self._journal.append(_JournalGroup(cursor0=self._log_cursor))
+            self._journal.append(self._open_group())
 
     def journal_groups(self) -> int:
         """Non-empty durability groups currently journaled."""
@@ -417,11 +467,15 @@ class PersistentMemory:
                 self._live[tx_seq] = [*positions, *self._live.get(tx_seq, ())]
             if not (group.writes or group.appends):
                 continue
+            words, log = self._words, self._log_words
             for addr, prior in reversed(group.writes):
-                if prior is None:
-                    self._words.pop(addr, None)
+                if _LOG_BASE <= addr < _LOG_END:
+                    log[(addr - _LOG_BASE) >> _WORD_SHIFT] = prior
+                elif prior is None:
+                    words.pop(addr, None)
                 else:
-                    self._words[addr] = prior
+                    words[addr] = prior
+            del log[group.log_len0 :]
             for _ in range(group.appends):
                 if self.log_extents:
                     self._unlink(len(self.log_extents) - 1)
@@ -429,23 +483,26 @@ class PersistentMemory:
             self._log_cursor = group.cursor0
             dropped += 1
         if not self._journal:
-            self._journal = [_JournalGroup(cursor0=self._log_cursor)]
+            self._journal = [self._open_group()]
         return dropped
 
     # --- introspection -------------------------------------------------
 
     def snapshot(self) -> "PersistentMemory":
-        """Deep copy of the durable image: the words, the extents and
-        live index, the damage ledger, the append clock and, when armed,
-        the write journal.  The fault model is not carried over."""
+        """Deep copy of the durable image: both word stores, the extents
+        and live index, the damage ledger, the append clock and, when
+        armed, the write journal.  The fault model is not carried over."""
         journal = self._journal
         if journal is not None:
             journal = [
-                _JournalGroup(g.cursor0, list(g.writes), g.appends, list(g.prunes))
+                _JournalGroup(
+                    g.cursor0, g.log_len0, list(g.writes), g.appends, list(g.prunes)
+                )
                 for g in journal
             ]
         return PersistentMemory(
             _words=dict(self._words),
+            _log_words=self._log_words[:],
             _log_cursor=self._log_cursor,
             log_extents=list(self.log_extents),
             _live={t: list(ps) for t, ps in self._live.items()},

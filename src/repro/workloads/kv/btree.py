@@ -10,7 +10,11 @@ splitting on the way down (CLRS).  Annotation sites:
   logged ``n`` counters roll back, leaving the moved entries physically
   intact in the old node;
 * entry writes into the *dead* slot at index ``n`` (append position) —
-  :data:`Hint.NEW_ALLOC`: rollback restores ``n``, making the slot dead;
+  :data:`Hint.NEW_ALLOC`: rollback restores ``n``, making the slot dead.
+  Only for a node whose ``n`` the running transaction has not lowered:
+  a split lowers the split child's ``n`` with a logged store, so
+  rollback revives the slots past the new ``n`` and a store there needs
+  its pre-image;
 * shifts of live entries and all counter/child updates on existing
   nodes — plain logged stores.
 """
@@ -46,6 +50,9 @@ class BTreeKV(Workload):
 
     def setup(self) -> None:
         rt = self.rt
+        #: Nodes whose ``n`` transaction ``_shrunk_tx`` lowered.
+        self._shrunk: Set[int] = set()
+        self._shrunk_tx: Optional[int] = None
         self.header = rt.allocator.alloc(HEADER.size)
         with rt.transaction():
             rt.write_field(HEADER, self.header, "root", NULL)
@@ -57,6 +64,20 @@ class BTreeKV(Workload):
 
     def _set(self, node: int, field: str, value: int, hint: Hint = Hint.NONE) -> None:
         self.rt.write_field(NODE, node, field, value, hint)
+
+    def _shrunk_nodes(self) -> Set[int]:
+        """Nodes whose ``n`` the running transaction lowered.  Kept per
+        transaction, not per insert: a service batch runs several
+        inserts in one transaction."""
+        tx_seq = self.rt.machine.current_tx_seq
+        if tx_seq != self._shrunk_tx:
+            self._shrunk_tx, self._shrunk = tx_seq, set()
+        return self._shrunk
+
+    def _dead_slot_hint(self, node: int) -> Hint:
+        """Hint for a store into *node*'s slot ``n``: log-free while that
+        slot was dead when the running transaction began."""
+        return Hint.NONE if node in self._shrunk_nodes() else Hint.NEW_ALLOC
 
     def _new_node(self, *, leaf: bool) -> int:
         """Allocate a node; every initialising store is log-free."""
@@ -118,13 +139,15 @@ class BTreeKV(Workload):
     def _leaf_insert(self, node: int, idx: int, n: int, key: int, value: List[int]) -> None:
         buf = self._write_value_buffer(value)
         # Shift entries right; the write into slot `j` when j == n lands
-        # in dead space (beyond the logged count) and needs no pre-image.
+        # in dead space (beyond the logged count) and needs no pre-image
+        # unless a split in this transaction lowered `n`.
+        dead = self._dead_slot_hint(node)
         for j in range(n, idx, -1):
-            hint = Hint.NEW_ALLOC if j == n else Hint.NONE
+            hint = dead if j == n else Hint.NONE
             self._set(node, f"key{j}", self._get(node, f"key{j-1}"), hint)
             self._set(node, f"vptr{j}", self._get(node, f"vptr{j-1}"), hint)
             self._set(node, f"vlen{j}", self._get(node, f"vlen{j-1}"), hint)
-        hint = Hint.NEW_ALLOC if idx == n else Hint.NONE
+        hint = dead if idx == n else Hint.NONE
         self._set(node, f"key{idx}", key, hint)
         self._set(node, f"vptr{idx}", buf, hint)
         self._set(node, f"vlen{idx}", len(value), hint)
@@ -147,21 +170,21 @@ class BTreeKV(Workload):
                 )
         self._set(right, "n", t - 1, Hint.NEW_ALLOC)
         self._set(child, "n", t - 1)  # logged: shrinks the live region
+        self._shrunk_nodes().add(child)
 
         pn = self._get(parent, "n")
+        dead = self._dead_slot_hint(parent)
         for j in range(pn, idx, -1):
-            hint = Hint.NEW_ALLOC if j == pn else Hint.NONE
-            self._set(parent, f"child{j + 1}", self._get(parent, f"child{j}"),
-                      Hint.NEW_ALLOC if j == pn else Hint.NONE)
+            hint = dead if j == pn else Hint.NONE
+            self._set(parent, f"child{j + 1}", self._get(parent, f"child{j}"), hint)
             self._set(parent, f"key{j}", self._get(parent, f"key{j-1}"), hint)
             self._set(parent, f"vptr{j}", self._get(parent, f"vptr{j-1}"), hint)
             self._set(parent, f"vlen{j}", self._get(parent, f"vlen{j-1}"), hint)
-        hint = Hint.NEW_ALLOC if idx == pn else Hint.NONE
+        hint = dead if idx == pn else Hint.NONE
         self._set(parent, f"key{idx}", self._get(child, f"key{t - 1}"), hint)
         self._set(parent, f"vptr{idx}", self._get(child, f"vptr{t - 1}"), hint)
         self._set(parent, f"vlen{idx}", self._get(child, f"vlen{t - 1}"), hint)
-        self._set(parent, f"child{idx + 1}", right,
-                  Hint.NEW_ALLOC if idx == pn else Hint.NONE)
+        self._set(parent, f"child{idx + 1}", right, hint)
         self._set(parent, "n", pn + 1)
 
     # ------------------------------------------------------------------

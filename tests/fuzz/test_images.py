@@ -26,7 +26,6 @@ from repro.fuzz.kernel import (
     shared_knobs,
 )
 from repro.fuzz.twopc import TwoPCCell
-from repro.mem import layout
 from repro.recovery.engine import recover
 
 pytestmark = pytest.mark.fuzz
@@ -202,12 +201,8 @@ def test_recording_pass_equals_the_clean_run(cell, knobs, monkeypatch):
 
 
 def _data_words(pm):
-    log_end = layout.PM_LOG_BASE + layout.PM_LOG_BYTES
-    return {
-        addr: value
-        for addr, value in pm._words.items()
-        if value and not layout.PM_LOG_BASE <= addr < log_end
-    }
+    """The heap's non-zero words (the log region has its own store)."""
+    return {addr: value for addr, value in pm._words.items() if value}
 
 
 UNDAMAGED = [(cell, knobs) for cell, knobs in CELLS if not isinstance(cell, FaultCell)] + [

@@ -6,7 +6,8 @@ structure that satisfies its invariants and contains exactly the
 committed keys with their committed values.
 """
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import PowerFailure
@@ -118,11 +119,32 @@ def test_avl_crash_consistency(case):
     run_crash_experiment("avl", "SLPMT", keys, point)
 
 
+#: kv-btree images whose crash lands after a split lowered a node's
+#: ``n`` in the same transaction: rollback revives the slot past the new
+#: ``n``, so a later store there must be logged.
+BTREE_SPLIT_IMAGES = [
+    ([2, 3, 4, 5, 6, 7, 8, 1], 55),  # key 1 shifts into the old root's slot 3
+    ([1, 2, 3, 5, 6, 7, 8, 4], 45),  # key 4 shifts into it
+]
+
+
 @COMMON_SETTINGS
-@given(case=crash_case(), backend=st.sampled_from(["kv-btree", "kv-ctree", "kv-rtree"]))
-def test_kv_crash_consistency(case, backend):
+@given(
+    case=crash_case(),
+    backend=st.sampled_from(["kv-btree", "kv-ctree", "kv-rtree"]),
+    scheme=st.sampled_from(sorted(SCHEMES)),
+)
+@example(case=BTREE_SPLIT_IMAGES[0], backend="kv-btree", scheme="SLPMT")
+@example(case=BTREE_SPLIT_IMAGES[1], backend="kv-btree", scheme="SLPMT")
+def test_kv_crash_consistency(case, backend, scheme):
     keys, point = case
-    run_crash_experiment(backend, "SLPMT", keys, point)
+    run_crash_experiment(backend, scheme, keys, point)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("keys, point", BTREE_SPLIT_IMAGES)
+def test_kv_btree_split_images_recover(keys, point, scheme):
+    assert run_crash_experiment("kv-btree", scheme, keys, point)
 
 
 @COMMON_SETTINGS

@@ -3,13 +3,16 @@
 :class:`~repro.mem.pm.PersistentMemory` keeps structural log entries
 only in its extent store, selects the live ones through a per-``tx_seq``
 index of extent positions, and presents :attr:`PersistentMemory.log` as
-a view.  :class:`ListLog` below is the plain-list form of the same
-contract: the structural list is a separate list pruned by filtering,
-journaled prunes are ``(index, entry)`` pairs re-inserted on a dropped
-drain, and flipped or dropped entries are found by a backward identity
-search.  Random operation sequences must leave both with the same log,
-the same per-transaction entries and the same structural parse, and a
-snapshot must never share mutable state with its source.
+a view; the serialized words sit in one dense array.  :class:`ListLog`
+below is the plain form of the same contract: the structural list is a
+separate list pruned by filtering, journaled prunes are ``(index,
+entry)`` pairs re-inserted on a dropped drain, flipped or dropped
+entries are found by a backward identity search, and the log region's
+words are a dict keyed by address whose journal restores each prior
+value (or absence).  Random operation sequences must leave both with
+the same log, the same per-transaction entries and the same structural
+parse, the same words, parse limit and byte parse, and a snapshot must
+never share mutable state with its source.
 """
 
 import pytest
@@ -19,19 +22,28 @@ from hypothesis import strategies as st
 from repro.common.errors import PowerFailure
 from repro.faults import BitFlip, FaultModel, TornAppend
 from repro.mem import layout
-from repro.mem.logregion import PAYLOAD_KINDS, entry_wire_words
+from repro.mem.logregion import (
+    HEADER_WORDS,
+    PAYLOAD_KINDS,
+    decode_region,
+    encode_entry,
+    entry_wire_words,
+    stream_header_words,
+)
 from repro.mem.pm import DurableLogEntry, PersistentMemory
 
 BASE = layout.PM_HEAP_BASE
+LOG_BASE = layout.PM_LOG_BASE
+LOG_END = layout.PM_LOG_BASE + layout.PM_LOG_BYTES
 TX_SEQS = (1, 2, 3, 1 << 40)
 
 
 class _Group:
     """One durability group of the reference's journal."""
 
-    def __init__(self, pristine):
-        self.pristine = pristine  # the cursor sat at the region base
-        self.dirty = False  # a durable word write happened in it
+    def __init__(self, cursor0):
+        self.cursor0 = cursor0
+        self.writes = []  # (addr, prior value or None), in order
         self.appends = 0
         self.prunes = []  # lists of (index, entry), ascending
 
@@ -44,34 +56,50 @@ def _remove_last(entries, entry):
 
 
 class ListLog:
-    """The structural log as a plain list beside the append record."""
+    """The structural log as a plain list beside the append record, and
+    the log region's words as a dict."""
 
     def __init__(self):
         self.log = []
-        self.extents = []
-        self.pristine = True
+        self.extents = []  # (entry, start address)
+        self.words = {}
+        self.cursor = LOG_BASE
         self.journal = None
 
-    def _wrote(self):
+    def store(self, addr, value):
         if self.journal is not None:
-            self.journal[-1].dirty = True
+            self.journal[-1].writes.append((addr, self.words.get(addr)))
+        self.words[addr] = value
+
+    def _start(self):
+        if self.cursor == LOG_BASE:
+            for i, word in enumerate(stream_header_words()):
+                self.store(LOG_BASE + 8 * i, word)
+            self.cursor = LOG_BASE + HEADER_WORDS * 8
+        return self.cursor
+
+    def _serialize(self, entry, cut):
+        start = self._start()
+        for i, word in enumerate(encode_entry(entry)[:cut]):
+            self.store(start + 8 * i, word)
+        self.cursor = start + 8 * cut
+        return start
 
     def append(self, entry):
-        self._wrote()
-        self.pristine = False
+        start = self._serialize(entry, entry_wire_words(entry))
         self.log.append(entry)
-        self.extents.append(entry)
+        self.extents.append((entry, start))
         if self.journal is not None:
             self.journal[-1].appends += 1
 
-    def tear(self, cut):
-        if self.pristine or cut:
-            self._wrote()
-        self.pristine = False
+    def tear(self, entry, cut):
+        self._serialize(entry, cut)
 
-    def flip(self, entry):
+    def flip(self, entry, word, bit):
         self.append(entry)
         _remove_last(self.log, entry)
+        addr = self.extents[-1][1] + 8 * word
+        self.store(addr, self.words.get(addr, 0) ^ (1 << bit))
 
     def discard(self, tx_seq):
         pruned = [(i, e) for i, e in enumerate(self.log) if e.tx_seq == tx_seq]
@@ -80,11 +108,11 @@ class ListLog:
             self.journal[-1].prunes.append(pruned)
 
     def arm(self):
-        self.journal = [_Group(self.pristine)]
+        self.journal = [_Group(self.cursor)]
 
     def note(self):
-        if self.journal is not None and self.journal[-1].dirty:
-            self.journal.append(_Group(self.pristine))
+        if self.journal is not None and self.journal[-1].writes:
+            self.journal.append(_Group(self.cursor))
 
     def drop(self, count):
         dropped = 0
@@ -93,33 +121,46 @@ class ListLog:
             for pruned in reversed(group.prunes):
                 for index, entry in pruned:
                     self.log.insert(index, entry)
-            if not group.dirty:
+            if not group.writes:
                 continue
+            for addr, prior in reversed(group.writes):
+                if prior is None:
+                    self.words.pop(addr, None)
+                else:
+                    self.words[addr] = prior
             for _ in range(group.appends):
                 if self.extents:
-                    _remove_last(self.log, self.extents.pop())
-            self.pristine = group.pristine
+                    _remove_last(self.log, self.extents.pop()[0])
+            self.cursor = group.cursor0
             dropped += 1
         if not self.journal:
-            self.journal = [_Group(self.pristine)]
+            self.journal = [_Group(self.cursor)]
         return dropped
 
     def reset(self):
-        self.log, self.extents, self.pristine = [], [], True
+        self.log, self.extents, self.words = [], [], {}
+        self.cursor = LOG_BASE
         if self.journal is not None:
-            self.journal = [_Group(True)]
+            self.journal = [_Group(self.cursor)]
+
+    def limit(self):
+        """The parse bound: past the cursor and every word ever written."""
+        return max([self.cursor] + [addr + 8 for addr in self.words])
+
+    def parse(self):
+        return decode_region(lambda a: self.words.get(a, 0), LOG_BASE, self.limit())
 
     def copy(self):
         """A deep copy that shares the (frozen) entries, as a PM
         snapshot does."""
         dup = ListLog()
         dup.log, dup.extents = list(self.log), list(self.extents)
-        dup.pristine = self.pristine
+        dup.words, dup.cursor = dict(self.words), self.cursor
         if self.journal is not None:
             dup.journal = []
             for group in self.journal:
-                twin = _Group(group.pristine)
-                twin.dirty, twin.appends = group.dirty, group.appends
+                twin = _Group(group.cursor0)
+                twin.writes, twin.appends = list(group.writes), group.appends
                 twin.prunes = [list(pruned) for pruned in group.prunes]
                 dup.journal.append(twin)
         return dup
@@ -142,6 +183,8 @@ STEPS = st.one_of(
     st.tuples(st.just("torn"), ENTRIES, st.integers(0, 16)),
     st.tuples(st.just("flip"), ENTRIES, st.integers(0, 16), st.integers(0, 63)),
     st.tuples(st.just("discard"), st.sampled_from(TX_SEQS)),
+    # Hand-write a word at the cursor or past it, over a gap.
+    st.tuples(st.just("poke"), st.integers(0, 4), st.integers(0, (1 << 64) - 1)),
     st.tuples(st.just("arm")),
     st.tuples(st.just("note")),
     st.tuples(st.just("drop"), st.integers(0, 3)),
@@ -175,12 +218,17 @@ def _apply(pm, ref, step):
             pm.log_append(entry)
         pm.fault_model = None
         if op == "torn":
-            ref.tear(plan.cut_words)
+            ref.tear(entry, plan.cut_words)
         else:
-            ref.flip(entry)
+            ref.flip(entry, plan.word, plan.bit)
     elif op == "discard":
         pm.log_discard_tx(step[1])
         ref.discard(step[1])
+    elif op == "poke":
+        _, gap, value = step
+        addr = ref.cursor + 8 * gap
+        pm.write_word(addr, value)
+        ref.store(addr, value)
     elif op == "arm":
         pm.arm_journal()
         ref.arm()
@@ -205,17 +253,30 @@ def _observe(pm):
         ids(x.entry for x in pm.log_extents),
         pm.journal_groups(),
         dict(pm._words),
+        pm._log_words.tolist(),
     )
 
 
+def _parse_result(parsed):
+    return parsed.entries, parsed.damaged, parsed.torn_tail
+
+
 def _check(pm, ref):
-    log, per_tx, parsed, extents, _, _ = _observe(pm)
+    log, per_tx, parsed, extents, _, words, _ = _observe(pm)
     expected = [id(e) for e in ref.log]
     assert log == expected
     assert parsed == expected
-    assert extents == [id(e) for e in ref.extents]
+    assert extents == [id(e) for e, _ in ref.extents]
+    assert [x.start for x in pm.log_extents] == [start for _, start in ref.extents]
     for t in TX_SEQS:
         assert per_tx[t] == [id(e) for e in ref.log if e.tx_seq == t]
+    # The serialized words, against the dict form of the log region.
+    assert not any(LOG_BASE <= a < LOG_END for a in words)
+    limit = pm._log_limit()
+    assert limit == ref.limit()
+    for addr in range(LOG_BASE, limit + 16, 8):
+        assert pm.read_word(addr) == ref.words.get(addr, 0), hex(addr)
+    assert _parse_result(pm.parse_byte_log_tolerant()) == _parse_result(ref.parse())
 
 
 def run_model(ops):
@@ -257,6 +318,13 @@ MODEL_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow
     ("append", _entry("commit", 3, []), False),
     ("drop", 1),
     ("copy", False, True, [("drop", 1)]),
+])
+@example(ops=[  # a word hand-written past the tail, over a gap, then dropped
+    ("arm",),
+    ("append", _entry("commit", 2, []), False),
+    ("note",),
+    ("poke", 3, 7),
+    ("drop", 1),
 ])
 @settings(max_examples=300, **MODEL_SETTINGS)
 def test_indexed_log_matches_list_reference(ops):

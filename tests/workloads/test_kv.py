@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import RecoveryError, ReproError
+from repro.common.errors import PowerFailure, RecoveryError, ReproError
 from repro.workloads.kv.btree import MAX_KEYS, BTreeKV
 from repro.workloads.kv.btree import HEADER as BT_HEADER
 from repro.workloads.kv.btree import NODE as BT_NODE
@@ -11,8 +11,10 @@ from repro.workloads.kv.engine import KV_BACKENDS, make_kv
 from repro.workloads.kv.rtree import RadixKV
 from repro.runtime.ptx import PTx
 from repro.core.machine import Machine
-from repro.core.schemes import SLPMT
+from repro.core.schemes import FG_LG, SLPMT
+from repro.recovery.engine import recover
 from repro.runtime.hints import MANUAL
+from repro.workloads.base import value_words_for_key
 
 from .conftest import crash_during_insert, keys_for, make_workload, persists_in_insert
 
@@ -91,6 +93,37 @@ class TestBTreeSpecific:
         for k in keys_for(300):
             kv.insert(k)
         kv.verify()
+
+    @pytest.mark.parametrize("scheme", [SLPMT, FG_LG], ids=lambda s: s.name)
+    def test_batch_insert_into_shrunk_half_survives_every_crash(self, scheme):
+        """One transaction runs two inserts, as a service batch does: 9
+        splits the full root, then 1 lands in the shrunk old root and
+        shifts a key into its slot 3.  Rollback restores the old root's
+        ``n`` of 7, so that store needs its pre-image even though slot 3
+        lies past the split's new ``n``."""
+        point = 0
+        while True:
+            kv = make_workload(BTreeKV, scheme=scheme, value_bytes=32)
+            for k in range(2, 9):
+                kv.insert(k)
+            machine = kv.rt.machine
+            values = {k: value_words_for_key(k, kv.value_words) for k in (9, 1)}
+            machine.schedule_crash_after_persists(point)
+            try:
+                with kv.rt.transaction():
+                    for k, value in values.items():
+                        kv._insert(k, value)
+            except PowerFailure:
+                machine.crash()
+                recover(machine.pm, mode=machine.scheme.logging_mode, hooks=[kv])
+                kv.verify(durable=True)
+                point += 1
+                continue
+            machine.cancel_scheduled_crash()
+            kv.expected.update(values)
+            kv.verify(durable=True)
+            break
+        assert point > 16  # the sweep reached past the stores into slot 3
 
     def test_integrity_detects_unsorted_keys(self):
         kv = make_workload(BTreeKV)
