@@ -137,6 +137,11 @@ class PersistentAllocator:
     def is_live(self, addr: int) -> bool:
         return addr in self._live
 
+    def live_count(self) -> int:
+        """Number of live allocations: an upper bound on the nodes of any
+        acyclic pointer chain through this heap."""
+        return len(self._live)
+
     def live_allocations(self) -> List[Allocation]:
         return sorted(self._live.values(), key=lambda a: a.addr)
 

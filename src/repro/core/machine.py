@@ -89,8 +89,6 @@ from repro.mem.cacheline import (
     CacheLine,
     Mesi,
     new_l1_line,
-    new_l2_line,
-    new_l3_line,
 )
 from repro.mem.dram import Dram
 from repro.mem.pm import DurableLogEntry, PersistentMemory
@@ -107,6 +105,8 @@ ISSUE_CYCLES = 1
 _LINE_MASK = ~(units.LINE_BYTES - 1)
 _OFFSET_MASK = units.LINE_BYTES - 1
 _WORD_SHIFT = units.WORD_BYTES.bit_length() - 1
+_WORD_ALIGN = units.WORD_BYTES - 1
+_L1_LOG_BITS = units.WORDS_PER_LINE
 _GROUP = units.L1_BITS_PER_L2_BIT
 _GROUP_MASK = (1 << _GROUP) - 1
 _PM_BASE = layout.PM_BASE
@@ -276,22 +276,27 @@ class Machine:
     # ``load``, ``store`` and ``storeT`` with their operands passed
     # directly: the runtime calls these, and execute() dispatches Load /
     # Store / StoreT objects onto them.  Each validates its operand, pays
-    # one issue slot, then does one cache access.
+    # one issue slot, then does one cache access.  The operand check and
+    # the lazy-tag check run behind an inline test of the condition they
+    # act on, so a legal access to an untagged line calls neither.
 
     def exec_load(self, addr: int) -> int:
         """Execute ``load addr`` and return the word read."""
-        _check_word_operand(addr)
+        if addr < 0 or addr & _WORD_ALIGN:
+            _check_word_operand(addr)
         if self.checkpoint is not None:
             self.checkpoint()
-        self.stats.instructions += 1
+        stats = self.stats
+        stats.instructions += 1
+        stats.loads += 1
         self.now += ISSUE_CYCLES
-        self.stats.loads += 1
         persistent = addr >= _PM_BASE
         if self.coherence is not None and persistent:
             self.coherence.before_read(self.core_id, addr & _LINE_MASK)
         line = self._access(addr)
         if persistent:
-            self._check_line_txid(line)
+            if line.tx_id is not None and line.tx_id in self._lazy:
+                self._check_line_txid(line)
             if self._in_tx:
                 self._tx_read_lines.add(line.addr)
                 if self.scheme.honor_lazy:
@@ -300,7 +305,8 @@ class Machine:
 
     def exec_store(self, addr: int, value: int) -> None:
         """Execute ``store value, addr`` (Table I: persist and log)."""
-        _check_word_operand(addr)
+        if addr < 0 or addr & _WORD_ALIGN:
+            _check_word_operand(addr)
         if self.checkpoint is not None:
             self.checkpoint()
         self.stats.instructions += 1
@@ -311,7 +317,8 @@ class Machine:
     def exec_storeT(self, addr: int, value: int, lazy: bool, log_free: bool) -> None:
         """Execute ``storeT value, addr, lazy, log_free`` (Table I); the
         scheme may ignore either flag."""
-        _check_word_operand(addr)
+        if addr < 0 or addr & _WORD_ALIGN:
+            _check_word_operand(addr)
         if self.checkpoint is not None:
             self.checkpoint()
         self.stats.instructions += 1
@@ -382,7 +389,8 @@ class Machine:
                 self._force_persist_through(hits[-1])
 
         line = self._access(addr)
-        self._check_line_txid(line)
+        if line.tx_id is not None and line.tx_id in self._lazy:
+            self._check_line_txid(line)
         word = (addr & _OFFSET_MASK) >> _WORD_SHIFT
 
         if self._in_tx:
@@ -477,7 +485,12 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _access(self, addr: int) -> CacheLine:
-        """Bring the line containing *addr* into L1 and return it."""
+        """Bring the line containing *addr* into L1 and return it.
+
+        A line is one object for as long as it is cached: a hit in L2 or
+        L3 moves that object into L1, re-tagging its log bits for the new
+        level (Figure 5), and only a fill from PM or DRAM constructs one.
+        """
         line_addr = addr & _LINE_MASK
         l1 = self.l1
         line = l1.lookup(line_addr)
@@ -485,56 +498,39 @@ class Machine:
         if line is not None:
             self.stats.l1_hits += 1
             return line
-        self.stats.l1_misses += 1
+        stats = self.stats
+        stats.l1_misses += 1
 
-        l2_line = self.l2.remove(line_addr)
-        if l2_line is not None:
-            self.stats.l2_hits += 1
-            self.now += self.l2.latency
-            l1_line = self._l2_to_l1(l2_line)
-            self._install_l1(l1_line)
-            return l1_line
-        self.stats.l2_misses += 1
+        line = self.l2.remove(line_addr)
         self.now += self.l2.latency
-
-        l3_line = self.l3.remove(line_addr)
-        if l3_line is not None:
-            self.stats.l3_hits += 1
-            self.now += self.l3.latency
-            l1_line = new_l1_line(line_addr, l3_line.words)
-            l1_line.dirty = l3_line.dirty
-            l1_line.state = l3_line.state
-            self._install_l1(l1_line)
-            return l1_line
-        self.stats.l3_misses += 1
-        self.now += self.l3.latency
-
-        if layout.is_persistent(line_addr):
-            self.stats.pm_reads += 1
-            self.now += self.config.pm_read_cycles()
-            words = self.pm.read_line(line_addr)
+        if line is not None:
+            stats.l2_hits += 1
+            # L2 -> L1: replicate the coarse log bits (Section III-B1).
+            line.log_mask = REPLICATE_MASK[line.log_mask]
+            line.log_width = _L1_LOG_BITS
         else:
-            self.now += self.config.dram_read_cycles()
-            words = self.dram.read_line(line_addr)
-        l1_line = new_l1_line(line_addr, words)
-        l1_line.state = Mesi.EXCLUSIVE
-        self._install_l1(l1_line)
-        return l1_line
-
-    def _install_l1(self, line: CacheLine) -> None:
-        victim = self.l1.insert(line)
+            stats.l2_misses += 1
+            line = self.l3.remove(line_addr)
+            self.now += self.l3.latency
+            if line is not None:
+                # An L3 line carries no SLPMT metadata (stripped when it
+                # was parked), so it enters L1 with every log bit clear.
+                stats.l3_hits += 1
+                line.log_width = _L1_LOG_BITS
+            else:
+                stats.l3_misses += 1
+                if line_addr >= _PM_BASE:
+                    stats.pm_reads += 1
+                    self.now += self.config.pm_read_cycles()
+                    words = self.pm.read_line(line_addr)
+                else:
+                    self.now += self.config.dram_read_cycles()
+                    words = self.dram.read_line(line_addr)
+                line = new_l1_line(line_addr, words)
+        victim = l1.insert(line)
         if victim is not None:
             self._evict_l1(victim)
-
-    def _l2_to_l1(self, l2_line: CacheLine) -> CacheLine:
-        """Fetch from L2: replicate the coarse log bits (Section III-B1)."""
-        l1_line = new_l1_line(l2_line.addr, l2_line.words)
-        l1_line.dirty = l2_line.dirty
-        l1_line.state = l2_line.state
-        l1_line.persist = l2_line.persist
-        l1_line.tx_id = l2_line.tx_id
-        l1_line.log_mask = REPLICATE_MASK[l2_line.log_mask]
-        return l1_line
+        return line
 
     def _evict_l1(self, line: CacheLine) -> None:
         """L1 -> L2: aggregate log bits; optionally log speculatively."""
@@ -546,13 +542,9 @@ class Machine:
             and line.tx_id == self._cur_txid
         ):
             self._speculative_fill(line)
-        l2_line = new_l2_line(line.addr, line.words)
-        l2_line.dirty = line.dirty
-        l2_line.state = line.state
-        l2_line.persist = line.persist
-        l2_line.tx_id = line.tx_id
-        l2_line.log_mask = AGGREGATE_MASK[line.log_mask]
-        victim = self.l2.insert(l2_line)
+        line.log_mask = AGGREGATE_MASK[line.log_mask]
+        line.log_width = units.L2_LOG_BITS
+        victim = self.l2.insert(line)
         if victim is not None:
             self._evict_l2(victim)
 
@@ -624,10 +616,16 @@ class Machine:
         self._park_in_l3(line, keep_dirty=False)
 
     def _park_in_l3(self, line: CacheLine, *, keep_dirty: bool) -> None:
-        l3_line = new_l3_line(line.addr, line.words)
-        l3_line.dirty = line.dirty if keep_dirty else False
-        l3_line.state = line.state
-        victim = self.l3.insert(l3_line)
+        """L2 -> L3: the line keeps its words and coherence state and loses
+        its SLPMT metadata (persist bit, tx ID, log bits); it stays dirty
+        only when the caller parks uncommitted redo data."""
+        line.persist = False
+        line.tx_id = None
+        line.log_mask = 0
+        line.log_width = 0
+        if not keep_dirty:
+            line.dirty = False
+        victim = self.l3.insert(line)
         if victim is not None:
             self._evict_l3(victim)
 

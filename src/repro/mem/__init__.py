@@ -6,8 +6,6 @@ from repro.mem.cacheline import (
     Mesi,
     aggregate_log_bits_l1_to_l2,
     new_l1_line,
-    new_l2_line,
-    new_l3_line,
     replicate_log_bits_l2_to_l1,
 )
 from repro.mem.dram import Dram
@@ -20,8 +18,6 @@ __all__ = [
     "CacheLine",
     "Mesi",
     "new_l1_line",
-    "new_l2_line",
-    "new_l3_line",
     "aggregate_log_bits_l1_to_l2",
     "replicate_log_bits_l2_to_l1",
     "Dram",

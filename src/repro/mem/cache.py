@@ -9,7 +9,8 @@ returned from :meth:`SetAssocCache.insert`.
 Each set is an ``OrderedDict`` from line address to line; the MRU entry
 sits at the end.  Lookups re-order; fills evict the LRU entry when the set
 is full.  A line's set is its line number modulo the set count, for every
-geometry.
+geometry; each method picks it inline (a helper would be one more Python
+frame on every simulated access).
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class SetAssocCache:
             OrderedDict() for _ in range(self.num_sets)
         ]
 
-    def _set_for(self, line_addr: int) -> "OrderedDict[int, CacheLine]":
-        return self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets]
-
     # --- lookup ---------------------------------------------------------
 
     def lookup(self, line_addr: int, *, touch: bool = True) -> Optional[CacheLine]:
@@ -51,14 +49,14 @@ class SetAssocCache:
         ``touch=True`` promotes the line to MRU (the normal access path);
         metadata-only scans pass ``touch=False`` to avoid perturbing LRU.
         """
-        cache_set = self._set_for(line_addr)
+        cache_set = self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets]
         line = cache_set.get(line_addr)
         if line is not None and touch:
             cache_set.move_to_end(line_addr)
         return line
 
     def contains(self, line_addr: int) -> bool:
-        return line_addr in self._set_for(line_addr)
+        return line_addr in self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets]
 
     # --- fill / evict -----------------------------------------------------
 
@@ -69,20 +67,23 @@ class SetAssocCache:
         caller can write it back / propagate metadata without re-entrancy
         hazards.
         """
-        cache_set = self._set_for(line.addr)
-        if line.addr in cache_set:
+        line_addr = line.addr
+        cache_set = self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets]
+        if line_addr in cache_set:
             raise SimulationError(
-                f"{self.name}: double insert of line {line.addr:#x}"
+                f"{self.name}: double insert of line {line_addr:#x}"
             )
         victim: Optional[CacheLine] = None
         if len(cache_set) >= self.ways:
             _, victim = cache_set.popitem(last=False)
-        cache_set[line.addr] = line
+        cache_set[line_addr] = line
         return victim
 
     def remove(self, line_addr: int) -> Optional[CacheLine]:
         """Remove and return the line, or None if absent."""
-        return self._set_for(line_addr).pop(line_addr, None)
+        return self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets].pop(
+            line_addr, None
+        )
 
     # --- scans ---------------------------------------------------------
 

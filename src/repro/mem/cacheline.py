@@ -168,22 +168,14 @@ class CacheLine:
 
 
 def new_l1_line(addr: int, words: List[int]) -> CacheLine:
-    """Create an L1 line with eight per-word log bits (Figure 5, top)."""
+    """Create an L1 line with eight per-word log bits (Figure 5, top).
+
+    The one constructor the machine calls: a fill from PM or DRAM.  A
+    cached line then moves between levels as this same object, its
+    ``log_width``/``log_mask`` re-tagged for each level (8, 2, 0)."""
     line = CacheLine(addr=addr, words=words)
     line.log_width = units.WORDS_PER_LINE
     return line
-
-
-def new_l2_line(addr: int, words: List[int]) -> CacheLine:
-    """Create an L2 line with two per-32-byte log bits (Figure 5, bottom)."""
-    line = CacheLine(addr=addr, words=words)
-    line.log_width = units.L2_LOG_BITS
-    return line
-
-
-def new_l3_line(addr: int, words: List[int]) -> CacheLine:
-    """Create an L3 line without SLPMT metadata."""
-    return CacheLine(addr=addr, words=words)
 
 
 def aggregate_log_bits_l1_to_l2(l1_bits: List[bool]) -> List[bool]:

@@ -5,7 +5,8 @@ PTx wraps a :class:`~repro.core.machine.Machine` and a
 workload data structures are written against:
 
 * ``with ptx.transaction(): ...`` delimits a durable transaction;
-* :meth:`PTx.load` / :meth:`PTx.store` issue simulated word accesses;
+* :attr:`PTx.load` / :meth:`PTx.store` issue simulated word accesses
+  (``load`` *is* the machine's ``exec_load``, bound once per runtime);
 * every store takes a :class:`~repro.runtime.hints.Hint`, and the active
   :class:`~repro.runtime.hints.AnnotationPolicy` decides whether the
   access becomes a plain ``store`` or a ``storeT`` with the Table-I flag
@@ -51,6 +52,9 @@ class PTx:
         policy: AnnotationPolicy = NO_ANNOTATIONS,
     ) -> None:
         self.machine = machine
+        #: ``load(addr) -> word``: the machine's load itself, so a
+        #: workload's read costs no forwarding frame.
+        self.load: Callable[[int], int] = machine.exec_load
         self.allocator = allocator or PersistentAllocator()
         self.policy = policy
         #: Allocations made by the currently running transaction; a
@@ -183,9 +187,6 @@ class PTx:
         )
 
     # --- memory access -----------------------------------------------------------
-
-    def load(self, addr: int) -> int:
-        return self.machine.exec_load(addr)
 
     def store(self, addr: int, value: int, hint: Hint = Hint.NONE) -> None:
         lazy, log_free = self.policy.flags(hint)

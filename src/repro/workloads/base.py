@@ -92,6 +92,12 @@ class Workload(abc.ABC):
     def reachable(self, read: MemReader) -> List[Tuple[int, int]]:
         """All reachable allocations ``(addr, size)`` from durable roots."""
 
+    def contents(self, read: MemReader) -> Optional[Dict[int, int]]:
+        """Every key's value-buffer address in one walk via *read*, for a
+        structure whose :meth:`_lookup` is a scan; None (the default)
+        means a lookup per key is already the cheap way to verify."""
+        return None
+
     def iter_keys(self, read: MemReader) -> List[int]:
         """Every key stored in the structure, traversed via *read*.
 
@@ -105,6 +111,15 @@ class Workload(abc.ABC):
     def rebuild_lazy(self, view: PmView) -> None:
         """Pattern-2 recovery: rebuild lazily persistent data (default:
         nothing is lazy)."""
+
+    def walk_limit(self) -> int:
+        """Steps a pointer walk may take before it must be in a cycle.
+
+        Every node of a legal chain is a distinct live allocation, so no
+        legal chain outgrows the heap's live-allocation count.  The bound
+        needs no oracle (a service keeps its own until ``finish``) and
+        issues no simulated load."""
+        return self.rt.allocator.live_count()
 
     # --- common operations --------------------------------------------------
 
@@ -153,7 +168,9 @@ class Workload(abc.ABC):
     def lookup(self, key: int, *, durable: bool = False) -> Optional[List[int]]:
         """Read the stored value without simulated cost (validation path)."""
         read = self.reader(durable=durable)
-        buf = self._lookup(key, read)
+        return self._read_value(self._lookup(key, read), read)
+
+    def _read_value(self, buf: Optional[int], read: MemReader) -> Optional[List[int]]:
         if buf is None:
             return None
         return [read(buf + i * units.WORD_BYTES) for i in range(self.value_words)]
@@ -198,9 +215,13 @@ class Workload(abc.ABC):
     # --- verification helpers -------------------------------------------------
 
     def verify_contents(self, *, durable: bool = False, keys: "List[int] | None" = None) -> None:
-        """Check that every expected key maps to its expected value."""
+        """Check that every expected key maps to its expected value, from
+        one :meth:`contents` walk when the structure defines one."""
+        read = self.reader(durable=durable)
+        contents = self.contents(read)
         for key in keys if keys is not None else self.expected:
-            got = self.lookup(key, durable=durable)
+            buf = self._lookup(key, read) if contents is None else contents.get(key)
+            got = self._read_value(buf, read)
             if got != self.expected[key]:
                 raise RecoveryError(
                     f"{self.name}: key {key} has wrong value "

@@ -123,6 +123,7 @@ class DoublyLinkedList(Workload):
 
     def _lookup(self, key: int, read: MemReader) -> Optional[int]:
         node = read(NODE.addr(self.head, "next"))
+        limit = self.walk_limit()
         steps = 0
         while node != NULL:
             nkey = read(NODE.addr(node, "key"))
@@ -132,7 +133,7 @@ class DoublyLinkedList(Workload):
                 return None
             node = read(NODE.addr(node, "next"))
             steps += 1
-            if steps > len(self.expected) + 16:
+            if steps > limit:
                 raise RecoveryError("dlist: cycle in next chain")
         return None
 

@@ -33,6 +33,12 @@ HEADER = layout(
 )
 NODE = layout("ht_node", ["key", "value_ptr", "value_len", "next"])
 
+# NODE field offsets for the read walks, which add them to each node
+# address instead of calling ``NODE.addr`` per field.
+_KEY = NODE.offset("key")
+_VALUE_PTR = NODE.offset("value_ptr")
+_NEXT = NODE.offset("next")
+
 #: Initial bucket count (power of two).
 INITIAL_BUCKETS = 16
 
@@ -199,13 +205,14 @@ class HashTable(Workload):
         if num_buckets == 0:
             return None
         node = read(table + bucket_hash(key, num_buckets) * units.WORD_BYTES)
+        limit = self.walk_limit()
         steps = 0
         while node != NULL:
-            if read(NODE.addr(node, "key")) == key:
-                return read(NODE.addr(node, "value_ptr"))
-            node = read(NODE.addr(node, "next"))
+            if read(node + _KEY) == key:
+                return read(node + _VALUE_PTR)
+            node = read(node + _NEXT)
             steps += 1
-            if steps > len(self.expected) + 16:
+            if steps > limit:
                 raise RecoveryError("hashtable: cycle in bucket chain")
         return None
 
@@ -216,7 +223,7 @@ class HashTable(Workload):
         if num_buckets < INITIAL_BUCKETS or num_buckets & (num_buckets - 1):
             raise RecoveryError(f"hashtable: bad bucket count {num_buckets}")
         total = 0
-        limit = len(self.expected) + 16
+        limit = self.walk_limit()
         for b in range(num_buckets):
             node = read(table + b * units.WORD_BYTES)
             steps = 0
@@ -240,13 +247,14 @@ class HashTable(Workload):
         table = read(HEADER.addr(self.header, "table"))
         num_buckets = read(HEADER.addr(self.header, "num_buckets"))
         keys: List[int] = []
-        limit = len(self.expected) + 16
+        append = keys.append
+        limit = self.walk_limit()
         for b in range(num_buckets):
             node = read(table + b * units.WORD_BYTES)
             steps = 0
             while node != NULL:
-                keys.append(read(NODE.addr(node, "key")))
-                node = read(NODE.addr(node, "next"))
+                append(read(node + _KEY))
+                node = read(node + _NEXT)
                 steps += 1
                 if steps > limit:
                     raise RecoveryError("hashtable: cycle in bucket chain")

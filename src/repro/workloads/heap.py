@@ -19,7 +19,7 @@ words (key, value-buffer pointer).  Annotation sites:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.alloc.objects import NULL, layout
 from repro.common import units
@@ -215,6 +215,18 @@ class MaxHeap(Workload):
             if read(self._key_addr(array, i)) == key:
                 return read(self._val_addr(array, i))
         return None
+
+    def contents(self, read: MemReader) -> Dict[int, int]:
+        """One pass over the entry array; a repeated key maps to its
+        first index, as :meth:`_lookup` finds it."""
+        array = read(HEADER.addr(self.header, "array"))
+        size = read(HEADER.addr(self.header, "size"))
+        out: Dict[int, int] = {}
+        for i in range(size):
+            key = read(self._key_addr(array, i))
+            if key not in out:
+                out[key] = read(self._val_addr(array, i))
+        return out
 
     def check_integrity(self, read: MemReader) -> None:
         array = read(HEADER.addr(self.header, "array"))

@@ -60,19 +60,12 @@ class MultiStruct(Workload):
             rt.write_field(MS_HEADER, self.header, "length", 0)
             rt.write_field(MS_HEADER, self.header, "counter", 0)
 
-    def _sync_map_oracle(self) -> None:
-        """The sub-map's traversal guards scale with its oracle size;
-        keep it pointed at the composite's (the service reassigns
-        ``expected`` wholesale via ``sync_expected``)."""
-        self.map.expected = self.expected
-
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
 
     def _insert(self, key: int, value: List[int]) -> None:
         rt = self.rt
-        self._sync_map_oracle()
         # 1. map insert (the full hashtable algorithm, resizes included)
         self.map._insert(key, value)
         # 2. queue push: fresh node, logged link, redundant tail
@@ -98,11 +91,9 @@ class MultiStruct(Workload):
     # ------------------------------------------------------------------
 
     def _lookup(self, key: int, read: MemReader) -> Optional[int]:
-        self._sync_map_oracle()
         return self.map._lookup(key, read)
 
     def iter_keys(self, read: MemReader) -> List[int]:
-        self._sync_map_oracle()
         return self.map.iter_keys(read)
 
     def _walk_queue(self, read: MemReader) -> List[int]:
@@ -126,7 +117,6 @@ class MultiStruct(Workload):
         return read(MS_HEADER.addr(self.header, "counter"))
 
     def check_integrity(self, read: MemReader) -> None:
-        self._sync_map_oracle()
         self.map.check_integrity(read)
         chain = self._walk_queue(read)
         length = read(MS_HEADER.addr(self.header, "length"))
@@ -160,7 +150,6 @@ class MultiStruct(Workload):
             )
 
     def reachable(self, read: MemReader) -> List[Tuple[int, int]]:
-        self._sync_map_oracle()
         out = self.map.reachable(read)
         out.append((self.header, MS_HEADER.size))
         node = read(MS_HEADER.addr(self.header, "head"))
@@ -190,5 +179,4 @@ class MultiStruct(Workload):
             node = read(QNODE.addr(node, "next"))
         view.write(MS_HEADER.addr(self.header, "tail"), last)
         view.write(MS_HEADER.addr(self.header, "length"), count)
-        self._sync_map_oracle()
         self.map.rebuild_lazy(view)

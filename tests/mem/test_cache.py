@@ -89,8 +89,19 @@ class TestLru:
     def test_non_power_of_two_sets_index_by_modulo(self):
         cache = tiny_cache(ways=2, sets=3)
         assert cache.num_sets == 3
-        for addr in (0x0, 0x40, 0x80, 0xC0, 0x100):
-            assert cache._set_for(addr) is cache._sets[(addr >> 6) % 3]
+        # In a direct-mapped 3-set cache two lines conflict exactly when
+        # their line numbers agree modulo 3.
+        addrs = (0x0, 0x40, 0x80, 0xC0, 0x100, 0x140)
+        for a in addrs:
+            for b in addrs:
+                if a == b:
+                    continue
+                direct = tiny_cache(ways=1, sets=3)
+                direct.insert(line_at(a))
+                victim = direct.insert(line_at(b))
+                same_set = (a >> 6) % 3 == (b >> 6) % 3
+                assert (victim is not None) == same_set
+                assert direct.contains(a) is not same_set
         # 0x0, 0xC0 and 0x180 share set 0: the third fill evicts the LRU.
         cache.insert(line_at(0x0))
         cache.insert(line_at(0xC0))

@@ -1,8 +1,12 @@
 """Cache-line metadata and the Figure-5 log-bit transformations."""
 
+import dataclasses
+
 import pytest
 
+from repro.common.config import DEFAULT_CONFIG, CacheConfig
 from repro.common.errors import SimulationError
+from repro.core.machine import Machine
 from repro.mem.cacheline import (
     AGGREGATE_MASK,
     POPCOUNT,
@@ -11,12 +15,22 @@ from repro.mem.cacheline import (
     Mesi,
     aggregate_log_bits_l1_to_l2,
     new_l1_line,
-    new_l2_line,
-    new_l3_line,
     replicate_log_bits_l2_to_l1,
 )
+from repro.mem.layout import PM_HEAP_BASE
 
 WORDS = list(range(8))
+
+
+def _one_set_machine():
+    """Every level one set: L1 and L2 two ways, L3 four."""
+    config = dataclasses.replace(
+        DEFAULT_CONFIG,
+        l1=CacheConfig(size_bytes=128, ways=2, latency_cycles=1),
+        l2=CacheConfig(size_bytes=128, ways=2, latency_cycles=1),
+        l3=CacheConfig(size_bytes=256, ways=4, latency_cycles=1),
+    )
+    return Machine(config=config)
 
 
 class TestConstruction:
@@ -24,10 +38,18 @@ class TestConstruction:
         assert len(new_l1_line(0x1000, WORDS).log_bits) == 8
 
     def test_l2_line_has_two_log_bits(self):
-        assert len(new_l2_line(0x1000, WORDS).log_bits) == 2
+        # Three loads through two L1 ways push the first line to L2.
+        machine = _one_set_machine()
+        for i in range(3):
+            machine.exec_load(PM_HEAP_BASE + 64 * i)
+        assert len(machine.l2.lookup(PM_HEAP_BASE, touch=False).log_bits) == 2
 
     def test_l3_line_has_none(self):
-        assert new_l3_line(0x1000, WORDS).log_bits == []
+        # Five loads through two L1 and two L2 ways push it on to L3.
+        machine = _one_set_machine()
+        for i in range(5):
+            machine.exec_load(PM_HEAP_BASE + 64 * i)
+        assert machine.l3.lookup(PM_HEAP_BASE, touch=False).log_bits == []
 
     def test_unaligned_rejected(self):
         with pytest.raises(SimulationError):

@@ -1,9 +1,12 @@
 """Durable array max-heap: sift-up, growth, crash recovery."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import RecoveryError
 from repro.recovery.engine import recover
+from repro.workloads.base import value_words_for_key
 from repro.workloads.heap import ENTRY_BYTES, HEADER, INITIAL_CAPACITY, MaxHeap
 
 from .conftest import crash_during_insert, keys_for, make_workload, persists_in_insert
@@ -38,6 +41,59 @@ class TestOperations:
             heap.insert(k)
         heap.rt.run_empty_transactions(4)
         heap.verify(durable=True)
+
+
+class TestContents:
+    """``contents`` is the one-walk form of a ``_lookup`` per key, and
+    ``verify_contents`` built on it judges exactly as before."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        keys=st.lists(st.integers(1, 40), max_size=150),
+        extracts=st.integers(0, 5),
+    )
+    def test_contents_equals_per_key_lookup(self, keys, extracts):
+        heap = make_workload(MaxHeap, value_bytes=16)
+        for k in keys:  # small key range: most keys repeat
+            heap.insert(k)
+        for _ in range(extracts):
+            heap.extract_max()
+        for durable in (False, True):
+            read = heap.reader(durable=durable)
+            contents = heap.contents(read)
+            assert contents == {
+                k: heap._lookup(k, read) for k in range(42) if heap._lookup(k, read) is not None
+            }
+            assert set(contents) == set(heap.iter_keys(read))
+
+    def test_verify_contents_rejects_wrong_word_and_missing_key(self):
+        heap = make_workload(MaxHeap)
+        keys = keys_for(100)
+        for k in keys:
+            heap.insert(k)
+        heap.verify_contents()
+        read = heap.reader()
+        word = heap._lookup(keys[7], read) + 8
+        good = read(word)
+        heap.rt.machine.raw_write(word, good ^ 1)
+        with pytest.raises(RecoveryError, match=f"heap: key {keys[7]} has wrong value"):
+            heap.verify_contents()
+        heap.rt.machine.raw_write(word, good)
+        heap.verify_contents()
+        heap.expected[12345] = value_words_for_key(12345, heap.value_words)
+        with pytest.raises(RecoveryError, match=r"heap: key 12345 has wrong value \(got None"):
+            heap.verify_contents()
+
+    def test_verify_contents_reads_each_entry_once(self):
+        heap = make_workload(MaxHeap, value_bytes=16)
+        for k in keys_for(200):
+            heap.insert(k)
+        reads = []
+        read = heap.reader()
+        heap.reader = lambda durable=False: lambda addr: reads.append(addr) or read(addr)
+        heap.verify_contents()
+        # Two header words, key and pointer of each entry, two value words each.
+        assert len(reads) == 2 + 2 * 200 + 2 * 200
 
 
 class TestGrowth:
