@@ -607,24 +607,23 @@ class Machine:
                     # commit (L3 is large enough that re-eviction of an
                     # active transaction's line does not happen in our
                     # workloads; a violation would assert below).
-                    self._park_in_l3(line, keep_dirty=True)
+                    self._park_in_l3(line)
                     return
                 self._persist_data_line(line, sync=False)
         elif line.dirty:
             self.dram.write_line(line.addr, line.words)
             line.dirty = False
-        self._park_in_l3(line, keep_dirty=False)
+        self._park_in_l3(line)
 
-    def _park_in_l3(self, line: CacheLine, *, keep_dirty: bool) -> None:
-        """L2 -> L3: the line keeps its words and coherence state and loses
-        its SLPMT metadata (persist bit, tx ID, log bits); it stays dirty
-        only when the caller parks uncommitted redo data."""
+    def _park_in_l3(self, line: CacheLine) -> None:
+        """L2 -> L3: the line keeps its words, dirty bit and coherence
+        state and loses its SLPMT metadata (persist bit, tx ID, log
+        bits).  :meth:`_evict_l2` has written back every dirty line it
+        parks except uncommitted redo data, which parks dirty."""
         line.persist = False
         line.tx_id = None
         line.log_mask = 0
         line.log_width = 0
-        if not keep_dirty:
-            line.dirty = False
         victim = self.l3.insert(line)
         if victim is not None:
             self._evict_l3(victim)

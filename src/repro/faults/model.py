@@ -119,8 +119,7 @@ class FaultModel:
         if isinstance(plan, TornAppend):
             pm.serialize_partial(entry, plan.cut_words)
         elif isinstance(plan, BitFlip):
-            pm.append_clean(entry)
-            pm.flip_serialized_bit(len(pm.log_extents) - 1, plan.word, plan.bit)
+            pm.flip_serialized_bit(pm.append_clean(entry), plan.word, plan.bit)
         else:
             raise SimulationError(f"plan {plan!r} damages no append")
 

@@ -157,7 +157,7 @@ class FaultFamily(CrashFamily):
         pm = run.machine.pm
         return SimpleNamespace(
             append0=append0,
-            lengths=[e.nwords for e in pm.log_extents[append0:]],
+            lengths=[pm.extent(i).nwords for i in range(append0, pm.log_appends)],
             events=run.machine.wpq.total_inserts - events0,
         )
 

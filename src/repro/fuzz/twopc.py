@@ -423,10 +423,10 @@ class TwoPCFamily(Family):
             steps=list(dep.coordinator.steps.names),
             events={label: m.wpq.total_inserts - events0[label] for label, m in machines},
             protocol_appends=[
-                (label, index, m.pm.log_extents[index].nwords)
+                (label, index, extent.nwords)
                 for label, m in machines
                 for index in range(appends0[label], m.pm.log_appends)
-                if m.pm.log_extents[index].entry.kind in TWOPC_KINDS
+                if (extent := m.pm.extent(index)).entry.kind in TWOPC_KINDS
             ],
             result=dep.result(),
             cycles=sum(m.now for _, m in machines) - cycles0,

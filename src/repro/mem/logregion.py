@@ -1,12 +1,13 @@
 """Byte-accurate encoding of the durable log region.
 
-The simulator keeps the durable log as one extent store, a live index
-and a view on :class:`~repro.mem.pm.PersistentMemory` (the *structural*
-log, fast to query, pruned on commit) over a *serialized* stream of
-words written into the PM log region at
-:data:`~repro.mem.layout.PM_LOG_BASE`.  The serialized form is what a
-real controller would see after a crash: this module defines the codec,
-and recovery can re-derive every entry purely from PM words
+The simulator keeps the durable log as a start index, the live
+extents, a live index and a view on
+:class:`~repro.mem.pm.PersistentMemory` (the *structural* log, fast to
+query, pruned on commit) over a *serialized* stream of words written
+into the PM log region at :data:`~repro.mem.layout.PM_LOG_BASE`.  The
+serialized form is what a real controller would see after a crash:
+this module defines the codec, and recovery can re-derive every entry
+purely from PM words
 (``repro.recovery.engine.recover(..., from_bytes=True)``), proving the
 byte stream alone carries the recovery protocol.
 
@@ -142,6 +143,30 @@ def entry_wire_words(entry: DurableLogEntry) -> int:
 def stream_header_words() -> List[int]:
     """The two words opening a v1 serialized stream."""
     return [LOG_MAGIC, LOG_VERSION]
+
+
+def decode_extent(
+    read_word: Callable[[int], int], start: int
+) -> Tuple[int, DurableLogEntry]:
+    """Decode the one entry whose header word sits at *start*, trusting
+    its framing: kind, tx_seq and payload length come from the header
+    word and the checksum is not verified.  Returns ``(wire words,
+    entry)``; raises :class:`LogParseError` on an invalid kind tag."""
+    header = read_word(start)
+    kind = TAG_KINDS.get(header & 0xF)
+    if kind is None:
+        raise LogParseError("invalid entry header", offset=start)
+    tx_seq = header >> 12
+    if kind not in PAYLOAD_KINDS:
+        return 2, DurableLogEntry(kind=kind, tx_seq=tx_seq)
+    nwords = (header >> 4) & 0xFF
+    step = units.WORD_BYTES
+    return 3 + nwords, DurableLogEntry(
+        kind=kind,
+        tx_seq=tx_seq,
+        addr=read_word(start + step),
+        words=tuple(read_word(start + (2 + i) * step) for i in range(nwords)),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,17 @@ durability is granted at WPQ insertion (ADR), callers apply writes here
 the moment the WPQ accepts them — the store therefore always holds
 exactly the post-crash contents of the media plus the drained queue.
 
-The log region is one extent store, a live index and a view: each
+The log region is a start index, a live extent store and a view: each
 append is *serialized* with the codec in :mod:`repro.mem.logregion`
-(versioned header, per-entry CRC) and placed in ``log_extents``; a
-per-``tx_seq`` index of live positions is pruned on commit in O(that
-transaction); ``log`` is the *structural* view of the live entries.
-Byte/line accounting for the log's *traffic* is done by the log buffer
-and machine, which know the packed record sizes.
+(versioned header, per-entry CRC), and its start offset is appended to
+one ``array('Q')`` (its position is its index there).  A per-``tx_seq``
+index of live positions is pruned on commit in O(that transaction),
+and only live positions keep a :class:`LogExtent` object — entry and
+payload included.  A resolved record therefore costs its serialized
+words plus 8 bytes, and :meth:`PersistentMemory.extent` decodes it from
+those words on demand.  ``log`` is the *structural* view of the live
+entries.  Byte/line accounting for the log's *traffic* is done by the
+log buffer and machine, which know the packed record sizes.
 
 Media faults are injected *through this class* so both forms stay
 consistent: a :class:`repro.faults.model.FaultModel` attached to
@@ -130,21 +134,27 @@ class _JournalGroup:
     writes: List[Tuple[int, Optional[int]]] = field(default_factory=list)
     appends: int = 0
     #: Live-index prunes made in this group, in order: the ``(tx_seq,
-    #: positions)`` each :meth:`PersistentMemory.log_discard_tx` popped.
-    #: Prunes never touch media, so they do not make a group a
-    #: durability group of their own.
-    prunes: List[Tuple[int, Tuple[int, ...]]] = field(default_factory=list)
+    #: positions, extents)`` each :meth:`PersistentMemory.log_discard_tx`
+    #: popped and released, kept so a revert can restore them.  Prunes
+    #: never touch media, so they do not make a group a durability group
+    #: of their own.
+    prunes: List[Tuple[int, Tuple[int, ...], Tuple[LogExtent, ...]]] = field(
+        default_factory=list
+    )
 
 
 @dataclass
 class PersistentMemory:
     """Durable word stores (heap dict, dense log array) + the log
-    region's extents, live index and view.
+    region's start index, live extents, live index and view.
 
     Entries are *serialized* into the PM log region at
     :data:`~repro.mem.layout.PM_LOG_BASE` (append-only, markers make
     stale records inert), so recovery can run from raw bytes — see
-    :mod:`repro.mem.logregion`; :attr:`log` views the live ones.
+    :mod:`repro.mem.logregion`; :attr:`log` views the live ones.  A
+    structural entry lives only while its transaction is in the live
+    index (or in a journaled prune): a served run's structural log is
+    O(live), and :meth:`extent` reads any placed append back.
     """
 
     #: Heap words, by word address (never a log-region address).
@@ -152,9 +162,12 @@ class PersistentMemory:
     #: The log region's words, dense from :data:`PM_LOG_BASE`.
     _log_words: "array[int]" = field(default_factory=lambda: array("Q"))
     _log_cursor: int = layout.PM_LOG_BASE
-    #: Every appended entry and its placement, in append order.
-    log_extents: List[LogExtent] = field(default_factory=list)
-    #: Live index: tx_seq -> ascending positions in :attr:`log_extents`.
+    #: Start offset of every placed append, in append order: an
+    #: append's *position* is its index here.
+    _starts: "array[int]" = field(default_factory=lambda: array("Q"))
+    #: The live extents, by position: exactly the positions in :attr:`_live`.
+    _extents: Dict[int, LogExtent] = field(default_factory=dict)
+    #: Live index: tx_seq -> ascending positions.
     _live: Dict[int, List[int]] = field(default_factory=dict)
     #: Structural ledger of injected media damage, mirroring what the
     #: serialized stream's checksums would reveal (see module docstring).
@@ -243,8 +256,8 @@ class PersistentMemory:
     @property
     def log(self) -> List[DurableLogEntry]:
         """The structural log: live entries in append order (a copy)."""
-        live = sorted(p for ps in self._live.values() for p in ps)
-        return [self.log_extents[p].entry for p in live]
+        extents = self._extents
+        return [extents[p].entry for p in sorted(extents)]
 
     def log_append(self, entry: DurableLogEntry) -> None:
         index = self.log_appends
@@ -255,8 +268,9 @@ class PersistentMemory:
             return
         self.append_clean(entry)
 
-    def append_clean(self, entry: DurableLogEntry) -> None:
-        """The undamaged append path: serialize, then index live."""
+    def append_clean(self, entry: DurableLogEntry) -> int:
+        """The undamaged append path: serialize, then index live.
+        Returns the append's position (see :meth:`extent`)."""
         words = _logregion_module().encode_entry(entry)
         start = self._next_entry_start()
         end = start + len(words) * units.WORD_BYTES
@@ -271,13 +285,32 @@ class PersistentMemory:
             if self._journal is not None:
                 self._journal[-1].appends += 1
         self._log_cursor = end
-        extents = self.log_extents
+        starts = self._starts
+        position = len(starts)
+        starts.append(start)
         positions = self._live.get(entry.tx_seq)
         if positions is None:
-            self._live[entry.tx_seq] = [len(extents)]
+            self._live[entry.tx_seq] = [position]
         else:
-            positions.append(len(extents))
-        extents.append(LogExtent(start, len(words), entry))
+            positions.append(position)
+        self._extents[position] = LogExtent(start, len(words), entry)
+        return position
+
+    def extent(self, position: int) -> LogExtent:
+        """The placed append at *position* (``0 <= position <`` placed
+        appends since the last reset): its live extent object, or one
+        decoded from the serialized words once its transaction resolved
+        (kind, tx_seq and nwords come from its header word; the
+        checksum is not verified, so damaged words decode as they now
+        read)."""
+        extent = self._extents.get(position)
+        if extent is not None:
+            return extent
+        if not 0 <= position < len(self._starts):
+            raise IndexError(f"no placed log append at position {position}")
+        start = self._starts[position]
+        nwords, entry = _logregion_module().decode_extent(self.read_word, start)
+        return LogExtent(start, nwords, entry)
 
     def _next_entry_start(self) -> int:
         """Cursor for the next entry, writing the v1 stream header first
@@ -332,14 +365,16 @@ class PersistentMemory:
         return parsed
 
     def log_reset(self) -> None:
-        """Erase the whole log region (extents, index, words, damage).
+        """Erase the whole log region (starts, extents, index, words,
+        damage).
 
         Recovery calls this once replay and application hooks succeeded:
         afterwards a second recovery is a no-op, which is what makes
         ``recover(); recover()`` ≡ ``recover()``.
         """
         del self._log_words[:]
-        self.log_extents.clear()
+        del self._starts[:]
+        self._extents.clear()
         self._live.clear()
         self.log_damage.clear()
         self._log_cursor = layout.PM_LOG_BASE
@@ -348,28 +383,39 @@ class PersistentMemory:
 
     def log_discard_tx(self, tx_seq: int) -> None:
         """Reclaim the (now useless) records of a committed transaction
-        in O(its records).
+        in O(its records): their extent objects are released, and only
+        the serialized words remain.
 
-        With the write journal armed the prune is journaled, so reverting
-        the group that holds the transaction's commit marker restores its
-        records too: the byte stream never prunes, and the two log forms
-        must recover alike."""
+        With the write journal armed the prune is journaled with the
+        extents it released, so reverting the group that holds the
+        transaction's commit marker restores its records too: the byte
+        stream never prunes, and the two log forms must recover alike."""
         positions = self._live.pop(tx_seq, None)
-        if positions is not None and self._journal is not None:
-            self._journal[-1].prunes.append((tx_seq, tuple(positions)))
+        if positions is None:
+            return
+        release = self._extents.pop
+        if self._journal is None:
+            for position in positions:
+                release(position)
+        else:
+            self._journal[-1].prunes.append(
+                (tx_seq, tuple(positions), tuple(release(p) for p in positions))
+            )
 
     def log_entries_for(self, tx_seq: int) -> List[DurableLogEntry]:
-        extents = self.log_extents
+        extents = self._extents
         return [extents[p].entry for p in self._live.get(tx_seq, ())]
 
     def _unlink(self, position: int) -> None:
         """Drop extent *position* from the live index, if it is there."""
-        tx_seq = self.log_extents[position].entry.tx_seq
-        positions = self._live.get(tx_seq, [])
-        if position in positions:
-            positions.remove(position)
-            if not positions:
-                del self._live[tx_seq]
+        extent = self._extents.pop(position, None)
+        if extent is None:
+            return
+        tx_seq = extent.entry.tx_seq
+        positions = self._live[tx_seq]
+        positions.remove(position)
+        if not positions:
+            del self._live[tx_seq]
 
     @staticmethod
     def resolved_tx_seqs(entries: List[DurableLogEntry]) -> "set[int]":
@@ -404,13 +450,14 @@ class PersistentMemory:
         return start
 
     def flip_serialized_bit(self, append_index: int, word: int, bit: int) -> int:
-        """Flip one bit of the *append_index*-th serialized entry.
+        """Flip one bit of the serialized entry placed at position
+        *append_index* (see :meth:`extent`).
 
         The extent leaves the live index and the damage ledger is
         updated, so both views agree the entry is untrustworthy —
         exactly what the byte stream's checksum will report.  Returns
         the flipped word's PM address."""
-        extent = self.log_extents[append_index]
+        extent = self.extent(append_index)
         if not 0 <= word < extent.nwords:
             raise SimulationError(
                 f"flip word {word} outside extent of {extent.nwords} words"
@@ -454,17 +501,19 @@ class PersistentMemory:
     def drop_last_drains(self, count: int) -> int:
         """Revert the last *count* durability groups: those WPQ drains
         never reached media (an ADR/battery failure).  The word store,
-        the extents and the live index rewind together (journaled prunes
-        included).  Returns how many groups were actually reverted."""
+        the start index, the live extents and the live index rewind
+        together (journaled prunes included).  Returns how many groups
+        were actually reverted."""
         if self._journal is None:
             raise SimulationError("journal not armed; call arm_journal() first")
         dropped = 0
         while dropped < count and self._journal:
             group = self._journal.pop()
-            for tx_seq, positions in reversed(group.prunes):
+            for tx_seq, positions, extents in reversed(group.prunes):
                 # Records appended after the prune sort after it; the
                 # journal's tuple is copied, never adopted.
                 self._live[tx_seq] = [*positions, *self._live.get(tx_seq, ())]
+                self._extents.update(zip(positions, extents))
             if not (group.writes or group.appends):
                 continue
             words, log = self._words, self._log_words
@@ -476,10 +525,11 @@ class PersistentMemory:
                 else:
                     words[addr] = prior
             del log[group.log_len0 :]
+            starts = self._starts
             for _ in range(group.appends):
-                if self.log_extents:
-                    self._unlink(len(self.log_extents) - 1)
-                    self.log_extents.pop()
+                if starts:
+                    self._unlink(len(starts) - 1)
+                    starts.pop()
             self._log_cursor = group.cursor0
             dropped += 1
         if not self._journal:
@@ -489,9 +539,13 @@ class PersistentMemory:
     # --- introspection -------------------------------------------------
 
     def snapshot(self) -> "PersistentMemory":
-        """Deep copy of the durable image: both word stores, the extents
-        and live index, the damage ledger, the append clock and, when
-        armed, the write journal.  The fault model is not carried over."""
+        """Deep copy of the durable image: both word stores and the start
+        index (one array copy each), the live extents and live index,
+        the damage ledger, the append clock and, when armed, the write
+        journal.  Only live extents are objects, so the copy costs
+        O(live) objects however long the log is; extents and entries
+        are never mutated, so the copy shares them.  The fault model is
+        not carried over."""
         journal = self._journal
         if journal is not None:
             journal = [
@@ -504,7 +558,8 @@ class PersistentMemory:
             _words=dict(self._words),
             _log_words=self._log_words[:],
             _log_cursor=self._log_cursor,
-            log_extents=list(self.log_extents),
+            _starts=self._starts[:],
+            _extents=dict(self._extents),
             _live={t: list(ps) for t, ps in self._live.items()},
             log_damage=list(self.log_damage),
             log_appends=self.log_appends,

@@ -103,8 +103,46 @@ def value_for(key: int, client: int, seq: int, value_words: int) -> Tuple[int, .
     )
 
 
-class ClientStream:
-    """One client's deterministic request stream, lazily extensible.
+class _ForwardStream:
+    """A prefix-stable sequence drawn forward from one seeded RNG.
+
+    Only the item drawn last is held: a server demands its clients'
+    items in order, so that is the one it is waiting on.  A demand for
+    an earlier item, :meth:`prefix` and iteration re-draw from a fresh
+    RNG built from the same seed string and leave the stream's own
+    position untouched.  Items depend only on the seed and their index,
+    so the re-drawn ones are the same items.
+    """
+
+    def __init__(self, seed: str) -> None:
+        self._seed = seed
+        self._rng = random.Random(seed)
+        #: Items drawn from :attr:`_rng` so far, and the last of them.
+        self._drawn = 0
+        self._last = None
+
+    def _draw(self, rng: random.Random, index: int):
+        raise NotImplementedError
+
+    def _at(self, index: int):
+        if index < self._drawn - 1:
+            return self._redraw(index + 1)[-1]
+        while self._drawn <= index:
+            self._last = self._draw(self._rng, self._drawn)
+            self._drawn += 1
+        return self._last
+
+    def _redraw(self, count: int) -> list:
+        rng = random.Random(self._seed)
+        return [self._draw(rng, index) for index in range(count)]
+
+    def prefix(self, count: int) -> list:
+        """The first *count* items (a fresh list, re-drawn)."""
+        return self._redraw(count)
+
+
+class ClientStream(_ForwardStream):
+    """One client's deterministic request stream, drawn forward only.
 
     Keys are ``KEY_BASE + rank`` with zipfian(θ) skew over a population
     shared by every client, so cross-client writes collide and the
@@ -116,7 +154,10 @@ class ClientStream:
     the RNG seed hashes only ``(seed, client, theta, num_keys)`` — never
     a request count — and requests are drawn strictly in ``seq`` order.
     Duration-driven runs depend on this: growing a run's horizon extends
-    the traffic rather than reshuffling it.
+    the traffic rather than reshuffling it.  It also lets the stream
+    hold only the request drawn last (see :class:`_ForwardStream`): a
+    demand below it re-draws from the seed, so a served run's traffic
+    costs O(1) memory per client.
     """
 
     def __init__(
@@ -143,24 +184,23 @@ class ClientStream:
         self.scan_count = scan_count
         self.weights = [mix[k] for k in self.kinds]
         self.cdf = zipfian_cdf(num_keys, theta)
-        self._rng = random.Random(f"svc:{seed}:{client}:{theta!r}:{num_keys}")
-        self._requests: List[Request] = []
+        super().__init__(f"svc:{seed}:{client}:{theta!r}:{num_keys}")
 
-    def _draw_key(self) -> int:
-        return KEY_BASE + sample_rank(self.cdf, self._rng)
+    def _draw_key(self, rng: random.Random) -> int:
+        return KEY_BASE + sample_rank(self.cdf, rng)
 
-    def _draw_next(self) -> None:
-        client, seq, rng = self.client, len(self._requests), self._rng
+    def _draw(self, rng: random.Random, seq: int) -> Request:
+        client = self.client
         kind = rng.choices(self.kinds, weights=self.weights)[0]
         if kind == "get":
-            request = Request(client, seq, "get", (self._draw_key(),))
+            request = Request(client, seq, "get", (self._draw_key(rng),))
         elif kind == "scan":
             request = Request(
-                client, seq, "scan", (self._draw_key(),),
+                client, seq, "scan", (self._draw_key(rng),),
                 scan_count=self.scan_count,
             )
         elif kind == "put":
-            key = self._draw_key()
+            key = self._draw_key(rng)
             request = Request(
                 client, seq, "put", (key,),
                 values=(value_for(key, client, seq, self.value_words),),
@@ -169,7 +209,7 @@ class ClientStream:
             want = rng.randrange(2, max(self.txn_keys, 2) + 1)
             keys: List[int] = []
             while len(keys) < min(want, self.num_keys):
-                key = self._draw_key()
+                key = self._draw_key(rng)
                 if key not in keys:
                     keys.append(key)
             request = Request(
@@ -178,24 +218,18 @@ class ClientStream:
                     value_for(k, client, seq, self.value_words) for k in keys
                 ),
             )
-        self._requests.append(request)
+        return request
 
     def request(self, seq: int) -> Request:
-        """The request at stream position *seq* (drawn on first demand)."""
-        while len(self._requests) <= seq:
-            self._draw_next()
-        return self._requests[seq]
-
-    def prefix(self, num_requests: int) -> List[Request]:
-        """The first *num_requests* requests (a fresh list)."""
-        while len(self._requests) < num_requests:
-            self._draw_next()
-        return list(self._requests[:num_requests])
+        """The request at stream position *seq*: drawn forward on first
+        demand, re-drawn from the seed when *seq* lies below the request
+        drawn last."""
+        return self._at(seq)
 
     def __iter__(self):
-        """Iterate the requests drawn so far (after a run: exactly the
-        traffic the stream produced)."""
-        return iter(list(self._requests))
+        """Iterate the requests drawn so far, re-drawn from the seed
+        (after a run: exactly the traffic the stream produced)."""
+        return iter(self._redraw(self._drawn))
 
 
 def generate_stream(
@@ -221,31 +255,27 @@ def generate_streams(
     ]
 
 
-class ArrivalStream:
-    """Open-loop interarrival gaps for one client, lazily extensible:
+class ArrivalStream(_ForwardStream):
+    """Open-loop interarrival gaps for one client, drawn forward only:
     uniform on ``[1, 2*mean)`` so the mean is *mean_cycles* and every
     gap is a positive integer (the event loop needs strictly advancing
     times).  Prefix-stable like :class:`ClientStream`: the seed never
-    includes a request count."""
+    includes a request count, the stream holds only the gap drawn last,
+    and a demand below it re-draws from the seed."""
 
     def __init__(self, client: int, *, mean_cycles: int, seed: int = 0) -> None:
         if mean_cycles < 1:
             raise ValueError("mean_cycles must be positive")
         self.mean_cycles = mean_cycles
-        self._rng = random.Random(f"svc-arrival:{seed}:{client}:{mean_cycles}")
-        self._gaps: List[int] = []
+        super().__init__(f"svc-arrival:{seed}:{client}:{mean_cycles}")
+
+    def _draw(self, rng: random.Random, index: int) -> int:
+        return rng.randrange(1, 2 * self.mean_cycles)
 
     def gap(self, i: int) -> int:
-        """The *i*-th interarrival gap (drawn on first demand)."""
-        while len(self._gaps) <= i:
-            self._gaps.append(self._rng.randrange(1, 2 * self.mean_cycles))
-        return self._gaps[i]
-
-    def prefix(self, num_requests: int) -> List[int]:
-        """The first *num_requests* gaps (a fresh list)."""
-        while len(self._gaps) < num_requests:
-            self.gap(len(self._gaps))
-        return list(self._gaps[:num_requests])
+        """The *i*-th interarrival gap (drawn forward on first demand,
+        re-drawn from the seed below the gap drawn last)."""
+        return self._at(i)
 
 
 def arrival_gaps(

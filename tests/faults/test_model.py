@@ -19,7 +19,7 @@ def wire_len(entry):
     """Serialized word count of *entry* (via a scratch PM)."""
     pm = PersistentMemory()
     pm.append_clean(entry)
-    return pm.log_extents[0].nwords
+    return pm.extent(0).nwords
 
 
 class TestTearPoints:

@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.common import units
 from repro.common.config import DEFAULT_CONFIG, CacheConfig
+from repro.common.errors import SimulationError
 from repro.core.machine import Machine
 from repro.core.schemes import scheme_by_name
 from repro.fuzz.campaign import STRESS_CONFIG
@@ -309,6 +310,38 @@ def test_every_level_evicts():
     parked = judge.machine.l3.lookup(POOLS["toy"][3], touch=False)
     judge.step(("load", 3, 0))
     assert judge.returned[-1] is parked
+
+
+class TestRedoNoSteal:
+    """Redo logging is no-steal: an L2 victim holding the running
+    transaction's data parks dirty in L3, reaches PM only at ``tx_end``,
+    and a hierarchy too small to hold the transaction fails loudly."""
+
+    def _stores(self, count):
+        machine = Machine(scheme_by_name("SLPMT:redo"), TOY_CONFIG)
+        machine.tx_begin()
+        for n, addr in enumerate(POOLS["toy"][:count]):
+            machine.exec_store(addr, 100 + n)
+        return machine
+
+    def test_uncommitted_line_parks_dirty_until_commit(self):
+        # Five lines through two L1 and two L2 ways: line 0 leaves L2.
+        machine = self._stores(5)
+        first = POOLS["toy"][0]
+        parked = machine.l3.lookup(first, touch=False)
+        assert parked is not None and parked.dirty
+        assert machine.stats.l2_evictions == 1
+        assert machine.pm.read_word(first) == 0
+        machine.tx_end()
+        assert not parked.dirty
+        assert [machine.pm.read_word(a) for a in POOLS["toy"][:5]] == [
+            100, 101, 102, 103, 104,
+        ]
+
+    def test_overflowing_l3_with_uncommitted_lines_raises(self):
+        # The seventh line pushes line 0 out of a full L3 still dirty.
+        with pytest.raises(SimulationError, match="no-steal"):
+            self._stores(7)
 
 
 #: After a prefix that fills every toy level (L1: lines 4, 5; L2: 2, 3;

@@ -1,36 +1,44 @@
 """Model-based test of the indexed PM log (hypothesis).
 
-:class:`~repro.mem.pm.PersistentMemory` keeps structural log entries
-only in its extent store, selects the live ones through a per-``tx_seq``
-index of extent positions, and presents :attr:`PersistentMemory.log` as
-a view; the serialized words sit in one dense array.  :class:`ListLog`
-below is the plain form of the same contract: the structural list is a
-separate list pruned by filtering, journaled prunes are ``(index,
-entry)`` pairs re-inserted on a dropped drain, flipped or dropped
-entries are found by a backward identity search, and the log region's
-words are a dict keyed by address whose journal restores each prior
-value (or absence).  Random operation sequences must leave both with
-the same log, the same per-transaction entries and the same structural
-parse, the same words, parse limit and byte parse, and a snapshot must
-never share mutable state with its source.
+:class:`~repro.mem.pm.PersistentMemory` records every placed append's
+start offset in one array, keeps a structural extent object only for
+live positions (and in journaled prunes, until their group is dropped),
+selects the live ones through a per-``tx_seq`` index of positions, and
+presents :attr:`PersistentMemory.log` as a view; the serialized words
+sit in one dense array.  :class:`ListLog` below is the plain form of
+the same contract: every appended entry is kept beside its start, the
+structural list is a separate list pruned by filtering, journaled
+prunes are ``(index, entry)`` pairs re-inserted on a dropped drain,
+flipped or dropped entries are found by a backward identity search, and
+the log region's words are a dict keyed by address whose journal
+restores each prior value (or absence).  Random operation sequences
+must leave both with the same log, the same per-transaction entries and
+the same structural parse, the same words, parse limit and byte parse.
+``extent(i)`` must give every placed append's start and wire length,
+the appended entry object while it is live and an equal entry decoded
+from the words once it resolved (what the words read, for a flipped
+one); no other extent object may stay reachable.  A snapshot must never
+share mutable state with its source.
 """
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import PowerFailure
+from repro.common.errors import LogParseError, PowerFailure
 from repro.faults import BitFlip, FaultModel, TornAppend
 from repro.mem import layout
 from repro.mem.logregion import (
     HEADER_WORDS,
     PAYLOAD_KINDS,
+    TAG_KINDS,
     decode_region,
     encode_entry,
     entry_wire_words,
     stream_header_words,
 )
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.pm import DurableLogEntry, LogExtent, PersistentMemory
+from tests.reachable import reachable
 
 BASE = layout.PM_HEAP_BASE
 LOG_BASE = layout.PM_LOG_BASE
@@ -61,7 +69,7 @@ class ListLog:
 
     def __init__(self):
         self.log = []
-        self.extents = []  # (entry, start address)
+        self.extents = []  # (entry, start address, flipped)
         self.words = {}
         self.cursor = LOG_BASE
         self.journal = None
@@ -88,7 +96,7 @@ class ListLog:
     def append(self, entry):
         start = self._serialize(entry, entry_wire_words(entry))
         self.log.append(entry)
-        self.extents.append((entry, start))
+        self.extents.append((entry, start, False))
         if self.journal is not None:
             self.journal[-1].appends += 1
 
@@ -98,7 +106,9 @@ class ListLog:
     def flip(self, entry, word, bit):
         self.append(entry)
         _remove_last(self.log, entry)
-        addr = self.extents[-1][1] + 8 * word
+        start = self.extents[-1][1]
+        self.extents[-1] = (entry, start, True)
+        addr = start + 8 * word
         self.store(addr, self.words.get(addr, 0) ^ (1 << bit))
 
     def discard(self, tx_seq):
@@ -142,6 +152,21 @@ class ListLog:
         self.cursor = LOG_BASE
         if self.journal is not None:
             self.journal = [_Group(self.cursor)]
+
+    def read_back(self, start):
+        """``(wire words, entry)`` as the words at *start* read, framed
+        by their header word and unchecked; None for an invalid kind."""
+        header = self.words.get(start, 0)
+        kind = TAG_KINDS.get(header & 0xF)
+        if kind is None:
+            return None
+        if kind not in PAYLOAD_KINDS:
+            return 2, DurableLogEntry(kind, header >> 12)
+        n = (header >> 4) & 0xFF
+        payload = tuple(self.words.get(start + 8 * (2 + i), 0) for i in range(n))
+        return 3 + n, DurableLogEntry(
+            kind, header >> 12, addr=self.words.get(start + 8, 0), words=payload
+        )
 
     def limit(self):
         """The parse bound: past the cursor and every word ever written."""
@@ -244,17 +269,55 @@ def _apply(pm, ref, step):
 
 
 def _observe(pm):
-    """Everything a reader can see of *pm*'s log, by entry identity."""
+    """Everything a reader can see of *pm*'s log, by entry identity (a
+    resolved extent is read from the starts and the log words)."""
     ids = lambda entries: [id(e) for e in entries]  # noqa: E731
     return (
         ids(pm.log),
         {t: ids(pm.log_entries_for(t)) for t in TX_SEQS},
         ids(pm.structural_parsed().entries),
-        ids(x.entry for x in pm.log_extents),
+        [(p, id(x)) for p, x in sorted(pm._extents.items())],
+        pm._starts.tolist(),
         pm.journal_groups(),
         dict(pm._words),
         pm._log_words.tolist(),
     )
+
+
+def _check_extents(pm, ref):
+    """``extent(i)`` for every placed append, and extent objects held
+    only for live positions and journaled prunes."""
+    live = {id(e) for e in ref.log}
+    assert len(pm._starts) == len(ref.extents)
+    for i, (entry, start, flipped) in enumerate(ref.extents):
+        if id(entry) in live:
+            x = pm.extent(i)
+            assert (x.start, x.nwords) == (start, entry_wire_words(entry))
+            assert x.entry is entry
+            continue
+        read = ref.read_back(start)
+        if not flipped:
+            assert read == (entry_wire_words(entry), entry)
+        if read is None:
+            with pytest.raises(LogParseError):
+                pm.extent(i)
+        else:
+            x = pm.extent(i)
+            assert (x.start, x.nwords, x.entry) == (start, *read)
+    with pytest.raises(IndexError):
+        pm.extent(len(ref.extents))
+    assert sorted(pm._extents) == [
+        i for i, (e, _, _) in enumerate(ref.extents) if id(e) in live
+    ]
+    journaled = [
+        x for g in pm._journal or () for _, _, extents in g.prunes for x in extents
+    ]
+    assert [id(x.entry) for x in journaled] == [
+        id(e) for g in ref.journal or () for pruned in g.prunes for _, e in pruned
+    ]
+    assert {id(x) for x in reachable(pm, LogExtent)} == {
+        id(x) for x in [*pm._extents.values(), *journaled]
+    }
 
 
 def _parse_result(parsed):
@@ -262,12 +325,11 @@ def _parse_result(parsed):
 
 
 def _check(pm, ref):
-    log, per_tx, parsed, extents, _, words, _ = _observe(pm)
+    log, per_tx, parsed, _, _, _, words, _ = _observe(pm)
     expected = [id(e) for e in ref.log]
     assert log == expected
     assert parsed == expected
-    assert extents == [id(e) for e, _ in ref.extents]
-    assert [x.start for x in pm.log_extents] == [start for _, start in ref.extents]
+    _check_extents(pm, ref)
     for t in TX_SEQS:
         assert per_tx[t] == [id(e) for e in ref.log if e.tx_seq == t]
     # The serialized words, against the dict form of the log region.

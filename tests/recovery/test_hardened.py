@@ -86,7 +86,7 @@ class TestStrictPolicy:
         with pytest.raises(LogChecksumError) as exc:
             recover(pm, mode=LoggingMode.UNDO, from_bytes=True,
                     policy="strict")
-        assert exc.value.offset == pm.log_extents[0].start
+        assert exc.value.offset == pm.extent(0).start
 
     def test_strict_raise_mutates_nothing(self):
         pm = undo_image()

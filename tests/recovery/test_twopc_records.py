@@ -139,13 +139,13 @@ class TestCorruptDecisionRecord:
 
     def _flip_crc(self, pm, append_index):
         """Flip one bit in the entry's trailing CRC word."""
-        extent = pm.log_extents[append_index]
+        extent = pm.extent(append_index)
         return pm.flip_serialized_bit(append_index, extent.nwords - 1, 17)
 
     @pytest.mark.parametrize("policy", ["strict", "salvage"])
     def test_bit_flip_in_crc_word(self, policy):
         pm = self._image()
-        offset = pm.log_extents[4].start  # the decision record's extent
+        offset = pm.extent(4).start  # the decision record's extent
         self._flip_crc(pm, 4)
         if policy == "strict":
             with pytest.raises(LogChecksumError) as exc:

@@ -1,11 +1,15 @@
 """Request/response model and the deterministic client generators."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.service.model import (
     DEFAULT_MIX,
     OP_KINDS,
     WRITE_KINDS,
+    ArrivalStream,
+    ClientStream,
     Request,
     Response,
     arrival_gaps,
@@ -14,6 +18,7 @@ from repro.service.model import (
     value_for,
 )
 from repro.workloads.shared import KEY_BASE
+from tests.reachable import reachable
 
 
 class TestRequest:
@@ -125,6 +130,47 @@ class TestPrefixStability:
         base = generate_stream(0, 30, seed=1, theta=0.6, num_keys=64)
         assert generate_stream(0, 30, seed=1, theta=0.9, num_keys=64) != base
         assert generate_stream(0, 30, seed=1, theta=0.6, num_keys=32) != base
+
+
+class TestForwardOnly:
+    """A stream holds only the item it drew last and draws forward from
+    its RNG; a demand below that, iteration and ``prefix`` re-draw from
+    the seed and leave the stream where it was."""
+
+    STREAM = dict(seed=4, theta=0.9, num_keys=16)
+    GAPS = dict(mean_cycles=700, seed=4)
+
+    def test_in_order_demand_holds_one_request_and_one_gap(self):
+        stream = ClientStream(5, **self.STREAM)
+        gaps = ArrivalStream(5, **self.GAPS)
+        stream.request(0)
+        gaps.gap(0)
+        held = len(reachable(gaps))
+        for seq in range(1, 2000):
+            stream.request(seq)
+            gaps.gap(seq)
+        assert len(reachable(stream, Request)) == 1
+        assert len(reachable(gaps)) <= held + 1
+
+    @given(demands=st.lists(st.integers(0, 40), max_size=30))
+    @example(demands=[0, 1, 1, 2, 3, 3, 3, 4])  # in order, with repeats
+    @example(demands=[5, 2, 6, 0, 7, 7, 1, 8])  # jumps back, then on
+    def test_any_demand_order_matches_the_eager_draw(self, demands):
+        stream = ClientStream(5, **self.STREAM)
+        gaps = ArrivalStream(5, **self.GAPS)
+        eager = generate_stream(5, 42, **self.STREAM)
+        eager_gaps = arrival_gaps(5, 42, **self.GAPS)
+        for seq in demands:
+            assert stream.request(seq) == eager[seq]
+            assert gaps.gap(seq) == eager_gaps[seq]
+        drawn = max(demands, default=-1) + 1
+        assert list(stream) == eager[:drawn]
+        assert stream.prefix(12) == eager[:12]
+        assert gaps.prefix(12) == eager_gaps[:12]
+        # Neither iteration nor a prefix moved the stream.
+        assert list(stream) == eager[:drawn]
+        assert stream.request(drawn) == eager[drawn]
+        assert gaps.gap(drawn) == eager_gaps[drawn]
 
 
 class TestValueFor:

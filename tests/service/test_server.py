@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.mem.pm import LogExtent
 from repro.service.admission import AdmissionPolicy
+from repro.service.model import ArrivalStream, Request
 from repro.service.server import ServiceConfig, TransactionService, run_service
 from repro.service.tm import GroupCommitPolicy
+from tests.reachable import reachable
 
 
 def config(**overrides):
@@ -206,6 +209,36 @@ class TestDurationMode:
     def test_duration_validated(self):
         with pytest.raises(ValueError, match="duration_cycles"):
             config(duration_cycles=0)
+
+
+class TestServedMemory:
+    """What a duration-mode run keeps once it has served: one request
+    and one gap per client, and log extent objects only for the live
+    positions."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        svc = TransactionService(config(duration_cycles=60_000))
+        svc.serve()
+        assert svc.machine.stats.service_requests > 3 * 8
+        return svc
+
+    def test_streams_hold_one_request_and_one_gap(self, served):
+        cfg = served.cfg
+        for client, (stream, gaps) in enumerate(zip(served.streams, served._gaps)):
+            assert len(reachable(stream, Request)) <= 1
+            fresh = ArrivalStream(
+                client, mean_cycles=cfg.effective_arrival_cycles, seed=cfg.seed
+            )
+            fresh.gap(0)
+            assert len(reachable(gaps)) <= len(reachable(fresh)) + 1
+
+    def test_pm_holds_extents_only_for_live_positions(self, served):
+        pm = served.machine.pm
+        live = sorted(p for positions in pm._live.values() for p in positions)
+        assert pm.log_appends > len(live)
+        assert len(reachable(pm, LogExtent)) == len(live)
+        assert sorted(pm._extents) == live
 
 
 class TestTargetLoad:

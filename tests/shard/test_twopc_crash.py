@@ -87,7 +87,7 @@ class TestTornDecisionFaults:
         pm = machines["s0"].pm
         append = next(
             i for i in range(appends0["s0"], pm.log_appends)
-            if pm.log_extents[i].entry.kind in TWOPC_KINDS
+            if pm.extent(i).entry.kind in TWOPC_KINDS
         )
         fault = {
             "node": "s0", "kind": "bit-flip", "append": append, "word": 0,
