@@ -268,8 +268,7 @@ def _service_grid(parser, args):
 def _twopc_grid(parser, args):
     shards = _numbers(
         parser, "--shards", args.shards, int, 2,
-        "counts of at least 2 (N=1 has no cross-shard protocol; its "
-        "passivity is a test)",
+        "counts of at least 2 (N=1 has no cross-shard protocol)",
     )
     workloads = _workloads(parser, args, WORKLOADS)
     schemes = _schemes(parser, args, TWOPC_FUZZ_SCHEMES)

@@ -18,10 +18,7 @@ Layout:
   :class:`~repro.parallel.engine.WorkerCrash` error that propagates
   worker-process failures to a non-zero CLI exit;
 * :mod:`repro.parallel.tasks` — top-level, spawn-safe task functions
-  (one per sweep kind) that rebuild simulator state inside the worker;
-* :mod:`repro.parallel.merge` — deterministic result merges (tracer
-  re-wrapping for trace export, host-field stripping for equivalence
-  comparisons).
+  (one per sweep kind) that rebuild simulator state inside the worker.
 """
 
 from repro.parallel.engine import WorkerCrash, resolve_jobs, run_tasks

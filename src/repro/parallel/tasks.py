@@ -96,41 +96,3 @@ def campaign_cell(*, cell, **kwargs) -> Any:
 
     return run_cell(cell, **kwargs)
 
-
-# ----------------------------------------------------------------------
-# observed runs (trace export)
-# ----------------------------------------------------------------------
-
-
-def trace_cell(
-    *,
-    workload: str,
-    scheme: str,
-    num_ops: int,
-    value_bytes: int,
-    seed: int,
-    capacity: int = 100_000,
-) -> Dict[str, Any]:
-    """One observed run; returns the tracer ring as picklable dicts.
-
-    :func:`repro.parallel.merge.rewrap_tracers` rebuilds real
-    :class:`~repro.core.tracing.Tracer` objects from these payloads in
-    submission order, so the merged Perfetto document is byte-identical
-    to one exported from the same runs done serially.
-    """
-    _poison_check(f"{workload}/{scheme}")
-    from repro.obs.run import observed_run
-
-    run = observed_run(
-        workload,
-        scheme,
-        num_ops=num_ops,
-        value_bytes=value_bytes,
-        seed=seed,
-        capacity=capacity,
-    )
-    return {
-        "events": [e.to_dict() for e in run.tracer.events()],
-        "total_emitted": run.tracer.total_emitted,
-        "capacity": run.tracer.capacity,
-    }

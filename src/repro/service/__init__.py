@@ -17,9 +17,6 @@ from repro.service.model import (
     WRITE_KINDS,
     Request,
     Response,
-    arrival_gaps,
-    generate_stream,
-    generate_streams,
 )
 from repro.service.rm import ReadConsistencyError, ResourceManager
 from repro.service.server import (
@@ -40,9 +37,6 @@ __all__ = [
     "WRITE_KINDS",
     "Request",
     "Response",
-    "arrival_gaps",
-    "generate_stream",
-    "generate_streams",
     "ReadConsistencyError",
     "ResourceManager",
     "CLIENT_MODES",

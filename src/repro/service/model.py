@@ -20,7 +20,7 @@ have, extended to client traffic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.workloads.base import value_words_for_key
@@ -232,29 +232,6 @@ class ClientStream(_ForwardStream):
         return iter(self._redraw(self._drawn))
 
 
-def generate_stream(
-    client: int,
-    num_requests: int,
-    **kwargs,
-) -> List[Request]:
-    """One client's deterministic request stream (a
-    :class:`ClientStream` prefix; see there for the knobs and the
-    prefix-stability contract)."""
-    return ClientStream(client, **kwargs).prefix(num_requests)
-
-
-def generate_streams(
-    num_clients: int,
-    num_requests: int,
-    **kwargs,
-) -> List[List[Request]]:
-    """Per-client request streams (see :func:`generate_stream`)."""
-    return [
-        generate_stream(client, num_requests, **kwargs)
-        for client in range(num_clients)
-    ]
-
-
 class ArrivalStream(_ForwardStream):
     """Open-loop interarrival gaps for one client, drawn forward only:
     uniform on ``[1, 2*mean)`` so the mean is *mean_cycles* and every
@@ -277,15 +254,3 @@ class ArrivalStream(_ForwardStream):
         re-drawn from the seed below the gap drawn last)."""
         return self._at(i)
 
-
-def arrival_gaps(
-    client: int,
-    num_requests: int,
-    *,
-    mean_cycles: int,
-    seed: int = 0,
-) -> List[int]:
-    """The first *num_requests* gaps of an :class:`ArrivalStream`."""
-    return ArrivalStream(client, mean_cycles=mean_cycles, seed=seed).prefix(
-        num_requests
-    )

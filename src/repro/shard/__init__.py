@@ -14,9 +14,9 @@ Modules:
 * :mod:`repro.shard.router` — deterministic key → shard hashing;
 * :mod:`repro.shard.twopc` — the coordinator, its durable decision
   records and the crash-step instrumentation the fuzz campaign drives;
-* :mod:`repro.shard.deployment` — the N-shard serving loop (delegating
-  wholesale to :class:`~repro.service.server.TransactionService` when
-  ``num_shards == 1``, so the 2PC machinery is provably passive);
+* :mod:`repro.shard.deployment` — the serving loop over 2–8 shards,
+  drawing each client's traffic on demand from the service's request
+  and arrival streams;
 * :mod:`repro.shard.recovery` — post-crash in-doubt resolution from the
   durable decision records;
 * :mod:`repro.shard.bench` — the ``bench --twopc`` grid behind

@@ -12,17 +12,18 @@ commit, every protocol decision durable as a v1 log record before it
 takes effect.
 
 Determinism: streams, arrivals, routing and every protocol step derive
-from :class:`ShardedConfig` alone.  Requests are processed in global
-``(arrival time, client)`` order; per-shard group-commit batches flush
-at ``batch_size`` and any residual flushes at end of stream, so two runs
-of one config are byte-identical.
+from :class:`ShardedConfig` alone.  Each client's requests and arrival
+gaps are drawn on demand from the forward streams the single-node
+service serves from (:class:`~repro.service.model.ClientStream`,
+:class:`~repro.service.model.ArrivalStream`), and the clients' events
+are merged into one global ``(arrival time, client)`` order, so the
+deployment never holds its traffic.  Per-shard group-commit batches
+flush at ``batch_size`` and any residual flushes at end of stream, so
+two runs of one config are byte-identical.
 
-Passivity: with ``num_shards == 1`` the deployment builds a plain
-:class:`~repro.service.server.TransactionService` from the equivalent
-:class:`~repro.service.server.ServiceConfig` and delegates wholesale —
-no router, no coordinator, no protocol record is ever constructed, so
-the single-shard path is bit-identical to the PR 6 service (pinned
-against ``BENCH_service.json`` by the test suite).
+A deployment has 2–8 shards: one machine has no cross-shard protocol
+to exercise (that is :class:`~repro.service.server.TransactionService`),
+and a decision record's participant set must fit its 8-word payload.
 
 Durability semantics (the campaign's contract): an ``ok`` response is
 recorded only after the covering commit is durable — a local batch's
@@ -37,8 +38,9 @@ latter from durable decision records alone
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common import units
 from repro.common.config import DEFAULT_CONFIG, SystemConfig
@@ -51,10 +53,8 @@ from repro.multicore.system import run_atomically
 from repro.obs.profiler import CycleProfiler
 from repro.runtime.hints import MANUAL
 from repro.runtime.ptx import PTx
-from repro.service.admission import AdmissionPolicy
-from repro.service.model import Request, Response, arrival_gaps, generate_streams
+from repro.service.model import ArrivalStream, ClientStream, Request, Response
 from repro.service.rm import ResourceManager
-from repro.service.server import ServiceConfig, TransactionService
 from repro.service.tm import GroupCommitPolicy, TransactionManager
 from repro.shard.router import HashRouter
 from repro.shard.twopc import (
@@ -74,11 +74,10 @@ class ShardedConfig:
     (open-loop only); ``prepare_attempts`` / ``retry_wait_cycles`` bound
     the coordinator's deterministic retry of unresponsive participants.
 
-    ``admission`` and ``batch.max_wait_cycles`` reach only the N = 1
-    delegate.  A shard of an N >= 2 deployment flushes its batch at
-    ``batch.batch_size``, before a cross-shard transaction that touches
-    it, and at end of stream, so ``params.max_wait_cycles`` in
-    ``BENCH_twopc.json`` changes nothing.
+    A shard flushes its batch at ``batch.batch_size``, before a
+    cross-shard transaction that touches it, and at end of stream, so
+    ``batch.max_wait_cycles`` changes nothing (nor does
+    ``params.max_wait_cycles`` in ``BENCH_twopc.json``).
     """
 
     num_shards: int = 2
@@ -94,7 +93,6 @@ class ShardedConfig:
     scan_count: int = 4
     arrival_cycles: int = 3000
     batch: GroupCommitPolicy = field(default_factory=GroupCommitPolicy)
-    admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     max_attempts: int = 64
     prepare_attempts: int = 3
     retry_wait_cycles: int = 500
@@ -103,37 +101,23 @@ class ShardedConfig:
     verify: bool = True
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_shards <= 8:
-            # A decision record carries the participant set as payload
-            # words; the v1 wire format caps payloads at 8 words.
-            raise ValueError("num_shards must be between 1 and 8")
+        if not 2 <= self.num_shards <= 8:
+            # One shard has no cross-shard protocol.  A decision record
+            # carries the participant set as payload words; the v1 wire
+            # format caps payloads at 8 words.
+            raise ValueError("num_shards must be between 2 and 8")
         if self.value_bytes // units.WORD_BYTES > 8:
             raise ValueError(
                 "value_bytes must fit a prepare record's 8-word payload"
             )
-
-    def service_config(self) -> ServiceConfig:
-        """The equivalent single-machine config (the N=1 delegate)."""
-        return ServiceConfig(
-            workload=self.workload,
-            scheme=self.scheme,
-            num_clients=self.num_clients,
-            requests_per_client=self.requests_per_client,
-            value_bytes=self.value_bytes,
-            num_keys=self.num_keys,
-            theta=self.theta,
-            mix=self.mix,
-            txn_keys=self.txn_keys,
-            scan_count=self.scan_count,
-            mode="open",
-            arrival_cycles=self.arrival_cycles,
-            batch=self.batch,
-            admission=self.admission,
-            max_attempts=self.max_attempts,
-            seed=self.seed,
-            check_reads=self.check_reads,
-            verify=self.verify,
-        )
+        if self.num_clients < 1:
+            raise ValueError("num_clients must be at least 1")
+        if self.num_keys < 1:
+            raise ValueError("num_keys must be at least 1")
+        if self.arrival_cycles < 1:
+            raise ValueError("arrival_cycles must be positive")
+        if self.requests_per_client < 0:
+            raise ValueError("requests_per_client must be non-negative")
 
 
 class ShardNode:
@@ -314,14 +298,6 @@ class ShardedDeployment:
         #: windows.  2PC decide latency avoids this by living entirely
         #: on the coordinator clock.
         self.telemetry = telemetry
-        #: The N=1 delegate (2PC machinery provably passive).
-        self.service: Optional[TransactionService] = None
-        self.nodes: List[ShardNode] = []
-        if cfg.num_shards == 1:
-            self.service = TransactionService(
-                cfg.service_config(), config=config, telemetry=telemetry
-            )
-            return
         self.router = HashRouter(cfg.num_shards)
         self.nodes = [
             ShardNode(shard, cfg, config=config)
@@ -334,18 +310,6 @@ class ShardedDeployment:
             prepare_attempts=cfg.prepare_attempts,
             retry_wait_cycles=cfg.retry_wait_cycles,
             telemetry=telemetry,
-        )
-        value_words = cfg.value_bytes // units.WORD_BYTES
-        self.streams = generate_streams(
-            cfg.num_clients,
-            cfg.requests_per_client,
-            mix=cfg.mix,
-            num_keys=cfg.num_keys,
-            theta=cfg.theta,
-            value_words=value_words,
-            txn_keys=cfg.txn_keys,
-            scan_count=cfg.scan_count,
-            seed=cfg.seed,
         )
         self.responses: List[Response] = []
         #: Global acked-write oracle: key -> value tuple.
@@ -376,8 +340,6 @@ class ShardedDeployment:
         """Every machine in the deployment, labelled: the coordinator as
         ``coord``, shard *i* as ``s{i}`` — the crash/fault injection
         surface."""
-        if self.service is not None:
-            return [("s0", self.service.machine)]
         out: List[Tuple[str, object]] = [("coord", self.coordinator.machine)]
         out.extend((f"s{n.shard_id}", n.machine) for n in self.nodes)
         return out
@@ -390,27 +352,11 @@ class ShardedDeployment:
     # --- serving ---------------------------------------------------------
 
     def serve(self) -> None:
-        if self.service is not None:
-            self.service.serve()
-            return
         if self._served:
             raise RuntimeError("serve() already ran")
         self._served = True
-        cfg = self.cfg
-        events: List[Tuple[int, int, Request]] = []
-        for client in range(cfg.num_clients):
-            gaps = arrival_gaps(
-                client,
-                cfg.requests_per_client,
-                mean_cycles=cfg.arrival_cycles,
-                seed=cfg.seed,
-            )
-            at = 0
-            for gap, request in zip(gaps, self.streams[client]):
-                at += gap
-                events.append((at, client, request))
-        events.sort(key=lambda e: (e[0], e[1]))
-        for at, _, request in events:
+        clients = map(self._arrivals, range(self.cfg.num_clients))
+        for at, _, request in heapq.merge(*clients):
             self._dispatch(request, at)
         # End of stream: flush every residual partial batch.
         for node in self.nodes:
@@ -420,6 +366,30 @@ class ShardedDeployment:
             self._total_pm_bytes(),
             self._merged_phases(),
         )
+
+    def _arrivals(self, client: int) -> Iterator[Tuple[int, int, Request]]:
+        """One client's ``(arrival, client, request)`` events in stream
+        order, each drawn when the merge asks for it.  Gaps are at least
+        1, so no two events share ``(arrival, client)`` and the merge
+        never compares two requests."""
+        cfg = self.cfg
+        requests = ClientStream(
+            client,
+            mix=cfg.mix,
+            num_keys=cfg.num_keys,
+            theta=cfg.theta,
+            value_words=cfg.value_bytes // units.WORD_BYTES,
+            txn_keys=cfg.txn_keys,
+            scan_count=cfg.scan_count,
+            seed=cfg.seed,
+        )
+        gaps = ArrivalStream(
+            client, mean_cycles=cfg.arrival_cycles, seed=cfg.seed
+        )
+        at = 0
+        for seq in range(cfg.requests_per_client):
+            at += gaps.gap(seq)
+            yield at, client, requests.request(seq)
 
     def _dispatch(self, request: Request, at: int) -> None:
         self.requests += 1
@@ -555,9 +525,6 @@ class ShardedDeployment:
     def finish(self) -> None:
         """Validation tail: force lazy state durable on every shard and
         verify each durable image against that shard's oracle."""
-        if self.service is not None:
-            self.service.finish()
-            return
         if self._finished:
             return
         self._finished = True
@@ -592,30 +559,6 @@ class ShardedDeployment:
         return merged
 
     def result(self) -> ShardedResult:
-        if self.service is not None:
-            r = self.service.result()
-            return ShardedResult(
-                num_shards=1,
-                workload=r.workload,
-                scheme=r.scheme,
-                requests=r.requests,
-                acked=r.acked,
-                aborted=0,
-                reads=r.reads,
-                batches=r.batches,
-                committed_writes=r.committed_writes,
-                xshard_commits=0,
-                xshard_aborts=0,
-                xshard_writes=0,
-                prepare_retries=0,
-                cycles=r.cycles,
-                pm_bytes=r.pm_bytes,
-                prepare_persist_cycles=0,
-                decide_persist_cycles=0,
-                phases=r.phases,
-                responses=r.responses,
-                stats=r.stats,
-            )
         if self._serve_end is not None:
             cycles, pm_bytes, phases = self._serve_end
         else:

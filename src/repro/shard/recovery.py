@@ -80,18 +80,6 @@ def recover_deployment(
     clock, matching local recovery's convention).
     """
     out = ResolutionReport()
-    if dep.service is not None:
-        # Single shard: plain local recovery; no protocol state exists.
-        out.reports["s0"] = recover(
-            dep.service.machine.pm,
-            mode=dep.service.machine.scheme.logging_mode,
-            hooks=[dep.service.subject],
-            from_bytes=from_bytes,
-            policy=policy,
-            profiler=profiler,
-        )
-        return out
-
     out.reports["coord"] = recover(
         dep.coordinator.machine.pm,
         mode=dep.coordinator.machine.scheme.logging_mode,

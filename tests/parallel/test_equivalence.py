@@ -1,7 +1,7 @@
 """The determinism contract: parallel sweeps == serial sweeps, byte for
 byte, for every artifact kind (bench JSON, every campaign family's
-result and report, Perfetto trace).  These are the checked-in form of
-the CI equivalence gate."""
+result and report).  These are the checked-in form of the CI
+equivalence gate."""
 
 import json
 
@@ -13,11 +13,6 @@ from repro.fuzz.kernel import FAMILIES, run_campaign
 from repro.fuzz.report import format_report
 from repro.fuzz.twopc import TwoPCCell
 from repro.obs import bench
-from repro.obs.run import observed_run
-from repro.obs.trace import chrome_trace
-from repro.parallel import engine
-from repro.parallel.merge import rewrap_tracers
-from repro.parallel.tasks import trace_cell
 
 YCSB = bench.SPECS["slpmt_ycsb"]
 
@@ -153,52 +148,3 @@ class TestEquivalenceCommand:
         assert rc == 1
         assert "EQUIVALENCE VIOLATION" in err
 
-
-class TestTraceEquivalence:
-    def test_merged_trace_identical(self):
-        cells = ("hashtable", "rbtree")
-        descriptors = [
-            {
-                "workload": w,
-                "scheme": "SLPMT",
-                "num_ops": 30,
-                "value_bytes": 64,
-                "seed": 5,
-                "capacity": 1000,
-            }
-            for w in cells
-        ]
-        payloads = engine.run_tasks(trace_cell, descriptors, jobs=2)
-        merged = chrome_trace(rewrap_tracers(payloads))
-        serial_tracers = [
-            observed_run(
-                w, "SLPMT", num_ops=30, value_bytes=64, seed=5, capacity=1000
-            ).tracer
-            for w in cells
-        ]
-        reference = chrome_trace(serial_tracers)
-        assert json.dumps(merged, sort_keys=True) == json.dumps(
-            reference, sort_keys=True
-        )
-
-    def test_rewrap_preserves_drop_accounting(self):
-        payloads = engine.run_tasks(
-            trace_cell,
-            [
-                {
-                    "workload": "hashtable",
-                    "scheme": "SLPMT",
-                    "num_ops": 30,
-                    "value_bytes": 64,
-                    "seed": 5,
-                    # Tiny ring: events must fall off, and the dropped
-                    # count must survive the process boundary.
-                    "capacity": 4,
-                }
-            ],
-            jobs=1,
-        )
-        (tracer,) = rewrap_tracers(payloads)
-        assert len(tracer.events()) == 4
-        assert tracer.total_emitted > 4
-        assert tracer.dropped == tracer.total_emitted - 4

@@ -12,9 +12,6 @@ from repro.service.model import (
     ClientStream,
     Request,
     Response,
-    arrival_gaps,
-    generate_stream,
-    generate_streams,
     value_for,
 )
 from repro.workloads.shared import KEY_BASE
@@ -53,50 +50,50 @@ class TestResponse:
 
 class TestGenerateStream:
     def test_deterministic(self):
-        a = generate_stream(0, 40, seed=11, theta=0.6)
-        b = generate_stream(0, 40, seed=11, theta=0.6)
+        a = ClientStream(0, seed=11, theta=0.6).prefix(40)
+        b = ClientStream(0, seed=11, theta=0.6).prefix(40)
         assert a == b
 
     def test_seed_and_client_vary_stream(self):
-        base = generate_stream(0, 40, seed=11)
-        assert generate_stream(0, 40, seed=12) != base
-        assert generate_stream(1, 40, seed=11) != base
+        base = ClientStream(0, seed=11).prefix(40)
+        assert ClientStream(0, seed=12).prefix(40) != base
+        assert ClientStream(1, seed=11).prefix(40) != base
 
     def test_seq_is_stream_position(self):
-        stream = generate_stream(2, 25, seed=7)
+        stream = ClientStream(2, seed=7).prefix(25)
         assert [r.seq for r in stream] == list(range(25))
         assert all(r.client == 2 for r in stream)
 
     def test_mix_respected(self):
-        stream = generate_stream(0, 200, mix={"put": 1.0}, seed=3)
+        stream = ClientStream(0, mix={"put": 1.0}, seed=3).prefix(200)
         assert all(r.kind == "put" for r in stream)
         assert all(len(r.keys) == 1 and len(r.values) == 1 for r in stream)
 
     def test_txn_keys_distinct_and_bounded(self):
-        stream = generate_stream(
-            0, 300, mix={"txn": 1.0}, txn_keys=4, num_keys=32, seed=5
-        )
+        stream = ClientStream(
+            0, mix={"txn": 1.0}, txn_keys=4, num_keys=32, seed=5
+        ).prefix(300)
         for request in stream:
             assert 2 <= len(request.keys) <= 4
             assert len(set(request.keys)) == len(request.keys)
             assert len(request.values) == len(request.keys)
 
     def test_keys_in_population(self):
-        stream = generate_stream(0, 100, num_keys=16, seed=9)
+        stream = ClientStream(0, num_keys=16, seed=9).prefix(100)
         for request in stream:
             for key in request.keys:
                 assert KEY_BASE <= key < KEY_BASE + 16
 
     def test_unknown_mix_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown mix kind"):
-            generate_stream(0, 10, mix={"put": 0.5, "del": 0.5})
+            ClientStream(0, mix={"put": 0.5, "del": 0.5}).prefix(10)
 
     def test_default_mix_covers_all_kinds(self):
-        stream = generate_stream(0, 400, mix=dict(DEFAULT_MIX), seed=1)
+        stream = ClientStream(0, mix=dict(DEFAULT_MIX), seed=1).prefix(400)
         assert {r.kind for r in stream} == set(OP_KINDS)
 
     def test_generate_streams_one_per_client(self):
-        streams = generate_streams(3, 10, seed=7)
+        streams = [ClientStream(c, seed=7).prefix(10) for c in range(3)]
         assert len(streams) == 3
         assert [s[0].client for s in streams] == [0, 1, 2]
 
@@ -107,29 +104,32 @@ class TestPrefixStability:
     the prefix already served."""
 
     def test_request_stream_prefix_stable(self):
-        short = generate_stream(3, 20, seed=11, theta=0.6, num_keys=32)
-        long = generate_stream(3, 200, seed=11, theta=0.6, num_keys=32)
+        short = ClientStream(3, seed=11, theta=0.6, num_keys=32).prefix(20)
+        long = ClientStream(3, seed=11, theta=0.6, num_keys=32).prefix(200)
         assert long[:20] == short
 
     def test_lazy_stream_matches_eager_prefix(self):
-        from repro.service.model import ClientStream
-
         stream = ClientStream(5, seed=4, theta=0.9, num_keys=16)
         # Out-of-order demand still yields the in-order draw.
         late = stream.request(30)
         early = stream.request(0)
-        eager = generate_stream(5, 31, seed=4, theta=0.9, num_keys=16)
+        eager = ClientStream(5, seed=4, theta=0.9, num_keys=16).prefix(31)
         assert early == eager[0] and late == eager[30]
 
     def test_arrival_gaps_prefix_stable(self):
-        short = arrival_gaps(2, 15, mean_cycles=700, seed=9)
-        long = arrival_gaps(2, 150, mean_cycles=700, seed=9)
+        short = ArrivalStream(2, mean_cycles=700, seed=9).prefix(15)
+        long = ArrivalStream(2, mean_cycles=700, seed=9).prefix(150)
         assert long[:15] == short
 
     def test_stream_seed_varies_with_theta_and_population(self):
-        base = generate_stream(0, 30, seed=1, theta=0.6, num_keys=64)
-        assert generate_stream(0, 30, seed=1, theta=0.9, num_keys=64) != base
-        assert generate_stream(0, 30, seed=1, theta=0.6, num_keys=32) != base
+        def draw(theta, num_keys):
+            return ClientStream(
+                0, seed=1, theta=theta, num_keys=num_keys
+            ).prefix(30)
+
+        base = draw(0.6, 64)
+        assert draw(0.9, 64) != base
+        assert draw(0.6, 32) != base
 
 
 class TestForwardOnly:
@@ -158,8 +158,8 @@ class TestForwardOnly:
     def test_any_demand_order_matches_the_eager_draw(self, demands):
         stream = ClientStream(5, **self.STREAM)
         gaps = ArrivalStream(5, **self.GAPS)
-        eager = generate_stream(5, 42, **self.STREAM)
-        eager_gaps = arrival_gaps(5, 42, **self.GAPS)
+        eager = ClientStream(5, **self.STREAM).prefix(42)
+        eager_gaps = ArrivalStream(5, **self.GAPS).prefix(42)
         for seq in demands:
             assert stream.request(seq) == eager[seq]
             assert gaps.gap(seq) == eager_gaps[seq]
@@ -182,15 +182,14 @@ class TestValueFor:
 
 class TestArrivalGaps:
     def test_deterministic_and_positive(self):
-        a = arrival_gaps(0, 50, mean_cycles=800, seed=7)
-        assert a == arrival_gaps(0, 50, mean_cycles=800, seed=7)
+        a = ArrivalStream(0, mean_cycles=800, seed=7).prefix(50)
+        assert a == ArrivalStream(0, mean_cycles=800, seed=7).prefix(50)
         assert all(1 <= gap < 1600 for gap in a)
 
     def test_client_varies_gaps(self):
-        assert arrival_gaps(0, 50, mean_cycles=800, seed=7) != arrival_gaps(
-            1, 50, mean_cycles=800, seed=7
-        )
+        a = ArrivalStream(0, mean_cycles=800, seed=7).prefix(50)
+        assert a != ArrivalStream(1, mean_cycles=800, seed=7).prefix(50)
 
     def test_mean_cycles_validated(self):
         with pytest.raises(ValueError, match="mean_cycles"):
-            arrival_gaps(0, 10, mean_cycles=0)
+            ArrivalStream(0, mean_cycles=0).prefix(10)

@@ -1,22 +1,17 @@
-"""The sharded deployment: serving, 2PC commit/abort, N=1 passivity,
-labelled protocol persists and telemetry passivity."""
-
-import json
-import os
+"""The sharded deployment: serving, on-demand traffic, 2PC
+commit/abort, labelled protocol persists and telemetry passivity."""
 
 import pytest
 
 from repro.core.tracing import Tracer
 from repro.fuzz.campaign import STRESS_CONFIG
 from repro.obs.telemetry import TelemetryWindows
-from repro.service.admission import AdmissionPolicy
-from repro.service.bench import SERVICE_MIX
+from repro.service.model import ClientStream, Request
 from repro.service.tm import GroupCommitPolicy
 from repro.shard.deployment import ShardedConfig, ShardedDeployment, run_sharded
 from repro.shard.router import home_shard
 from repro.shard.twopc import GTX_BASE
-
-REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+from tests.reachable import reachable
 
 TXN_MIX = {"put": 0.3, "get": 0.1, "scan": 0.05, "txn": 0.55}
 
@@ -87,6 +82,35 @@ class TestServing:
             assert keys == sorted(keys)
 
 
+class TestOnDemandTraffic:
+    """The deployment draws each client's requests as it serves them and
+    keeps none of them."""
+
+    def test_serve_draws_each_request_once(self, monkeypatch):
+        drawn = []
+        draw = ClientStream._draw
+
+        def counted(stream, rng, seq):
+            drawn.append((stream.client, seq))
+            return draw(stream, rng, seq)
+
+        monkeypatch.setattr(ClientStream, "_draw", counted)
+        dep = ShardedDeployment(small_cfg(), config=STRESS_CONFIG)
+        assert drawn == []
+        dep.serve()
+        assert sorted(drawn) == [
+            (client, seq)
+            for client in range(dep.cfg.num_clients)
+            for seq in range(dep.cfg.requests_per_client)
+        ]
+
+    def test_no_request_outlives_serve(self):
+        dep = ShardedDeployment(small_cfg(), config=STRESS_CONFIG)
+        dep.serve()
+        assert dep.requests == dep.cfg.num_clients * dep.cfg.requests_per_client
+        assert reachable(dep, Request) == []
+
+
 class TestUnresponsiveParticipant:
     def _cross_shard_deployment(self):
         cfg = small_cfg(
@@ -128,58 +152,6 @@ class TestUnresponsiveParticipant:
         for node in dep.nodes:
             node.rm.sync_expected()
             node.subject.verify(durable=True)
-
-
-class TestSingleShardPassivity:
-    def test_no_protocol_machinery_is_built(self):
-        dep = ShardedDeployment(small_cfg(num_shards=1))
-        assert dep.service is not None
-        assert dep.nodes == []
-        assert not hasattr(dep, "coordinator") or dep.coordinator is None
-
-    def test_result_has_zero_cross_shard_counters(self):
-        res = run_sharded(small_cfg(num_shards=1), config=STRESS_CONFIG)
-        assert res.num_shards == 1
-        assert res.xshard_commits == 0
-        assert res.xshard_aborts == 0
-        assert res.prepare_persist_cycles == 0
-        assert res.decide_persist_cycles == 0
-
-    def test_bit_identical_to_pinned_service_bench(self):
-        """The N=1 deployment must reproduce BENCH_service.json's
-        numbers exactly — proof the sharding layer adds nothing to the
-        single-machine path."""
-        with open(os.path.join(REPO, "BENCH_service.json")) as fh:
-            baseline = json.load(fh)
-        params = baseline["params"]
-        key = "hashtable/SLPMT/b8"
-        cell = baseline["cells"][key]
-        res = run_sharded(
-            ShardedConfig(
-                num_shards=1,
-                workload="hashtable",
-                scheme="SLPMT",
-                num_clients=params["num_clients"],
-                requests_per_client=params["requests_per_client"],
-                value_bytes=params["value_bytes"],
-                num_keys=params["num_keys"],
-                theta=params["theta"],
-                mix=dict(SERVICE_MIX),
-                arrival_cycles=params["arrival_cycles"],
-                batch=GroupCommitPolicy(
-                    batch_size=8,
-                    max_wait_cycles=params["max_wait_cycles"],
-                ),
-                admission=AdmissionPolicy(
-                    max_depth=params["max_depth"], mode="block"
-                ),
-                seed=params["seed"],
-            )
-        )
-        assert res.cycles == cell["cycles"]
-        assert res.pm_bytes == cell["pm_bytes"]
-        assert res.acked == cell["acked"]
-        assert res.batches == cell["batches"]
 
 
 class TestProtocolPersistLabels:
@@ -231,9 +203,30 @@ class TestShardedTelemetryPassivity:
 
 
 class TestConfigValidation:
+    def test_single_shard_rejected(self):
+        # One machine has no cross-shard protocol to exercise.
+        with pytest.raises(ValueError, match="num_shards"):
+            ShardedConfig(num_shards=1)
+
     def test_more_than_eight_shards_rejected(self):
         with pytest.raises(ValueError):
             ShardedConfig(num_shards=9)
+
+    def test_no_clients_rejected(self):
+        with pytest.raises(ValueError, match="num_clients"):
+            ShardedConfig(num_clients=0)
+
+    def test_empty_key_population_rejected(self):
+        with pytest.raises(ValueError, match="num_keys"):
+            ShardedConfig(num_keys=0)
+
+    def test_non_positive_arrival_gap_rejected(self):
+        with pytest.raises(ValueError, match="arrival_cycles"):
+            ShardedConfig(arrival_cycles=0)
+
+    def test_negative_request_count_rejected(self):
+        with pytest.raises(ValueError, match="requests_per_client"):
+            ShardedConfig(requests_per_client=-1)
 
     def test_oversized_values_rejected(self):
         # A prepare record's payload caps at 8 words = 64 bytes.
