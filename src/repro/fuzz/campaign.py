@@ -504,9 +504,6 @@ class CrashFamily(Family):
         with structural():
             run.subject.verify()
 
-    def outcome(self, run):
-        return run.committed, run.oplog.total_commits
-
     def measure(self, run, start):
         events, instrs, cycles, pm_bytes = (
             now - before for now, before in zip(_machine_gauge(run.machine), start)
@@ -776,9 +773,6 @@ class MultiCoreFamily(Family):
         run.system.fence_all()
         with structural():
             run.subject.verify(durable=True)
-
-    def outcome(self, run):
-        return len(run.subject.expected), run.system.total_commits()
 
     def measure(self, run, start):
         run.system.fence_all()
@@ -1106,9 +1100,6 @@ class ServiceFamily(Family):
         svc.machine.checkpoint = None
         with structural():
             _finish_service(svc)
-
-    def outcome(self, svc):
-        return len(svc.rm.committed), svc.tm.commits
 
     def measure(self, svc, start):
         from repro.obs.steady import steady_summary

@@ -23,10 +23,12 @@ violation of a family with reproducers is shrunk to a minimal one and
 saved as ``<prefix>_repro_<n>.json`` next to the report.  Malformed
 campaign input is a usage error before any cell runs: a budget, op
 count, key count or duration below 1, a value size that is not a
-positive multiple of the word size, or an unknown or empty scheme,
-workload or fault-kind list.  A reproducer file ``--replay`` cannot use
-is one stderr line and exit 1 (2 when its fault coordinates lie beyond
-the log entry they damage, which only the replay can tell).
+positive multiple of the word size, an unknown or empty scheme,
+workload or fault-kind list, or a ``--twopc`` shard count or value size
+that :class:`~repro.shard.deployment.ShardedConfig` rejects (2–8
+shards, values of at most 64 B).  A reproducer file ``--replay``
+cannot use is one stderr line and exit 1 (2 when its fault coordinates
+lie beyond the log entry they damage, which only the replay can tell).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from repro.fuzz.faultcampaign import DEFAULT_FAULT_SCHEMES, default_fault_cells
 from repro.fuzz.kernel import FAMILIES, run_campaign
 from repro.fuzz.minimize import Reproducer, minimize, replay
 from repro.fuzz.report import format_report
-from repro.fuzz.twopc import TWOPC_FAULTS, TWOPC_FUZZ_SCHEMES, TwoPCCell
+from repro.fuzz.twopc import TWOPC_FAULTS, TWOPC_FUZZ_SCHEMES, TwoPCCell, shape_error
 from repro.parallel.engine import WorkerCrash, print_progress, resolve_jobs
 from repro.workloads import WORKLOADS
 
@@ -192,11 +194,12 @@ def _workloads(parser, args, known: Sequence[str]) -> List[str]:
 
 
 def _numbers(parser, flag: str, text: str, kind, least, why: str) -> list:
+    """*flag*'s comma-separated values, none below *least* (None: no bound)."""
     try:
         values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         parser.error(f"bad {flag} value: {exc}")
-    if not values or any(v < least for v in values):
+    if not values or (least is not None and any(v < least for v in values)):
         parser.error(f"{flag} needs {why}")
     return values
 
@@ -266,10 +269,12 @@ def _service_grid(parser, args):
 
 
 def _twopc_grid(parser, args):
-    shards = _numbers(
-        parser, "--shards", args.shards, int, 2,
-        "counts of at least 2 (N=1 has no cross-shard protocol)",
-    )
+    shards = _numbers(parser, "--shards", args.shards, int, None, "shard counts")
+    problems = [("--shards", shape_error(num_shards=n)) for n in shards]
+    problems.append(("--value-bytes", shape_error(value_bytes=args.value_bytes)))
+    for flag, problem in problems:
+        if problem is not None:
+            parser.error(f"{flag}: {problem}")
     workloads = _workloads(parser, args, WORKLOADS)
     schemes = _schemes(parser, args, TWOPC_FUZZ_SCHEMES)
     cells = [

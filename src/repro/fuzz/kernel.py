@@ -129,8 +129,6 @@ class CaseResult:
     """Outcome of one crash-inject-recover-check case."""
 
     crashed: bool
-    committed_ops: int
-    tx_commits: int
     violation: Optional[str] = None
     check: str = ""
 
@@ -316,10 +314,6 @@ class Family:
         """Finish and verify a run whose armed point was never reached."""
         raise NotImplementedError
 
-    def outcome(self, run) -> Tuple[int, int]:
-        """``(committed ops, committed transactions)`` of a judged run."""
-        raise NotImplementedError
-
     def measure(self, run, start):
         """What the clean run exposes: crash-space totals, report figures."""
         raise NotImplementedError
@@ -423,9 +417,9 @@ class Probe:
         return self.at
 
 
-def _verdict(family: Family, run, kind: str, point, crashed: bool, outcome=None) -> CaseResult:
+def _verdict(family: Family, run, kind: str, point, crashed: bool) -> CaseResult:
     """Judge a crashed run or shell (settle an uncrashed run) and report
-    the case; *outcome* overrides ``family.outcome(run)``."""
+    the case."""
     violation, check = None, ""
     try:
         if crashed:
@@ -434,8 +428,7 @@ def _verdict(family: Family, run, kind: str, point, crashed: bool, outcome=None)
             family.settle(run)
     except InvariantViolation as exc:
         violation, check = exc.message, exc.check
-    committed, commits = family.outcome(run) if outcome is None else outcome
-    return CaseResult(crashed, committed, commits, violation, check)
+    return CaseResult(crashed, violation, check)
 
 
 def play(family: Family, run, kind: str, point) -> CaseResult:
@@ -480,12 +473,11 @@ def _record(
         def capture(clock: int, entry=None) -> None:
             if died or stopped:
                 return
-            outcome = family.outcome(run)
             for index in at[site][clock]:
                 kind, point = cases[index]
                 try:
                     family.load_image(shell, run, kind, point, entry)
-                    results[index] = _verdict(family, shell, kind, point, True, outcome)
+                    results[index] = _verdict(family, shell, kind, point, True)
                 except Exception as exc:  # a harness failure, not a judged violation
                     died.append((index, exc))
                     return

@@ -43,10 +43,10 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.config import SystemConfig
-from repro.common.errors import RecoveryError
+from repro.common.errors import ArtifactError, RecoveryError
 from repro.faults import FaultModel
 from repro.faults.model import tear_points
 from repro.fuzz.campaign import _STRESS, STRESS_CONFIG, _load_subject, _points
@@ -142,6 +142,17 @@ class TwoPCCellReport:
     @property
     def cases_run(self) -> int:
         return self.step_points_run + self.persist_points_run + self.fault_points_run
+
+
+def shape_error(**fields) -> Optional[str]:
+    """Why :class:`~repro.shard.deployment.ShardedConfig` rejects
+    *fields* (its other fields at their defaults), or None: the CLI and
+    a reproducer's replay take the deployment's bounds from there."""
+    try:
+        ShardedConfig(**fields)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def step_family(name: str) -> str:
@@ -413,9 +424,6 @@ class TwoPCFamily(Family):
         with structural():
             _finish_deployment(dep)
 
-    def outcome(self, dep):
-        return len(dep.committed), dep.coordinator.committed_gtxs
-
     def measure(self, dep, start):
         events0, appends0, cycles0, pm0 = start
         machines = dep.all_machines()
@@ -522,8 +530,14 @@ class TwoPCFamily(Family):
         require(rep.service is None, "service", rep.service, "null beside a twopc block")
         require_block(
             "twopc", rep.twopc,
-            {"shards": 2, "num_clients": 1, "requests_per_client": 1, "seed": None},
+            {"shards": None, "num_clients": 1, "requests_per_client": 1, "seed": None},
         )
+        for name, problem in (
+            ("twopc.shards", shape_error(num_shards=rep.twopc["shards"])),
+            ("value_bytes", shape_error(value_bytes=rep.value_bytes)),
+        ):
+            if problem is not None:
+                raise ArtifactError(f"field {name!r}: {problem}")
         nodes = ["coord"] + [f"s{shard}" for shard in range(rep.twopc["shards"])]
         if rep.fault is None:
             kinds = ["step"] + [f"persist:{node}" for node in nodes]

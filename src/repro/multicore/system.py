@@ -46,7 +46,7 @@ MAX_BACKOFF_TURNS = 8
 from repro.core.schemes import SLPMT, Scheme
 from repro.mem.pm import PersistentMemory
 from repro.multicore.scheduler import InterleavedScheduler
-from repro.runtime.hints import MANUAL, AnnotationPolicy
+from repro.runtime.hints import MANUAL
 from repro.runtime.ptx import PTx
 
 #: A worker receives its core's transactional runtime.
@@ -62,19 +62,11 @@ class MultiCoreSystem:
         scheme: Scheme = SLPMT,
         config: SystemConfig = DEFAULT_CONFIG,
         *,
-        policy: AnnotationPolicy = MANUAL,
         seed: int = 0,
-        wait_timeout: "float | None" = None,
-        hang_timeout: "float | None" = None,
     ) -> None:
         self.pm = PersistentMemory()
         self.allocator = PersistentAllocator()
-        sched_kwargs = {}
-        if wait_timeout is not None:
-            sched_kwargs["wait_timeout"] = wait_timeout
-        if hang_timeout is not None:
-            sched_kwargs["hang_timeout"] = hang_timeout
-        self.scheduler = InterleavedScheduler(num_cores, seed=seed, **sched_kwargs)
+        self.scheduler = InterleavedScheduler(num_cores, seed=seed)
         self.conflicts = 0
         self.cores: List[Machine] = []
         self.runtimes: List[PTx] = []
@@ -90,7 +82,7 @@ class MultiCoreSystem:
             )
             machine.stamp_source = shared_stamps
             self.cores.append(machine)
-            runtime = PTx(machine, self.allocator, policy=policy)
+            runtime = PTx(machine, self.allocator, policy=MANUAL)
             runtime.backoff_sink = self._make_backoff_sink(core_id)
             self.runtimes.append(runtime)
 

@@ -15,11 +15,11 @@ from typing import Any, Dict
 
 from repro.core.tracing import Tracer
 from repro.harness.runner import RunResult, run_workload
-from repro.multicore.system import CONFLICT_BACKOFF_BASE, MultiCoreSystem
+from repro.multicore.system import MultiCoreSystem
 from repro.workloads.base import value_words_for_key
 from repro.obs.profiler import CycleProfiler
-from repro.runtime.hints import MANUAL
 from repro.workloads.hashtable import HashTable
+from repro.workloads.shared import SharedOp, replay_contention
 
 
 @dataclass
@@ -52,20 +52,18 @@ def observed_run(
     num_ops: int = 1000,
     value_bytes: int = 256,
     seed: int = 2023,
-    policy=MANUAL,
-    capacity: int = 100_000,
 ) -> ObservedRun:
-    """Run one (workload, scheme) simulation with obs attached."""
+    """Run one (workload, scheme) simulation under the manual
+    annotation policy, with obs attached (a 100,000-event trace ring)."""
     from repro.core.schemes import scheme_by_name
 
     if isinstance(scheme, str):
         scheme = scheme_by_name(scheme)
-    tracer = Tracer(capacity=capacity)
+    tracer = Tracer(capacity=100_000)
     profiler = CycleProfiler()
     result = run_workload(
         workload,
         scheme,
-        policy=policy,
         num_ops=num_ops,
         value_bytes=value_bytes,
         seed=seed,
@@ -82,7 +80,6 @@ def observed_multicore_ycsb(
     ops_per_core: int = 50,
     value_bytes: int = 64,
     seed: int = 2023,
-    capacity: int = 50_000,
 ) -> MultiCoreSystem:
     """A multicore YCSB-load run with full observability attached.
 
@@ -94,31 +91,15 @@ def observed_multicore_ycsb(
     from repro.core.schemes import scheme_by_name
 
     system = MultiCoreSystem(num_cores, scheme_by_name(scheme), seed=seed)
-    system.attach_observability(capacity=capacity)
+    system.attach_observability()
     table = HashTable(system.runtimes[0], value_bytes=value_bytes)
-    handles = [table] + [
-        table.clone_for(rt) for rt in system.runtimes[1:]
-    ]
-
-    def worker_for(handle, base: int):
-        def worker(rt) -> None:
-            for i in range(ops_per_core):
-                key = base + i
-                value = value_words_for_key(key, handle.value_words)
-                handle.before_transaction(key)
-                rt.run_with_retries(
-                    lambda: handle._insert(key, value),
-                    retries=255,
-                    backoff_base=CONFLICT_BACKOFF_BASE,
-                )
-                handle.expected[key] = value
-
-        return worker
-
-    workers = [
-        worker_for(handle, 1_000_000 * (core_id + 1))
-        for core_id, handle in enumerate(handles)
-    ]
-    system.run(workers)
+    streams = []
+    for core in range(num_cores):
+        keys = range(1_000_000 * (core + 1), 1_000_000 * (core + 1) + ops_per_core)
+        streams.append([
+            SharedOp(core, i, key, tuple(value_words_for_key(key, table.value_words)))
+            for i, key in enumerate(keys)
+        ])
+    replay_contention(system, table, streams, max_attempts=256)
     system.finalize_all()
     return system

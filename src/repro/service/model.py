@@ -6,7 +6,7 @@ durable structure:
 * ``get``  — point read of one key (simulated, non-transactional);
 * ``put``  — durable insert/update of one key;
 * ``scan`` — range read: full simulated traversal, then up to
-  ``scan_count`` keys from ``keys[0]`` upward;
+  :data:`SCAN_COUNT` keys from ``keys[0]`` upward;
 * ``txn``  — multi-key write transaction (all keys commit atomically).
 
 Clients are pure functions of ``(seed, client, knobs)``: the request
@@ -31,6 +31,9 @@ OP_KINDS = ("get", "put", "scan", "txn")
 
 #: Write kinds (served through the group-committing TM).
 WRITE_KINDS = ("put", "txn")
+
+#: Most keys a drawn ``scan`` returns.
+SCAN_COUNT = 4
 
 #: Default request mix: write-heavy (the YCSB-load shape the paper's
 #: evaluation drives), with enough reads to exercise the fast path.
@@ -169,7 +172,6 @@ class ClientStream(_ForwardStream):
         theta: float = 0.0,
         value_words: int = 8,
         txn_keys: int = 3,
-        scan_count: int = 4,
         seed: int = 0,
     ) -> None:
         mix = DEFAULT_MIX if mix is None else mix
@@ -181,7 +183,6 @@ class ClientStream(_ForwardStream):
         self.num_keys = num_keys
         self.value_words = value_words
         self.txn_keys = txn_keys
-        self.scan_count = scan_count
         self.weights = [mix[k] for k in self.kinds]
         self.cdf = zipfian_cdf(num_keys, theta)
         super().__init__(f"svc:{seed}:{client}:{theta!r}:{num_keys}")
@@ -197,7 +198,7 @@ class ClientStream(_ForwardStream):
         elif kind == "scan":
             request = Request(
                 client, seq, "scan", (self._draw_key(rng),),
-                scan_count=self.scan_count,
+                scan_count=SCAN_COUNT,
             )
         elif kind == "put":
             key = self._draw_key(rng)

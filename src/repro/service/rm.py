@@ -10,8 +10,8 @@ Single-core visibility argument (why reads need no transaction): the
 batch transaction is closed whenever the event loop serves a read, so
 the architectural state holds exactly the committed image — including
 committed-but-lazy lines, which are architecturally visible by design.
-Reads therefore see precisely the oracle, and the server asserts that
-on every read when ``check_reads`` is on.
+Reads therefore see precisely the oracle, and every read is checked
+against it (:class:`ReadConsistencyError`).
 """
 
 from __future__ import annotations
@@ -57,28 +57,27 @@ class ResourceManager:
 
     # --- reads (simulated, non-transactional) --------------------------
 
-    def read_get(self, request: Request, *, check: bool = True) -> Tuple:
+    def read_get(self, request: Request) -> Tuple:
         """Serve a ``get``: the traversal and value fetch issue real
         simulated loads (cache behaviour and latency included)."""
         key = request.keys[0]
         got = self.subject.get(key)
-        if check:
-            want = self.committed.get(key)
-            if (None if got is None else tuple(got)) != want:
-                raise ReadConsistencyError(
-                    f"get({key}) returned "
-                    f"{None if got is None else tuple(got[:2])}, oracle has "
-                    f"{None if want is None else want[:2]}"
-                )
+        want = self.committed.get(key)
+        if (None if got is None else tuple(got)) != want:
+            raise ReadConsistencyError(
+                f"get({key}) returned "
+                f"{None if got is None else tuple(got[:2])}, oracle has "
+                f"{None if want is None else want[:2]}"
+            )
         return () if got is None else (tuple(got),)
 
-    def read_scan(self, request: Request, *, check: bool = True) -> Tuple:
+    def read_scan(self, request: Request) -> Tuple:
         """Serve a ``scan``: one full simulated traversal to collect the
         key set, then up to ``scan_count`` point lookups from
         ``keys[0]`` upward."""
         start = request.keys[0]
         keys = sorted(set(self.subject.iter_keys(self.subject.rt.load)))
-        if check and set(keys) != set(self.committed):
+        if set(keys) != set(self.committed):
             raise ReadConsistencyError(
                 f"scan traversal saw {len(keys)} keys, oracle has "
                 f"{len(self.committed)}"

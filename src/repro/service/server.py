@@ -43,7 +43,7 @@ from repro.core.schemes import scheme_by_name
 from repro.obs.histogram import LogHistogram
 from repro.obs.profiler import CycleProfiler
 from repro.obs.telemetry import TelemetryWindows
-from repro.runtime.hints import MANUAL, AnnotationPolicy
+from repro.runtime.hints import MANUAL
 from repro.runtime.ptx import PTx
 from repro.workloads import WORKLOADS
 
@@ -75,8 +75,6 @@ class ServiceConfig:
     theta: float = 0.0
     #: Request mix weights (None: :data:`repro.service.model.DEFAULT_MIX`).
     mix: Optional[Dict[str, float]] = None
-    txn_keys: int = 3
-    scan_count: int = 4
     #: ``open``: seeded arrival times, independent of responses;
     #: ``closed``: each client thinks after its previous response.
     mode: str = "open"
@@ -84,11 +82,7 @@ class ServiceConfig:
     think_cycles: int = 1500
     batch: GroupCommitPolicy = field(default_factory=GroupCommitPolicy)
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    max_attempts: int = 64
     seed: int = 2023
-    #: Assert every read against the committed oracle (cost-free:
-    #: Python-side comparison only).
-    check_reads: bool = True
     verify: bool = True
     #: First global client id this service hosts.  A sharded population
     #: run gives every worker's service the same seed but a disjoint
@@ -203,7 +197,6 @@ class TransactionService:
         cfg: ServiceConfig,
         *,
         config: SystemConfig = DEFAULT_CONFIG,
-        policy: AnnotationPolicy = MANUAL,
         telemetry: "Optional[TelemetryWindows]" = None,
     ) -> None:
         self.cfg = cfg
@@ -213,14 +206,12 @@ class TransactionService:
         self.profiler = CycleProfiler()
         self.profiler.bind(self.machine.now)
         self.machine.profiler = self.profiler
-        self.rt = PTx(self.machine, policy=policy)
+        self.rt = PTx(self.machine, policy=MANUAL)
         self.subject = WORKLOADS[cfg.workload](
             self.rt, value_bytes=cfg.value_bytes
         )
         self.rm = make_resource_manager(self.subject)
-        self.tm = TransactionManager(
-            self.rt, self.rm, max_attempts=cfg.max_attempts
-        )
+        self.tm = TransactionManager(self.rt, self.rm)
         self.queue = AdmissionQueue(cfg.admission)
         self.locks = LockManager() if cfg.locking else None
         value_words = cfg.value_bytes // units.WORD_BYTES
@@ -234,8 +225,6 @@ class TransactionService:
                 num_keys=cfg.num_keys,
                 theta=cfg.theta,
                 value_words=value_words,
-                txn_keys=cfg.txn_keys,
-                scan_count=cfg.scan_count,
                 seed=cfg.seed,
             )
             for client in range(cfg.num_clients)
@@ -408,9 +397,9 @@ class TransactionService:
         for item in ready:
             request = item.request
             if request.kind == "get":
-                values = self.rm.read_get(request, check=self.cfg.check_reads)
+                values = self.rm.read_get(request)
             else:
-                values = self.rm.read_scan(request, check=self.cfg.check_reads)
+                values = self.rm.read_scan(request)
             self.machine.stats.service_reads += 1
             self._record(
                 Response(

@@ -49,21 +49,18 @@ class GroupCommitPolicy:
             raise ValueError("max_wait_cycles must be non-negative")
 
 
-class TransactionManager:
-    """Executes write batches as single durable transactions."""
+#: Attempts (first try included) a batch transaction, or a shard's
+#: phase-2 apply, gets before :class:`~repro.common.errors.RetryExhausted`.
+BATCH_ATTEMPTS = 64
 
-    def __init__(
-        self,
-        rt: PTx,
-        rm: ResourceManager,
-        *,
-        max_attempts: int = 64,
-    ) -> None:
+
+class TransactionManager:
+    """Executes write batches as single durable transactions, each
+    retried up to :data:`BATCH_ATTEMPTS` times on conflict aborts."""
+
+    def __init__(self, rt: PTx, rm: ResourceManager) -> None:
         self.rt = rt
         self.rm = rm
-        self.max_attempts = max_attempts
-        #: Committed batch transactions so far.
-        self.commits = 0
 
     def commit_batch(self, batch: Sequence[Request]) -> None:
         """Run *batch* in one transaction (via ``run_atomically``) and
@@ -85,7 +82,6 @@ class TransactionManager:
             for request in requests:
                 self.rm.apply_write(request)
 
-        run_atomically(self.rt, body, max_attempts=self.max_attempts)
-        self.commits += 1
+        run_atomically(self.rt, body, max_attempts=BATCH_ATTEMPTS)
         for request in requests:
             self.rm.commit_write(request)

@@ -55,7 +55,7 @@ from repro.runtime.hints import MANUAL
 from repro.runtime.ptx import PTx
 from repro.service.model import ArrivalStream, ClientStream, Request, Response
 from repro.service.rm import ResourceManager
-from repro.service.tm import GroupCommitPolicy, TransactionManager
+from repro.service.tm import BATCH_ATTEMPTS, GroupCommitPolicy, TransactionManager
 from repro.shard.router import HashRouter
 from repro.shard.twopc import (
     GTX_BASE,
@@ -71,8 +71,9 @@ class ShardedConfig:
     """Everything an N-shard run derives from (all seeded, all scalar).
 
     The serving knobs mirror :class:`~repro.service.server.ServiceConfig`
-    (open-loop only); ``prepare_attempts`` / ``retry_wait_cycles`` bound
-    the coordinator's deterministic retry of unresponsive participants.
+    (open-loop only).  The bounds below are the only statement of which
+    shapes a deployment takes; the fuzz CLI and the 2PC reproducer
+    loader ask this class rather than restate them.
 
     A shard flushes its batch at ``batch.batch_size``, before a
     cross-shard transaction that touches it, and at end of stream, so
@@ -90,14 +91,9 @@ class ShardedConfig:
     theta: float = 0.0
     mix: Optional[Dict[str, float]] = None
     txn_keys: int = 3
-    scan_count: int = 4
     arrival_cycles: int = 3000
     batch: GroupCommitPolicy = field(default_factory=GroupCommitPolicy)
-    max_attempts: int = 64
-    prepare_attempts: int = 3
-    retry_wait_cycles: int = 500
     seed: int = 2023
-    check_reads: bool = True
     verify: bool = True
 
     def __post_init__(self) -> None:
@@ -154,9 +150,7 @@ class ShardNode:
             self.rt, value_bytes=cfg.value_bytes
         )
         self.rm = ResourceManager(self.subject)
-        self.tm = TransactionManager(
-            self.rt, self.rm, max_attempts=cfg.max_attempts
-        )
+        self.tm = TransactionManager(self.rt, self.rm)
         #: Writes pending in this shard's group-commit batch:
         #: ``(request, submitted_at)`` in arrival order.
         self.pending: List[Tuple[Request, int]] = []
@@ -217,7 +211,7 @@ class ShardNode:
             for key, value in writes:
                 self.subject._insert(key, list(value))
 
-        run_atomically(self.rt, body, max_attempts=self.cfg.max_attempts)
+        run_atomically(self.rt, body, max_attempts=BATCH_ATTEMPTS)
         # Seal: a plain commit marker at the global seq.  Recovery skips
         # the re-apply on shards whose log shows this marker.
         self.machine.persist_protocol_entries(
@@ -304,16 +298,9 @@ class ShardedDeployment:
             for shard in range(cfg.num_shards)
         ]
         self.coordinator = Coordinator(
-            cfg.num_shards,
-            cfg.scheme,
-            config,
-            prepare_attempts=cfg.prepare_attempts,
-            retry_wait_cycles=cfg.retry_wait_cycles,
-            telemetry=telemetry,
+            cfg.num_shards, cfg.scheme, config, telemetry=telemetry
         )
         self.responses: List[Response] = []
-        #: Global acked-write oracle: key -> value tuple.
-        self.committed: Dict[int, Tuple[int, ...]] = {}
         #: The local batch inside ``commit_batch`` right now, if any:
         #: ``(shard_id, [requests])`` — the crash harness's undecided set.
         self.inflight_local: Optional[Tuple[int, List[Request]]] = None
@@ -322,8 +309,6 @@ class ShardedDeployment:
         self.inflight_gtx: Optional[
             Tuple[int, Dict[int, List[PreparedWrite]], Request]
         ] = None
-        #: Decided global transactions: gtx -> "commit" | "abort".
-        self.fates: Dict[int, str] = {}
         self.requests = 0
         self.reads = 0
         self.batches = 0
@@ -380,7 +365,6 @@ class ShardedDeployment:
             theta=cfg.theta,
             value_words=cfg.value_bytes // units.WORD_BYTES,
             txn_keys=cfg.txn_keys,
-            scan_count=cfg.scan_count,
             seed=cfg.seed,
         )
         gaps = ArrivalStream(
@@ -395,7 +379,7 @@ class ShardedDeployment:
         self.requests += 1
         if request.kind == "get":
             node = self.nodes[self.router.home(request.keys[0])]
-            values = node.rm.read_get(request, check=self.cfg.check_reads)
+            values = node.rm.read_get(request)
             self.reads += 1
             self._record(request, at, "ok", node.machine.now, values)
         elif request.kind == "scan":
@@ -415,7 +399,7 @@ class ShardedDeployment:
         slice of the oracle) and merges by key order."""
         merged: List[Tuple[int, Tuple[int, ...]]] = []
         for node in self.nodes:
-            merged.extend(node.rm.read_scan(request, check=self.cfg.check_reads))
+            merged.extend(node.rm.read_scan(request))
         merged.sort()
         return tuple(merged[: request.scan_count])
 
@@ -476,8 +460,6 @@ class ShardedDeployment:
         # them from the commit).
         completed_at = node.machine.now
         for request, submitted_at in batch:
-            for key, value in zip(request.keys, request.values):
-                self.committed[key] = tuple(value)
             self.committed_writes += 1
             self._record(request, submitted_at, "ok", completed_at)
         self.inflight_local = None
@@ -502,14 +484,10 @@ class ShardedDeployment:
         participants = {shard: self.nodes[shard] for shard in groups}
         self.inflight_gtx = (gtx, plan, request)
         fate = self.coordinator.commit_global(gtx, plan, participants)
-        self.fates[gtx] = fate
         if fate == "commit":
             completed_at = max(
                 self.nodes[shard].machine.now for shard in groups
             )
-            for writes in plan.values():
-                for key, value in writes:
-                    self.committed[key] = tuple(value)
             self.committed_writes += 1
             self.xshard_writes += len(request.keys)
             self._record(request, at, "ok", completed_at)

@@ -47,6 +47,12 @@ from repro.obs.profiler import CycleProfiler
 #: Fits the 52-bit wire field and clears every per-core local range.
 GTX_BASE = 1 << 48
 
+#: Times the coordinator asks an unresponsive participant to prepare
+#: before it decides abort, and the coordinator-clock cycles it waits
+#: after each unanswered request (the timeout model).
+PREPARE_ATTEMPTS = 3
+RETRY_WAIT_CYCLES = 500
+
 #: A staged write: (key, value words).
 PreparedWrite = Tuple[int, Tuple[int, ...]]
 
@@ -92,7 +98,8 @@ class Coordinator:
     Machine` whose PM log region holds only protocol records, so its
     decision persists pay real WPQ drains, show up as ``decide-persist``
     spans, and are reachable by the same crash/fault injection as any
-    shard's log.
+    shard's log.  A participant that stays unresponsive through
+    :data:`PREPARE_ATTEMPTS` prepare requests aborts the transaction.
     """
 
     def __init__(
@@ -101,12 +108,8 @@ class Coordinator:
         scheme: "Scheme | str",
         config: SystemConfig = DEFAULT_CONFIG,
         *,
-        prepare_attempts: int = 3,
-        retry_wait_cycles: int = 500,
         telemetry=None,
     ) -> None:
-        if prepare_attempts < 1:
-            raise SimulationError("prepare_attempts must be at least 1")
         if isinstance(scheme, str):
             scheme = scheme_by_name(scheme)
         #: Node id: shards are 0..N-1, the coordinator is N.
@@ -119,8 +122,6 @@ class Coordinator:
         self.profiler.bind(self.machine.now)
         self.machine.profiler = self.profiler
         self.steps = StepTracker()
-        self.prepare_attempts = prepare_attempts
-        self.retry_wait_cycles = retry_wait_cycles
         self.committed_gtxs = 0
         self.aborted_gtxs = 0
         self.prepare_retries = 0
@@ -221,14 +222,14 @@ class Coordinator:
     def _prepare_with_retry(
         self, participant, gtx: int, writes: "List[PreparedWrite]"
     ) -> bool:
-        """Prepare one participant, retrying a bounded, deterministic
-        number of times; each retry waits ``retry_wait_cycles`` on the
-        coordinator clock (the timeout model)."""
-        for _ in range(self.prepare_attempts):
+        """Prepare one participant, asking up to :data:`PREPARE_ATTEMPTS`
+        times; each unanswered request waits :data:`RETRY_WAIT_CYCLES`
+        on the coordinator clock."""
+        for _ in range(PREPARE_ATTEMPTS):
             try:
                 participant.prepare(gtx, writes)
                 return True
             except ShardUnavailable:
                 self.prepare_retries += 1
-                self.machine.now += self.retry_wait_cycles
+                self.machine.now += RETRY_WAIT_CYCLES
         return False

@@ -4,6 +4,7 @@ shrinking and reproducer round-trips."""
 import pytest
 
 from repro.fuzz.campaign import (
+    CRASH,
     DEFAULT_CELLS,
     FuzzCell,
     ServiceCell,
@@ -12,9 +13,11 @@ from repro.fuzz.campaign import (
 )
 from repro.fuzz.kernel import (
     CampaignResult,
+    play,
     run_campaign,
     run_case,
     run_cell,
+    shared_knobs,
     violation,
 )
 from repro.fuzz.minimize import Reproducer, minimize, replay
@@ -68,14 +71,14 @@ def test_baseline_states_track_committed_prefixes():
 @pytest.mark.fuzz
 def test_run_case_without_crash_verifies_cleanly():
     ops = generate_ops("hashtable", 6, 3)
-    result = run_case(
-        FuzzCell("hashtable", "SLPMT", "manual"), "persist", 10**9,
-        seed=3, ops=ops,
-    )
+    cell = FuzzCell("hashtable", "SLPMT", "manual")
+    result = run_case(cell, "persist", 10**9, seed=3, ops=ops)
     assert not result.crashed
-    assert result.committed_ops == len(ops)
-    assert result.tx_commits > 0
     assert result.violation is None
+    run = CRASH.build(cell, 3, shared_knobs(cell, seed=3, ops=ops))
+    assert play(CRASH, run, "persist", 10**9) == result
+    assert run.committed == len(ops)
+    assert run.oplog.total_commits > 0
 
 
 @pytest.mark.fuzz

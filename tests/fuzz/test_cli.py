@@ -35,6 +35,8 @@ REJECTED = [
     ["--multicore", "--num-keys", "0"],
     ["--value-bytes", "7"],
     ["--twopc", "--value-bytes", "0"],
+    ["--twopc", "--value-bytes", "128"],
+    ["--twopc", "--shards", "9"],
     ["--service", "--value-bytes", "12"],
     ["--service", "--duration", "0"],
     ["--schemes", ""],
@@ -92,6 +94,12 @@ MALFORMED = {
         TWOPC_REPRODUCER, twopc={"shards": 2, "num_clients": 3, "requests_per_client": 5},
     )),
     "twopc node beyond the shards": ("crash_kind", dict(TWOPC_REPRODUCER, crash_kind="persist:s2")),
+    "twopc 9 shards": ("twopc.shards", dict(
+        TWOPC_REPRODUCER, twopc=dict(TWOPC_REPRODUCER["twopc"], shards=9),
+    )),
+    "twopc values wider than a prepare payload": (
+        "value_bytes", dict(TWOPC_REPRODUCER, value_bytes=128),
+    ),
     "op the workload lacks": ("ops[1]", dict(
         CRASH_REPRODUCER, ops=[["insert", 5, 0], ["extract", 0, 0]],
     )),

@@ -95,11 +95,6 @@ class TestRunContention:
         with pytest.raises(ValueError):
             replay_contention(system, subject, streams)
 
-    def test_scheduler_timeout_knobs_reach_the_scheduler(self):
-        system = MultiCoreSystem(2, wait_timeout=1.5, hang_timeout=9.0)
-        assert system.scheduler.wait_timeout == 1.5
-        assert system.scheduler.hang_timeout == 9.0
-
 
 class TestContentionCounters:
     def test_single_core_runs_stay_zero(self):

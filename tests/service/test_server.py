@@ -5,6 +5,7 @@ import pytest
 from repro.mem.pm import LogExtent
 from repro.service.admission import AdmissionPolicy
 from repro.service.model import ArrivalStream, Request
+from repro.service.rm import ReadConsistencyError
 from repro.service.server import ServiceConfig, TransactionService, run_service
 from repro.service.tm import GroupCommitPolicy
 from tests.reachable import reachable
@@ -184,6 +185,32 @@ class TestLifecycle:
         res = svc.result()
         assert res.cycles == served_cycles
         assert svc.machine.now > served_cycles
+
+
+class TestReadCheck:
+    """Every read is checked against the committed oracle."""
+
+    @pytest.fixture
+    def served(self):
+        svc = TransactionService(config())
+        svc.serve()
+        assert svc.rm.committed, "run must commit writes"
+        return svc
+
+    def test_get_that_disagrees_with_the_oracle_raises(self, served):
+        key, value = next(iter(served.rm.committed.items()))
+        get = Request(0, 0, "get", (key,))
+        assert served.rm.read_get(get) == (value,)
+        served.rm.committed[key] = tuple(word + 1 for word in value)
+        with pytest.raises(ReadConsistencyError):
+            served.rm.read_get(get)
+
+    def test_scan_that_disagrees_with_the_oracle_raises(self, served):
+        scan = Request(0, 0, "scan", (0,), scan_count=4)
+        assert len(served.rm.read_scan(scan)) == 4
+        served.rm.committed[max(served.rm.committed) + 1] = (0,) * 4
+        with pytest.raises(ReadConsistencyError):
+            served.rm.read_scan(scan)
 
 
 class TestDurationMode:

@@ -3,14 +3,16 @@ commit/abort, labelled protocol persists and telemetry passivity."""
 
 import pytest
 
+from repro.common.units import WORD_BYTES
 from repro.core.tracing import Tracer
 from repro.fuzz.campaign import STRESS_CONFIG
 from repro.obs.telemetry import TelemetryWindows
 from repro.service.model import ClientStream, Request
+from repro.service.rm import ReadConsistencyError
 from repro.service.tm import GroupCommitPolicy
 from repro.shard.deployment import ShardedConfig, ShardedDeployment, run_sharded
 from repro.shard.router import home_shard
-from repro.shard.twopc import GTX_BASE
+from repro.shard.twopc import GTX_BASE, PREPARE_ATTEMPTS
 from tests.reachable import reachable
 
 TXN_MIX = {"put": 0.3, "get": 0.1, "scan": 0.05, "txn": 0.55}
@@ -48,13 +50,31 @@ class TestServing:
         dep = ShardedDeployment(small_cfg(), config=STRESS_CONFIG)
         dep.serve()
         dep.finish()
-        for key, value in dep.committed.items():
-            shard = home_shard(key, dep.cfg.num_shards)
+        cfg = dep.cfg
+        streams = [
+            ClientStream(
+                client, mix=cfg.mix, num_keys=cfg.num_keys, theta=cfg.theta,
+                value_words=cfg.value_bytes // WORD_BYTES, txn_keys=cfg.txn_keys,
+                seed=cfg.seed,
+            )
+            for client in range(cfg.num_clients)
+        ]
+        # Responses come in ack order, so the last ack of a key is its
+        # committed value.
+        acked = {}
+        for response in dep.responses:
+            if response.status == "ok" and response.kind in ("put", "txn"):
+                request = streams[response.client].request(response.seq)
+                acked.update(zip(request.keys, request.values))
+        assert acked, "run must ack writes"
+        for key, value in acked.items():
+            shard = home_shard(key, cfg.num_shards)
             assert dep.nodes[shard].rm.committed[key] == value
             # Placement: no other shard ever stored the key.
             for node in dep.nodes:
                 if node.shard_id != shard:
                     assert key not in node.rm.committed
+        assert sum(len(node.rm.committed) for node in dep.nodes) == len(acked)
 
     def test_cross_shard_transactions_commit(self):
         res = run_sharded(small_cfg(), config=STRESS_CONFIG)
@@ -80,6 +100,36 @@ class TestServing:
         for response in scans:
             keys = [k for k, _ in response.values]
             assert keys == sorted(keys)
+
+
+class TestReadCheck:
+    """A deployment's reads are checked against the home shard's oracle
+    (a get) or every shard's (a scan)."""
+
+    @pytest.fixture
+    def served(self):
+        dep = ShardedDeployment(small_cfg(), config=STRESS_CONFIG)
+        dep.serve()
+        return dep, dep.nodes[0]
+
+    def test_get_that_disagrees_with_the_oracle_raises(self, served):
+        dep, node = served
+        key, value = next(iter(node.rm.committed.items()))
+        get = Request(0, 0, "get", (key,))
+        dep._dispatch(get, 0)
+        assert dep.responses[-1].values == (value,)
+        node.rm.committed[key] = tuple(word + 1 for word in value)
+        with pytest.raises(ReadConsistencyError):
+            dep._dispatch(get, 0)
+
+    def test_scan_that_disagrees_with_the_oracle_raises(self, served):
+        dep, node = served
+        scan = Request(0, 0, "scan", (0,), scan_count=4)
+        dep._dispatch(scan, 0)
+        assert len(dep.responses[-1].values) == 4
+        node.rm.committed[max(node.rm.committed) + 1] = (0,) * 4
+        with pytest.raises(ReadConsistencyError):
+            dep._dispatch(scan, 0)
 
 
 class TestOnDemandTraffic:
@@ -122,11 +172,11 @@ class TestUnresponsiveParticipant:
         dep = self._cross_shard_deployment()
         # Fail fewer prepares than the coordinator's attempt budget:
         # the retry path absorbs them and everything still commits.
-        dep.nodes[0].fail_prepares = dep.cfg.prepare_attempts - 1
+        dep.nodes[0].fail_prepares = PREPARE_ATTEMPTS - 1
         dep.serve()
         dep.finish()
         res = dep.result()
-        assert res.prepare_retries == dep.cfg.prepare_attempts - 1
+        assert res.prepare_retries == PREPARE_ATTEMPTS - 1
         assert res.aborted == 0
         assert res.xshard_commits > 0
 
@@ -137,7 +187,7 @@ class TestUnresponsiveParticipant:
         baseline_aborts = clean.result().aborted
         assert baseline_aborts == 0
         # Enough failures to exhaust every attempt for the first gtx.
-        dep.nodes[0].fail_prepares = dep.cfg.prepare_attempts
+        dep.nodes[0].fail_prepares = PREPARE_ATTEMPTS
         dep.serve()
         dep.finish()
         res = dep.result()
@@ -147,8 +197,7 @@ class TestUnresponsiveParticipant:
         assert aborted
         # Global atomicity of the abort: none of the aborted requests'
         # writes is durable anywhere (unless a later txn rewrote it).
-        gtx_fates = set(dep.fates.values())
-        assert "abort" in gtx_fates
+        assert dep.coordinator.aborted_gtxs >= 1
         for node in dep.nodes:
             node.rm.sync_expected()
             node.subject.verify(durable=True)
@@ -238,8 +287,13 @@ class TestGtxNamespace:
     def test_global_seqs_clear_local_ranges(self):
         dep = ShardedDeployment(small_cfg(), config=STRESS_CONFIG)
         dep.serve()
-        assert dep.fates, "run must produce global transactions"
-        assert all(gtx > GTX_BASE for gtx in dep.fates)
+        coordinator = dep.coordinator
+        decided = coordinator.committed_gtxs + coordinator.aborted_gtxs
+        assert decided, "run must produce global transactions"
+        # One durable decision record per decided gtx.
+        gtxs = {entry.tx_seq for entry in coordinator.machine.pm.log}
+        assert len(gtxs) == decided
+        assert all(gtx > GTX_BASE for gtx in gtxs)
         # Local per-core seqs live at core_id * 10**12 + n — far below.
         assert GTX_BASE > 8 * 10**12
 
@@ -256,7 +310,9 @@ class TestLiveLog:
             config=STRESS_CONFIG,
         )
         dep.serve()
-        assert dep.batches and dep.fates, "run must commit local and global work"
+        assert dep.batches and dep.coordinator.committed_gtxs, (
+            "run must commit local and global work"
+        )
         for label, machine in dep.all_machines():
             assert machine.pm.log, label
             assert all(e.tx_seq >= GTX_BASE for e in machine.pm.log), label
