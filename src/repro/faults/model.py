@@ -15,8 +15,9 @@ durability groups after the crash, modelling the ADR promise being
 broken by a failed energy reserve.
 
 Everything is deterministic: plans are explicit coordinates, and the
-seeded RNG (:meth:`FaultModel.rng`) is only used by campaign drivers to
-*choose* coordinates, never inside the injection itself.
+seed only helps a campaign *choose* coordinates
+(:meth:`FaultModel.choose_flip` draws each case from its own seeded
+RNG), never inside the injection itself.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ class FaultModel:
     def __init__(self, plan: Optional[Plan] = None, *, seed: int = 0, probe=None) -> None:
         self.plan = plan
         self.seed = seed
-        self.rng = random.Random(f"faults:{seed}")
         #: Set once the plan actually fired (coverage accounting).
         self.fired = False
         #: A recording pass's capture probe: at each of its append

@@ -88,7 +88,6 @@ class FaultCellReport:
     cases_run: int
     exhaustive: bool
     fired: int
-    salvaged_txs: int
     violations: List[Violation] = field(default_factory=list)
 
 
@@ -196,13 +195,9 @@ class FaultFamily(CrashFamily):
         run.model.apply_post_crash(machine.pm)
 
         def salvage():
-            # From the byte stream: the view a real post-crash
-            # controller has (it also makes the full-cut control entry
-            # visible: the append completed on media even though the
-            # crash beat the bookkeeping).
             report = recover(
                 machine.pm, mode=machine.scheme.logging_mode,
-                hooks=[run.subject], from_bytes=True, policy="salvage",
+                hooks=[run.subject], policy="salvage",
             )
             return report, report
 
@@ -270,7 +265,6 @@ class FaultFamily(CrashFamily):
             cases_run=len(faults.chosen),
             exhaustive=cell.fault_kind == "torn-tail",
             fired=fired,
-            salvaged_txs=0,
         )
 
     def describe(self, result):

@@ -794,7 +794,7 @@ def judge_media(pm, mode, fault: Dict, salvage: Callable[[], Tuple[Any, Any]], *
             "detection", f"media damage escaped the tolerant parse ({fault})"
         )
     try:
-        recover(pm.snapshot(), mode=mode, from_bytes=True, policy="strict")
+        recover(pm.snapshot(), mode=mode, policy="strict")
     except (TornLogError, LogChecksumError) as err:
         if not damaged:
             raise InvariantViolation(

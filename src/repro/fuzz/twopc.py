@@ -401,7 +401,7 @@ class TwoPCFamily(Family):
             machine.pm.fault_model = None
 
             def salvage():
-                resolution = recover_deployment(dep, policy="salvage", from_bytes=True)
+                resolution = recover_deployment(dep, policy="salvage")
                 return resolution, resolution.reports.get(node)
 
             resolution = judge_media(
@@ -409,7 +409,7 @@ class TwoPCFamily(Family):
             )
         else:
             try:
-                resolution = recover_deployment(dep, policy="strict", from_bytes=False)
+                resolution = recover_deployment(dep, policy="strict")
             except RecoveryError as exc:
                 raise InvariantViolation(
                     "structure", f"deployment recovery failed: {exc}"

@@ -128,14 +128,13 @@ def run_contention(
     config: SystemConfig = DEFAULT_CONFIG,
     seed: int = 2023,
     verify: bool = True,
-    max_attempts: Optional[int] = None,
 ) -> ContentionResult:
     """Simulate a shared-key contention run: *cores* workers hammer one
     durable *workload* instance with zipfian(θ) key skew.
 
-    *max_attempts* bounds each operation's total transaction attempts
-    (forwarded to :func:`~repro.workloads.shared.replay_contention`,
-    default 512).  The 1.x-era ``max_retries`` alias was removed with
+    Each operation gets
+    :func:`~repro.workloads.shared.replay_contention`'s 512 transaction
+    attempts.  The 1.x-era ``max_retries`` alias was removed with
     schema_version 2 as its deprecation warning scheduled; passing it
     is now a :class:`TypeError` like any unknown keyword.
 
@@ -152,9 +151,6 @@ def run_contention(
     """
     from repro.multicore.system import MultiCoreSystem
 
-    if max_attempts is None:
-        max_attempts = 512
-
     scheme = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
     system = MultiCoreSystem(cores, scheme, config, seed=seed)
     subject = WORKLOADS[workload](system.runtimes[0], value_bytes=value_bytes)
@@ -166,7 +162,7 @@ def run_contention(
         value_words=subject.value_words,
         seed=seed,
     )
-    replay_contention(system, subject, streams, max_attempts=max_attempts)
+    replay_contention(system, subject, streams)
     system.fence_all()
     system.finalize_all()
     if verify:

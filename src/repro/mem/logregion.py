@@ -6,10 +6,11 @@ extents, a live index and a view on
 query, pruned on commit) over a *serialized* stream of words written
 into the PM log region at :data:`~repro.mem.layout.PM_LOG_BASE`.  The
 serialized form is what a real controller would see after a crash:
-this module defines the codec, and recovery can re-derive every entry
-purely from PM words
-(``repro.recovery.engine.recover(..., from_bytes=True)``), proving the
-byte stream alone carries the recovery protocol.
+this module defines the codec, and recovery re-derives every entry
+purely from PM words whenever an injected fault has left media the
+live index does not describe
+(:meth:`~repro.mem.pm.PersistentMemory.parsed_log`), so the byte
+stream alone carries the recovery protocol.
 
 Stream wire format, version 1 (64-bit words):
 
@@ -28,7 +29,7 @@ Stream wire format, version 1 (64-bit words):
 A region whose base word is zero holds an empty log (pristine, reset,
 or its first drain never reached media).  Any other base word that is
 not :data:`LOG_MAGIC` is damage: :func:`decode_region` reports it at
-the base, and the strict path raises there.
+the base.
 
 The stream is append-only.  Entries are never erased — markers make
 stale records inert: recovery ignores any record whose transaction has a
@@ -198,7 +199,8 @@ class DamagedEntry:
 
 @dataclass
 class ParsedLog:
-    """Outcome of a tolerant parse of the serialized log region."""
+    """A log as recovery reads it: a tolerant parse of the serialized
+    region, or the live index (which carries no damage)."""
 
     entries: List[DurableLogEntry] = field(default_factory=list)
     damaged: List[DamagedEntry] = field(default_factory=list)
@@ -207,37 +209,6 @@ class ParsedLog:
     @property
     def clean(self) -> bool:
         return not self.damaged and self.torn_tail is None
-
-
-# ----------------------------------------------------------------------
-# strict decoding
-# ----------------------------------------------------------------------
-
-
-def decode_stream(
-    read_word: Callable[[int], int], base: int, limit: int
-) -> List[DurableLogEntry]:
-    """Parse entries from PM words starting at *base* (which must point
-    at the first entry, past the stream header) until a zero header or
-    *limit* is reached.  Raises :class:`LogParseError` on any framing or
-    checksum damage — the strict, trust-the-media path."""
-    return strict_entries(decode_stream_tolerant(read_word, base, limit))
-
-
-def strict_entries(parsed: ParsedLog) -> List[DurableLogEntry]:
-    """The entries of *parsed*, or :class:`LogParseError` at its first
-    damage (torn tail first)."""
-    if parsed.torn_tail is not None:
-        raise LogParseError(
-            f"torn log tail ({parsed.torn_tail.reason})",
-            offset=parsed.torn_tail.offset,
-        )
-    if parsed.damaged:
-        first = parsed.damaged[0]
-        raise LogParseError(
-            f"corrupt log entry ({first.reason})", offset=first.offset
-        )
-    return parsed.entries
 
 
 def decode_region(

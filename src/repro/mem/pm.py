@@ -24,14 +24,18 @@ those words on demand.  ``log`` is the *structural* view of the live
 entries.  Byte/line accounting for the log's *traffic* is done by the
 log buffer and machine, which know the packed record sizes.
 
-Media faults are injected *through this class* so both forms stay
-consistent: a :class:`repro.faults.model.FaultModel` attached to
-:attr:`fault_model` can tear the in-flight append at a word boundary,
-flip bits in serialized entries, or (via the write journal armed with
+Media faults are injected *through this class*: a
+:class:`repro.faults.model.FaultModel` attached to :attr:`fault_model`
+can tear the in-flight append at a word boundary, flip bits in
+serialized entries, or (via the write journal armed with
 :meth:`arm_journal`) revert the last N durability groups, modelling WPQ
-drains that never reached media.  Every injection updates the live
-index and the damage ledger (:attr:`log_damage`) to mirror exactly what
-the serialized stream now carries.
+drains that never reached media.  The live index describes the media
+only as the appends left it, so every injection invalidates it until
+the next :meth:`~PersistentMemory.log_reset`, and
+:meth:`~PersistentMemory.parsed_log` (what recovery replays) then parses
+the serialized words.  The damage ledger (:attr:`log_damage`) records
+what each injection did, as ground truth for the campaigns' detection
+check.
 """
 
 from __future__ import annotations
@@ -132,15 +136,6 @@ class _JournalGroup:
     #: word's prior is None when it was absent; a log word's prior is
     #: 0 past the array's end (the truncation removes it).
     writes: List[Tuple[int, Optional[int]]] = field(default_factory=list)
-    appends: int = 0
-    #: Live-index prunes made in this group, in order: the ``(tx_seq,
-    #: positions, extents)`` each :meth:`PersistentMemory.log_discard_tx`
-    #: popped and released, kept so a revert can restore them.  Prunes
-    #: never touch media, so they do not make a group a durability group
-    #: of their own.
-    prunes: List[Tuple[int, Tuple[int, ...], Tuple[LogExtent, ...]]] = field(
-        default_factory=list
-    )
 
 
 @dataclass
@@ -153,8 +148,10 @@ class PersistentMemory:
     stale records inert), so recovery can run from raw bytes — see
     :mod:`repro.mem.logregion`; :attr:`log` views the live ones.  A
     structural entry lives only while its transaction is in the live
-    index (or in a journaled prune): a served run's structural log is
-    O(live), and :meth:`extent` reads any placed append back.
+    index: a served run's structural log is O(live), and :meth:`extent`
+    reads any placed append back.  The index is a cache of pristine
+    media: an injected fault clears :attr:`_indexed`, and
+    :meth:`parsed_log` reads the words from then on.
     """
 
     #: Heap words, by word address (never a log-region address).
@@ -169,8 +166,8 @@ class PersistentMemory:
     _extents: Dict[int, LogExtent] = field(default_factory=dict)
     #: Live index: tx_seq -> ascending positions.
     _live: Dict[int, List[int]] = field(default_factory=dict)
-    #: Structural ledger of injected media damage, mirroring what the
-    #: serialized stream's checksums would reveal (see module docstring).
+    #: Ledger of injected media damage (torn and flipped entries): the
+    #: ground truth a campaign holds the byte parse's detection to.
     log_damage: List["object"] = field(default_factory=list)
     #: Optional media fault injector (:mod:`repro.faults.model`).
     fault_model: Optional["object"] = None
@@ -178,6 +175,9 @@ class PersistentMemory:
     log_appends: int = 0
     #: Write journal for drop-drain faults; None when disarmed.
     _journal: Optional[List[_JournalGroup]] = None
+    #: True while the media holds only what the appends wrote, so the
+    #: live index reads as the bytes would; an injection clears it.
+    _indexed: bool = True
 
     # --- data region ------------------------------------------------------
 
@@ -282,8 +282,6 @@ class PersistentMemory:
         else:
             for i, word in enumerate(words):
                 self._raw_store(start + i * units.WORD_BYTES, word)
-            if self._journal is not None:
-                self._journal[-1].appends += 1
         self._log_cursor = end
         starts = self._starts
         position = len(starts)
@@ -302,7 +300,8 @@ class PersistentMemory:
         decoded from the serialized words once its transaction resolved
         (kind, tx_seq and nwords come from its header word; the
         checksum is not verified, so damaged words decode as they now
-        read)."""
+        read).  Like the live index, a live extent describes the append
+        as placed, whatever an injection did to its words since."""
         extent = self._extents.get(position)
         if extent is not None:
             return extent
@@ -334,39 +333,29 @@ class PersistentMemory:
             self._log_cursor, _LOG_BASE + len(self._log_words) * units.WORD_BYTES
         )
 
-    def parse_byte_log(self) -> List[DurableLogEntry]:
-        """Re-derive every entry from the serialized PM words (what a
-        controller sees post-crash).  Includes entries the live index
-        already pruned; markers keep them inert.  Strict: raises
-        :class:`~repro.common.errors.LogParseError` on damaged media."""
-        return _logregion_module().strict_entries(
-            self.parse_byte_log_tolerant()
-        )
-
     def parse_byte_log_tolerant(self) -> "object":
-        """Tolerant parse of the serialized region: never raises,
-        classifies torn/corrupt entries (see
-        :func:`repro.mem.logregion.decode_region`)."""
+        """Tolerant parse of the serialized region (what a controller
+        sees post-crash): never raises, classifies torn/corrupt entries
+        (see :func:`repro.mem.logregion.decode_region`).  Includes
+        entries the live index already pruned; markers keep them
+        inert."""
         return _logregion_module().decode_region(
             self.read_word, layout.PM_LOG_BASE, self._log_limit()
         )
 
-    def structural_parsed(self) -> "object":
-        """The structural view presented as a parse result, including
-        the damage ledger — the fast-path twin of
-        :meth:`parse_byte_log_tolerant` for pristine-or-injected media."""
-        parsed = _logregion_module().ParsedLog()
-        parsed.entries = self.log
-        for damage in self.log_damage:
-            if damage.reason == "torn" and parsed.torn_tail is None:
-                parsed.torn_tail = damage
-            else:
-                parsed.damaged.append(damage)
-        return parsed
+    def parsed_log(self) -> "object":
+        """The log recovery replays, as a
+        :class:`~repro.mem.logregion.ParsedLog`: the live index while
+        the media is pristine (the two recover alike), else
+        :meth:`parse_byte_log_tolerant`, the only correct reading of
+        injected media."""
+        if not self._indexed:
+            return self.parse_byte_log_tolerant()
+        return _logregion_module().ParsedLog(entries=self.log)
 
     def log_reset(self) -> None:
         """Erase the whole log region (starts, extents, index, words,
-        damage).
+        damage): the media is pristine again.
 
         Recovery calls this once replay and application hooks succeeded:
         afterwards a second recovery is a no-op, which is what makes
@@ -378,44 +367,24 @@ class PersistentMemory:
         self._live.clear()
         self.log_damage.clear()
         self._log_cursor = layout.PM_LOG_BASE
+        self._indexed = True
         if self._journal is not None:
             self._journal = [self._open_group()]
 
     def log_discard_tx(self, tx_seq: int) -> None:
         """Reclaim the (now useless) records of a committed transaction
         in O(its records): their extent objects are released, and only
-        the serialized words remain.
-
-        With the write journal armed the prune is journaled with the
-        extents it released, so reverting the group that holds the
-        transaction's commit marker restores its records too: the byte
-        stream never prunes, and the two log forms must recover alike."""
+        the serialized words remain."""
         positions = self._live.pop(tx_seq, None)
         if positions is None:
             return
         release = self._extents.pop
-        if self._journal is None:
-            for position in positions:
-                release(position)
-        else:
-            self._journal[-1].prunes.append(
-                (tx_seq, tuple(positions), tuple(release(p) for p in positions))
-            )
+        for position in positions:
+            release(position)
 
     def log_entries_for(self, tx_seq: int) -> List[DurableLogEntry]:
         extents = self._extents
         return [extents[p].entry for p in self._live.get(tx_seq, ())]
-
-    def _unlink(self, position: int) -> None:
-        """Drop extent *position* from the live index, if it is there."""
-        extent = self._extents.pop(position, None)
-        if extent is None:
-            return
-        tx_seq = extent.entry.tx_seq
-        positions = self._live[tx_seq]
-        positions.remove(position)
-        if not positions:
-            del self._live[tx_seq]
 
     @staticmethod
     def resolved_tx_seqs(entries: List[DurableLogEntry]) -> "set[int]":
@@ -423,13 +392,15 @@ class PersistentMemory:
         rolled back by an in-place abort (both leave markers)."""
         return {e.tx_seq for e in entries if e.kind in ("commit", "abort")}
 
-    # --- media fault injection (serialized stream + live index) ---------
+    # --- media fault injection (each one invalidates the live index) ----
 
     def serialize_partial(self, entry: DurableLogEntry, cut_words: int) -> int:
         """Apply a torn append: only the first *cut_words* wire words of
         *entry* reach the media (8-byte-atomic controller, power cut
         mid-append).  No extent is placed and the damage ledger records
-        the tear.  Returns the header offset."""
+        a partial tear.  Any cut, 0 and the full length included,
+        leaves media the live index does not describe.  Returns the
+        header offset."""
         logregion = _logregion_module()
         words = logregion.encode_entry(entry)
         if not 0 <= cut_words <= len(words):
@@ -440,6 +411,7 @@ class PersistentMemory:
         for i in range(cut_words):
             self._raw_store(start + i * units.WORD_BYTES, words[i])
         self._log_cursor = start + cut_words * units.WORD_BYTES
+        self._indexed = False
         if 0 < cut_words < len(words):
             self.log_damage.append(
                 logregion.DamagedEntry(
@@ -451,12 +423,8 @@ class PersistentMemory:
 
     def flip_serialized_bit(self, append_index: int, word: int, bit: int) -> int:
         """Flip one bit of the serialized entry placed at position
-        *append_index* (see :meth:`extent`).
-
-        The extent leaves the live index and the damage ledger is
-        updated, so both views agree the entry is untrustworthy —
-        exactly what the byte stream's checksum will report.  Returns
-        the flipped word's PM address."""
+        *append_index* (see :meth:`extent`) and record it in the damage
+        ledger.  Returns the flipped word's PM address."""
         extent = self.extent(append_index)
         if not 0 <= word < extent.nwords:
             raise SimulationError(
@@ -464,7 +432,7 @@ class PersistentMemory:
             )
         addr = extent.start + word * units.WORD_BYTES
         self._raw_store(addr, self.read_word(addr) ^ (1 << bit))
-        self._unlink(append_index)
+        self._indexed = False
         self.log_damage.append(
             _logregion_module().DamagedEntry(
                 offset=extent.start,
@@ -487,34 +455,27 @@ class PersistentMemory:
 
     def note_durability_event(self) -> None:
         """Close the current journal group (one WPQ insertion happened)."""
-        if self._journal is not None and (
-            self._journal[-1].writes or self._journal[-1].appends
-        ):
+        if self._journal is not None and self._journal[-1].writes:
             self._journal.append(self._open_group())
 
     def journal_groups(self) -> int:
         """Non-empty durability groups currently journaled."""
         if self._journal is None:
             return 0
-        return sum(1 for g in self._journal if g.writes or g.appends)
+        return sum(1 for g in self._journal if g.writes)
 
     def drop_last_drains(self, count: int) -> int:
         """Revert the last *count* durability groups: those WPQ drains
-        never reached media (an ADR/battery failure).  The word store,
-        the start index, the live extents and the live index rewind
-        together (journaled prunes included).  Returns how many groups
-        were actually reverted."""
+        never reached media (an ADR/battery failure).  The word stores
+        and the cursor rewind; the start index and the live index keep
+        the reverted appends, so a revert invalidates the index.
+        Returns how many groups were actually reverted."""
         if self._journal is None:
             raise SimulationError("journal not armed; call arm_journal() first")
         dropped = 0
         while dropped < count and self._journal:
             group = self._journal.pop()
-            for tx_seq, positions, extents in reversed(group.prunes):
-                # Records appended after the prune sort after it; the
-                # journal's tuple is copied, never adopted.
-                self._live[tx_seq] = [*positions, *self._live.get(tx_seq, ())]
-                self._extents.update(zip(positions, extents))
-            if not (group.writes or group.appends):
+            if not group.writes:
                 continue
             words, log = self._words, self._log_words
             for addr, prior in reversed(group.writes):
@@ -525,12 +486,8 @@ class PersistentMemory:
                 else:
                     words[addr] = prior
             del log[group.log_len0 :]
-            starts = self._starts
-            for _ in range(group.appends):
-                if starts:
-                    self._unlink(len(starts) - 1)
-                    starts.pop()
             self._log_cursor = group.cursor0
+            self._indexed = False
             dropped += 1
         if not self._journal:
             self._journal = [self._open_group()]
@@ -540,19 +497,16 @@ class PersistentMemory:
 
     def snapshot(self) -> "PersistentMemory":
         """Deep copy of the durable image: both word stores and the start
-        index (one array copy each), the live extents and live index,
-        the damage ledger, the append clock and, when armed, the write
-        journal.  Only live extents are objects, so the copy costs
-        O(live) objects however long the log is; extents and entries
-        are never mutated, so the copy shares them.  The fault model is
-        not carried over."""
+        index (one array copy each), the live extents and live index
+        with whether it is valid, the damage ledger, the append clock
+        and, when armed, the write journal.  Only live extents are
+        objects, so the copy costs O(live) objects however long the log
+        is; extents and entries are never mutated, so the copy shares
+        them.  The fault model is not carried over."""
         journal = self._journal
         if journal is not None:
             journal = [
-                _JournalGroup(
-                    g.cursor0, g.log_len0, list(g.writes), g.appends, list(g.prunes)
-                )
-                for g in journal
+                _JournalGroup(g.cursor0, g.log_len0, list(g.writes)) for g in journal
             ]
         return PersistentMemory(
             _words=dict(self._words),
@@ -564,6 +518,7 @@ class PersistentMemory:
             log_damage=list(self.log_damage),
             log_appends=self.log_appends,
             _journal=journal,
+            _indexed=self._indexed,
         )
 
     def load(self, other: "PersistentMemory") -> None:

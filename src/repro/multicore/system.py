@@ -31,23 +31,23 @@ the paper's evaluation is single-threaded and ours follows it.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.alloc.allocator import PersistentAllocator
 from repro.common.config import DEFAULT_CONFIG, SystemConfig
 from repro.common.errors import TransactionAborted, TransactionError
 from repro.core.machine import Machine
+from repro.core.schemes import SLPMT, Scheme
+from repro.mem.pm import PersistentMemory
+from repro.multicore.scheduler import InterleavedScheduler
+from repro.runtime.hints import MANUAL
+from repro.runtime.ptx import PTx
 
 #: Cycles of the first conflict-backoff wait (doubles per retry).
 CONFLICT_BACKOFF_BASE = 8
 
 #: Most scheduler turns one backoff wait will yield.
 MAX_BACKOFF_TURNS = 8
-from repro.core.schemes import SLPMT, Scheme
-from repro.mem.pm import PersistentMemory
-from repro.multicore.scheduler import InterleavedScheduler
-from repro.runtime.hints import MANUAL
-from repro.runtime.ptx import PTx
 
 #: A worker receives its core's transactional runtime.
 Worker = Callable[[PTx], None]
@@ -192,18 +192,18 @@ class MultiCoreSystem:
     # observability
     # ------------------------------------------------------------------
 
-    def attach_observability(self, *, capacity: int = 50_000) -> None:
+    def attach_observability(self) -> None:
         """Give every core a tracer and a profiler (passive; idempotent).
 
-        Each core records into its own ring and attribution buckets so
-        nothing is shared across the interleaving;
+        Each core records into its own 50,000-event ring and attribution
+        buckets so nothing is shared across the interleaving;
         :meth:`merged_profiler` and :meth:`tracers` fold them back
         together for reporting and trace export.
         """
         from repro.obs import attach
 
         for core in self.cores:
-            attach(core, capacity=capacity)
+            attach(core, capacity=50_000)
 
     def tracers(self) -> "List":
         """Per-core tracers in core order (for trace export)."""

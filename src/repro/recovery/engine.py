@@ -117,7 +117,6 @@ def recover(
     *,
     mode: LoggingMode = LoggingMode.UNDO,
     hooks: "List[RecoveryHook] | None" = None,
-    from_bytes: bool = False,
     policy: str = "strict",
     profiler: "Optional[object]" = None,
 ) -> RecoveryReport:
@@ -134,19 +133,16 @@ def recover(
     and cursor included) and runs each application hook against a
     :class:`PmView`.
 
-    ``from_bytes=True`` ignores the structural entry list and re-parses
-    the serialized log region word by word — what a real controller has
-    after a crash.  Both paths must produce the same durable state (the
-    equivalence is property-tested), including their damage
-    classification: faults injected through
-    :class:`~repro.mem.pm.PersistentMemory` mark the structural ledger
-    exactly where the byte stream's checksums fail.
+    The log comes from :meth:`~repro.mem.pm.PersistentMemory.parsed_log`:
+    the live index on pristine media, else the serialized log region
+    parsed word by word — what a real controller has after a crash, and
+    the only reading that sees an injected fault.  On pristine media the
+    two produce the same durable state (the equivalence is
+    property-tested).
     """
     if policy not in POLICIES:
         raise SimulationError(f"unknown recovery policy {policy!r}")
-    parsed: ParsedLog = (
-        pm.parse_byte_log_tolerant() if from_bytes else pm.structural_parsed()
-    )
+    parsed: ParsedLog = pm.parsed_log()
     report = RecoveryReport(mode=mode, policy=policy)
     _classify_damage(parsed, report, policy)
     # Protocol records must outlive the log reset below: the cross-shard

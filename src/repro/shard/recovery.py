@@ -66,7 +66,6 @@ def recover_deployment(
     dep: "ShardedDeployment",
     *,
     policy: str = "strict",
-    from_bytes: bool = False,
     profiler: "Optional[object]" = None,
 ) -> ResolutionReport:
     """Recover every node of *dep* and resolve in-doubt global
@@ -74,7 +73,10 @@ def recover_deployment(
 
     Mutates the deployment in place: local recovery repairs each shard,
     then committed-but-unsealed global transactions re-apply (and seal)
-    on the shards that missed phase 2.  Re-applied state is forced
+    on the shards that missed phase 2.  Each node's local recovery
+    picks its own log reader (:func:`~repro.recovery.engine.recover`):
+    a node whose media took an injected fault is parsed from its bytes,
+    every other node replays its live index.  Re-applied state is forced
     durable before returning.  *profiler* receives clock-free
     ``recovery.twopc_*`` counts (resolution runs outside any machine
     clock, matching local recovery's convention).
@@ -84,7 +86,6 @@ def recover_deployment(
         dep.coordinator.machine.pm,
         mode=dep.coordinator.machine.scheme.logging_mode,
         hooks=[],
-        from_bytes=from_bytes,
         policy=policy,
         profiler=profiler,
     )
@@ -94,7 +95,6 @@ def recover_deployment(
             node.machine.pm,
             mode=node.machine.scheme.logging_mode,
             hooks=[node.subject],
-            from_bytes=from_bytes,
             policy=policy,
             profiler=profiler,
         )

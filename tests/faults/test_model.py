@@ -70,12 +70,23 @@ class TestTornAppend:
         with pytest.raises(PowerFailure):
             pm.log_append(entry)
         # Complete on media (the byte parse sees it) even though the
-        # crash beat the structural bookkeeping.
+        # crash beat the structural bookkeeping; recovery reads the
+        # bytes, so it replays the entry.
         assert pm.log == []
         assert pm.log_damage == []
         parsed = pm.parse_byte_log_tolerant()
         assert parsed.clean
         assert parsed.entries == [entry]
+        assert pm.parsed_log() == parsed
+
+    def test_every_cut_invalidates_the_index(self):
+        # Cut 0 and the full cut included: recovery reads the bytes.
+        entry = undo_entry()
+        for cut in range(wire_len(entry) + 1):
+            pm = PersistentMemory()
+            pm.append_clean(undo_entry(tx_seq=2))
+            pm.serialize_partial(entry, cut)
+            assert not pm._indexed, cut
 
     def test_fires_only_at_its_append_index(self):
         pm = PersistentMemory()
@@ -93,11 +104,13 @@ class TestBitFlip:
         with pytest.raises(PowerFailure):
             pm.log_append(undo_entry())
         assert pm.fault_model.fired
-        # Structural twin removed; ledger and checksums agree.
-        assert pm.log == []
+        # The ledger and the checksums agree, and recovery reads the
+        # checksums, not the live index the flip left behind.
         assert len(pm.log_damage) == 1
         assert pm.log_damage[0].reason == "checksum"
-        assert not pm.parse_byte_log_tolerant().clean
+        parsed = pm.parse_byte_log_tolerant()
+        assert not parsed.clean
+        assert pm.parsed_log() == parsed
 
     def test_every_single_bit_flip_is_detected(self):
         entry = undo_entry()
@@ -151,8 +164,22 @@ class TestDropDrains:
         pm.append_clean(undo_entry(tx_seq=2, addr=BASE + 64))
         pm.note_durability_event()
         pm.drop_last_drains(1)
-        assert [e.tx_seq for e in pm.log] == [1]
-        assert [e.tx_seq for e in pm.parse_byte_log()] == [1]
+        # The revert rewinds the words, not the live index: it
+        # invalidates the index, and recovery reads the rewound bytes.
+        parsed = pm.parse_byte_log_tolerant()
+        assert parsed.clean
+        assert [e.tx_seq for e in parsed.entries] == [1]
+        assert pm.parsed_log() == parsed
+
+    def test_only_a_reverting_drop_invalidates(self):
+        pm = PersistentMemory()
+        pm.arm_journal()
+        assert pm.drop_last_drains(1) == 0
+        assert pm._indexed
+        pm.append_clean(undo_entry())
+        pm.note_durability_event()
+        assert pm.drop_last_drains(1) == 1
+        assert not pm._indexed
 
     def test_drop_more_than_journaled(self):
         pm = PersistentMemory()
@@ -174,7 +201,10 @@ class TestLedgerStreamLockstep:
         pm.append_clean(undo_entry(tx_seq=1))
         pm.serialize_partial(undo_entry(tx_seq=2), 1)
         assert pm.log_damage
+        assert not pm.snapshot()._indexed
         pm.log_reset()
+        assert pm._indexed
         assert pm.log == [] and pm.log_damage == []
-        assert pm.parse_byte_log_tolerant().clean
-        assert pm.parse_byte_log() == []
+        parsed = pm.parse_byte_log_tolerant()
+        assert parsed.clean and parsed.entries == []
+        assert pm.parsed_log() == parsed

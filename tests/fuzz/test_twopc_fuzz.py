@@ -6,10 +6,11 @@ import pytest
 
 from repro.common.errors import ArtifactError
 from repro.fuzz.campaign import ServiceCell
-from repro.fuzz.kernel import Violation, run_campaign
+from repro.fuzz.kernel import Violation, run_campaign, run_case
 from repro.fuzz.minimize import Reproducer, replay
 from repro.fuzz.report import format_report
 from repro.fuzz.twopc import DEFAULT_TWOPC_CELLS, TWOPC_FAULTS, TwoPCCell
+from repro.mem import logregion
 
 SMALL = dict(num_clients=2, requests_per_client=8, value_bytes=32)
 
@@ -42,6 +43,26 @@ class TestDefaultGrid:
     def test_default_budget_meets_case_floor(self):
         # 8 cells x budget 70 = 560 >= the 500-case acceptance floor.
         assert len(DEFAULT_TWOPC_CELLS) * 70 >= 500
+
+
+class TestMediaCaseParses:
+    def test_only_the_damaged_log_is_parsed(self, monkeypatch):
+        """A media case parses the damaged node's log three times (the
+        detection check, the strict probe and that node's salvage);
+        every undamaged node recovers from its live index."""
+        cell = TwoPCCell("hashtable", "SLPMT", 2, "torn-decision")
+        flip = {"node": "coord", "kind": "bit-flip", "append": 0, "word": 3, "bit": 43}
+        parses = []
+        decode = logregion.decode_region
+
+        def counted(*args):
+            parses.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(logregion, "decode_region", counted)
+        result = run_case(cell, "fault", flip, seed=7)
+        assert result.crashed and result.violation is None
+        assert len(parses) == 3
 
 
 class TestTwoPCReproducer:

@@ -57,21 +57,3 @@ class TestRunContentionRejection:
                 cores=1, ops_per_core=1, num_keys=4, value_bytes=32,
                 max_retries=16,
             )
-
-    def test_rejected_even_alongside_max_attempts(self):
-        with pytest.raises(TypeError, match="max_retries"):
-            run_contention(
-                "hashtable", "SLPMT",
-                cores=1, ops_per_core=1,
-                max_attempts=8, max_retries=8,
-            )
-
-    def test_max_attempts_still_works_and_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = run_contention(
-                "hashtable", "SLPMT",
-                cores=1, ops_per_core=2, num_keys=4, value_bytes=32,
-                max_attempts=16,
-            )
-        assert result.commits >= 2

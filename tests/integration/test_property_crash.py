@@ -63,7 +63,9 @@ def run_crash_experiment(workload_name, scheme_name, keys, crash_point,
             wl.insert(key)
     except PowerFailure:
         machine.crash()
-        recover(machine.pm, hooks=[wl], from_bytes=from_bytes)
+        assert machine.pm._indexed  # a plain crash leaves pristine media
+        machine.pm._indexed = not from_bytes
+        recover(machine.pm, hooks=[wl])
         crashed = True
     else:
         machine.cancel_scheduled_crash()

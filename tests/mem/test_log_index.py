@@ -2,23 +2,23 @@
 
 :class:`~repro.mem.pm.PersistentMemory` records every placed append's
 start offset in one array, keeps a structural extent object only for
-live positions (and in journaled prunes, until their group is dropped),
-selects the live ones through a per-``tx_seq`` index of positions, and
-presents :attr:`PersistentMemory.log` as a view; the serialized words
-sit in one dense array.  :class:`ListLog` below is the plain form of
-the same contract: every appended entry is kept beside its start, the
-structural list is a separate list pruned by filtering, journaled
-prunes are ``(index, entry)`` pairs re-inserted on a dropped drain,
-flipped or dropped entries are found by a backward identity search, and
-the log region's words are a dict keyed by address whose journal
-restores each prior value (or absence).  Random operation sequences
-must leave both with the same log, the same per-transaction entries and
-the same structural parse, the same words, parse limit and byte parse.
-``extent(i)`` must give every placed append's start and wire length,
-the appended entry object while it is live and an equal entry decoded
-from the words once it resolved (what the words read, for a flipped
-one); no other extent object may stay reachable.  A snapshot must never
-share mutable state with its source.
+live positions, selects the live ones through a per-``tx_seq`` index of
+positions, and presents :attr:`PersistentMemory.log` as a view; the
+serialized words sit in one dense array.  :class:`ListLog` below is the
+plain form of the same contract: every appended entry is kept beside its
+start, the structural list is a separate list pruned by filtering, the
+log region's words are a dict keyed by address whose journal restores
+each prior value (or absence), and one flag says whether the media is
+still as the appends left it (a tear, a flip or a reverted drain clears
+it, a reset sets it).  Random operation sequences must leave both with
+the same log, the same per-transaction entries, the same flag, the same
+words, parse limit and byte parse, and the same log for recovery: the
+live entries while the flag holds, the byte parse after.  ``extent(i)``
+must give every placed append's start and wire length, the appended
+entry object while it is live and an equal entry decoded from the words
+once it resolved (what the words now read, once an injection touched
+the media); no other extent object may stay reachable.  A snapshot must
+never share mutable state with its source.
 """
 
 import pytest
@@ -52,15 +52,6 @@ class _Group:
     def __init__(self, cursor0):
         self.cursor0 = cursor0
         self.writes = []  # (addr, prior value or None), in order
-        self.appends = 0
-        self.prunes = []  # lists of (index, entry), ascending
-
-
-def _remove_last(entries, entry):
-    for i in range(len(entries) - 1, -1, -1):
-        if entries[i] is entry:
-            del entries[i]
-            return
 
 
 class ListLog:
@@ -69,10 +60,11 @@ class ListLog:
 
     def __init__(self):
         self.log = []
-        self.extents = []  # (entry, start address, flipped)
+        self.extents = []  # (entry, start address)
         self.words = {}
         self.cursor = LOG_BASE
         self.journal = None
+        self.indexed = True
 
     def store(self, addr, value):
         if self.journal is not None:
@@ -96,26 +88,20 @@ class ListLog:
     def append(self, entry):
         start = self._serialize(entry, entry_wire_words(entry))
         self.log.append(entry)
-        self.extents.append((entry, start, False))
-        if self.journal is not None:
-            self.journal[-1].appends += 1
+        self.extents.append((entry, start))
 
     def tear(self, entry, cut):
         self._serialize(entry, cut)
+        self.indexed = False
 
     def flip(self, entry, word, bit):
         self.append(entry)
-        _remove_last(self.log, entry)
-        start = self.extents[-1][1]
-        self.extents[-1] = (entry, start, True)
-        addr = start + 8 * word
+        addr = self.extents[-1][1] + 8 * word
         self.store(addr, self.words.get(addr, 0) ^ (1 << bit))
+        self.indexed = False
 
     def discard(self, tx_seq):
-        pruned = [(i, e) for i, e in enumerate(self.log) if e.tx_seq == tx_seq]
         self.log = [e for e in self.log if e.tx_seq != tx_seq]
-        if pruned and self.journal is not None:
-            self.journal[-1].prunes.append(pruned)
 
     def arm(self):
         self.journal = [_Group(self.cursor)]
@@ -128,9 +114,6 @@ class ListLog:
         dropped = 0
         while dropped < count and self.journal:
             group = self.journal.pop()
-            for pruned in reversed(group.prunes):
-                for index, entry in pruned:
-                    self.log.insert(index, entry)
             if not group.writes:
                 continue
             for addr, prior in reversed(group.writes):
@@ -138,10 +121,8 @@ class ListLog:
                     self.words.pop(addr, None)
                 else:
                     self.words[addr] = prior
-            for _ in range(group.appends):
-                if self.extents:
-                    _remove_last(self.log, self.extents.pop()[0])
             self.cursor = group.cursor0
+            self.indexed = False
             dropped += 1
         if not self.journal:
             self.journal = [_Group(self.cursor)]
@@ -150,6 +131,7 @@ class ListLog:
     def reset(self):
         self.log, self.extents, self.words = [], [], {}
         self.cursor = LOG_BASE
+        self.indexed = True
         if self.journal is not None:
             self.journal = [_Group(self.cursor)]
 
@@ -181,12 +163,12 @@ class ListLog:
         dup = ListLog()
         dup.log, dup.extents = list(self.log), list(self.extents)
         dup.words, dup.cursor = dict(self.words), self.cursor
+        dup.indexed = self.indexed
         if self.journal is not None:
             dup.journal = []
             for group in self.journal:
                 twin = _Group(group.cursor0)
-                twin.writes, twin.appends = list(group.writes), group.appends
-                twin.prunes = [list(pruned) for pruned in group.prunes]
+                twin.writes = list(group.writes)
                 dup.journal.append(twin)
         return dup
 
@@ -275,7 +257,7 @@ def _observe(pm):
     return (
         ids(pm.log),
         {t: ids(pm.log_entries_for(t)) for t in TX_SEQS},
-        ids(pm.structural_parsed().entries),
+        pm._indexed,
         [(p, id(x)) for p, x in sorted(pm._extents.items())],
         pm._starts.tolist(),
         pm.journal_groups(),
@@ -286,17 +268,17 @@ def _observe(pm):
 
 def _check_extents(pm, ref):
     """``extent(i)`` for every placed append, and extent objects held
-    only for live positions and journaled prunes."""
+    only for live positions."""
     live = {id(e) for e in ref.log}
     assert len(pm._starts) == len(ref.extents)
-    for i, (entry, start, flipped) in enumerate(ref.extents):
+    for i, (entry, start) in enumerate(ref.extents):
         if id(entry) in live:
             x = pm.extent(i)
             assert (x.start, x.nwords) == (start, entry_wire_words(entry))
             assert x.entry is entry
             continue
         read = ref.read_back(start)
-        if not flipped:
+        if ref.indexed:
             assert read == (entry_wire_words(entry), entry)
         if read is None:
             with pytest.raises(LogParseError):
@@ -307,16 +289,10 @@ def _check_extents(pm, ref):
     with pytest.raises(IndexError):
         pm.extent(len(ref.extents))
     assert sorted(pm._extents) == [
-        i for i, (e, _, _) in enumerate(ref.extents) if id(e) in live
-    ]
-    journaled = [
-        x for g in pm._journal or () for _, _, extents in g.prunes for x in extents
-    ]
-    assert [id(x.entry) for x in journaled] == [
-        id(e) for g in ref.journal or () for pruned in g.prunes for _, e in pruned
+        i for i, (e, _) in enumerate(ref.extents) if id(e) in live
     ]
     assert {id(x) for x in reachable(pm, LogExtent)} == {
-        id(x) for x in [*pm._extents.values(), *journaled]
+        id(x) for x in pm._extents.values()
     }
 
 
@@ -325,10 +301,15 @@ def _parse_result(parsed):
 
 
 def _check(pm, ref):
-    log, per_tx, parsed, _, _, _, words, _ = _observe(pm)
+    log, per_tx, indexed, _, _, _, words, _ = _observe(pm)
     expected = [id(e) for e in ref.log]
     assert log == expected
-    assert parsed == expected
+    assert indexed == ref.indexed
+    parsed = pm.parsed_log()
+    if indexed:
+        assert parsed.clean and [id(e) for e in parsed.entries] == expected
+    else:
+        assert _parse_result(parsed) == _parse_result(ref.parse())
     _check_extents(pm, ref)
     for t in TX_SEQS:
         assert per_tx[t] == [id(e) for e in ref.log if e.tx_seq == t]
@@ -370,7 +351,7 @@ MODEL_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow
 
 
 @given(ops=st.lists(OPS, max_size=40))
-@example(ops=[  # a journaled prune comes back ahead of a later append
+@example(ops=[  # a drop past a prune and a later append rewinds words only
     ("arm",),
     ("append", _entry("undo", 1, [5]), False),
     ("append", _entry("commit", 2, []), False),

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import LogParseError, SimulationError
+from repro.common.errors import LogChecksumError, SimulationError, TornLogError
 from repro.mem import layout
 from repro.mem.logregion import (
     KIND_TAGS,
-    decode_stream,
     decode_stream_tolerant,
     encode_entry,
     entry_checksum,
@@ -18,21 +17,13 @@ from repro.mem.logregion import (
     stream_header_words,
 )
 from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.recovery.engine import recover
 
 BASE = layout.PM_HEAP_BASE
 
 
 def decode_words(words):
     """Decode a hand-assembled word list as a log stream."""
-    store = {layout.PM_LOG_BASE + i * 8: w for i, w in enumerate(words)}
-    return decode_stream(
-        lambda a: store.get(a, 0),
-        layout.PM_LOG_BASE,
-        layout.PM_LOG_BASE + (len(words) + 4) * 8,
-    )
-
-
-def decode_words_tolerant(words):
     store = {layout.PM_LOG_BASE + i * 8: w for i, w in enumerate(words)}
     return decode_stream_tolerant(
         lambda a: store.get(a, 0),
@@ -66,13 +57,9 @@ class TestCodec:
         words = []
         for e in entries:
             words.extend(encode_entry(e))
-        store = {layout.PM_LOG_BASE + i * 8: w for i, w in enumerate(words)}
-        decoded = decode_stream(
-            lambda a: store.get(a, 0),
-            layout.PM_LOG_BASE,
-            layout.PM_LOG_BASE + (len(words) + 4) * 8,
-        )
-        assert decoded == entries
+        parsed = decode_words(words)
+        assert parsed.clean
+        assert parsed.entries == entries
 
     def test_wire_sizes(self):
         # Every entry ends with one checksum word.
@@ -84,20 +71,21 @@ class TestCodec:
             encode_entry(DurableLogEntry("undo", 1, BASE, tuple(range(9))))
 
     def test_corrupt_header_detected(self):
-        with pytest.raises(SimulationError):
-            decode_stream(lambda a: 0xF, layout.PM_LOG_BASE, layout.PM_LOG_BASE + 8)
+        parsed = decode_stream_tolerant(
+            lambda a: 0xF, layout.PM_LOG_BASE, layout.PM_LOG_BASE + 8
+        )
+        assert parsed.entries == []
+        assert [(d.offset, d.reason) for d in parsed.damaged] == [
+            (layout.PM_LOG_BASE, "header")
+        ]
 
     def test_terminator_stops_parse(self):
         words = encode_entry(DurableLogEntry("commit", 7)) + [0] + encode_entry(
             DurableLogEntry("commit", 9)
         )
-        store = {layout.PM_LOG_BASE + i * 8: w for i, w in enumerate(words)}
-        decoded = decode_stream(
-            lambda a: store.get(a, 0),
-            layout.PM_LOG_BASE,
-            layout.PM_LOG_BASE + len(words) * 8,
-        )
-        assert [e.tx_seq for e in decoded] == [7]
+        parsed = decode_words(words)
+        assert parsed.clean
+        assert [e.tx_seq for e in parsed.entries] == [7]
 
 
 class TestChecksums:
@@ -120,7 +108,9 @@ class TestChecksums:
 
     @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.kind)
     def test_roundtrip_per_kind(self, entry):
-        assert decode_words(encode_entry(entry)) == [entry]
+        parsed = decode_words(encode_entry(entry))
+        assert parsed.clean
+        assert parsed.entries == [entry]
 
     @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.kind)
     def test_corrupt_any_word_detected(self, entry):
@@ -129,7 +119,7 @@ class TestChecksums:
             for bit in (0, 13, 63):
                 damaged = list(wire)
                 damaged[word] ^= 1 << bit
-                parsed = decode_words_tolerant(damaged)
+                parsed = decode_words(damaged)
                 assert entry not in parsed.entries
                 assert not parsed.clean, (word, bit)
 
@@ -140,7 +130,7 @@ class TestChecksums:
         # the outer entries still decode and the damage is classified.
         damaged = list(words)
         damaged[len(encode_entry(a)) + 2] ^= 1 << 17
-        parsed = decode_words_tolerant(damaged)
+        parsed = decode_words(damaged)
         assert parsed.entries == [a, c]
         assert [d.reason for d in parsed.damaged] == ["checksum"]
         assert parsed.torn_tail is None
@@ -149,19 +139,27 @@ class TestChecksums:
         words = encode_entry(self.ENTRIES[0])
         damaged = list(words)
         damaged[-1] ^= 1  # break the checksum of the only entry
-        parsed = decode_words_tolerant(damaged)
+        parsed = decode_words(damaged)
         assert parsed.entries == []
         assert parsed.torn_tail is not None
         assert parsed.torn_tail.reason == "torn"
 
     def test_strict_decode_reports_offset(self):
+        # Strict recovery of media holding the damaged stream raises at
+        # the damaged entry's header.
         a, b = self.ENTRIES[:2]
-        words = encode_entry(a) + encode_entry(b) + encode_entry(a)
+        words = stream_header_words() + encode_entry(a) + encode_entry(b)
+        words += encode_entry(a)
         damaged = list(words)
-        damaged[len(encode_entry(a)) + 1] ^= 1 << 40
-        with pytest.raises(LogParseError) as err:
-            decode_words(damaged)
-        assert err.value.offset == layout.PM_LOG_BASE + len(encode_entry(a)) * 8
+        offset = (len(stream_header_words()) + len(encode_entry(a))) * 8
+        damaged[offset // 8 + 1] ^= 1 << 40
+        pm = PersistentMemory()
+        for i, word in enumerate(damaged):
+            pm.write_word(layout.PM_LOG_BASE + i * 8, word)
+        pm._indexed = False  # hand-written words: read them, not the index
+        with pytest.raises(LogChecksumError) as err:
+            recover(pm, policy="strict")
+        assert err.value.offset == layout.PM_LOG_BASE + offset
 
 
 class TestLegacyV0:
@@ -178,19 +176,17 @@ class TestLegacyV0:
 
     def test_zero_base_word_is_an_empty_log(self):
         pm = PersistentMemory()
-        assert pm.parse_byte_log() == []
-        assert pm.parse_byte_log_tolerant().clean
+        parsed = pm.parse_byte_log_tolerant()
+        assert parsed.clean and parsed.entries == []
         # Words past a zero base are never reached.
         pm.write_word(layout.PM_LOG_BASE + 16, 3 | (3 << 12))
-        assert pm.parse_byte_log() == []
+        parsed = pm.parse_byte_log_tolerant()
+        assert parsed.clean and parsed.entries == []
 
     def test_non_magic_base_word_is_damage(self):
         pm = PersistentMemory()
         for i, word in enumerate(self.V0_WORDS):
             pm.write_word(layout.PM_LOG_BASE + i * 8, word)
-        with pytest.raises(LogParseError) as err:
-            pm.parse_byte_log()
-        assert err.value.offset == layout.PM_LOG_BASE
         parsed = pm.parse_byte_log_tolerant()
         assert parsed.entries == []
         assert [(d.offset, d.reason) for d in parsed.damaged] == [
@@ -214,18 +210,24 @@ class TestWordSoup:
     )
     @settings(max_examples=200, deadline=None)
     def test_tolerant_never_raises(self, words):
-        parsed = decode_words_tolerant(words)
+        parsed = decode_words(words)
         # Whatever decoded must re-encode to legal wire entries.
         for entry in parsed.entries:
             assert entry.kind in KIND_TAGS
 
     def test_seeded_soup_strict_raises_typed_only(self):
+        # Strict recovery of soup behind a valid stream header raises
+        # only the typed damage errors, at offsets inside the region.
         rng = random.Random("word-soup")
         for _ in range(300):
             words = [rng.getrandbits(64) for _ in range(rng.randrange(32))]
+            pm = PersistentMemory()
+            for i, word in enumerate(stream_header_words() + words):
+                pm.write_word(layout.PM_LOG_BASE + i * 8, word)
+            pm._indexed = False
             try:
-                decode_words(words)
-            except LogParseError as err:
+                recover(pm, policy="strict")
+            except (TornLogError, LogChecksumError) as err:
                 assert err.offset >= layout.PM_LOG_BASE
 
 
@@ -234,7 +236,9 @@ class TestPmIntegration:
         pm = PersistentMemory()
         entry = DurableLogEntry("undo", 3, BASE, (42,))
         pm.log_append(entry)
-        assert pm.parse_byte_log() == [entry]
+        parsed = pm.parse_byte_log_tolerant()
+        assert parsed.clean
+        assert parsed.entries == [entry]
 
     def test_pruned_entries_survive_in_bytes(self):
         pm = PersistentMemory()
@@ -242,13 +246,16 @@ class TestPmIntegration:
         pm.log_append(DurableLogEntry("commit", 3))
         pm.log_discard_tx(3)
         assert pm.log == []
-        parsed = pm.parse_byte_log()
-        assert len(parsed) == 2
-        assert PersistentMemory.resolved_tx_seqs(parsed) == {3}
+        parsed = pm.parse_byte_log_tolerant()
+        assert parsed.clean
+        assert len(parsed.entries) == 2
+        assert PersistentMemory.resolved_tx_seqs(parsed.entries) == {3}
 
 
 class TestByteRecoveryEquivalence:
-    """Recovery from raw PM words equals structural recovery."""
+    """Recovery from raw PM words equals recovery from the live index
+    (pristine media: each test clears the index flag by hand to make
+    recovery read the words)."""
 
     def _crashed_machine(self, crash_point, abort_first=False):
         from repro.core.machine import Machine
@@ -279,20 +286,19 @@ class TestByteRecoveryEquivalence:
     @pytest.mark.parametrize("crash_point", range(6))
     @pytest.mark.parametrize("abort_first", [False, True])
     def test_equivalence_across_crash_points(self, crash_point, abort_first):
-        from repro.recovery.engine import recover
-
         structural = self._crashed_machine(crash_point, abort_first)
-        from_bytes = self._crashed_machine(crash_point, abort_first)
+        serialized = self._crashed_machine(crash_point, abort_first)
+        assert structural.pm._indexed
+        serialized.pm._indexed = False
         recover(structural.pm)
-        recover(from_bytes.pm, from_bytes=True)
+        recover(serialized.pm)
         for addr in (BASE, BASE + 64):
-            assert structural.pm.read_word(addr) == from_bytes.pm.read_word(addr)
+            assert structural.pm.read_word(addr) == serialized.pm.read_word(addr)
 
     def test_aborted_records_inert_in_byte_log(self):
-        from repro.recovery.engine import recover
-
         m = self._crashed_machine(crash_point=10_000, abort_first=True)
         # No crash happened; the abort's serialized records are stale.
-        report = recover(m.pm, from_bytes=True)
+        m.pm._indexed = False
+        report = recover(m.pm)
         assert m.pm.read_word(BASE) == 11  # not clobbered by stale undo
         assert report.rolled_back_tx_seqs == []

@@ -9,6 +9,7 @@ from repro.common.errors import (
 )
 from repro.core.ordering import LoggingMode
 from repro.mem import layout
+from repro.mem.logregion import entry_wire_words
 from repro.mem.pm import DurableLogEntry, PersistentMemory
 from repro.recovery.engine import PmView, recover
 
@@ -32,7 +33,8 @@ class TestCleanRecovery:
     @pytest.mark.parametrize("from_bytes", [False, True])
     def test_undo_rolls_back_interrupted_tx(self, from_bytes):
         pm = undo_image()
-        report = recover(pm, mode=LoggingMode.UNDO, from_bytes=from_bytes)
+        pm._indexed = not from_bytes  # pristine: either reader is valid
+        report = recover(pm, mode=LoggingMode.UNDO)
         assert pm.read_word(A) == 10  # committed result survives
         assert pm.read_word(B) == 7  # interrupted tx rolled back
         assert report.rolled_back_tx_seqs == [2]
@@ -45,17 +47,29 @@ class TestCleanRecovery:
         pm.append_clean(DurableLogEntry("redo", 1, addr=A, words=(42,)))
         pm.append_clean(DurableLogEntry("commit", 1))
         pm.append_clean(DurableLogEntry("redo", 2, addr=B, words=(99,)))
-        report = recover(pm, mode=LoggingMode.REDO, from_bytes=True)
+        pm._indexed = False  # replay the serialized words
+        report = recover(pm, mode=LoggingMode.REDO)
         assert pm.read_word(A) == 42
         assert pm.read_word(B) == 0  # uncommitted never applied
         assert report.replayed_tx_seqs == [1]
         assert report.dispositions == {1: "replayed", 2: "discarded"}
 
+    def test_full_cut_tear_is_replayed(self):
+        # The append completed on media but the crash beat the live
+        # index: only the bytes hold A's pre-image.
+        pm = PersistentMemory()
+        pm.write_word(A, 99)
+        entry = DurableLogEntry("undo", 5, addr=A, words=(7,))
+        pm.serialize_partial(entry, entry_wire_words(entry))
+        report = recover(pm, mode=LoggingMode.UNDO)
+        assert pm.read_word(A) == 7
+        assert report.rolled_back_tx_seqs == [5]
+
     def test_log_fully_cleared_after_success(self):
         pm = undo_image()
         recover(pm, mode=LoggingMode.UNDO)
         assert pm.log == []
-        assert pm.parse_byte_log() == []
+        assert pm.parse_byte_log_tolerant().entries == []
         # The region is back to pristine: no word left at all.
         assert pm.read_word(layout.PM_LOG_BASE) == 0
         assert pm.parse_byte_log_tolerant().clean
@@ -66,15 +80,18 @@ class TestCleanRecovery:
 
 
 class TestStrictPolicy:
-    @pytest.mark.parametrize("from_bytes", [False, True])
-    def test_torn_tail_raises_typed_error_with_offset(self, from_bytes):
+    @pytest.mark.parametrize("on_snapshot", [False, True])
+    def test_torn_tail_raises_typed_error_with_offset(self, on_snapshot):
+        # on_snapshot: the campaigns' strict probe recovers a snapshot,
+        # which must carry the invalidated index.
         pm = undo_image()
         offset = pm.serialize_partial(
             DurableLogEntry("undo", 3, addr=A + 128, words=(1,)), 1
         )
+        if on_snapshot:
+            pm = pm.snapshot()
         with pytest.raises(TornLogError) as exc:
-            recover(pm, mode=LoggingMode.UNDO, from_bytes=from_bytes,
-                    policy="strict")
+            recover(pm, mode=LoggingMode.UNDO, policy="strict")
         assert exc.value.offset == offset
 
     def test_corrupt_entry_raises_checksum_error(self):
@@ -84,8 +101,7 @@ class TestStrictPolicy:
         pm = undo_image()
         pm.flip_serialized_bit(0, 2, 5)  # tx 1's undo payload
         with pytest.raises(LogChecksumError) as exc:
-            recover(pm, mode=LoggingMode.UNDO, from_bytes=True,
-                    policy="strict")
+            recover(pm, mode=LoggingMode.UNDO, policy="strict")
         assert exc.value.offset == pm.extent(0).start
 
     def test_strict_raise_mutates_nothing(self):
@@ -106,8 +122,7 @@ class TestSalvagePolicy:
         # unresolved and must be rolled back from its surviving records.
         pm = undo_image()
         pm.serialize_partial(DurableLogEntry("commit", 2), 1)
-        report = recover(pm, mode=LoggingMode.UNDO, from_bytes=True,
-                         policy="salvage")
+        report = recover(pm, mode=LoggingMode.UNDO, policy="salvage")
         assert pm.read_word(B) == 7
         assert report.torn_entries == 1
         assert report.damaged
@@ -117,8 +132,7 @@ class TestSalvagePolicy:
     def test_corrupt_record_of_resolved_tx_is_inert(self):
         pm = undo_image()
         pm.flip_serialized_bit(0, 2, 3)  # tx 1's undo record; tx 1 committed
-        report = recover(pm, mode=LoggingMode.UNDO, from_bytes=True,
-                         policy="salvage")
+        report = recover(pm, mode=LoggingMode.UNDO, policy="salvage")
         assert pm.read_word(A) == 10  # never rolled back
         assert report.corrupt_entries == 1
         assert report.dispositions[1] == "inert-damage"
@@ -129,8 +143,7 @@ class TestSalvagePolicy:
         pm = undo_image()
         pm.serialize_partial(DurableLogEntry("undo", 3, addr=A + 128,
                                              words=(1,)), 1)
-        report = recover(pm, mode=LoggingMode.UNDO, from_bytes=True,
-                         policy="salvage")
+        report = recover(pm, mode=LoggingMode.UNDO, policy="salvage")
         assert pm.read_word(B) == 7  # tx 2 rollback unaffected by the tear
         assert report.rolled_back_tx_seqs == [2]
 
@@ -146,7 +159,7 @@ class TestIdempotence:
         assert second.rolled_back_tx_seqs == []
         assert second.dispositions == {}
         assert pm.words_equal(once, [A, B])
-        assert pm.log == [] and pm.parse_byte_log() == []
+        assert pm.log == [] and pm.parse_byte_log_tolerant().entries == []
 
     def test_hook_failure_leaves_log_intact_for_rerun(self):
         class BadHook:
@@ -167,7 +180,7 @@ class TestIdempotence:
         # The log was NOT cleared behind the failure: a re-run still has
         # everything it needs and converges to the same durable state.
         assert pm.log != []
-        assert pm.parse_byte_log() != []
+        assert pm.parse_byte_log_tolerant().entries != []
         good = GoodHook()
         report = recover(pm, mode=LoggingMode.UNDO, hooks=[good])
         assert good.ran == 1
@@ -178,11 +191,16 @@ class TestIdempotence:
 
 class TestByteStructuralEquivalence:
     def test_both_paths_same_durable_state_and_damage(self):
-        for from_bytes in (False, True):
-            pm = undo_image()
-            pm.serialize_partial(DurableLogEntry("commit", 2), 1)
-            report = recover(pm, mode=LoggingMode.UNDO,
-                             from_bytes=from_bytes, policy="salvage")
-            assert pm.read_word(A) == 10
-            assert pm.read_word(B) == 7
+        # A tear invalidates the live index: the image and a shell that
+        # loaded it both recover from the bytes.
+        pm = undo_image()
+        pm.serialize_partial(DurableLogEntry("commit", 2), 1)
+        shell = PersistentMemory()
+        shell.load(pm)
+        for image in (shell, pm):
+            assert image.parsed_log() == image.parse_byte_log_tolerant()
+            report = recover(image, mode=LoggingMode.UNDO, policy="salvage")
+            assert image.read_word(A) == 10
+            assert image.read_word(B) == 7
             assert report.torn_entries == 1
+

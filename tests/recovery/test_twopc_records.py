@@ -46,8 +46,8 @@ class TestCleanProtocolRecords:
     @pytest.mark.parametrize("policy", ["strict", "salvage"])
     def test_twopc_records_survive_into_report(self, policy, from_bytes):
         pm = protocol_image()
-        report = recover(pm, mode=LoggingMode.UNDO, policy=policy,
-                         from_bytes=from_bytes)
+        pm._indexed = not from_bytes  # pristine: either reader is valid
+        report = recover(pm, mode=LoggingMode.UNDO, policy=policy)
         kinds = [e.kind for e in report.twopc_entries]
         assert kinds == ["prepare", "prepared", "decide-commit"]
         assert all(e.tx_seq == GTX for e in report.twopc_entries)
@@ -57,7 +57,7 @@ class TestCleanProtocolRecords:
         assert pm.read_word(A) == 10
         assert report.dispositions[1] == "committed"
         # The log region is spent; the records live on in the report.
-        assert pm.log == [] and pm.parse_byte_log() == []
+        assert pm.log == [] and pm.parse_byte_log_tolerant().entries == []
 
     def test_decision_record_roundtrips_the_wire_format(self):
         entry = decision(shard_ids=(0, 1, 2, 3))
@@ -65,7 +65,9 @@ class TestCleanProtocolRecords:
         assert len(words) == logregion.entry_wire_words(entry)
         pm = PersistentMemory()
         pm.append_clean(entry)
-        [back] = pm.parse_byte_log()
+        parsed = pm.parse_byte_log_tolerant()
+        assert parsed.clean
+        [back] = parsed.entries
         assert back.kind == "decide-commit"
         assert back.tx_seq == GTX
         assert back.words == (0, 1, 2, 3)
@@ -79,14 +81,12 @@ def _interior_cuts(entry):
 
 class TestTornDecisionRecord:
     @pytest.mark.parametrize("kind", ["decide-commit", "decide-abort"])
-    @pytest.mark.parametrize("from_bytes", [False, True])
-    def test_strict_raises_at_every_word_boundary(self, from_bytes, kind):
+    def test_strict_raises_at_every_word_boundary(self, kind):
         for cut in _interior_cuts(decision(kind)):
             pm = protocol_image()
             offset = pm.serialize_partial(decision(kind), cut)
             with pytest.raises(TornLogError) as exc:
-                recover(pm, mode=LoggingMode.UNDO, policy="strict",
-                        from_bytes=from_bytes)
+                recover(pm, mode=LoggingMode.UNDO, policy="strict")
             assert exc.value.offset == offset, f"cut at word {cut}"
 
     def test_strict_raise_mutates_nothing(self):
@@ -98,13 +98,17 @@ class TestTornDecisionRecord:
         assert pm.words_equal(before, [A])
         assert pm.log == before.log
 
-    @pytest.mark.parametrize("from_bytes", [False, True])
-    def test_salvage_quarantines_torn_decision(self, from_bytes):
+    @pytest.mark.parametrize("via_load", [False, True])
+    def test_salvage_quarantines_torn_decision(self, via_load):
+        # via_load: a shell that loaded the torn image, as campaign
+        # shells do, must read its bytes too.
         for cut in _interior_cuts(decision()):
             pm = protocol_image()
             pm.serialize_partial(decision("decide-abort", (0, 1)), cut)
-            report = recover(pm, mode=LoggingMode.UNDO, policy="salvage",
-                             from_bytes=from_bytes)
+            if via_load:
+                image, pm = pm, PersistentMemory()
+                pm.load(image)
+            report = recover(pm, mode=LoggingMode.UNDO, policy="salvage")
             # The torn decision must NOT surface as a trustworthy
             # protocol record; the intact ones all survive.
             kinds = [e.kind for e in report.twopc_entries]
@@ -121,8 +125,7 @@ class TestTornDecisionRecord:
         pm.serialize_partial(
             DurableLogEntry("prepare", GTX, addr=7, words=(99,)), 2
         )
-        report = recover(pm, mode=LoggingMode.UNDO, policy="salvage",
-                         from_bytes=True)
+        report = recover(pm, mode=LoggingMode.UNDO, policy="salvage")
         assert [e.kind for e in report.twopc_entries] == ["prepared"]
         assert report.torn_entries == 1
 
@@ -149,12 +152,10 @@ class TestCorruptDecisionRecord:
         self._flip_crc(pm, 4)
         if policy == "strict":
             with pytest.raises(LogChecksumError) as exc:
-                recover(pm, mode=LoggingMode.UNDO, policy="strict",
-                        from_bytes=True)
+                recover(pm, mode=LoggingMode.UNDO, policy="strict")
             assert exc.value.offset == offset
         else:
-            report = recover(pm, mode=LoggingMode.UNDO, policy="salvage",
-                             from_bytes=True)
+            report = recover(pm, mode=LoggingMode.UNDO, policy="salvage")
             kinds = [e.kind for e in report.twopc_entries]
             assert kinds == ["prepare", "prepared"]  # decision dropped
             assert report.corrupt_entries == 1
@@ -162,11 +163,15 @@ class TestCorruptDecisionRecord:
             assert pm.read_word(A) == 10
 
     def test_structural_and_byte_paths_agree_on_damage(self):
-        for from_bytes in (False, True):
-            pm = self._image()
-            self._flip_crc(pm, 4)
-            report = recover(pm, mode=LoggingMode.UNDO, policy="salvage",
-                             from_bytes=from_bytes)
+        # The flip invalidates the live index, which still holds the
+        # decision: recovery's log is the byte parse, on the image and
+        # on its snapshot alike.
+        pm = self._image()
+        self._flip_crc(pm, 4)
+        assert pm.log[4].kind == "decide-commit"
+        for image in (pm.snapshot(), pm):
+            assert image.parsed_log() == image.parse_byte_log_tolerant()
+            report = recover(image, mode=LoggingMode.UNDO, policy="salvage")
             assert report.corrupt_entries == 1
             assert [e.kind for e in report.twopc_entries] == [
                 "prepare", "prepared",
