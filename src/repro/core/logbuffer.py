@@ -37,6 +37,14 @@ class TieredLogBuffer:
         self._tiers: List[Dict[int, LogRecord]] = [
             {} for _ in range(config.num_tiers)
         ]
+        # Records are aligned to their own span, so a record of tier t is
+        # covered by a buffered one iff its base, aligned down to some
+        # tier u >= t, keys a record of tier u.  Per t, the (tier dict,
+        # mask) pairs _covered looks up (the dicts are never rebound).
+        masks = [~(rec.tier_span_bytes(t) - 1) for t in range(config.num_tiers)]
+        self._covering = [
+            list(zip(self._tiers[t:], masks[t:])) for t in range(config.num_tiers)
+        ]
         #: FIFO used in non-coalescing mode.
         self._fifo: List[LogRecord] = []
         self.coalesce_count = 0
@@ -75,6 +83,14 @@ class TieredLogBuffer:
 
     def _insert_coalescing(self, record: LogRecord) -> List[LogRecord]:
         drained: List[LogRecord] = []
+        if self._covered(record.addr, record.tier):
+            # A word logged twice (possible after the L2 granularity
+            # round-trip described in Section III-B1) carries a *newer*
+            # old value, captured after the transaction's first store.
+            # Undo logging must preserve the first pre-image, so the
+            # duplicate is dropped while any tier still buffers a record
+            # that covers it, merged or not.
+            return drained
         top_tier = self.config.num_tiers - 1
         while record.tier < top_tier:
             tier = self._tiers[record.tier]
@@ -86,13 +102,6 @@ class TieredLogBuffer:
             record = rec.merge(record, buddy)
             self.coalesce_count += 1
         tier = self._tiers[record.tier]
-        if record.addr in tier:
-            # The same span was logged twice (possible after the L2
-            # granularity round-trip described in Section III-B1).  Keep
-            # the older record: undo logging must preserve the first
-            # pre-image, and the duplicate insert carries a *newer* old
-            # value captured after the first store.
-            return drained
         if len(tier) >= self.config.records_per_tier:
             drained = list(tier.values())
             tier.clear()
@@ -125,9 +134,14 @@ class TieredLogBuffer:
         """True when some buffered record already covers *word_address*."""
         if not self.coalescing:
             return any(r.covers(word_address) for r in self._fifo)
-        return any(
-            r.covers(word_address) for tier in self._tiers for r in tier.values()
-        )
+        return self._covered(word_address, 0)
+
+    def _covered(self, addr: int, tier: int) -> bool:
+        """True when a record of *tier* or above covers *addr*."""
+        for records, mask in self._covering[tier]:
+            if (addr & mask) in records:
+                return True
+        return False
 
     # --- bulk operations -----------------------------------------------------
 

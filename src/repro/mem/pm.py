@@ -16,8 +16,9 @@ The log region is a start index, a live extent store and a view: each
 append is *serialized* with the codec in :mod:`repro.mem.logregion`
 (versioned header, per-entry CRC), and its start offset is appended to
 one ``array('Q')`` (its position is its index there).  A per-``tx_seq``
-index of live positions is pruned on commit in O(that transaction),
-and only live positions keep a :class:`LogExtent` object — entry and
+index of live positions is pruned on commit (and when a shard forgets
+a global transaction) in O(that transaction), and only live positions
+keep a :class:`LogExtent` object — entry and
 payload included.  A resolved record therefore costs its serialized
 words plus 8 bytes, and :meth:`PersistentMemory.extent` decodes it from
 those words on demand.  ``log`` is the *structural* view of the live
@@ -372,9 +373,11 @@ class PersistentMemory:
             self._journal = [self._open_group()]
 
     def log_discard_tx(self, tx_seq: int) -> None:
-        """Reclaim the (now useless) records of a committed transaction
-        in O(its records): their extent objects are released, and only
-        the serialized words remain."""
+        """Reclaim the (now useless) records of a resolved transaction
+        in O(its records): a committed local transaction, or a global
+        one its node has forgotten (:mod:`repro.shard.twopc`).  Their
+        extent objects are released, and only the serialized words
+        remain."""
         positions = self._live.pop(tx_seq, None)
         if positions is None:
             return

@@ -130,6 +130,14 @@ class ShardNode:
       plain ``commit`` marker at the global seq (the *applied* marker
       recovery uses for idempotence).
     * :meth:`abort` — persist ``decide-abort`` and drop the stage.
+
+    Right after its applied seal (phase 2 or recovery's re-apply) or its
+    ``decide-abort``, the participant *forgets* the global transaction:
+    :meth:`~repro.mem.pm.PersistentMemory.log_discard_tx` drops its
+    records from the PM live index, and they stay on the media only as
+    serialized words.  Recovery re-applies only a stage with no seal,
+    and presumed abort reads a missing stage as abort, so no recovery
+    needs a forgotten record.
     """
 
     def __init__(
@@ -219,6 +227,8 @@ class ShardNode:
             phase="decide-persist",
             label={"gtx": gtx - GTX_BASE, "step": "applied"},
         )
+        # Forget: once sealed, no recovery re-applies this stage.
+        self.machine.pm.log_discard_tx(gtx)
         for key, value in writes:
             self.rm.committed[key] = tuple(value)
         self.staged.pop(gtx, None)
@@ -237,6 +247,8 @@ class ShardNode:
                 phase="decide-persist",
                 label={"gtx": gtx - GTX_BASE, "step": "post-decision"},
             )
+            # Forget: presumed abort reads no records as abort.
+            self.machine.pm.log_discard_tx(gtx)
             del self.staged[gtx]
 
 

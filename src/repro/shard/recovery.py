@@ -80,6 +80,16 @@ def recover_deployment(
     durable before returning.  *profiler* receives clock-free
     ``recovery.twopc_*`` counts (resolution runs outside any machine
     clock, matching local recovery's convention).
+
+    A node's live index holds a global transaction's records only until
+    that node forgot it (after its seal or ``decide-abort``; the
+    coordinator after phase 2), so index recovery lists in ``fates``
+    only global transactions some node has not forgotten.  A node
+    parsed from its bytes also lists every forgotten one: a sealed one
+    as ``commit``, and an aborted one as ``abort``, in ``in_doubt`` too
+    when a participant had prepared (its stage carries no seal).  The
+    data words, ``reapplied`` and the in-flight transaction's fate are
+    the same either way, and so is ``in_doubt`` when no abort was told.
     """
     out = ResolutionReport()
     out.reports["coord"] = recover(

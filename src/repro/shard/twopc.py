@@ -100,6 +100,12 @@ class Coordinator:
     spans, and are reachable by the same crash/fault injection as any
     shard's log.  A participant that stays unresponsive through
     :data:`PREPARE_ATTEMPTS` prepare requests aborts the transaction.
+
+    The coordinator forgets a global transaction last: at the end of
+    :meth:`commit_global`, once every participant applied and sealed
+    (or every prepared one persisted ``decide-abort``), its decision
+    record leaves the PM live index and stays only as serialized words.
+    A crash anywhere inside phase 2 therefore still finds the decision.
     """
 
     def __init__(
@@ -198,6 +204,7 @@ class Coordinator:
                 for done in prepared:
                     participants[done].abort(gtx, shard_ids)
                 self.aborted_gtxs += 1
+                self.machine.pm.log_discard_tx(gtx)
                 return "abort"
             prepared.append(shard)
             self.steps.hit(f"prepared:{label}:s{shard}")
@@ -209,6 +216,7 @@ class Coordinator:
             participants[shard].commit(gtx, shard_ids)
             self.steps.hit(f"applied:{label}:s{shard}")
         self.committed_gtxs += 1
+        self.machine.pm.log_discard_tx(gtx)
         return "commit"
 
     def _count_decision(self, started_at: int) -> None:

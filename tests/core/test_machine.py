@@ -10,6 +10,7 @@ from repro.core.schemes import FG, SLPMT, SLPMT_SPEC, Scheme
 from repro.isa.instructions import Fence, Load, Store, StoreT, TxBegin, TxEnd
 from repro.isa.program import ProgramBuilder
 from repro.mem import layout
+from repro.recovery.engine import recover
 
 BASE = layout.PM_HEAP_BASE
 
@@ -163,6 +164,38 @@ class TestMetadataPropagation:
         self._evict_line(m, BASE)
         m.execute(Store(BASE, 99))  # replicated log bits say: logged
         assert m.stats.duplicate_log_records == 0
+
+    def test_roundtrip_duplicate_never_outruns_the_first_pre_image(self):
+        # FG logs every word: words 0 and 1 merge into one tier-1 record
+        # whose pre-images are 0.  The round trip clears word 0's log
+        # bit (its 32-B group was half logged), so the next store logs
+        # word 0 again with the transaction's own first write (1) as its
+        # "old value".
+        m = machine(FG)
+        m.execute(TxBegin())
+        m.execute(Store(BASE, 1))
+        m.execute(Store(BASE + 8, 2))
+        self._evict_line(m, BASE)
+        m.execute(Store(BASE, 3))
+        assert m.stats.duplicate_log_records == 1
+        # Nine unmergeable word records fill tier 0 and drain it.
+        for i in range(1, 10):
+            m.execute(Store(BASE + i * units.LINE_BYTES, i))
+        assert m.log_buffer.covers_word(BASE)  # the first pre-image
+        assert [
+            e.words
+            for e in m.pm.log
+            if e.kind == "undo" and e.addr <= BASE < e.addr + len(e.words) * 8
+        ] == []
+        # Push the line past L2: its record persists, then its data (3).
+        l2_stride = m.l2.config.num_sets * units.LINE_BYTES
+        for i in range(1, m.l1.config.ways + m.l2.config.ways + 1):
+            m.execute(Load(BASE + i * l2_stride))
+        assert m.pm.read_word(BASE) == 3
+        m.crash()
+        recover(m.pm, mode=m.scheme.logging_mode)
+        assert m.pm.read_word(BASE) == 0
+        assert m.pm.read_word(BASE + 8) == 0
 
     def test_speculative_logging_fills_group(self):
         m = machine(SLPMT_SPEC)

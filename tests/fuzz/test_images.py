@@ -132,15 +132,15 @@ def test_violations_read_the_same_on_both_paths():
 
 @pytest.mark.parametrize("scheme, point", [("SLPMT", 14), ("FG", 26)])
 def test_pinned_batch8_defect_reads_the_same_on_both_paths(scheme, point):
-    # The known batch-8 undo defect (strict xfail in test_kernel.py):
-    # both paths must report it, with the same message.
+    # Points where a batch-8 undo duplicate would show (see
+    # test_kernel.py): both paths must read them clean, alike.
     cell = ServiceCell("hashtable", scheme, 8)
     case = [("persist", point)]
     (image,) = run_cases(cell, case, seed=5)
     family = family_of(cell)
     knobs = shared_knobs(cell, seed=5)
     reference = play(family, family.build(cell, 5, knobs), "persist", point)
-    assert image.violation is not None
+    assert image.violation is None
     assert image == reference
 
 
@@ -151,8 +151,8 @@ SEQUENCES = [(cell, knobs, SEED, None) for cell, knobs in CELLS] + [
     # recovery and report a false differential violation on key 1023.
     (TwoPCCell("hashtable", "SLPMT", 2, "crash"), {}, SEED,
      [("persist:s1", 6), ("persist:s1", 70)]),
-    # The pinned batch-8 undo defect (first at points 14 and 26, above)
-    # must read as it does alone after other cases on one shell.
+    # The batch-8 points around 14 and 26 (above) read as they do
+    # alone after other cases on one shell.
     (ServiceCell("hashtable", "SLPMT", 8), {}, 5,
      [("persist", point) for point in range(10, 17)]),
     (ServiceCell("hashtable", "FG", 8), {}, 5,

@@ -124,15 +124,15 @@ class TestBatteryBackedCaches:
         assert issubclass(CrashImageError, ReproError)
 
 
+# Crash points where an undo duplicate would show: an L1->L2->L1 round
+# trip clears a word's log bit in a partly logged group, and the word is
+# logged again with the batch's own earlier write as its old value.  The
+# log buffer must drop that duplicate while any tier still holds the
+# record with the true pre-image (tests/core/test_machine.py pins the
+# mechanism).
+
+
 @pytest.mark.fuzz
-@pytest.mark.xfail(
-    strict=True,
-    reason="known batch-8 undo defect: an L1->L2->L1 round trip clears a "
-    "word's log bit in a partly logged group, the word is logged again "
-    "with the batch's own earlier write as its old value, and that "
-    "duplicate drains from tier 0 after the original merged into a "
-    "tier-1 record, leaving it the only durable pre-image at the crash",
-)
 @pytest.mark.parametrize("scheme, point", [("SLPMT", 14), ("FG", 26)])
 def test_batch8_hashtable_undo_defect(scheme, point):
     result = run_case(
@@ -142,15 +142,10 @@ def test_batch8_hashtable_undo_defect(scheme, point):
 
 
 @pytest.mark.fuzz
-@pytest.mark.xfail(
-    strict=True,
-    reason="known multistruct FG undo defect: the in-flight batch holds two "
-    "durable undo records for the counter word, a 1-word record whose "
-    "pre-image is the batch's own first bump and a merged 4-word record "
-    "with the true pre-image; reverse replay applies the 1-word record "
-    "last, so the counter recovers one past the queue length",
-)
 def test_duration_multistruct_fg_undo_defect():
+    # The in-flight batch logs the counter word twice: were both records
+    # durable, reverse replay would apply the newer pre-image last and
+    # recover the counter one past the queue length.
     result = run_case(
         ServiceCell("multistruct", "FG", 8, locking=True), "persist", 2505,
         seed=7, num_clients=3, duration_cycles=200000,

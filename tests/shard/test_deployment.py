@@ -6,6 +6,7 @@ import pytest
 from repro.common.units import WORD_BYTES
 from repro.core.tracing import Tracer
 from repro.fuzz.campaign import STRESS_CONFIG
+from repro.mem.pm import LogExtent
 from repro.obs.telemetry import TelemetryWindows
 from repro.service.model import ClientStream, Request
 from repro.service.rm import ReadConsistencyError
@@ -290,20 +291,27 @@ class TestGtxNamespace:
         coordinator = dep.coordinator
         decided = coordinator.committed_gtxs + coordinator.aborted_gtxs
         assert decided, "run must produce global transactions"
-        # One durable decision record per decided gtx.
-        gtxs = {entry.tx_seq for entry in coordinator.machine.pm.log}
-        assert len(gtxs) == decided
+        # One durable decision record per decided gtx.  The coordinator
+        # forgot each from its live index; the log bytes keep them.
+        entries = coordinator.machine.pm.parse_byte_log_tolerant().entries
+        assert {e.kind for e in entries} <= {"decide-commit", "decide-abort"}
+        gtxs = {entry.tx_seq for entry in entries}
+        assert len(gtxs) == len(entries) == decided
         assert all(gtx > GTX_BASE for gtx in gtxs)
         # Local per-core seqs live at core_id * 10**12 + n — far below.
         assert GTX_BASE > 8 * 10**12
 
 
 class TestLiveLog:
-    """Each shard is a plain single-core machine, and a commit reclaims
-    its transaction's records at once: after serving, the live
-    structural log on every node holds only 2PC history."""
+    """Each shard is a plain single-core machine.  A local commit
+    reclaims its transaction's records at once, and every node forgets a
+    global transaction's protocol records once no recovery can need them
+    (a participant after its seal, the coordinator after phase 2): after
+    serving, no node's live structural log holds a record, while the
+    serialized bytes keep the whole history."""
 
-    def test_no_local_record_outlives_its_commit(self):
+    @pytest.fixture(scope="class")
+    def served(self):
         mix = {"put": 0.40, "get": 0.20, "scan": 0.05, "txn": 0.35}
         dep = ShardedDeployment(
             small_cfg(num_shards=4, mix=mix, requests_per_client=20),
@@ -313,9 +321,27 @@ class TestLiveLog:
         assert dep.batches and dep.coordinator.committed_gtxs, (
             "run must commit local and global work"
         )
+        return dep
+
+    def test_no_local_record_outlives_its_commit(self, served):
+        dep = served
         for label, machine in dep.all_machines():
-            assert machine.pm.log, label
-            assert all(e.tx_seq >= GTX_BASE for e in machine.pm.log), label
+            assert machine.pm.log == [], label
+            entries = machine.pm.parse_byte_log_tolerant().entries
+            assert any(e.tx_seq >= GTX_BASE for e in entries), label
+            sealed = {e.tx_seq for e in entries if e.kind == "commit"}
+            assert all(
+                e.tx_seq in sealed for e in entries if e.tx_seq < GTX_BASE
+            ), label
+            # A participant forgets a stage only once its seal is durable.
+            assert {e.tx_seq for e in entries if e.kind == "prepare"} <= sealed
         for node in dep.nodes:
             assert node.machine.checkpoint is None
             assert node.machine.coherence is None
+
+    def test_live_index_holds_no_position_after_serving(self, served):
+        for label, machine in served.all_machines():
+            pm = machine.pm
+            assert pm.log_appends, label
+            assert pm._live == {} and pm._extents == {}, label
+            assert reachable(pm, LogExtent) == [], label

@@ -15,6 +15,7 @@ from repro.fuzz.kernel import clean_run, run_campaign, run_case, run_cell
 from repro.fuzz.twopc import TWOPC, TwoPCCell, _build_twopc, step_family
 from repro.parallel.engine import WorkerCrash
 from repro.parallel.tasks import POISON_ENV
+from repro.shard.twopc import PREPARE_ATTEMPTS
 
 CELL = TwoPCCell("hashtable", "SLPMT", 2, "crash")
 TORN = TwoPCCell("hashtable", "SLPMT", 2, "torn-decision")
@@ -125,6 +126,124 @@ def recover_twopc(dep):
     from repro.shard.recovery import recover_deployment
 
     return recover_deployment(dep, policy="strict")
+
+
+class TestForgettingChangesNoRecovery:
+    """Each node forgets a global transaction's records from its live
+    index once no recovery can need them; the bytes keep every record.
+    A deployment crashed in phase 2 or inside a late shard commit must
+    recover from its live indexes as it recovers from its bytes."""
+
+    CELL3 = TwoPCCell("hashtable", "SLPMT", 3, "crash")
+    KW = dict(num_clients=3, requests_per_client=12, value_bytes=32)
+
+    def build(self):
+        return _build_twopc(self.CELL3, seed=7, config=STRESS_CONFIG, **self.KW)
+
+    def crashed(self, arm):
+        dep = self.build()
+        arm(dep)
+        with pytest.raises(PowerFailure):
+            dep.serve()
+        dep.crash()
+        return dep
+
+    def recover_both(self, indexed, serialized):
+        """Recover *indexed* from its live indexes and its crashed twin
+        from its bytes: the same data words and re-applies."""
+        for _, machine in serialized.all_machines():
+            assert machine.pm._indexed
+            machine.pm._indexed = False
+        by_index, by_bytes = recover_twopc(indexed), recover_twopc(serialized)
+        for a, b in zip(indexed.nodes, serialized.nodes):
+            assert _data_words(a.machine.pm) == _data_words(b.machine.pm)
+        assert by_index.reapplied == by_bytes.reapplied
+        return by_index, by_bytes
+
+    def assert_recover_alike(self, arm):
+        indexed, serialized = self.crashed(arm), self.crashed(arm)
+        by_index, by_bytes = self.recover_both(indexed, serialized)
+        assert by_index.in_doubt == by_bytes.in_doubt
+        assert indexed.inflight_gtx == serialized.inflight_gtx
+        if indexed.inflight_gtx is not None:
+            gtx = indexed.inflight_gtx[0]
+            assert by_index.fates.get(gtx) == by_bytes.fates.get(gtx)
+        # The index lists only unsealed global transactions; the byte
+        # parse also lists every sealed one.
+        assert by_index.fates.items() <= by_bytes.fates.items()
+        return indexed
+
+    def test_phase_two_step_crashes_of_late_gtxs(self):
+        clean = self.build()
+        clean.serve()
+        names = clean.coordinator.steps.names
+        late = [
+            index
+            for index in range(len(names) // 2, len(names))
+            if step_family(names[index]) in ("post-decision", "applied")
+        ]
+        assert len(late) >= 6
+        for point in late[-6:]:
+            def arm(dep, point=point):
+                dep.coordinator.steps.crash_at = point
+
+            self.assert_recover_alike(arm)
+
+    @pytest.mark.parametrize("target", ["local-batch", "phase-2-apply"])
+    def test_persist_crash_in_a_late_shard_commit(self, target):
+        # Crash at the first durability event of the last local batch
+        # commit, or of the last participant apply, of a clean run.
+        clean = self.build()
+        calls = []
+
+        def spying(node, method):
+            start = node.machine.wpq.total_inserts
+
+            def spy(*args):
+                before = node.machine.wpq.total_inserts
+                method(*args)
+                calls.append((node.shard_id, before - start))
+
+            return spy
+
+        for node in clean.nodes:
+            if target == "local-batch":
+                node.tm.commit_batch = spying(node, node.tm.commit_batch)
+            else:
+                node.apply_staged = spying(node, node.apply_staged)
+        clean.serve()
+        assert clean.coordinator.committed_gtxs
+        shard, point = calls[-1]
+
+        def arm(dep):
+            dep.nodes[shard].machine.schedule_crash_after_persists(point)
+
+        dep = self.assert_recover_alike(arm)
+        if target == "local-batch":
+            assert dep.inflight_local[0] == shard
+        else:
+            assert shard in dep.inflight_gtx[1]
+
+    def test_forgotten_abort_reads_as_abort_from_the_bytes(self):
+        # s2 leaves the first global transaction that spans it
+        # unanswered, after s0 or s1 prepared it: the coordinator aborts
+        # and tells that participant, and every node forgets the abort.
+        indexed, serialized = self.build(), self.build()
+        for dep in (indexed, serialized):
+            dep.nodes[2].fail_prepares = PREPARE_ATTEMPTS
+            dep.serve()
+            dep.crash()
+        by_index, by_bytes = self.recover_both(indexed, serialized)
+        assert indexed.coordinator.aborted_gtxs == 1
+        assert by_index.fates == {} and by_index.in_doubt == []
+        assert by_index.reapplied == {}
+        aborted = [gtx for gtx, fate in by_bytes.fates.items() if fate == "abort"]
+        assert len(aborted) == 1 and by_bytes.in_doubt == aborted
+
+
+def _data_words(pm):
+    """The heap's non-zero words (the log region has its own store)."""
+    return {addr: value for addr, value in pm._words.items() if value}
 
 
 def step_pool():
