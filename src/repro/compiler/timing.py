@@ -7,8 +7,10 @@ constant-folding peephole, and lowering to a pseudo-assembly listing —
 the work any compiler does regardless of annotation), against the same
 pipeline plus the Pattern 1/2 analyses and annotation comparison.
 
-Times are wall-clock over many repetitions for stability; what matters
-for the reproduction is the *relative* overhead, which is geometry-free.
+Times are wall-clock lower quartiles over many repetitions that
+alternate the two pipelines, so host drift hits both alike; what
+matters for the reproduction is the *relative* overhead, which is
+geometry-free.
 """
 
 from __future__ import annotations
@@ -171,22 +173,26 @@ class CompileTiming:
 def measure_compile_time(
     name: str, functions: Iterable[Function], *, repeats: int = 200
 ) -> CompileTiming:
-    """Time baseline vs analysis-enabled compilation of *functions*."""
+    """Time baseline vs analysis-enabled compilation of *functions*:
+    each repeat runs both pipelines, and each reports its lower-quartile
+    repeat.  A minimum lets one fast outlier repeat flip the comparison,
+    a median lets load that slows most of one pipeline's repeats flip
+    it."""
     fns = list(functions)
-
-    start = time.perf_counter()
+    baseline: List[float] = []
+    optimized: List[float] = []
     for _ in range(repeats):
+        start = time.perf_counter()
         for fn in fns:
             baseline_pipeline(fn)
-    baseline = (time.perf_counter() - start) / repeats
-
-    start = time.perf_counter()
-    for _ in range(repeats):
+        middle = time.perf_counter()
         for fn in fns:
             baseline_pipeline(fn)
             annotate_function(fn)  # runs the Pattern 1/2 analyses
-    optimized = (time.perf_counter() - start) / repeats
-
+        baseline.append(middle - start)
+        optimized.append(time.perf_counter() - middle)
     return CompileTiming(
-        name=name, baseline_seconds=baseline, optimized_seconds=optimized
+        name=name,
+        baseline_seconds=sorted(baseline)[repeats // 4],
+        optimized_seconds=sorted(optimized)[repeats // 4],
     )

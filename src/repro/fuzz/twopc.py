@@ -232,11 +232,8 @@ def _check_deployment(dep: ShardedDeployment, resolution) -> None:
     # plus one whole in-flight group-commit batch (its commit marker
     # may have turned durable on the crashing drain).
     for node in dep.nodes:
-        batch = None
-        if dep.inflight_local is not None and dep.inflight_local[0] == node.shard_id:
-            batch = dep.inflight_local[1]
         with _on_shard(node.shard_id):
-            accept(durable[node.shard_id], oracle_states(node.rm.committed, batch))
+            accept(durable[node.shard_id], oracle_states(node.rm.committed, node.inflight))
 
     # Global atomicity of the in-flight global transaction: resolved
     # commit => its writes durable on *every* participant; presumed
@@ -368,10 +365,7 @@ class TwoPCFamily(Family):
         for node, live in zip(shell.nodes, dep.nodes):
             _load_subject(node.subject, live.subject)
             node.rm.committed = dict(live.rm.committed)
-        shell.inflight_local = None
-        if dep.inflight_local is not None:
-            shard, requests = dep.inflight_local
-            shell.inflight_local = (shard, list(requests))
+            node.inflight = list(live.inflight)
         shell.inflight_gtx = None
         if dep.inflight_gtx is not None:
             gtx, plan, request = dep.inflight_gtx

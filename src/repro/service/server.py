@@ -3,10 +3,11 @@
 One :class:`TransactionService` is a complete simulated serving system
 on one machine:
 
-* the **work coordinator** (this module) owns the event loop: it admits
-  client arrivals through the bounded
+* the **work coordinator** (this module) is a :class:`ServingNode`
+  plus the client schedule that decides when each request arrives; the
+  node admits arrivals through the bounded
   :class:`~repro.service.admission.AdmissionQueue`, serves ready reads
-  immediately, and drains eligible writes into group-commit batches per
+  immediately and drains eligible writes into group-commit batches per
   the :class:`~repro.service.tm.GroupCommitPolicy`;
 * the **transaction manager** runs each batch as a single durable
   transaction (one commit-persist drain per batch);
@@ -19,6 +20,9 @@ same config produce byte-identical responses, cycles and histograms.
 Simulated time only advances through simulated work (reads, batch
 transactions) or explicit idle jumps to the next event (an arrival or a
 group-commit deadline), so request latencies are exact cycle counts.
+Every shard of a :class:`~repro.shard.deployment.ShardedDeployment` is
+the same :class:`ServingNode`, fed by the deployment's router instead
+of a client schedule.
 
 Durability semantics: an ``ok`` write response is recorded immediately
 after its batch's ``tx_end`` returned — the commit marker is durable —
@@ -189,8 +193,13 @@ class ServiceResult:
         return self.commit_persist_cycles / max(1, self.committed_writes)
 
 
-class TransactionService:
-    """One machine serving N simulated clients (see module docstring)."""
+class ServingNode:
+    """One serving node: a machine and its durable structure behind the
+    RM, the TM and a bounded admission queue.  It admits a request at
+    its own clock, serves ready reads at once, group-commits a batch
+    when it is full or its oldest write has waited ``max_wait_cycles``
+    (:meth:`deadline`), records every response and runs the validation
+    tail.  When arrivals happen is the subclass's business."""
 
     def __init__(
         self,
@@ -214,6 +223,189 @@ class TransactionService:
         self.tm = TransactionManager(self.rt, self.rm)
         self.queue = AdmissionQueue(cfg.admission)
         self.locks = LockManager() if cfg.locking else None
+        self.responses: List[Response] = []
+        #: The batch currently inside :meth:`~..tm.TransactionManager.
+        #: commit_batch` — non-empty exactly while a group commit is in
+        #: flight (the crash campaign's all-or-nothing set).
+        self.inflight: List[Request] = []
+        self.committed_writes = 0
+        self._finished = False
+
+    def record(self, response: Response) -> None:
+        if self.cfg.keep_responses:
+            self.responses.append(response)
+        if self.telemetry is not None:
+            at = response.completed_at
+            if response.status == "ok":
+                self.telemetry.count(at, "acked")
+                self.telemetry.record(at, "latency", response.latency)
+                if response.kind in ("get", "scan"):
+                    self.telemetry.count(at, "reads")
+                else:
+                    self.telemetry.count(at, "writes")
+            else:
+                self.telemetry.count(at, response.status)
+        if response.status == "ok":
+            self.machine.stats.service_acked += 1
+            self.profiler.record("req_latency", response.latency)
+
+    def reply(
+        self,
+        request: Request,
+        submitted_at: int,
+        status: str = "ok",
+        values: Tuple = (),
+        completed_at: Optional[int] = None,
+    ) -> None:
+        """Record *request*'s response, completed now unless given."""
+        if completed_at is None:
+            completed_at = self.machine.now
+        self.record(
+            Response(
+                client=request.client,
+                seq=request.seq,
+                kind=request.kind,
+                status=status,
+                submitted_at=submitted_at,
+                completed_at=completed_at,
+                values=values,
+            )
+        )
+
+    def admit(self, request: Request, submitted_at: int) -> None:
+        """Queue *request* at this node's clock (the caller made room)."""
+        self.machine.stats.service_requests += 1
+        self.queue.admit(
+            QueuedRequest(
+                request=request,
+                submitted_at=submitted_at,
+                admitted_at=self.machine.now,
+            )
+        )
+        self.profiler.record("queue_depth", self.queue.depth)
+        if self.telemetry is not None:
+            self.telemetry.record(
+                self.machine.now, "queue_depth", self.queue.depth
+            )
+        self.machine.stats.service_queue_peak = max(
+            self.machine.stats.service_queue_peak, self.queue.depth
+        )
+
+    def pump(self) -> bool:
+        """Serve every ready read, then group-commit one batch if one is
+        due; True when anything was answered."""
+        progressed = self._serve_reads()
+        if self._should_flush():
+            self._flush()
+            progressed = True
+        return progressed
+
+    def drain(self) -> None:
+        """Answer everything queued, flushing partial batches at once."""
+        while self.pump() or self._flush():
+            pass
+
+    def deadline(self) -> Optional[int]:
+        """When the oldest queued write's batch falls due, or None."""
+        oldest = self.queue.oldest_write_admitted_at()
+        if oldest is None:
+            return None
+        wait = self.cfg.batch.max_wait_cycles
+        return max(self.machine.now + 1, oldest + wait)
+
+    def _more_arrivals_possible(self) -> bool:
+        # A node fed from outside never knows; drain() ends it.
+        return True
+
+    def _serve_reads(self) -> bool:
+        ready = self.queue.pop_ready_reads()
+        for item in ready:
+            request = item.request
+            if request.kind == "get":
+                values = self.rm.read_get(request)
+            else:
+                values = self.rm.read_scan(request)
+            self.machine.stats.service_reads += 1
+            self.reply(request, item.submitted_at, values=values)
+        return bool(ready)
+
+    def _should_flush(self) -> bool:
+        eligible = self.queue.eligible_writes()
+        if eligible == 0:
+            return False
+        if eligible >= self.cfg.batch.batch_size:
+            return True
+        oldest = self.queue.oldest_write_admitted_at()
+        if (
+            oldest is not None
+            and self.machine.now - oldest >= self.cfg.batch.max_wait_cycles
+        ):
+            return True
+        return not self._more_arrivals_possible()
+
+    def _flush(self) -> bool:
+        batch = self.queue.take_batch(self.cfg.batch.batch_size)
+        if not batch:
+            return False
+        if self.locks is not None:
+            # Wound-wait over named structures: granted requests ride
+            # this batch (locks implicitly released when its single
+            # durable transaction commits); deferred requests go back to
+            # the queue front and lead the next batch, oldest first.
+            batch, deferred = self.locks.resolve(
+                batch, self.rm.structures_of
+            )
+            if deferred:
+                self.queue.readmit_front(deferred)
+            if not batch:
+                return True
+        requests = [item.request for item in batch]
+        self.machine.stats.service_batches += 1
+        self.machine.stats.service_batched_writes += len(batch)
+        self.profiler.record("batch_occupancy", len(batch))
+        if self.telemetry is not None:
+            self.telemetry.count(self.machine.now, "batches")
+        for request in requests:
+            for key in request.keys:
+                self.subject.before_transaction(key)
+        self.inflight = requests
+        self.tm.commit_batch(requests)
+        # tx_end returned: the batch's commit marker is durable.  The
+        # acks below involve no simulated work, so no crash point can
+        # separate them from the commit.
+        for item in batch:
+            self.committed_writes += 1
+            self.reply(item.request, item.submitted_at)
+        self.inflight = []
+        return True
+
+    def finish(self) -> None:
+        """Post-serving validation tail: force lazy state durable, run
+        end-of-run accounting and verify the durable image against the
+        committed oracle."""
+        if self._finished:
+            return
+        self._finished = True
+        self.rt.run_empty_transactions(self.machine.config.num_tx_ids)
+        self.machine.fence()
+        self.machine.finalize()
+        if self.cfg.verify:
+            self.rm.sync_expected()
+            self.subject.verify(durable=True)
+
+
+class TransactionService(ServingNode):
+    """One serving node and its N simulated clients (see module
+    docstring)."""
+
+    def __init__(
+        self,
+        cfg: ServiceConfig,
+        *,
+        config: SystemConfig = DEFAULT_CONFIG,
+        telemetry: "Optional[TelemetryWindows]" = None,
+    ) -> None:
+        super().__init__(cfg, config=config, telemetry=telemetry)
         value_words = cfg.value_bytes // units.WORD_BYTES
         #: Per-client lazy streams, seeded by *global* client id
         #: (``client_base + local``), so population slices of one seed
@@ -229,19 +421,12 @@ class TransactionService:
             )
             for client in range(cfg.num_clients)
         ]
-        self.responses: List[Response] = []
-        #: The batch currently inside :meth:`~..tm.TransactionManager.
-        #: commit_batch` — non-empty exactly while a group commit is in
-        #: flight (the crash campaign's all-or-nothing set).
-        self.inflight: List[Request] = []
         self._cursor = [0] * cfg.num_clients
         self._due: List[Optional[int]] = [None] * cfg.num_clients
         self._done = [False] * cfg.num_clients
         self._gaps: List[Optional[ArrivalStream]] = [None] * cfg.num_clients
         self._horizon: Optional[int] = None
-        self._committed_writes = 0
         self._served = False
-        self._finished = False
         self._serve_end: Optional[Tuple[int, int, int, Dict[str, int]]] = None
 
     # --- client schedule ------------------------------------------------
@@ -288,7 +473,7 @@ class TransactionService:
 
         ``completed_at`` re-arms a closed-loop client from a response;
         ``None`` means the client is waiting (closed mode: its response
-        is pending and :meth:`_record` re-arms it)."""
+        is pending and :meth:`record` re-arms it)."""
         cfg = self.cfg
         prev_at = self._due[client]
         self._cursor[client] += 1
@@ -307,25 +492,10 @@ class TransactionService:
         else:
             self._set_due(client, completed_at + cfg.think_cycles)
 
-    # --- event-loop steps ------------------------------------------------
+    # --- event loop -----------------------------------------------------
 
-    def _record(self, response: Response) -> None:
-        if self.cfg.keep_responses:
-            self.responses.append(response)
-        if self.telemetry is not None:
-            at = response.completed_at
-            if response.status == "ok":
-                self.telemetry.count(at, "acked")
-                self.telemetry.record(at, "latency", response.latency)
-                if response.kind in ("get", "scan"):
-                    self.telemetry.count(at, "reads")
-                else:
-                    self.telemetry.count(at, "writes")
-            else:
-                self.telemetry.count(at, "shed")
-        if response.status == "ok":
-            self.machine.stats.service_acked += 1
-            self.profiler.record("req_latency", response.latency)
+    def record(self, response: Response) -> None:
+        super().record(response)
         client = response.client - self.cfg.client_base
         if self.cfg.mode == "closed" and not self._client_done(client):
             # The client was waiting on this response; it thinks next.
@@ -351,40 +521,16 @@ class TransactionService:
             for at, client in due:
                 request = self.streams[client].request(self._cursor[client])
                 if self.queue.has_room:
-                    self.machine.stats.service_requests += 1
-                    self.queue.admit(
-                        QueuedRequest(
-                            request=request,
-                            submitted_at=at,
-                            admitted_at=self.machine.now,
-                        )
-                    )
-                    self.profiler.record("queue_depth", self.queue.depth)
-                    if self.telemetry is not None:
-                        self.telemetry.record(
-                            self.machine.now, "queue_depth", self.queue.depth
-                        )
-                    self.machine.stats.service_queue_peak = max(
-                        self.machine.stats.service_queue_peak, self.queue.depth
-                    )
+                    self.admit(request, at)
                     # In closed mode the client now waits for the
-                    # response; _record() re-arms it.
+                    # response; record() re-arms it.
                     self._advance_client(client)
                     admitted_any = True
                     progressed = True
                 elif self.cfg.admission.mode == "shed":
                     self.machine.stats.service_requests += 1
                     self.machine.stats.service_rejected += 1
-                    self._record(
-                        Response(
-                            client=request.client,
-                            seq=request.seq,
-                            kind=request.kind,
-                            status="shed",
-                            submitted_at=at,
-                            completed_at=self.machine.now,
-                        )
-                    )
+                    self.reply(request, at, "shed")
                     self._advance_client(client, completed_at=self.machine.now)
                     progressed = True
                 # mode == "block": the client stalls at the door; its
@@ -392,105 +538,21 @@ class TransactionService:
             if not admitted_any:
                 return progressed
 
-    def _serve_reads(self) -> bool:
-        ready = self.queue.pop_ready_reads()
-        for item in ready:
-            request = item.request
-            if request.kind == "get":
-                values = self.rm.read_get(request)
-            else:
-                values = self.rm.read_scan(request)
-            self.machine.stats.service_reads += 1
-            self._record(
-                Response(
-                    client=request.client,
-                    seq=request.seq,
-                    kind=request.kind,
-                    status="ok",
-                    submitted_at=item.submitted_at,
-                    completed_at=self.machine.now,
-                    values=values,
-                )
-            )
-        return bool(ready)
-
     def _more_arrivals_possible(self) -> bool:
         return any(
             not self._client_done(c) for c in range(self.cfg.num_clients)
         )
 
-    def _should_flush(self) -> bool:
-        eligible = self.queue.eligible_writes()
-        if eligible == 0:
-            return False
-        if eligible >= self.cfg.batch.batch_size:
-            return True
-        oldest = self.queue.oldest_write_admitted_at()
-        if (
-            oldest is not None
-            and self.machine.now - oldest >= self.cfg.batch.max_wait_cycles
-        ):
-            return True
-        return not self._more_arrivals_possible()
-
-    def _flush(self) -> bool:
-        batch = self.queue.take_batch(self.cfg.batch.batch_size)
-        if not batch:
-            return False
-        if self.locks is not None:
-            # Wound-wait over named structures: granted requests ride
-            # this batch (locks implicitly released when its single
-            # durable transaction commits); deferred requests go back to
-            # the queue front and lead the next batch, oldest first.
-            batch, deferred = self.locks.resolve(
-                batch, self.rm.structures_of
-            )
-            if deferred:
-                self.queue.readmit_front(deferred)
-            if not batch:
-                return True
-        requests = [item.request for item in batch]
-        self.machine.stats.service_batches += 1
-        self.machine.stats.service_batched_writes += len(batch)
-        self.profiler.record("batch_occupancy", len(batch))
-        if self.telemetry is not None:
-            self.telemetry.count(self.machine.now, "batches")
-        for request in requests:
-            for key in request.keys:
-                self.subject.before_transaction(key)
-        self.inflight = requests
-        self.tm.commit_batch(requests)
-        # tx_end returned: the batch's commit marker is durable.  The
-        # acks below involve no simulated work, so no crash point can
-        # separate them from the commit.
-        completed_at = self.machine.now
-        for item in batch:
-            self._committed_writes += 1
-            self._record(
-                Response(
-                    client=item.request.client,
-                    seq=item.request.seq,
-                    kind=item.request.kind,
-                    status="ok",
-                    submitted_at=item.submitted_at,
-                    completed_at=completed_at,
-                )
-            )
-        self.inflight = []
-        return True
-
     def _next_wakeup(self) -> Optional[int]:
-        times: List[int] = []
         now = self.machine.now
-        for c in range(self.cfg.num_clients):
-            at = self._due[c]
-            if at is not None and at > now and not self._client_done(c):
-                times.append(at)
-        oldest = self.queue.oldest_write_admitted_at()
-        if oldest is not None:
-            times.append(
-                max(now + 1, oldest + self.cfg.batch.max_wait_cycles)
-            )
+        times = [
+            at
+            for c, at in enumerate(self._due)
+            if at is not None and at > now and not self._client_done(c)
+        ]
+        deadline = self.deadline()
+        if deadline is not None:
+            times.append(deadline)
         return min(times) if times else None
 
     # --- lifecycle -------------------------------------------------------
@@ -508,10 +570,7 @@ class TransactionService:
         self._init_schedule()
         while True:
             progressed = self._admit_due()
-            if self._serve_reads():
-                progressed = True
-            if self._should_flush():
-                self._flush()
+            if self.pump():
                 progressed = True
             if progressed:
                 continue
@@ -530,20 +589,6 @@ class TransactionService:
             self.profiler.phase_cycles.get("commit-persist", 0),
             dict(self.profiler.phase_cycles),
         )
-
-    def finish(self) -> None:
-        """Post-serving validation tail: force lazy state durable, run
-        end-of-run accounting and verify the durable image against the
-        committed oracle."""
-        if self._finished:
-            return
-        self._finished = True
-        self.rt.run_empty_transactions(self.machine.config.num_tx_ids)
-        self.machine.fence()
-        self.machine.finalize()
-        if self.cfg.verify:
-            self.rm.sync_expected()
-            self.subject.verify(durable=True)
 
     def result(self) -> ServiceResult:
         cfg = self.cfg
@@ -579,7 +624,7 @@ class TransactionService:
             shed=stats.service_rejected,
             reads=stats.service_reads,
             batches=stats.service_batches,
-            committed_writes=self._committed_writes,
+            committed_writes=self.committed_writes,
             cycles=cycles,
             pm_bytes=pm_bytes,
             commit_persist_cycles=commit_persist,

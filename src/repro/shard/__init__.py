@@ -14,9 +14,10 @@ Modules:
 * :mod:`repro.shard.router` — deterministic key → shard hashing;
 * :mod:`repro.shard.twopc` — the coordinator, its durable decision
   records and the crash-step instrumentation the fuzz campaign drives;
-* :mod:`repro.shard.deployment` — the serving loop over 2–8 shards,
-  drawing each client's traffic on demand from the service's request
-  and arrival streams;
+* :mod:`repro.shard.deployment` — 2–8 shards, each the service's
+  serving node plus its 2PC participant half, fed by the router with
+  each client's traffic drawn on demand from the service's request and
+  arrival streams;
 * :mod:`repro.shard.recovery` — post-crash in-doubt resolution from the
   durable decision records;
 * :mod:`repro.shard.bench` — the ``bench --twopc`` grid behind

@@ -1,15 +1,16 @@
 """The N-shard deployment: hash-routed serving over independent systems.
 
-Each shard is a complete single-core system behind the PR 6 service
-stack — its own :class:`~repro.core.machine.Machine` and
-:class:`~repro.mem.pm.PersistentMemory`, allocator, durable structure,
-resource manager and transaction manager, built the way
-:class:`~repro.service.server.TransactionService` builds its node.  A
-:class:`~repro.shard.router.HashRouter` sends single-key traffic to its
-home shard; multi-key transactions that span shards go through the
-:class:`~repro.shard.twopc.Coordinator`'s presumed-abort two-phase
-commit, every protocol decision durable as a v1 log record before it
-takes effect.
+Each shard is a :class:`~repro.service.server.ServingNode`, the node
+:class:`~repro.service.server.TransactionService` serves from: its own
+:class:`~repro.core.machine.Machine` and
+:class:`~repro.mem.pm.PersistentMemory`, durable structure, resource
+and transaction managers, and a ``block`` admission queue that
+group-commits a batch when it is full or its oldest write has waited
+``batch.max_wait_cycles``.  A :class:`~repro.shard.router.HashRouter`
+hands single-shard traffic to its home shard; multi-key transactions
+that span shards go through the :class:`~repro.shard.twopc.
+Coordinator`'s presumed-abort two-phase commit, every protocol decision
+durable as a v1 log record before it takes effect.
 
 Determinism: streams, arrivals, routing and every protocol step derive
 from :class:`ShardedConfig` alone.  Each client's requests and arrival
@@ -17,9 +18,11 @@ gaps are drawn on demand from the forward streams the single-node
 service serves from (:class:`~repro.service.model.ClientStream`,
 :class:`~repro.service.model.ArrivalStream`), and the clients' events
 are merged into one global ``(arrival time, client)`` order, so the
-deployment never holds its traffic.  Per-shard group-commit batches
-flush at ``batch_size`` and any residual flushes at end of stream, so
-two runs of one config are byte-identical.
+deployment never holds its traffic.  Each arrival advances only the
+nodes it touches: a batch that falls due first flushes at its
+deadline, then the node's clock idles to the arrival, as the service's
+clock does.  At end of stream every node drains its queue.  Two runs of
+one config are byte-identical.
 
 A deployment has 2–8 shards: one machine has no cross-shard protocol
 to exercise (that is :class:`~repro.service.server.TransactionService`),
@@ -30,9 +33,9 @@ recorded only after the covering commit is durable — a local batch's
 ``tx_end``, or phase 2 of 2PC completing on *every* participant.  An
 ``aborted`` response (coordinator gave up on an unresponsive
 participant) guarantees the transaction is durable *nowhere*.  A crash
-mid-protocol leaves at most one local batch (``inflight_local``) and one
-global transaction (``inflight_gtx``) undecided; recovery resolves the
-latter from durable decision records alone
+mid-protocol leaves at most one local batch (its node's ``inflight``)
+and one global transaction (``inflight_gtx``) undecided; recovery
+resolves the latter from durable decision records alone
 (:func:`repro.shard.recovery.recover_deployment`).
 """
 
@@ -46,16 +49,12 @@ from repro.common import units
 from repro.common.config import DEFAULT_CONFIG, SystemConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import SimStats
-from repro.core.machine import Machine
-from repro.core.schemes import scheme_by_name
 from repro.mem.pm import DurableLogEntry
 from repro.multicore.system import run_atomically
-from repro.obs.profiler import CycleProfiler
-from repro.runtime.hints import MANUAL
-from repro.runtime.ptx import PTx
+from repro.service.admission import AdmissionPolicy
 from repro.service.model import ArrivalStream, ClientStream, Request, Response
-from repro.service.rm import ResourceManager
-from repro.service.tm import BATCH_ATTEMPTS, GroupCommitPolicy, TransactionManager
+from repro.service.server import ServiceConfig, ServingNode
+from repro.service.tm import BATCH_ATTEMPTS, GroupCommitPolicy
 from repro.shard.router import HashRouter
 from repro.shard.twopc import (
     GTX_BASE,
@@ -63,7 +62,6 @@ from repro.shard.twopc import (
     PreparedWrite,
     ShardUnavailable,
 )
-from repro.workloads import WORKLOADS
 
 
 @dataclass
@@ -74,11 +72,6 @@ class ShardedConfig:
     (open-loop only).  The bounds below are the only statement of which
     shapes a deployment takes; the fuzz CLI and the 2PC reproducer
     loader ask this class rather than restate them.
-
-    A shard flushes its batch at ``batch.batch_size``, before a
-    cross-shard transaction that touches it, and at end of stream, so
-    ``batch.max_wait_cycles`` changes nothing (nor does
-    ``params.max_wait_cycles`` in ``BENCH_twopc.json``).
     """
 
     num_shards: int = 2
@@ -116,8 +109,13 @@ class ShardedConfig:
             raise ValueError("requests_per_client must be non-negative")
 
 
-class ShardNode:
-    """One shard: a single-core machine plus its 2PC participant half.
+class ShardNode(ServingNode):
+    """One shard: a serving node plus its 2PC participant half.
+
+    The deployment feeds the node: :meth:`advance` runs it to an
+    arrival, :meth:`offer` hands it the request.  Its queue blocks at
+    the service's default depth (a shard never sheds), and every
+    response lands in the deployment's one list.
 
     The participant contract (what the coordinator calls):
 
@@ -146,26 +144,49 @@ class ShardNode:
         cfg: ShardedConfig,
         *,
         config: SystemConfig = DEFAULT_CONFIG,
+        telemetry=None,
+        responses: List[Response],
     ) -> None:
-        self.shard_id = shard_id
-        self.cfg = cfg
-        self.machine = Machine(scheme_by_name(cfg.scheme), config)
-        self.rt = PTx(self.machine, policy=MANUAL)
-        self.profiler = CycleProfiler()
-        self.profiler.bind(self.machine.now)
-        self.machine.profiler = self.profiler
-        self.subject = WORKLOADS[cfg.workload](
-            self.rt, value_bytes=cfg.value_bytes
+        super().__init__(
+            ServiceConfig(
+                workload=cfg.workload,
+                scheme=cfg.scheme,
+                value_bytes=cfg.value_bytes,
+                batch=cfg.batch,
+                admission=AdmissionPolicy(mode="block"),
+                verify=cfg.verify,
+            ),
+            config=config,
+            telemetry=telemetry,
         )
-        self.rm = ResourceManager(self.subject)
-        self.tm = TransactionManager(self.rt, self.rm)
-        #: Writes pending in this shard's group-commit batch:
-        #: ``(request, submitted_at)`` in arrival order.
-        self.pending: List[Tuple[Request, int]] = []
+        self.shard_id = shard_id
+        self.responses = responses
         #: Prepared-but-undecided global transactions: gtx -> writes.
         self.staged: Dict[int, List[PreparedWrite]] = {}
         #: Test hook: fail the next N prepare calls (unresponsive shard).
         self.fail_prepares = 0
+
+    def advance(self, at: int) -> None:
+        """Run the node to arrival time *at*: a batch that falls due by
+        then flushes at its deadline, then the clock idles to *at*."""
+        while True:
+            if self.pump():
+                continue
+            deadline = self.deadline()
+            if deadline is None or deadline > at:
+                break
+            self.machine.now = deadline
+        self.machine.now = max(self.machine.now, at)
+
+    def offer(self, request: Request, at: int) -> None:
+        """Admit *request*, submitted at *at*, and serve what it made
+        ready.  While the queue is full the request waits at the door:
+        the node runs to its next deadline, flushes and serves reads."""
+        while not self.queue.has_room:
+            self.machine.now = self.deadline()
+            self.pump()
+        self.admit(request, at)
+        self.pump()
 
     # --- 2PC participant half -------------------------------------------
 
@@ -296,26 +317,27 @@ class ShardedDeployment:
         telemetry=None,
     ) -> None:
         self.cfg = cfg
-        self.config = config
-        #: Windowed metrics sink.  Caveat of the deployment's clock
-        #: model: each sample is windowed by the *responding* node's own
-        #: clock (shards are independent clock domains); counters from
-        #: different shards land in comparable but not globally ordered
-        #: windows.  2PC decide latency avoids this by living entirely
-        #: on the coordinator clock.
+        #: Windowed metrics sink.  Each node windows its own samples by
+        #: its own clock, and 2PC decide latency lives entirely on the
+        #: coordinator clock.  Node clocks only reach an arrival when
+        #: the request touches the node, so windows from different
+        #: nodes are comparable but not globally ordered.
         self.telemetry = telemetry
         self.router = HashRouter(cfg.num_shards)
+        self.responses: List[Response] = []
         self.nodes = [
-            ShardNode(shard, cfg, config=config)
+            ShardNode(
+                shard,
+                cfg,
+                config=config,
+                telemetry=telemetry,
+                responses=self.responses,
+            )
             for shard in range(cfg.num_shards)
         ]
         self.coordinator = Coordinator(
             cfg.num_shards, cfg.scheme, config, telemetry=telemetry
         )
-        self.responses: List[Response] = []
-        #: The local batch inside ``commit_batch`` right now, if any:
-        #: ``(shard_id, [requests])`` — the crash harness's undecided set.
-        self.inflight_local: Optional[Tuple[int, List[Request]]] = None
         #: The global transaction inside ``commit_global`` right now:
         #: ``(gtx, {shard: [(key, value)]}, request)``.
         self.inflight_gtx: Optional[
@@ -323,10 +345,7 @@ class ShardedDeployment:
         ] = None
         self.requests = 0
         self.reads = 0
-        self.batches = 0
-        self.committed_writes = 0
         self.xshard_writes = 0
-        self.aborted = 0
         self._served = False
         self._finished = False
         self._serve_end: Optional[Tuple[int, int, Dict[str, int]]] = None
@@ -355,9 +374,8 @@ class ShardedDeployment:
         clients = map(self._arrivals, range(self.cfg.num_clients))
         for at, _, request in heapq.merge(*clients):
             self._dispatch(request, at)
-        # End of stream: flush every residual partial batch.
         for node in self.nodes:
-            self._flush(node)
+            node.drain()
         self._serve_end = (
             self._total_cycles(),
             self._total_pm_bytes(),
@@ -389,144 +407,71 @@ class ShardedDeployment:
 
     def _dispatch(self, request: Request, at: int) -> None:
         self.requests += 1
-        if request.kind == "get":
-            node = self.nodes[self.router.home(request.keys[0])]
-            values = node.rm.read_get(request)
+        if not request.is_write:
             self.reads += 1
-            self._record(request, at, "ok", node.machine.now, values)
-        elif request.kind == "scan":
-            values = self._scan(request)
-            self.reads += 1
-            completed = max(node.machine.now for node in self.nodes)
-            self._record(request, at, "ok", completed, values)
-        else:  # put / txn
-            spans = self.router.spans(request.keys)
-            if len(spans) == 1:
-                self._enqueue_write(self.nodes[spans[0]], request, at)
-            else:
-                self._commit_cross_shard(request, at)
+        if request.kind == "scan":
+            self._scan(request, at)
+            return
+        spans = self.router.spans(request.keys)
+        if len(spans) > 1:
+            self._commit_cross_shard(request, at)
+            return
+        node = self.nodes[spans[0]]
+        node.advance(at)
+        node.offer(request, at)
 
-    def _scan(self, request: Request) -> Tuple:
-        """A scan fans out to every shard (each checks against its own
-        slice of the oracle) and merges by key order."""
+    def _scan(self, request: Request, at: int) -> None:
+        """A scan fans out to every shard at its arrival (each checks
+        against its own slice of the oracle) and merges by key order."""
         merged: List[Tuple[int, Tuple[int, ...]]] = []
         for node in self.nodes:
+            node.advance(at)
             merged.extend(node.rm.read_scan(request))
         merged.sort()
-        return tuple(merged[: request.scan_count])
-
-    def _record(
-        self,
-        request: Request,
-        submitted_at: int,
-        status: str,
-        completed_at: int,
-        values: Tuple = (),
-    ) -> None:
-        if self.telemetry is not None:
-            if status == "ok":
-                self.telemetry.count(completed_at, "acked")
-                self.telemetry.record(
-                    completed_at, "latency", completed_at - submitted_at
-                )
-                if request.kind in ("get", "scan"):
-                    self.telemetry.count(completed_at, "reads")
-                else:
-                    self.telemetry.count(completed_at, "writes")
-            else:
-                self.telemetry.count(completed_at, "aborted")
-        self.responses.append(
-            Response(
-                client=request.client,
-                seq=request.seq,
-                kind=request.kind,
-                status=status,
-                submitted_at=submitted_at,
-                completed_at=completed_at,
-                values=values,
-            )
-        )
-
-    # --- local (single-shard) writes -------------------------------------
-
-    def _enqueue_write(self, node: ShardNode, request: Request, at: int) -> None:
-        node.pending.append((request, at))
-        if len(node.pending) >= self.cfg.batch.batch_size:
-            self._flush(node)
-
-    def _flush(self, node: ShardNode) -> bool:
-        if not node.pending:
-            return False
-        batch = node.pending
-        node.pending = []
-        requests = [request for request, _ in batch]
-        if self.telemetry is not None:
-            self.telemetry.count(node.machine.now, "batches")
-        for request in requests:
-            for key in request.keys:
-                node.subject.before_transaction(key)
-        self.inflight_local = (node.shard_id, requests)
-        node.tm.commit_batch(requests)
-        # tx_end returned: the batch commit marker is durable, and the
-        # acks below involve no simulated work (no crash can separate
-        # them from the commit).
-        completed_at = node.machine.now
-        for request, submitted_at in batch:
-            self.committed_writes += 1
-            self._record(request, submitted_at, "ok", completed_at)
-        self.inflight_local = None
-        self.batches += 1
-        return True
+        last = max(self.nodes, key=lambda node: node.machine.now)
+        last.reply(request, at, values=tuple(merged[: request.scan_count]))
 
     # --- cross-shard transactions ----------------------------------------
 
     def _commit_cross_shard(self, request: Request, at: int) -> None:
         groups = self.router.split(request.keys)
-        # Flush the participants' pending batches first so the global
-        # transaction orders after every write already accepted.
-        for shard in groups:
-            self._flush(self.nodes[shard])
+        participants = {shard: self.nodes[shard] for shard in groups}
+        # Drain the participants first so the global transaction orders
+        # after every request they already accepted.
+        for node in participants.values():
+            node.advance(at)
+            node.drain()
+        coordinator = self.coordinator
+        coordinator.machine.now = max(coordinator.machine.now, at)
         plan: Dict[int, List[PreparedWrite]] = {
             shard: [
                 (key, tuple(request.values[index])) for index, key in pairs
             ]
             for shard, pairs in groups.items()
         }
-        gtx = self.coordinator.new_gtx()
-        participants = {shard: self.nodes[shard] for shard in groups}
+        gtx = coordinator.new_gtx()
         self.inflight_gtx = (gtx, plan, request)
-        fate = self.coordinator.commit_global(gtx, plan, participants)
+        fate = coordinator.commit_global(gtx, plan, participants)
+        last = max(participants.values(), key=lambda node: node.machine.now)
         if fate == "commit":
-            completed_at = max(
-                self.nodes[shard].machine.now for shard in groups
-            )
-            self.committed_writes += 1
             self.xshard_writes += len(request.keys)
-            self._record(request, at, "ok", completed_at)
+            last.reply(request, at)
         else:
-            self.aborted += 1
-            self._record(
-                request, at, "aborted", self.coordinator.machine.now
+            last.reply(
+                request, at, "aborted", completed_at=coordinator.machine.now
             )
         self.inflight_gtx = None
 
     # --- lifecycle --------------------------------------------------------
 
     def finish(self) -> None:
-        """Validation tail: force lazy state durable on every shard and
-        verify each durable image against that shard's oracle."""
+        """Validation tail of every shard, then the coordinator's."""
         if self._finished:
             return
         self._finished = True
         for node in self.nodes:
-            node.rt.run_empty_transactions(node.machine.config.num_tx_ids)
-            node.machine.fence()
-            node.machine.finalize()
+            node.finish()
         self.coordinator.machine.finalize()
-        if self.cfg.verify:
-            for node in self.nodes:
-                node.rm.sync_expected()
-                node.subject.verify(durable=True)
 
     def _total_cycles(self) -> int:
         return self.coordinator.machine.now + sum(
@@ -559,21 +504,22 @@ class ShardedDeployment:
         for node in self.nodes:
             stats.add(node.machine.stats)
         stats.add(self.coordinator.machine.stats)
-        acked = sum(1 for r in self.responses if r.status == "ok")
+        coordinator = self.coordinator
         return ShardedResult(
             num_shards=self.cfg.num_shards,
             workload=self.cfg.workload,
             scheme=self.cfg.scheme,
             requests=self.requests,
-            acked=acked,
-            aborted=self.aborted,
+            acked=sum(1 for r in self.responses if r.status == "ok"),
+            aborted=coordinator.aborted_gtxs,
             reads=self.reads,
-            batches=self.batches,
-            committed_writes=self.committed_writes,
-            xshard_commits=self.coordinator.committed_gtxs,
-            xshard_aborts=self.coordinator.aborted_gtxs,
+            batches=stats.service_batches,
+            committed_writes=coordinator.committed_gtxs
+            + sum(node.committed_writes for node in self.nodes),
+            xshard_commits=coordinator.committed_gtxs,
+            xshard_aborts=coordinator.aborted_gtxs,
             xshard_writes=self.xshard_writes,
-            prepare_retries=self.coordinator.prepare_retries,
+            prepare_retries=coordinator.prepare_retries,
             cycles=cycles,
             pm_bytes=pm_bytes,
             prepare_persist_cycles=phases.get("prepare-persist", 0),

@@ -86,10 +86,9 @@ def recover_deployment(
     coordinator after phase 2), so index recovery lists in ``fates``
     only global transactions some node has not forgotten.  A node
     parsed from its bytes also lists every forgotten one: a sealed one
-    as ``commit``, and an aborted one as ``abort``, in ``in_doubt`` too
-    when a participant had prepared (its stage carries no seal).  The
-    data words, ``reapplied`` and the in-flight transaction's fate are
-    the same either way, and so is ``in_doubt`` when no abort was told.
+    as ``commit``, an aborted one as ``abort``.  The data words,
+    ``in_doubt``, ``reapplied`` and the in-flight transaction's fate are
+    the same either way.
     """
     out = ResolutionReport()
     out.reports["coord"] = recover(
@@ -126,6 +125,9 @@ def recover_deployment(
                 sealed_stages.setdefault(entry.tx_seq, set()).add(
                     node.shard_id
                 )
+            elif entry.kind == "decide-abort":
+                # Told to abort: the shard already dropped its stage.
+                staged.get(entry.tx_seq, {}).pop(node.shard_id, None)
     for label in out.reports:
         for entry in out.reports[label].twopc_entries:
             if entry.tx_seq < GTX_BASE:

@@ -14,6 +14,7 @@ from repro.service.tm import GroupCommitPolicy
 from repro.shard.deployment import ShardedConfig, ShardedDeployment, run_sharded
 from repro.shard.router import home_shard
 from repro.shard.twopc import GTX_BASE, PREPARE_ATTEMPTS
+from repro.workloads.shared import KEY_BASE
 from tests.reachable import reachable
 
 TXN_MIX = {"put": 0.3, "get": 0.1, "scan": 0.05, "txn": 0.55}
@@ -101,6 +102,56 @@ class TestServing:
         for response in scans:
             keys = [k for k, _ in response.values]
             assert keys == sorted(keys)
+
+
+class TestShardClocks:
+    """Every shard is the service's serving node: its clock reaches each
+    arrival, its batches flush on size or age, and it blocks at a full
+    queue instead of shedding."""
+
+    def test_no_response_completes_before_it_arrives(self):
+        res = run_sharded(small_cfg(arrival_cycles=6000), config=STRESS_CONFIG)
+        assert res.acked == res.requests
+        assert all(r.completed_at >= r.submitted_at for r in res.responses)
+
+    def test_max_wait_cycles_changes_the_batches(self):
+        def batches(max_wait_cycles):
+            batch = GroupCommitPolicy(batch_size=4, max_wait_cycles=max_wait_cycles)
+            cfg = small_cfg(arrival_cycles=6000, batch=batch)
+            return run_sharded(cfg, config=STRESS_CONFIG).batches
+
+        assert batches(400) != batches(4000)
+
+    def test_a_get_reads_its_own_queued_put(self):
+        dep = ShardedDeployment(
+            small_cfg(requests_per_client=0, batch=GroupCommitPolicy(batch_size=2)),
+            config=STRESS_CONFIG,
+        )
+        key = KEY_BASE + 3
+        old, new = (1, 2, 3, 4), (5, 6, 7, 8)
+        # Client 1 fills a batch of two, so the old value commits.
+        dep._dispatch(Request(1, 0, "put", (key,), (old,)), 10)
+        dep._dispatch(Request(1, 1, "put", (key,), (old,)), 20)
+        # Client 0's put waits in a partial batch; its get waits behind it.
+        dep._dispatch(Request(0, 0, "put", (key,), (new,)), 30)
+        dep._dispatch(Request(0, 1, "get", (key,)), 40)
+        dep.serve()
+        (get,) = [r for r in dep.responses if r.kind == "get"]
+        assert get.values == (new,)
+        assert get.completed_at >= get.submitted_at == 40
+
+    def test_a_full_queue_blocks_instead_of_shedding(self):
+        # A batch of 80 never fills the 64-deep queue: each shard waits
+        # at the door for its oldest write's deadline.
+        cfg = small_cfg(
+            num_clients=6, requests_per_client=200, mix={"put": 0.6, "get": 0.4},
+            batch=GroupCommitPolicy(batch_size=80),
+        )
+        dep = ShardedDeployment(cfg, config=STRESS_CONFIG)
+        res = dep.run()
+        assert max(n.machine.stats.service_queue_peak for n in dep.nodes) == 64
+        assert res.acked == res.requests == 1200
+        assert {r.status for r in res.responses} == {"ok"}
 
 
 class TestReadCheck:
@@ -318,7 +369,7 @@ class TestLiveLog:
             config=STRESS_CONFIG,
         )
         dep.serve()
-        assert dep.batches and dep.coordinator.committed_gtxs, (
+        assert dep.result().batches and dep.coordinator.committed_gtxs, (
             "run must commit local and global work"
         )
         return dep

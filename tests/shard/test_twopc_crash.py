@@ -220,7 +220,7 @@ class TestForgettingChangesNoRecovery:
 
         dep = self.assert_recover_alike(arm)
         if target == "local-batch":
-            assert dep.inflight_local[0] == shard
+            assert dep.nodes[shard].inflight
         else:
             assert shard in dep.inflight_gtx[1]
 
@@ -235,10 +235,29 @@ class TestForgettingChangesNoRecovery:
             dep.crash()
         by_index, by_bytes = self.recover_both(indexed, serialized)
         assert indexed.coordinator.aborted_gtxs == 1
-        assert by_index.fates == {} and by_index.in_doubt == []
-        assert by_index.reapplied == {}
+        assert by_index.fates == {} and by_index.reapplied == {}
         aborted = [gtx for gtx, fate in by_bytes.fates.items() if fate == "abort"]
-        assert len(aborted) == 1 and by_bytes.in_doubt == aborted
+        assert len(aborted) == 1
+        # The told participant persisted its own decide-abort: nothing
+        # was undecided at the crash.
+        assert by_bytes.in_doubt == [] == by_index.in_doubt
+
+    def test_a_participant_crashed_before_its_own_abort_is_in_doubt(self):
+        # As above, but power fails after the coordinator's decide-abort
+        # and before the told participant persists its own.
+        def arm(dep):
+            def crash(gtx, shard_ids):
+                raise PowerFailure("crash before the participant's abort")
+
+            dep.nodes[2].fail_prepares = PREPARE_ATTEMPTS
+            for node in dep.nodes:
+                node.abort = crash
+
+        indexed, serialized = self.crashed(arm), self.crashed(arm)
+        by_index, by_bytes = self.recover_both(indexed, serialized)
+        gtx = indexed.inflight_gtx[0]
+        assert by_bytes.in_doubt == [gtx] == by_index.in_doubt
+        assert by_bytes.fates[gtx] == "abort" == by_index.fates[gtx]
 
 
 def _data_words(pm):
