@@ -45,7 +45,6 @@ from repro.core.schemes import (
     Scheme,
     scheme_by_name,
 )
-from repro.harness.figures import regenerate
 from repro.harness.runner import RunResult, cached_run, run_workload
 from repro.multicore.system import MultiCoreSystem, run_atomically
 from repro.recovery.engine import recover
@@ -97,3 +96,13 @@ __all__ = [
     "TransactionAborted",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # The figure harness imports the annotation compiler; load both only
+    # when figures are regenerated, not on every ``import repro``.
+    if name == "regenerate":
+        from repro.harness.figures import regenerate
+
+        return regenerate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,8 +22,6 @@ import argparse
 import sys
 import time
 
-from repro.harness.figures import FIGURES, regenerate
-
 
 def main(argv: "list[str] | None" = None) -> int:
     if argv is None:
@@ -48,6 +46,8 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.model.cli import model_main
 
         return model_main(argv[1:])
+    from repro.harness.figures import FIGURES, regenerate
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the SLPMT paper's evaluation figures.",

@@ -73,7 +73,7 @@ from repro.mem.logregion import TWOPC_KINDS
 from repro.shard.deployment import ShardedConfig, ShardedDeployment
 from repro.shard.recovery import recover_deployment
 from repro.shard.router import home_shard
-from repro.shard.twopc import GTX_BASE
+from repro.shard.twopc import GTX_BASE, STEP_FAMILIES
 from repro.workloads import WORKLOADS
 
 #: Fault flavours a cell can carry.
@@ -153,12 +153,6 @@ def shape_error(**fields) -> Optional[str]:
     except ValueError as exc:
         return str(exc)
     return None
-
-
-def step_family(name: str) -> str:
-    """The protocol-step family of a step name (``prepared:g3:s1`` →
-    ``prepared``) — the unit of stratified coverage."""
-    return name.split(":", 1)[0]
 
 
 def _build_twopc(
@@ -422,7 +416,7 @@ class TwoPCFamily(Family):
         events0, appends0, cycles0, pm0 = start
         machines = dep.all_machines()
         clean = SimpleNamespace(
-            steps=list(dep.coordinator.steps.names),
+            steps=dep.coordinator.steps.families[:],
             events={label: m.wpq.total_inserts - events0[label] for label, m in machines},
             protocol_appends=[
                 (label, index, extent.nwords)
@@ -445,7 +439,7 @@ class TwoPCFamily(Family):
             return [
                 Pool(
                     "step", range(len(steps)), take=max(1, budget // 2),
-                    strata=lambda index: step_family(steps[index]),
+                    strata=lambda index: STEP_FAMILIES[steps[index]],
                 ),
                 Pool(None, [
                     (f"persist:{label}", point)

@@ -1,6 +1,5 @@
 """Experiment harness: runners, metrics, report formatting."""
 
-from repro.harness.figures import FIGURES, FigureResult, regenerate
 from repro.harness.metrics import (
     geomean,
     mean,
@@ -26,3 +25,13 @@ __all__ = [
     "format_table",
     "format_series",
 ]
+
+
+def __getattr__(name):
+    # The figure table imports the annotation compiler; load both only
+    # when figures are regenerated.
+    if name in ("FIGURES", "FigureResult", "regenerate"):
+        from repro.harness import figures
+
+        return getattr(figures, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,6 +11,12 @@ sits at the end.  Lookups re-order; fills evict the LRU entry when the set
 is full.  A line's set is its line number modulo the set count, for every
 geometry; each method picks it inline (a helper would be one more Python
 frame on every simulated access).
+
+A set's ``OrderedDict`` is created by its first fill: ``_sets`` is a list
+indexed by set number that holds ``None`` for a set never filled, and
+every method reads such a set as empty.  A Table-III machine has 3,136
+sets, and a deployment's machines touch only the sets their data maps
+to.  The list keeps scans in set-index order whatever the fill order.
 """
 
 from __future__ import annotations
@@ -37,9 +43,9 @@ class SetAssocCache:
         self.latency = config.latency_cycles
         self.ways = config.ways
         self.num_sets = config.num_sets
-        self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._sets: List[Optional["OrderedDict[int, CacheLine]"]] = [
+            None
+        ] * self.num_sets
 
     # --- lookup ---------------------------------------------------------
 
@@ -50,13 +56,16 @@ class SetAssocCache:
         metadata-only scans pass ``touch=False`` to avoid perturbing LRU.
         """
         cache_set = self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets]
+        if cache_set is None:
+            return None
         line = cache_set.get(line_addr)
         if line is not None and touch:
             cache_set.move_to_end(line_addr)
         return line
 
     def contains(self, line_addr: int) -> bool:
-        return line_addr in self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets]
+        cache_set = self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets]
+        return cache_set is not None and line_addr in cache_set
 
     # --- fill / evict -----------------------------------------------------
 
@@ -68,8 +77,11 @@ class SetAssocCache:
         hazards.
         """
         line_addr = line.addr
-        cache_set = self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets]
-        if line_addr in cache_set:
+        index = (line_addr >> _LINE_SHIFT) % self.num_sets
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        elif line_addr in cache_set:
             raise SimulationError(
                 f"{self.name}: double insert of line {line_addr:#x}"
             )
@@ -81,9 +93,10 @@ class SetAssocCache:
 
     def remove(self, line_addr: int) -> Optional[CacheLine]:
         """Remove and return the line, or None if absent."""
-        return self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets].pop(
-            line_addr, None
-        )
+        cache_set = self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets]
+        if cache_set is None:
+            return None
+        return cache_set.pop(line_addr, None)
 
     # --- scans ---------------------------------------------------------
 
@@ -95,14 +108,17 @@ class SetAssocCache:
         line's fields but must not insert or remove lines while
         iterating."""
         for cache_set in self._sets:
+            if cache_set is None:
+                continue
             for line in cache_set.values():
                 if predicate(line):
                     yield line
 
     def resident_count(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s is not None)
 
     def clear(self) -> None:
         """Drop every line (used for crash simulation: caches are volatile)."""
         for cache_set in self._sets:
-            cache_set.clear()
+            if cache_set is not None:
+                cache_set.clear()

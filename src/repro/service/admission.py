@@ -83,6 +83,9 @@ class AdmissionQueue:
         #: ready read, or nothing queued) keeps its place in the cycle.
         self._rotation: List[int] = []
         self._rotation_cursor = 0
+        #: Reads in :attr:`_items`, so a pump with none queued skips the
+        #: ready-read scan (:meth:`take_batch` removes only writes).
+        self._reads = 0
 
     # --- admission ------------------------------------------------------
 
@@ -101,6 +104,8 @@ class AdmissionQueue:
         if client not in self._rotation:
             self._rotation.append(client)
         self._items.append(item)
+        if not item.request.is_write:
+            self._reads += 1
 
     def readmit_front(self, items: List[QueuedRequest]) -> None:
         """Put lock-deferred requests back at the queue front, in the
@@ -108,6 +113,7 @@ class AdmissionQueue:
         the next batch and only get older (wound-wait livelock
         freedom)."""
         self._items[0:0] = list(items)
+        self._reads += sum(1 for item in items if not item.request.is_write)
 
     # --- reads ----------------------------------------------------------
 
@@ -119,7 +125,7 @@ class AdmissionQueue:
         order per pass).
         """
         out: List[QueuedRequest] = []
-        while True:
+        while self._reads:
             heads: Dict[int, int] = {}
             for idx, item in enumerate(self._items):
                 heads.setdefault(item.request.client, idx)
@@ -129,19 +135,22 @@ class AdmissionQueue:
                 if not self._items[idx].request.is_write
             ]
             if not ready:
-                return out
+                break
             for idx in sorted(ready, reverse=True):
                 out_item = self._items.pop(idx)
                 out.append(out_item)
+            self._reads -= len(ready)
             # Re-sort this pass's pops back into admission order.
             out.sort(key=lambda item: (item.admitted_at, item.request.client,
                                        item.request.seq))
+        return out
 
     # --- batch selection -------------------------------------------------
 
-    def eligible_writes(self) -> int:
-        """How many writes could go into a batch right now."""
-        return len(self._select(limit=len(self._items)))
+    def eligible_writes(self, limit: int) -> int:
+        """How many writes could go into a batch right now, counting at
+        most *limit* of them."""
+        return len(self._select(limit=limit))
 
     def _select(self, *, limit: int) -> List[int]:
         """Indices of up to *limit* batch-eligible writes, per policy."""
@@ -218,7 +227,8 @@ class AdmissionQueue:
 
     def oldest_write_admitted_at(self) -> Optional[int]:
         """Admission time of the oldest queued write (flush deadline)."""
-        times = [
-            item.admitted_at for item in self._items if item.request.is_write
-        ]
-        return min(times) if times else None
+        oldest: Optional[int] = None
+        for item in self._items:
+            if item.request.is_write and (oldest is None or item.admitted_at < oldest):
+                oldest = item.admitted_at
+        return oldest

@@ -82,7 +82,17 @@ class Response:
     cycle at which its group commit's ``tx_end`` returned — i.e. the
     commit marker is durable — so an ``ok`` write response *is* the
     durability acknowledgement.
+
+    A served run keeps one per request, so the class has ``__slots__``
+    and no instance dict.  Python 3.9 has no ``dataclass(slots=True)``,
+    and a frozen slotted instance cannot restore its state through
+    ``setattr``, so the class pickles its fields as a tuple.
     """
+
+    __slots__ = (
+        "client", "seq", "kind", "status", "submitted_at", "completed_at",
+        "values",
+    )
 
     client: int
     seq: int
@@ -90,12 +100,20 @@ class Response:
     status: str  # "ok" | "shed"
     submitted_at: int
     completed_at: int
-    #: ``get``: zero or one value tuple; ``scan``: (key, value) pairs.
-    values: Tuple = ()
+    #: ``get``: zero or one value tuple; ``scan``: (key, value) pairs;
+    #: ``()`` for a write or a shed request.
+    values: Tuple
 
     @property
     def latency(self) -> int:
         return self.completed_at - self.submitted_at
+
+    def __getstate__(self) -> Tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: Tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
 
 def value_for(key: int, client: int, seq: int, value_words: int) -> Tuple[int, ...]:

@@ -330,7 +330,7 @@ class ServingNode:
         return bool(ready)
 
     def _should_flush(self) -> bool:
-        eligible = self.queue.eligible_writes()
+        eligible = self.queue.eligible_writes(self.cfg.batch.batch_size)
         if eligible == 0:
             return False
         if eligible >= self.cfg.batch.batch_size:

@@ -34,6 +34,7 @@ before any acknowledgement.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import DEFAULT_CONFIG, SystemConfig
@@ -56,6 +57,23 @@ RETRY_WAIT_CYCLES = 500
 #: A staged write: (key, value words).
 PreparedWrite = Tuple[int, Tuple[int, ...]]
 
+#: The protocol-step families; :class:`StepTracker` records a step as
+#: its family's index here.
+STEP_FAMILIES = (
+    "pre-prepare", "prepared", "prepare-failed", "pre-decision",
+    "post-decision", "applied",
+)
+PRE_PREPARE, PREPARED, PREPARE_FAILED, PRE_DECISION, POST_DECISION, APPLIED = (
+    range(len(STEP_FAMILIES))
+)
+
+
+def step_name(family: int, gtx: int, shard: Optional[int] = None) -> str:
+    """A step's name: ``prepared:g3:s1`` is shard 1's prepared step of
+    global transaction 3."""
+    name = f"{STEP_FAMILIES[family]}:g{gtx - GTX_BASE}"
+    return name if shard is None else f"{name}:s{shard}"
+
 
 class ShardUnavailable(SimulationError):
     """A participant did not answer a prepare request (test hook for
@@ -66,15 +84,17 @@ class ShardUnavailable(SimulationError):
 class StepTracker:
     """Deterministic protocol-step clock with an armed crash point.
 
-    Every named step the protocol passes is appended to :attr:`names`;
-    when :attr:`crash_at` equals the step's index, the tracker raises
-    :class:`~repro.common.errors.PowerFailure` *at* that step.  A dry
-    run with ``crash_at=None`` therefore enumerates the exact crash
-    points a campaign can sweep.
+    Every step the protocol passes appends its family's byte (an index
+    into :data:`STEP_FAMILIES`) to :attr:`families`; when
+    :attr:`crash_at` equals the step's index, the tracker raises
+    :class:`~repro.common.errors.PowerFailure` *at* that step, named by
+    :func:`step_name`.  A dry run with ``crash_at=None`` therefore
+    enumerates the exact crash points a campaign can sweep, one byte
+    each.
     """
 
     def __init__(self) -> None:
-        self.names: List[str] = []
+        self.families = array("B")
         self.crash_at: Optional[int] = None
         #: A recording pass's capture probe: with one armed, reaching
         #: :attr:`crash_at` calls ``probe.hit()`` (which captures the
@@ -82,12 +102,14 @@ class StepTracker:
         #: of crashing.
         self.probe = None
 
-    def hit(self, name: str) -> None:
-        index = len(self.names)
-        self.names.append(name)
+    def hit(self, family: int, gtx: int, shard: Optional[int] = None) -> None:
+        index = len(self.families)
+        self.families.append(family)
         if self.crash_at is not None and index == self.crash_at:
             if self.probe is None:
-                raise PowerFailure(f"2pc step crash at #{index} ({name})")
+                raise PowerFailure(
+                    f"2pc step crash at #{index} ({step_name(family, gtx, shard)})"
+                )
             self.crash_at = self.probe.hit()
 
 
@@ -184,9 +206,8 @@ class Coordinator:
             raise SimulationError(
                 "a decision record holds at most 8 participant ids"
             )
-        label = f"g{gtx - GTX_BASE}"
         started_at = self.machine.now
-        self.steps.hit(f"pre-prepare:{label}")
+        self.steps.hit(PRE_PREPARE, gtx)
         prepared: List[int] = []
         for shard in shard_ids:
             if not self._prepare_with_retry(
@@ -196,7 +217,7 @@ class Coordinator:
                 # everyone who already prepared (presumed abort makes
                 # the record optional, but persisting it lets recovery
                 # resolve without re-contacting anyone).
-                self.steps.hit(f"prepare-failed:{label}:s{shard}")
+                self.steps.hit(PREPARE_FAILED, gtx, shard)
                 self.persist_decision(
                     gtx, "decide-abort", shard_ids, step="prepare-failed"
                 )
@@ -207,14 +228,14 @@ class Coordinator:
                 self.machine.pm.log_discard_tx(gtx)
                 return "abort"
             prepared.append(shard)
-            self.steps.hit(f"prepared:{label}:s{shard}")
-        self.steps.hit(f"pre-decision:{label}")
+            self.steps.hit(PREPARED, gtx, shard)
+        self.steps.hit(PRE_DECISION, gtx)
         self.persist_decision(gtx, "decide-commit", shard_ids)
         self._count_decision(started_at)
-        self.steps.hit(f"post-decision:{label}")
+        self.steps.hit(POST_DECISION, gtx)
         for shard in shard_ids:
             participants[shard].commit(gtx, shard_ids)
-            self.steps.hit(f"applied:{label}:s{shard}")
+            self.steps.hit(APPLIED, gtx, shard)
         self.committed_gtxs += 1
         self.machine.pm.log_discard_tx(gtx)
         return "commit"

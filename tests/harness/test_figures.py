@@ -1,5 +1,11 @@
 """Figure-regeneration API (small-scale smoke; full runs in benchmarks/)."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.harness.figures import FIGURES, figure8, figure9, regenerate
@@ -57,3 +63,48 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 9" in out
         assert "regenerated" in out
+
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+#: Prints which figure modules a fresh interpreter loaded on import.
+LOADED = """
+import json, sys
+import {module}
+loaded = lambda: sorted(
+    m for m in sys.modules
+    if m.startswith("repro.compiler") or m == "repro.harness.figures"
+)
+before = loaded()
+import repro
+regenerate = repro.regenerate
+from repro.harness import FIGURES, FigureResult
+print(json.dumps([before, regenerate.__module__, loaded()]))
+"""
+
+
+class TestLazyFigures:
+    """Only figure regeneration loads the figure table and the
+    annotation compiler it imports."""
+
+    @pytest.mark.parametrize("module", ["repro", "repro.fuzz.campaign"])
+    def test_import_loads_no_compiler(self, module):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", LOADED.format(module=module)],
+            capture_output=True, text=True, timeout=120, env=env, check=True,
+        )
+        before, where, after = json.loads(done.stdout)
+        assert before == []
+        assert where == "repro.harness.figures"
+        assert "repro.harness.figures" in after
+        assert "repro.compiler.annotate" in after
+
+    def test_unknown_attribute_still_raises(self):
+        import repro
+        import repro.harness
+
+        with pytest.raises(AttributeError, match="no_such"):
+            repro.no_such
+        with pytest.raises(AttributeError, match="no_such"):
+            repro.harness.no_such

@@ -159,3 +159,75 @@ class TestRemoveAndScan:
         for ln in cache.iter_matching(lambda l: l.dirty):
             ln.dirty = False
         assert list(cache.iter_matching(lambda l: l.dirty)) == []
+
+
+class TestNeverFilledSets:
+    """A set's storage is made by its first fill; until then every
+    method reads it as an empty set."""
+
+    def allocated(self, cache):
+        return [i for i, s in enumerate(cache._sets) if s is not None]
+
+    def test_fresh_cache_holds_no_set_storage(self):
+        cache = tiny_cache(ways=2, sets=4)
+        assert self.allocated(cache) == []
+        assert cache.lookup(0x40) is None
+        assert cache.lookup(0x40, touch=False) is None
+        assert not cache.contains(0x40)
+        assert cache.remove(0x40) is None
+        assert list(cache.iter_matching(lambda ln: True)) == []
+        assert cache.resident_count() == 0
+        cache.clear()
+        assert self.allocated(cache) == []
+
+    def test_only_a_fill_allocates_its_set(self):
+        cache = tiny_cache(ways=2, sets=4)
+        cache.insert(line_at(addr_for_set(cache, 2)))
+        assert self.allocated(cache) == [2]
+        for set_index in range(4):
+            addr = addr_for_set(cache, set_index, tag=1)
+            assert cache.lookup(addr) is None
+            assert not cache.contains(addr)
+            assert cache.remove(addr) is None
+        assert self.allocated(cache) == [2]
+
+    def test_never_filled_sets_behave_as_emptied_ones(self):
+        # Every method answers alike on a cache whose sets were never
+        # filled and on one whose sets were all filled and emptied.
+        fresh, emptied = tiny_cache(ways=2, sets=4), tiny_cache(ways=2, sets=4)
+        for set_index in range(4):
+            addr = addr_for_set(emptied, set_index)
+            emptied.insert(line_at(addr))
+            emptied.remove(addr)
+        assert self.allocated(emptied) == [0, 1, 2, 3]
+        for cache in (fresh, emptied):
+            cache.insert(line_at(addr_for_set(cache, 1)))
+            cache.insert(line_at(addr_for_set(cache, 1, tag=1)))
+        probes = [addr_for_set(fresh, s, tag=t) for s in range(4) for t in range(3)]
+        for cache in (fresh, emptied):
+            cache.lookup(addr_for_set(cache, 1))
+        assert [fresh.contains(a) for a in probes] == [emptied.contains(a) for a in probes]
+        assert [
+            ln.addr for ln in fresh.iter_matching(lambda ln: True)
+        ] == [ln.addr for ln in emptied.iter_matching(lambda ln: True)]
+        assert fresh.resident_count() == emptied.resident_count() == 2
+        victims = [
+            cache.insert(line_at(addr_for_set(cache, 1, tag=2))).addr
+            for cache in (fresh, emptied)
+        ]
+        assert victims == [addr_for_set(fresh, 1, tag=1)] * 2
+        for cache in (fresh, emptied):
+            cache.clear()
+            assert cache.resident_count() == 0
+            assert list(cache.iter_matching(lambda ln: True)) == []
+
+    def test_iter_matching_walks_sets_in_index_order(self):
+        # Fills in reverse set order; the scan still walks set 0 first,
+        # each set from its LRU line to its MRU line.
+        cache = tiny_cache(ways=2, sets=4)
+        for set_index in (3, 1, 2, 0):
+            for tag in (1, 0):
+                cache.insert(line_at(addr_for_set(cache, set_index, tag=tag)))
+        assert [ln.addr for ln in cache.iter_matching(lambda ln: True)] == [
+            addr_for_set(cache, s, tag=t) for s in range(4) for t in (1, 0)
+        ]

@@ -1,6 +1,8 @@
 """Bounded admission queue: backpressure, ready reads, batch fill."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.admission import AdmissionPolicy, AdmissionQueue, QueuedRequest
 from repro.service.model import Request
@@ -66,7 +68,7 @@ class TestReadyReads:
         enqueue(queue, [get(0, 0), get(0, 1), put(0, 2)])
         ready = queue.pop_ready_reads()
         assert [r.request.seq for r in ready] == [0, 1]
-        assert queue.eligible_writes() == 1
+        assert queue.eligible_writes(8) == 1
 
 
 class TestBatchSelection:
@@ -161,7 +163,7 @@ class TestBatchSelection:
     def test_read_blocks_later_writes_of_its_client(self):
         queue = AdmissionQueue(AdmissionPolicy())
         enqueue(queue, [get(0, 0), put(0, 1), put(1, 0)])
-        assert queue.eligible_writes() == 1
+        assert queue.eligible_writes(8) == 1
         batch = queue.take_batch(8)
         assert [(i.request.client, i.request.seq) for i in batch] == [(1, 0)]
 
@@ -172,3 +174,91 @@ class TestBatchSelection:
         assert queue.oldest_write_admitted_at() is None
         enqueue(queue, [put(1, 0)], at=9)
         assert queue.oldest_write_admitted_at() == 9
+
+
+class ScanningQueue(AdmissionQueue):
+    """The queue's scans as they were before it counted its reads: every
+    ready-read pop scans the queue, ``eligible_writes`` selects every
+    eligible write before it caps the count, and the oldest write comes
+    from a built list."""
+
+    def pop_ready_reads(self):
+        out = []
+        while True:
+            heads = {}
+            for idx, item in enumerate(self._items):
+                heads.setdefault(item.request.client, idx)
+            ready = [
+                idx
+                for client, idx in heads.items()
+                if not self._items[idx].request.is_write
+            ]
+            if not ready:
+                return out
+            for idx in sorted(ready, reverse=True):
+                out.append(self._items.pop(idx))
+            out.sort(key=lambda item: (item.admitted_at, item.request.client,
+                                       item.request.seq))
+
+    def eligible_writes(self, limit):
+        return min(len(self._select(limit=len(self._items))), limit)
+
+    def oldest_write_admitted_at(self):
+        times = [
+            item.admitted_at for item in self._items if item.request.is_write
+        ]
+        return min(times) if times else None
+
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "write", "pop", "take", "readmit"]),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=60,
+)
+
+
+def ids(items):
+    return [(item.request.client, item.request.seq) for item in items]
+
+
+class TestAgainstReferenceScans:
+    """Random admit/pop/take/readmit sequences: the counted queue makes
+    every decision the scanning reference makes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fairness=st.sampled_from(["fifo", "round-robin"]), ops=OPS)
+    def test_same_decisions(self, fairness, ops):
+        policy = AdmissionPolicy(max_depth=8, fairness=fairness)
+        queue, reference = AdmissionQueue(policy), ScanningQueue(policy)
+        seqs = [0] * 4
+        removed = []  # the items the last pop or take removed
+        for now, (op, arg) in enumerate(ops):
+            if op in ("read", "write"):
+                if not queue.has_room:
+                    continue
+                client, seqs[arg] = arg, seqs[arg] + 1
+                request = (put if op == "write" else get)(client, seqs[client])
+                item = QueuedRequest(request=request, submitted_at=now, admitted_at=now)
+                queue.admit(item)
+                reference.admit(item)
+            elif op == "pop":
+                removed = queue.pop_ready_reads()
+                assert ids(removed) == ids(reference.pop_ready_reads())
+            elif op == "take":
+                removed = queue.take_batch(arg + 1)
+                assert ids(removed) == ids(reference.take_batch(arg + 1))
+            else:
+                back, removed = removed[arg % 2:], []
+                queue.readmit_front(back)
+                reference.readmit_front(back)
+            assert ids(queue._items) == ids(reference._items)
+            assert queue._reads == sum(
+                not item.request.is_write for item in queue._items
+            )
+            for limit in (1, 2, 3, 4, 8, 64):
+                assert queue.eligible_writes(limit) == reference.eligible_writes(limit)
+            assert queue.oldest_write_admitted_at() == (
+                reference.oldest_write_admitted_at()
+            )

@@ -1,5 +1,9 @@
 """Request/response model and the deterministic client generators."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -39,13 +43,55 @@ class TestRequest:
             request.kind = "put"
 
 
+def scan_response(**fields):
+    return Response(**{
+        "client": 1, "seq": 4, "kind": "scan", "status": "ok",
+        "submitted_at": 100, "completed_at": 350,
+        "values": ((KEY_BASE, (7, 8)), (KEY_BASE + 1, (9, 10))),
+        **fields,
+    })
+
+
 class TestResponse:
     def test_latency(self):
         response = Response(
             client=1, seq=0, kind="put", status="ok",
-            submitted_at=100, completed_at=350,
+            submitted_at=100, completed_at=350, values=(),
         )
         assert response.latency == 250
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        original = scan_response()
+        thawed = pickle.loads(pickle.dumps(original, protocol))
+        assert thawed == original and thawed is not original
+        assert thawed.values == original.values and thawed.latency == 250
+
+    def test_deepcopy_astuple_and_replace(self):
+        original = scan_response()
+        assert copy.deepcopy(original) == original
+        assert dataclasses.astuple(original) == (
+            1, 4, "scan", "ok", 100, 350,
+            ((KEY_BASE, (7, 8)), (KEY_BASE + 1, (9, 10))),
+        )
+        shed = dataclasses.replace(original, status="shed", values=())
+        assert (shed.status, shed.values, shed.seq) == ("shed", (), 4)
+        assert original.status == "ok"
+
+    def test_frozen_and_slotted(self):
+        original = scan_response()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            original.status = "shed"
+        assert not hasattr(original, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(original, "extra", 1)
+
+    def test_values_are_required(self):
+        with pytest.raises(TypeError, match="values"):
+            Response(
+                client=1, seq=0, kind="put", status="ok",
+                submitted_at=100, completed_at=350,
+            )
 
 
 class TestGenerateStream:

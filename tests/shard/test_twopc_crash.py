@@ -12,10 +12,15 @@ from repro.common.errors import PowerFailure
 from repro.fuzz.campaign import STRESS_CONFIG
 from repro.fuzz.invariants import durable_state
 from repro.fuzz.kernel import clean_run, run_campaign, run_case, run_cell
-from repro.fuzz.twopc import TWOPC, TwoPCCell, _build_twopc, step_family
+from repro.fuzz.twopc import TWOPC, TwoPCCell, _build_twopc
 from repro.parallel.engine import WorkerCrash
 from repro.parallel.tasks import POISON_ENV
-from repro.shard.twopc import PREPARE_ATTEMPTS
+from repro.shard.twopc import (
+    PREPARE_ATTEMPTS,
+    STEP_FAMILIES,
+    StepTracker,
+    step_name,
+)
 
 CELL = TwoPCCell("hashtable", "SLPMT", 2, "crash")
 TORN = TwoPCCell("hashtable", "SLPMT", 2, "torn-decision")
@@ -27,10 +32,21 @@ def build():
     return _build_twopc(CELL, seed=7, config=STRESS_CONFIG, **CASE_KW)
 
 
+def step_family(name):
+    """The family of a step name (``prepared:g3:s1`` → ``prepared``);
+    a family name is its own family."""
+    return name.split(":", 1)[0]
+
+
+def families(steps):
+    """The family name of every step byte a tracker recorded."""
+    return [STEP_FAMILIES[family] for family in steps]
+
+
 def step_names():
     dep = build()
     dep.serve()
-    return list(dep.coordinator.steps.names)
+    return families(dep.coordinator.steps.families)
 
 
 class TestStepCrashes:
@@ -56,6 +72,34 @@ class TestStepCrashes:
         result = run_case(CELL, "step", 10_000, seed=7, **CASE_KW)
         assert not result.crashed
         assert result.violation is None
+
+    def test_families_are_the_families_of_the_step_names(self, monkeypatch):
+        # Name every step the protocol passes as it passes it; the
+        # tracker keeps only each step's family byte.
+        names = []
+        hit = StepTracker.hit
+
+        def naming(tracker, family, gtx, shard=None):
+            names.append(step_name(family, gtx, shard))
+            hit(tracker, family, gtx, shard)
+
+        monkeypatch.setattr(StepTracker, "hit", naming)
+        dep = build()
+        dep.serve()
+        assert len(names) == len(dep.coordinator.steps.families) > 0
+        assert families(dep.coordinator.steps.families) == [
+            step_family(n) for n in names
+        ]
+        assert names[0] == "pre-prepare:g1"
+        assert "prepared:g1:s0" in names
+
+    def test_step_crash_names_its_step(self):
+        names = step_names()
+        point = names.index("applied")
+        dep = build()
+        dep.coordinator.steps.crash_at = point
+        with pytest.raises(PowerFailure, match=rf"#{point} \(applied:g\d+:s\d\)"):
+            dep.serve()
 
 
 class TestPersistCrashes:
@@ -176,7 +220,7 @@ class TestForgettingChangesNoRecovery:
     def test_phase_two_step_crashes_of_late_gtxs(self):
         clean = self.build()
         clean.serve()
-        names = clean.coordinator.steps.names
+        names = families(clean.coordinator.steps.families)
         late = [
             index
             for index in range(len(names) // 2, len(names))
@@ -266,10 +310,11 @@ def _data_words(pm):
 
 
 def step_pool():
-    """The step names and the step pool of the crash cell's crash space."""
+    """The step families and the step pool of the crash cell's crash
+    space."""
     clean = clean_run(CELL, seed=7, **CASE_KW)
     steps, _persist = TWOPC.crash_space(CELL, 7, 0, {}, clean)
-    return clean.steps, steps
+    return families(clean.steps), steps
 
 
 class TestStratifiedSampling:
