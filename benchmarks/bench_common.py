@@ -17,6 +17,7 @@ import os
 import pathlib
 from typing import Optional
 
+from repro.core.schemes import FIG8_SCHEMES
 from repro.harness.runner import RunResult, cache_key, cached_run, _cached
 from repro.runtime.hints import MANUAL, AnnotationPolicy
 
@@ -27,9 +28,6 @@ BENCH_OPS = int(os.environ.get("REPRO_BENCH_OPS", "1000"))
 VALUE_BYTES = 256
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Scheme display order for the Figure 8/14 tables.
-FIG8_SCHEMES = ["FG", "FG+LG", "FG+LZ", "SLPMT", "ATOM", "EDE"]
 
 _warmed = False
 

@@ -10,10 +10,9 @@ Run:  python examples/compare_schemes.py [ops]
 
 import sys
 
+from repro.core.schemes import FIG8_SCHEMES as SCHEMES
 from repro.harness import cached_run, format_table, geomean, speedup, traffic_reduction
 from repro.workloads import KERNELS
-
-SCHEMES = ["FG", "FG+LG", "FG+LZ", "SLPMT", "ATOM", "EDE"]
 
 
 def main(num_ops: int = 300) -> None:
@@ -34,7 +33,7 @@ def main(num_ops: int = 300) -> None:
     )
     print(format_table(
         f"Speedup over the FG baseline ({num_ops} ycsb-load inserts, 256 B values)",
-        ["workload"] + SCHEMES[1:],
+        ["workload", *SCHEMES[1:]],
         rows,
     ))
     print()
@@ -48,7 +47,7 @@ def main(num_ops: int = 300) -> None:
         )
     print(format_table(
         "PM write-traffic reduction over FG (%; negative = more traffic)",
-        ["workload"] + SCHEMES[1:],
+        ["workload", *SCHEMES[1:]],
         rows,
     ))
 

@@ -202,9 +202,6 @@ class SystemConfig:
     def dram_read_cycles(self) -> int:
         return self.cycles(self.dram.read_latency_ns())
 
-    def dram_write_cycles(self) -> int:
-        return self.cycles(self.dram.write_latency_ns())
-
     def with_pm_write_latency(self, write_latency_ns: float) -> "SystemConfig":
         """Return a copy with a different PM write latency (Fig. 12 sweep)."""
         pm = dataclasses.replace(self.pm, write_latency_ns=write_latency_ns)

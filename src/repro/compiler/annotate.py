@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set
 
 from repro.compiler.analysis import FunctionAnalysis, SiteDecision, analyse
-from repro.compiler.ir import Function, StoreMem
+from repro.compiler.ir import Function
 from repro.runtime.hints import AnnotationPolicy, Hint
 
 
@@ -55,12 +55,6 @@ class AnnotationReport:
     @property
     def missed(self) -> List[SiteReport]:
         return [s for s in self.sites if not s.found]
-
-    def found_hints(self) -> Set[Hint]:
-        return {s.manual_hint for s in self.sites if s.found}
-
-    def missed_hints(self) -> Set[Hint]:
-        return {s.manual_hint for s in self.sites if not s.found}
 
     def describe(self) -> str:
         lines = [

@@ -33,6 +33,7 @@ from repro.compiler.ir import (
     LoadMem,
     Param,
     StoreMem,
+    _uses,
 )
 
 
@@ -53,7 +54,7 @@ def liveness(fn: Function) -> Dict[str, "tuple[int, int]"]:
         dest = getattr(instr, "dest", None)
         if dest is not None:
             ranges[dest] = [i, i]
-        for used in _instr_uses(instr):
+        for used in _uses(instr):
             if used in ranges:
                 ranges[used][1] = i
     return {name: (lo, hi) for name, (lo, hi) in ranges.items()}
@@ -104,22 +105,6 @@ def baseline_pipeline(fn: Function) -> bytes:
     listing = lower(fn)
     registers = assign_registers(fn)
     return encode(listing, registers)
-
-
-def _instr_uses(instr: Instr) -> List[str]:
-    if isinstance(instr, Gep):
-        return [instr.base]
-    if isinstance(instr, BinOp):
-        return [instr.a, instr.b]
-    if isinstance(instr, LoadMem):
-        return [instr.addr]
-    if isinstance(instr, StoreMem):
-        return [instr.addr, instr.value]
-    if isinstance(instr, FreeMem):
-        return [instr.ptr]
-    if isinstance(instr, Call):
-        return list(instr.args)
-    return []
 
 
 def _emit(instr: Instr, consts: Dict[str, int]) -> str:

@@ -91,7 +91,8 @@ from repro.mem.cacheline import (
     new_l1_line,
 )
 from repro.mem.dram import Dram
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.logregion import DurableLogEntry
+from repro.mem.pm import PersistentMemory
 from repro.mem.wpq import WritePendingQueue
 
 #: Cost in cycles of creating one log record (read old data + buffer insert).
@@ -793,7 +794,8 @@ class Machine:
         self._prof_begin(phase)
         self._trace("protocol_persist", records=len(entries), **(label or {}))
         total_bytes = sum(
-            logregion.entry_wire_words(e) * units.WORD_BYTES for e in entries
+            logregion.wire_words(e.kind, len(e.words)) * units.WORD_BYTES
+            for e in entries
         )
         lines = (total_bytes + units.LINE_BYTES - 1) // units.LINE_BYTES
         for entry in entries:
@@ -923,7 +925,7 @@ class Machine:
             if phase is CommitPhase.LOG_RECORDS:
                 self._persist_log_records(records, sync=True)
                 if self.scheme.logging_mode is LoggingMode.REDO and (
-                    records or self.pm.log_entries_for(self._tx_seq)
+                    records or self.pm.has_live_records(self._tx_seq)
                 ):
                     self._persist_commit_marker()
             elif phase is CommitPhase.LOGFREE_LINES:
@@ -933,7 +935,7 @@ class Machine:
                 for line in logged:
                     self._persist_data_line(line, sync=True, phase=phase)
         if self.scheme.logging_mode is LoggingMode.UNDO and (
-            records or logged or logfree or self.pm.log_entries_for(self._tx_seq)
+            records or logged or logfree or self.pm.has_live_records(self._tx_seq)
         ):
             # A transaction that made nothing durable needs no marker:
             # recovery has nothing to roll back either way.  (Volatile-
@@ -970,7 +972,7 @@ class Machine:
         them back."""
         dropped = self.log_buffer.drain_all()
         self.stats.log_records_discarded_lazy += len(dropped)
-        if self.pm.log_entries_for(self._tx_seq):
+        if self.pm.has_live_records(self._tx_seq):
             self._persist_commit_marker()
             self.pm.log_discard_tx(self._tx_seq)
         for line_addr in self._tx_written_lines:

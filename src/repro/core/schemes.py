@@ -96,6 +96,10 @@ SCHEMES: Dict[str, Scheme] = {
     )
 }
 
+#: The Figure-8 scheme order: the FG baseline, then the five designs
+#: every headline table and grid compares against it.
+FIG8_SCHEMES = ("FG", "FG+LG", "FG+LZ", "SLPMT", "ATOM", "EDE")
+
 
 def scheme_by_name(name: str) -> Scheme:
     """Look up a predefined scheme; raises :class:`ReproError` if unknown.

@@ -47,9 +47,6 @@ class TxIdAllocator:
         """Active IDs ordered oldest first."""
         return list(self._active)
 
-    def is_active(self, tx_id: int) -> bool:
-        return tx_id in self._active
-
     def oldest_active(self) -> Optional[int]:
         return self._active[0] if self._active else None
 

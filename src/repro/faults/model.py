@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from repro.common.errors import PowerFailure, SimulationError
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.logregion import DurableLogEntry
+from repro.mem.pm import PersistentMemory
 
 #: Fault-kind tags addressable from CLI flags and reproducer files.
 FAULT_KINDS = ("torn-tail", "bit-flip", "drop-drains")

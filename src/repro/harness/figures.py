@@ -21,14 +21,11 @@ from typing import Any, Dict, List
 from repro.compiler.annotate import derive_policy
 from repro.compiler.programs import kernel_functions
 from repro.compiler.timing import measure_compile_time
+from repro.core.schemes import FIG8_SCHEMES
 from repro.harness.metrics import geomean, speedup, traffic_reduction
 from repro.harness.report import format_series, format_table
 from repro.harness.runner import cached_run
-from repro.runtime.hints import MANUAL
 from repro.workloads import KERNELS, PMKV
-
-#: Scheme order used by the Figure 8/14 tables.
-SCHEMES = ["FG", "FG+LG", "FG+LZ", "SLPMT", "ATOM", "EDE"]
 
 #: Value-size sweep (Figures 10 and 11).
 VALUE_SIZES = [16, 32, 64, 128, 256]
@@ -52,35 +49,35 @@ def figure8(num_ops: int = 1000, value_bytes: int = 256) -> FigureResult:
     res = {
         (w, s): cached_run(w, s, num_ops=num_ops, value_bytes=value_bytes)
         for w in KERNELS
-        for s in SCHEMES
+        for s in FIG8_SCHEMES
     }
     speedups: Dict[str, Dict[str, float]] = {}
     reductions: Dict[str, Dict[str, float]] = {}
     for w in KERNELS:
         base = res[(w, "FG")]
-        speedups[w] = {s: speedup(base, res[(w, s)]) for s in SCHEMES[1:]}
+        speedups[w] = {s: speedup(base, res[(w, s)]) for s in FIG8_SCHEMES[1:]}
         reductions[w] = {
-            s: traffic_reduction(base, res[(w, s)]) for s in SCHEMES[1:]
+            s: traffic_reduction(base, res[(w, s)]) for s in FIG8_SCHEMES[1:]
         }
     geo = {
-        s: geomean(speedups[w][s] for w in KERNELS) for s in SCHEMES[1:]
+        s: geomean(speedups[w][s] for w in KERNELS) for s in FIG8_SCHEMES[1:]
     }
 
-    left_rows = [[w] + [speedups[w][s] for s in SCHEMES[1:]] for w in KERNELS]
-    left_rows.append(["geomean"] + [geo[s] for s in SCHEMES[1:]])
+    left_rows = [[w] + [speedups[w][s] for s in FIG8_SCHEMES[1:]] for w in KERNELS]
+    left_rows.append(["geomean"] + [geo[s] for s in FIG8_SCHEMES[1:]])
     right_rows = [
-        [w] + [100.0 * reductions[w][s] for s in SCHEMES[1:]] for w in KERNELS
+        [w] + [100.0 * reductions[w][s] for s in FIG8_SCHEMES[1:]] for w in KERNELS
     ]
     text = (
         format_table(
             "Figure 8 (left): speedup over the FG baseline",
-            ["workload"] + SCHEMES[1:],
+            ["workload", *FIG8_SCHEMES[1:]],
             left_rows,
         )
         + "\n\n"
         + format_table(
             "Figure 8 (right): PM write-traffic reduction over FG (%)",
-            ["workload"] + SCHEMES[1:],
+            ["workload", *FIG8_SCHEMES[1:]],
             right_rows,
         )
     )
@@ -283,21 +280,21 @@ def figure14(num_ops: int = 1000) -> FigureResult:
             base = cached_run(w, "FG", num_ops=num_ops, value_bytes=vb)
             speedups[w] = {
                 s: speedup(base, cached_run(w, s, num_ops=num_ops, value_bytes=vb))
-                for s in SCHEMES[1:]
+                for s in FIG8_SCHEMES[1:]
             }
             reductions[w] = traffic_reduction(
                 base, cached_run(w, "SLPMT", num_ops=num_ops, value_bytes=vb)
             )
             rows.append(
                 [w]
-                + [speedups[w][s] for s in SCHEMES[1:]]
+                + [speedups[w][s] for s in FIG8_SCHEMES[1:]]
                 + [100.0 * reductions[w]]
             )
         parts.append(
             format_table(
                 f"Figure 14: PMKV speedup over FG ({vb} B values); "
                 "last column: SLPMT traffic reduction %",
-                ["workload"] + SCHEMES[1:] + ["traffic red. %"],
+                ["workload", *FIG8_SCHEMES[1:], "traffic red. %"],
                 rows,
             )
         )

@@ -10,7 +10,8 @@ from repro.mem.cacheline import (
 )
 from repro.mem.dram import Dram
 from repro.mem.layout import PM_BASE, PM_HEAP_BASE, is_persistent, is_volatile
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.logregion import DurableLogEntry
+from repro.mem.pm import PersistentMemory
 from repro.mem.wpq import WpqInsertResult, WritePendingQueue
 
 __all__ = [

@@ -1,16 +1,17 @@
-"""Byte-accurate encoding of the durable log region.
+"""The durable log's format: entry type, wire encoding and decoders.
 
-The simulator keeps the durable log as a start index, the live
-extents, a live index and a view on
-:class:`~repro.mem.pm.PersistentMemory` (the *structural* log, fast to
-query, pruned on commit) over a *serialized* stream of words written
-into the PM log region at :data:`~repro.mem.layout.PM_LOG_BASE`.  The
-serialized form is what a real controller would see after a crash:
-this module defines the codec, and recovery re-derives every entry
-purely from PM words whenever an injected fault has left media the
-live index does not describe
-(:meth:`~repro.mem.pm.PersistentMemory.parsed_log`), so the byte
-stream alone carries the recovery protocol.
+The durable log *is* its serialized words.
+:class:`~repro.mem.pm.PersistentMemory` keeps the log region as one
+dense ``array('Q')`` of words from :data:`~repro.mem.layout.PM_LOG_BASE`,
+beside each placed append's start offset and an index of the live
+positions; it stores no entry objects.  This module owns everything
+about the format: the entry type (:class:`DurableLogEntry`), its kind
+tags, the one wire-length rule (:func:`wire_words`) and the codec.
+Every reader decodes the word array, one placed entry at a time
+(:func:`decode_extent`) or the whole region (:func:`decode_region`,
+what recovery replays whenever an injected fault has left media the
+live index does not describe), so the words alone carry the recovery
+protocol.  Offsets in every error and damage record are PM addresses.
 
 Stream wire format, version 1 (64-bit words):
 
@@ -48,11 +49,11 @@ the tolerant decoder exactly like data records; local replay treats
 them as inert and recovery surfaces them for in-doubt resolution.
 
 Because real PM controllers guarantee only 8-byte write atomicity, a
-crash can cut the final append at any word boundary.  The *tolerant*
-decoder (:func:`decode_stream_tolerant`) therefore never raises on
-damaged media: it classifies each entry as valid, corrupt (checksum or
-framing mismatch mid-stream) or torn (an incomplete tail with nothing
-valid after it) and leaves the policy decision — refuse or salvage — to
+crash can cut the final append at any word boundary.  The region's
+decoder (:func:`decode_region`) therefore never raises on damaged
+media: it classifies each entry as valid, corrupt (checksum or framing
+mismatch mid-stream) or torn (an incomplete tail with nothing valid
+after it) and leaves the policy decision — refuse or salvage — to
 :mod:`repro.recovery.engine`.
 """
 
@@ -60,11 +61,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common import units
 from repro.common.errors import LogParseError, SimulationError
-from repro.mem.pm import DurableLogEntry
+from repro.mem import layout
 
 #: Wire tags (0 is the terminator and therefore invalid).  Tags 5–8 are
 #: the cross-shard 2PC protocol records (see the module docstring).
@@ -105,7 +106,47 @@ _SEQ_LIMIT = 1 << 52
 _WORD_MASK = (1 << 64) - 1
 
 
-def entry_checksum(words: List[int]) -> int:
+@dataclass(frozen=True)
+class DurableLogEntry:
+    """One durable record in the PM log region, as encoded or decoded.
+
+    ``kind`` is ``"undo"`` (old words), ``"redo"`` (new words),
+    ``"commit"`` (transaction end marker), or ``"abort"`` (the
+    transaction was rolled back in place by the Section V-B kernel
+    replay — its remaining records are inert).  The cross-shard 2PC
+    protocol (:mod:`repro.shard.twopc`) adds ``"prepare"`` (a staged
+    write of a global transaction: addr = key, words = value),
+    ``"prepared"`` (marker sealing a participant's prepare phase) and
+    ``"decide-commit"``/``"decide-abort"`` (a durable decision: addr =
+    deciding node id, words = participant shard ids).  ``tx_seq`` is
+    the global transaction sequence number that owns the record;
+    ``addr`` is the word-aligned base of the payload (or the key/node
+    id for protocol records).
+    """
+
+    kind: str
+    tx_seq: int
+    addr: int = 0
+    words: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.kind not in KIND_TAGS:
+            raise SimulationError(f"unknown log entry kind {self.kind!r}")
+
+
+def wire_words(kind: str, nwords: int) -> int:
+    """Words an entry of *kind* with *nwords* payload words occupies on
+    the wire: header and checksum, plus the address and the payload for
+    :data:`PAYLOAD_KINDS`."""
+    return 3 + nwords if kind in PAYLOAD_KINDS else 2
+
+
+def _address(index: int) -> int:
+    """PM address of log word *index*."""
+    return layout.PM_LOG_BASE + index * units.WORD_BYTES
+
+
+def entry_checksum(words: Sequence[int]) -> int:
     """CRC-32 of the wire words, folded into a non-zero 64-bit word.
 
     The low half carries the CRC, the high half its bitwise complement:
@@ -118,27 +159,17 @@ def entry_checksum(words: List[int]) -> int:
 
 def encode_entry(entry: DurableLogEntry) -> List[int]:
     """Serialize one entry into its checksummed wire words."""
-    try:
-        tag = KIND_TAGS[entry.kind]
-    except KeyError:
-        raise SimulationError(f"unencodable log entry kind {entry.kind!r}") from None
     if not 0 <= entry.tx_seq < _SEQ_LIMIT:
         raise SimulationError(f"tx_seq {entry.tx_seq} exceeds the 52-bit field")
     nwords = len(entry.words)
     if nwords > 8:
         raise SimulationError("records cover at most a cache line (8 words)")
-    header = tag | (nwords << 4) | (entry.tx_seq << 12)
-    if entry.kind in PAYLOAD_KINDS:
-        words = [header, entry.addr] + [w & _WORD_MASK for w in entry.words]
-    else:
-        words = [header]
+    header = KIND_TAGS[entry.kind] | (nwords << 4) | (entry.tx_seq << 12)
+    words = [header, entry.addr] + [w & _WORD_MASK for w in entry.words]
+    # A marker keeps only its header before the checksum.
+    del words[wire_words(entry.kind, nwords) - 1 :]
     words.append(entry_checksum(words))
     return words
-
-
-def entry_wire_words(entry: DurableLogEntry) -> int:
-    """Number of words the entry occupies on the wire."""
-    return (3 + len(entry.words)) if entry.kind in PAYLOAD_KINDS else 2
 
 
 def stream_header_words() -> List[int]:
@@ -146,28 +177,27 @@ def stream_header_words() -> List[int]:
     return [LOG_MAGIC, LOG_VERSION]
 
 
-def decode_extent(
-    read_word: Callable[[int], int], start: int
-) -> Tuple[int, DurableLogEntry]:
-    """Decode the one entry whose header word sits at *start*, trusting
+def _entry(kind: str, wire: Sequence[int]) -> DurableLogEntry:
+    """The entry whose wire words (checksum last) are *wire*."""
+    if kind in PAYLOAD_KINDS:
+        return DurableLogEntry(kind, wire[0] >> 12, wire[1], tuple(wire[2:-1]))
+    return DurableLogEntry(kind, wire[0] >> 12)
+
+
+def decode_extent(words: Sequence[int], index: int) -> Tuple[int, DurableLogEntry]:
+    """Decode the one entry whose header is log word *index*, trusting
     its framing: kind, tx_seq and payload length come from the header
-    word and the checksum is not verified.  Returns ``(wire words,
+    word and the checksum is not verified.  Words past the end of
+    *words* read as zero, as on the media.  Returns ``(wire words,
     entry)``; raises :class:`LogParseError` on an invalid kind tag."""
-    header = read_word(start)
+    header = words[index] if index < len(words) else 0
     kind = TAG_KINDS.get(header & 0xF)
     if kind is None:
-        raise LogParseError("invalid entry header", offset=start)
-    tx_seq = header >> 12
-    if kind not in PAYLOAD_KINDS:
-        return 2, DurableLogEntry(kind=kind, tx_seq=tx_seq)
-    nwords = (header >> 4) & 0xFF
-    step = units.WORD_BYTES
-    return 3 + nwords, DurableLogEntry(
-        kind=kind,
-        tx_seq=tx_seq,
-        addr=read_word(start + step),
-        words=tuple(read_word(start + (2 + i) * step) for i in range(nwords)),
-    )
+        raise LogParseError("invalid entry header", offset=_address(index))
+    total = wire_words(kind, (header >> 4) & 0xFF)
+    wire = list(words[index : index + total])
+    wire += [0] * (total - len(wire))
+    return total, _entry(kind, wire)
 
 
 # ----------------------------------------------------------------------
@@ -211,34 +241,16 @@ class ParsedLog:
         return not self.damaged and self.torn_tail is None
 
 
-def decode_region(
-    read_word: Callable[[int], int], base: int, limit: int
-) -> ParsedLog:
-    """Tolerant parse of a whole log region whose header sits at *base*.
+def decode_region(words: Sequence[int]) -> ParsedLog:
+    """Parse as much of a log region as the media supports, never raising.
 
-    A zero base word is an empty log.  Any other word that is not
+    *words* are the region's words from its base; nothing past them was
+    ever written, so their length bounds the parse.  A zero (or absent)
+    base word is an empty log.  Any other base word that is not
     :data:`LOG_MAGIC` destroys framing: it is reported as ``"header"``
-    damage at *base* and nothing after it is parsed.
-    """
-    first = read_word(base)
-    if first == LOG_MAGIC:
-        return decode_stream_tolerant(
-            read_word, base + HEADER_WORDS * units.WORD_BYTES, limit
-        )
-    parsed = ParsedLog()
-    if first:
-        parsed.damaged.append(
-            DamagedEntry(offset=base, reason="header", words=(first,))
-        )
-    return parsed
+    damage at the base and nothing after it is parsed.
 
-
-def decode_stream_tolerant(
-    read_word: Callable[[int], int], base: int, limit: int
-) -> ParsedLog:
-    """Parse as much of the stream as the media supports, never raising.
-
-    Damage handling:
+    Damage handling past the stream header:
 
     * an entry whose header carries an unknown kind tag or an absurd
       ``nwords`` destroys framing — it is recorded and parsing stops
@@ -247,75 +259,60 @@ def decode_stream_tolerant(
       ``"checksum"`` damage and *skipped* (its claimed extent is known,
       so framing survives) — unless nothing but zeros follows, in which
       case it is the torn tail of the final in-flight append;
-    * a header claiming words past *limit* is a torn tail.
+    * a header claiming words past the end is a torn tail.
     """
     out = ParsedLog()
-    cursor = base
+    limit = len(words)
+    first = words[0] if limit else 0
+    if first != LOG_MAGIC:
+        if first:
+            out.damaged.append(
+                DamagedEntry(offset=_address(0), reason="header", words=(first,))
+            )
+        return out
+    cursor = HEADER_WORDS
     while cursor < limit:
-        header = read_word(cursor)
+        header = words[cursor]
         if header == 0:
             break
-        tag = header & 0xF
-        kind = TAG_KINDS.get(tag)
+        kind = TAG_KINDS.get(header & 0xF)
         nwords = (header >> 4) & 0xFF
         tx_seq = header >> 12
         if kind is None:
             out.damaged.append(
-                DamagedEntry(offset=cursor, reason="header", words=(header,))
+                DamagedEntry(offset=_address(cursor), reason="header", words=(header,))
             )
             break
         if kind in PAYLOAD_KINDS and not 1 <= nwords <= 8:
             out.damaged.append(
                 DamagedEntry(
-                    offset=cursor, reason="nwords", kind=kind, tx_seq=tx_seq,
-                    words=(header,),
+                    offset=_address(cursor), reason="nwords", kind=kind,
+                    tx_seq=tx_seq, words=(header,),
                 )
             )
             break
-        total = (3 + nwords) if kind in PAYLOAD_KINDS else 2
-        end = cursor + total * units.WORD_BYTES
+        end = cursor + wire_words(kind, nwords)
         if end > limit:
             out.torn_tail = DamagedEntry(
-                offset=cursor, reason="torn", kind=kind, tx_seq=tx_seq,
+                offset=_address(cursor), reason="torn", kind=kind, tx_seq=tx_seq,
                 words=(header,),
             )
             break
-        wire = [
-            read_word(cursor + i * units.WORD_BYTES) for i in range(total)
-        ]
-        if wire[-1] != entry_checksum(wire[:-1]):
-            damage = DamagedEntry(
-                offset=cursor,
-                reason="torn" if _only_zeros(read_word, end, limit) else "checksum",
-                kind=kind,
-                tx_seq=tx_seq,
-                words=tuple(wire),
-            )
-            if damage.reason == "torn":
-                out.torn_tail = damage
-                break
-            out.damaged.append(damage)
+        wire = words[cursor:end]
+        if wire[-1] == entry_checksum(wire[:-1]):
+            out.entries.append(_entry(kind, wire))
             cursor = end
             continue
-        if kind in PAYLOAD_KINDS:
-            out.entries.append(
-                DurableLogEntry(
-                    kind=kind, tx_seq=tx_seq, addr=wire[1],
-                    words=tuple(wire[2 : 2 + nwords]),
-                )
-            )
-        else:
-            out.entries.append(DurableLogEntry(kind=kind, tx_seq=tx_seq))
+        damage = DamagedEntry(
+            offset=_address(cursor),
+            reason="checksum" if any(words[end:]) else "torn",
+            kind=kind,
+            tx_seq=tx_seq,
+            words=tuple(wire),
+        )
+        if damage.reason == "torn":
+            out.torn_tail = damage
+            break
+        out.damaged.append(damage)
         cursor = end
     return out
-
-
-def _only_zeros(read_word: Callable[[int], int], start: int, limit: int) -> bool:
-    """True when nothing non-zero lies in ``[start, limit)`` — i.e. the
-    damaged entry is the last thing the media ever received."""
-    cursor = start
-    while cursor < limit:
-        if read_word(cursor) != 0:
-            return False
-        cursor += units.WORD_BYTES
-    return True

@@ -7,23 +7,23 @@ keyed by word address.  The log region [``PM_LOG_BASE``,
 lives at ``PM_LOG_BASE + 8*i`` and the array ends one past the highest
 word ever written there.  The serialized stream is append-only and
 contiguous from ``PM_LOG_BASE``, so the array costs 8 bytes a word, its
-length bounds every parse in O(1) and a reset truncates it.  Because
+length bounds every parse and a reset truncates it.  Because
 durability is granted at WPQ insertion (ADR), callers apply writes here
 the moment the WPQ accepts them — the store therefore always holds
 exactly the post-crash contents of the media plus the drained queue.
 
-The log region is a start index, a live extent store and a view: each
-append is *serialized* with the codec in :mod:`repro.mem.logregion`
-(versioned header, per-entry CRC), and its start offset is appended to
-one ``array('Q')`` (its position is its index there).  A per-``tx_seq``
-index of live positions is pruned on commit (and when a shard forgets
-a global transaction) in O(that transaction), and only live positions
-keep a :class:`LogExtent` object — entry and
-payload included.  A resolved record therefore costs its serialized
-words plus 8 bytes, and :meth:`PersistentMemory.extent` decodes it from
-those words on demand.  ``log`` is the *structural* view of the live
-entries.  Byte/line accounting for the log's *traffic* is done by the
-log buffer and machine, which know the packed record sizes.
+The durable log is its words: each append is *serialized* with the
+codec in :mod:`repro.mem.logregion` (versioned header, per-entry CRC)
+into the dense array, and its start offset is appended to a second
+``array('Q')``, the start index (its *position* is its index there).
+A per-``tx_seq`` index of live positions is pruned on commit (and when
+a shard forgets a global transaction) in O(that transaction).  No entry
+object is stored: every record costs its serialized words plus 8
+bytes, and :meth:`PersistentMemory.extent`, :attr:`~PersistentMemory.log`
+(the live entries) and :meth:`~PersistentMemory.log_entries_for` decode
+from those words on demand.  Byte/line accounting for the log's
+*traffic* is done by the log buffer and machine, which know the packed
+record sizes.
 
 Media faults are injected *through this class*: a
 :class:`repro.faults.model.FaultModel` attached to :attr:`fault_model`
@@ -34,9 +34,10 @@ drains that never reached media.  The live index describes the media
 only as the appends left it, so every injection invalidates it until
 the next :meth:`~PersistentMemory.log_reset`, and
 :meth:`~PersistentMemory.parsed_log` (what recovery replays) then parses
-the serialized words.  The damage ledger (:attr:`log_damage`) records
-what each injection did, as ground truth for the campaigns' detection
-check.
+the whole region; the entries the index selects still decode from the
+words as they now read.  The damage ledger (:attr:`log_damage`)
+records what each injection did, as ground truth for the campaigns'
+detection check.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common import units
 from repro.common.errors import SimulationError
-from repro.mem import layout
+from repro.mem import layout, logregion
+from repro.mem.logregion import DurableLogEntry
 
-_logregion = None
 _PM_BASE = layout.PM_BASE
 _WORD_MASK = ~(units.WORD_BYTES - 1)
 _WORD_SHIFT = units.WORD_BYTES.bit_length() - 1
@@ -60,69 +61,16 @@ _LOG_END = layout.PM_LOG_BASE + layout.PM_LOG_BYTES
 _WORD_LIMIT = 1 << 64
 
 
-def _logregion_module():
-    """Cached :mod:`repro.mem.logregion` (imported lazily: the codec
-    module imports :class:`DurableLogEntry` from here)."""
-    global _logregion
-    if _logregion is None:
-        from repro.mem import logregion
-
-        _logregion = logregion
-    return _logregion
-
-
-@dataclass(frozen=True)
-class DurableLogEntry:
-    """One durable record in the PM log region.
-
-    ``kind`` is ``"undo"`` (old words), ``"redo"`` (new words),
-    ``"commit"`` (transaction end marker), or ``"abort"`` (the
-    transaction was rolled back in place by the Section V-B kernel
-    replay — its remaining records are inert).  The cross-shard 2PC
-    protocol (:mod:`repro.shard.twopc`) adds ``"prepare"`` (a staged
-    write of a global transaction: addr = key, words = value),
-    ``"prepared"`` (marker sealing a participant's prepare phase) and
-    ``"decide-commit"``/``"decide-abort"`` (a durable decision: addr =
-    deciding node id, words = participant shard ids).  ``tx_seq`` is
-    the global transaction sequence number that owns the record;
-    ``addr`` is the word-aligned base of the payload (or the key/node
-    id for protocol records).
-    """
-
-    kind: str
-    tx_seq: int
-    addr: int = 0
-    words: Tuple[int, ...] = ()
-
-    _KINDS = (
-        "undo",
-        "redo",
-        "commit",
-        "abort",
-        "prepare",
-        "prepared",
-        "decide-commit",
-        "decide-abort",
-    )
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise SimulationError(f"unknown log entry kind {self.kind!r}")
-
-
 @dataclass
 class LogExtent:
-    """Where one serialized entry lives on the media."""
+    """One placed append as :meth:`PersistentMemory.extent` decodes it:
+    its start address, its wire length and its entry."""
 
     __slots__ = ("start", "nwords", "entry")
 
     start: int
     nwords: int
     entry: DurableLogEntry
-
-    @property
-    def end(self) -> int:
-        return self.start + self.nwords * units.WORD_BYTES
 
 
 @dataclass
@@ -142,17 +90,17 @@ class _JournalGroup:
 @dataclass
 class PersistentMemory:
     """Durable word stores (heap dict, dense log array) + the log
-    region's start index, live extents, live index and view.
+    region's start index and live index.
 
     Entries are *serialized* into the PM log region at
     :data:`~repro.mem.layout.PM_LOG_BASE` (append-only, markers make
     stale records inert), so recovery can run from raw bytes — see
-    :mod:`repro.mem.logregion`; :attr:`log` views the live ones.  A
-    structural entry lives only while its transaction is in the live
-    index: a served run's structural log is O(live), and :meth:`extent`
-    reads any placed append back.  The index is a cache of pristine
-    media: an injected fault clears :attr:`_indexed`, and
-    :meth:`parsed_log` reads the words from then on.
+    :mod:`repro.mem.logregion`.  Those words are the only copy of an
+    entry: :meth:`extent` decodes any placed append, and :attr:`log`
+    and :meth:`log_entries_for` decode the positions the live index
+    selects.  The index is a cache of pristine media: an injected fault
+    clears :attr:`_indexed`, and :meth:`parsed_log` parses the whole
+    region from then on.
     """
 
     #: Heap words, by word address (never a log-region address).
@@ -163,8 +111,6 @@ class PersistentMemory:
     #: Start offset of every placed append, in append order: an
     #: append's *position* is its index here.
     _starts: "array[int]" = field(default_factory=lambda: array("Q"))
-    #: The live extents, by position: exactly the positions in :attr:`_live`.
-    _extents: Dict[int, LogExtent] = field(default_factory=dict)
     #: Live index: tx_seq -> ascending positions.
     _live: Dict[int, List[int]] = field(default_factory=dict)
     #: Ledger of injected media damage (torn and flipped entries): the
@@ -256,9 +202,9 @@ class PersistentMemory:
 
     @property
     def log(self) -> List[DurableLogEntry]:
-        """The structural log: live entries in append order (a copy)."""
-        extents = self._extents
-        return [extents[p].entry for p in sorted(extents)]
+        """The live entries in append order, decoded from the words."""
+        positions = sorted(p for ps in self._live.values() for p in ps)
+        return [self.extent(p).entry for p in positions]
 
     def log_append(self, entry: DurableLogEntry) -> None:
         index = self.log_appends
@@ -272,7 +218,7 @@ class PersistentMemory:
     def append_clean(self, entry: DurableLogEntry) -> int:
         """The undamaged append path: serialize, then index live.
         Returns the append's position (see :meth:`extent`)."""
-        words = _logregion_module().encode_entry(entry)
+        words = logregion.encode_entry(entry)
         start = self._next_entry_start()
         end = start + len(words) * units.WORD_BYTES
         if end > _LOG_END:
@@ -292,71 +238,54 @@ class PersistentMemory:
             self._live[entry.tx_seq] = [position]
         else:
             positions.append(position)
-        self._extents[position] = LogExtent(start, len(words), entry)
         return position
 
     def extent(self, position: int) -> LogExtent:
         """The placed append at *position* (``0 <= position <`` placed
-        appends since the last reset): its live extent object, or one
-        decoded from the serialized words once its transaction resolved
-        (kind, tx_seq and nwords come from its header word; the
-        checksum is not verified, so damaged words decode as they now
-        read).  Like the live index, a live extent describes the append
-        as placed, whatever an injection did to its words since."""
-        extent = self._extents.get(position)
-        if extent is not None:
-            return extent
+        appends since the last reset), decoded from the words at its
+        start: kind, tx_seq and nwords come from its header word and the
+        checksum is not verified, so words an injection damaged decode
+        as they now read, and words a revert or a tear left zero raise
+        :class:`~repro.common.errors.LogParseError`."""
         if not 0 <= position < len(self._starts):
             raise IndexError(f"no placed log append at position {position}")
         start = self._starts[position]
-        nwords, entry = _logregion_module().decode_extent(self.read_word, start)
+        nwords, entry = logregion.decode_extent(
+            self._log_words, (start - _LOG_BASE) >> _WORD_SHIFT
+        )
         return LogExtent(start, nwords, entry)
 
     def _next_entry_start(self) -> int:
         """Cursor for the next entry, writing the v1 stream header first
         if this is the very first append into a pristine region."""
         if self._log_cursor == layout.PM_LOG_BASE:
-            logregion = _logregion_module()
             for i, word in enumerate(logregion.stream_header_words()):
-                self._raw_store(
-                    layout.PM_LOG_BASE + i * units.WORD_BYTES, word
-                )
+                self._raw_store(layout.PM_LOG_BASE + i * units.WORD_BYTES, word)
             self._log_cursor = (
                 layout.PM_LOG_BASE + logregion.HEADER_WORDS * units.WORD_BYTES
             )
         return self._log_cursor
 
-    def _log_limit(self) -> int:
-        """Upper parse bound: past everything ever written to the log
-        region (hand-written words included), so the tolerant
-        decoder's is-anything-after-this scan stays cheap."""
-        return max(
-            self._log_cursor, _LOG_BASE + len(self._log_words) * units.WORD_BYTES
-        )
-
-    def parse_byte_log_tolerant(self) -> "object":
+    def parse_byte_log_tolerant(self) -> "logregion.ParsedLog":
         """Tolerant parse of the serialized region (what a controller
         sees post-crash): never raises, classifies torn/corrupt entries
         (see :func:`repro.mem.logregion.decode_region`).  Includes
         entries the live index already pruned; markers keep them
         inert."""
-        return _logregion_module().decode_region(
-            self.read_word, layout.PM_LOG_BASE, self._log_limit()
-        )
+        return logregion.decode_region(self._log_words)
 
-    def parsed_log(self) -> "object":
-        """The log recovery replays, as a
-        :class:`~repro.mem.logregion.ParsedLog`: the live index while
-        the media is pristine (the two recover alike), else
+    def parsed_log(self) -> "logregion.ParsedLog":
+        """The log recovery replays: the live entries while the media is
+        pristine (the two recover alike), else
         :meth:`parse_byte_log_tolerant`, the only correct reading of
         injected media."""
         if not self._indexed:
             return self.parse_byte_log_tolerant()
-        return _logregion_module().ParsedLog(entries=self.log)
+        return logregion.ParsedLog(entries=self.log)
 
     def log_reset(self) -> None:
-        """Erase the whole log region (starts, extents, index, words,
-        damage): the media is pristine again.
+        """Erase the whole log region (starts, index, words, damage): the
+        media is pristine again.
 
         Recovery calls this once replay and application hooks succeeded:
         afterwards a second recovery is a no-op, which is what makes
@@ -364,7 +293,6 @@ class PersistentMemory:
         """
         del self._log_words[:]
         del self._starts[:]
-        self._extents.clear()
         self._live.clear()
         self.log_damage.clear()
         self._log_cursor = layout.PM_LOG_BASE
@@ -376,18 +304,17 @@ class PersistentMemory:
         """Reclaim the (now useless) records of a resolved transaction
         in O(its records): a committed local transaction, or a global
         one its node has forgotten (:mod:`repro.shard.twopc`).  Their
-        extent objects are released, and only the serialized words
-        remain."""
-        positions = self._live.pop(tx_seq, None)
-        if positions is None:
-            return
-        release = self._extents.pop
-        for position in positions:
-            release(position)
+        serialized words remain."""
+        self._live.pop(tx_seq, None)
+
+    def has_live_records(self, tx_seq: int) -> bool:
+        """Whether the live index holds any record of *tx_seq*."""
+        return tx_seq in self._live
 
     def log_entries_for(self, tx_seq: int) -> List[DurableLogEntry]:
-        extents = self._extents
-        return [extents[p].entry for p in self._live.get(tx_seq, ())]
+        """*tx_seq*'s live entries in append order, decoded from the
+        words."""
+        return [self.extent(p).entry for p in self._live.get(tx_seq, ())]
 
     @staticmethod
     def resolved_tx_seqs(entries: List[DurableLogEntry]) -> "set[int]":
@@ -400,11 +327,10 @@ class PersistentMemory:
     def serialize_partial(self, entry: DurableLogEntry, cut_words: int) -> int:
         """Apply a torn append: only the first *cut_words* wire words of
         *entry* reach the media (8-byte-atomic controller, power cut
-        mid-append).  No extent is placed and the damage ledger records
+        mid-append).  No position is placed and the damage ledger records
         a partial tear.  Any cut, 0 and the full length included,
         leaves media the live index does not describe.  Returns the
         header offset."""
-        logregion = _logregion_module()
         words = logregion.encode_entry(entry)
         if not 0 <= cut_words <= len(words):
             raise SimulationError(
@@ -437,7 +363,7 @@ class PersistentMemory:
         self._raw_store(addr, self.read_word(addr) ^ (1 << bit))
         self._indexed = False
         self.log_damage.append(
-            _logregion_module().DamagedEntry(
+            logregion.DamagedEntry(
                 offset=extent.start,
                 reason="checksum",
                 kind=extent.entry.kind,
@@ -500,12 +426,11 @@ class PersistentMemory:
 
     def snapshot(self) -> "PersistentMemory":
         """Deep copy of the durable image: both word stores and the start
-        index (one array copy each), the live extents and live index
-        with whether it is valid, the damage ledger, the append clock
-        and, when armed, the write journal.  Only live extents are
-        objects, so the copy costs O(live) objects however long the log
-        is; extents and entries are never mutated, so the copy shares
-        them.  The fault model is not carried over."""
+        index (one array copy each), the live index with whether it is
+        valid, the damage ledger, the append clock and, when armed, the
+        write journal.  The log is words, so the copy costs O(live)
+        objects however long the log is.  The fault model is not
+        carried over."""
         journal = self._journal
         if journal is not None:
             journal = [
@@ -516,7 +441,6 @@ class PersistentMemory:
             _log_words=self._log_words[:],
             _log_cursor=self._log_cursor,
             _starts=self._starts[:],
-            _extents=dict(self._extents),
             _live={t: list(ps) for t, ps in self._live.items()},
             log_damage=list(self.log_damage),
             log_appends=self.log_appends,

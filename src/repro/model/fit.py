@@ -31,6 +31,7 @@ import time
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.schemes import FIG8_SCHEMES
 from repro.model.features import (
     FEATURE_NAMES,
     CellSpec,
@@ -53,7 +54,6 @@ DEFAULT_MODEL_PATH = "benchmarks/results/cost_model.json"
 #: bracket the BENCH_slpmt_ycsb.json operating point (300 ops / 256 B).
 DEFAULT_OPS_GRID = (40, 80, 120, 160, 200, 240, 300)
 DEFAULT_VALUE_BYTES_GRID = (64, 128, 256)
-DEFAULT_SCHEMES = ("FG", "FG+LG", "FG+LZ", "SLPMT", "ATOM", "EDE")
 DEFAULT_SEED = 2023
 DEFAULT_HOLDOUT_SEED = 2023
 #: Fraction of (ops, value_bytes) grid points reserved for validation.
@@ -100,7 +100,7 @@ def holdout_points(
 def run_training_grid(
     *,
     workloads: Sequence[str] = KERNELS,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
+    schemes: Sequence[str] = FIG8_SCHEMES,
     ops_grid: Sequence[int] = DEFAULT_OPS_GRID,
     value_bytes_grid: Sequence[int] = DEFAULT_VALUE_BYTES_GRID,
     seed: int = DEFAULT_SEED,
@@ -207,7 +207,7 @@ def geomean_error(errors: Sequence[float]) -> float:
 def fit_model(
     *,
     workloads: Sequence[str] = KERNELS,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
+    schemes: Sequence[str] = FIG8_SCHEMES,
     ops_grid: Sequence[int] = DEFAULT_OPS_GRID,
     value_bytes_grid: Sequence[int] = DEFAULT_VALUE_BYTES_GRID,
     seed: int = DEFAULT_SEED,

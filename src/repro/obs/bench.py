@@ -35,6 +35,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ArtifactError
+from repro.core.schemes import FIG8_SCHEMES
 from repro.harness.metrics import geomean
 from repro.model.features import CellSpec
 from repro.model.fit import (
@@ -54,9 +55,6 @@ from repro.service.curve import curve_to_table, format_curve, run_curve
 from repro.service.sustained import format_sustained, run_sustained
 from repro.shard import bench as shard_bench
 from repro.workloads import KERNELS
-
-#: Scheme grid of the headline evaluation (Figure 8 order).
-BENCH_SCHEMES = ("FG", "FG+LG", "FG+LZ", "SLPMT", "ATOM", "EDE")
 
 #: Default artifact parameters: large enough to exercise drains, lazy
 #: forcing and WPQ pressure, small enough for a per-push CI gate.
@@ -530,7 +528,7 @@ YCSB_GRID = Grid(
     axes=(WORKLOAD_AXIS, SCHEME_AXIS),
     defaults=dict(
         workloads=KERNELS,
-        schemes=BENCH_SCHEMES,
+        schemes=FIG8_SCHEMES,
         num_ops=DEFAULT_NUM_OPS,
         value_bytes=DEFAULT_VALUE_BYTES,
         seed=DEFAULT_SEED,
@@ -611,7 +609,7 @@ def run_model_bench(
     name: str = "model",
     model_path: "Optional[str]" = None,
     workloads: "Sequence[str]" = KERNELS,
-    schemes: "Sequence[str]" = BENCH_SCHEMES,
+    schemes: "Sequence[str]" = FIG8_SCHEMES,
     ops_grid: "Sequence[int]" = MODEL_OPS_GRID,
     value_bytes_grid: "Sequence[int]" = MODEL_VALUE_BYTES_GRID,
     seed: int = DEFAULT_SEED,

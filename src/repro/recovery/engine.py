@@ -46,8 +46,8 @@ from typing import Dict, List, Optional, Protocol
 from repro.common import units
 from repro.common.errors import LogChecksumError, SimulationError, TornLogError
 from repro.core.ordering import LoggingMode
-from repro.mem.logregion import TWOPC_KINDS, ParsedLog
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.logregion import TWOPC_KINDS, DurableLogEntry, ParsedLog
+from repro.mem.pm import PersistentMemory
 
 #: Valid recovery policies.
 POLICIES = ("strict", "salvage")

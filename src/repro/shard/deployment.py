@@ -49,7 +49,7 @@ from repro.common import units
 from repro.common.config import DEFAULT_CONFIG, SystemConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import SimStats
-from repro.mem.pm import DurableLogEntry
+from repro.mem.logregion import DurableLogEntry
 from repro.multicore.system import run_atomically
 from repro.service.admission import AdmissionPolicy
 from repro.service.model import ArrivalStream, ClientStream, Request, Response

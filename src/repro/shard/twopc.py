@@ -41,7 +41,7 @@ from repro.common.config import DEFAULT_CONFIG, SystemConfig
 from repro.common.errors import PowerFailure, SimulationError
 from repro.core.machine import Machine
 from repro.core.schemes import Scheme, scheme_by_name
-from repro.mem.pm import DurableLogEntry
+from repro.mem.logregion import DurableLogEntry
 from repro.obs.profiler import CycleProfiler
 
 #: Base of the global (cross-shard) transaction sequence namespace.

@@ -16,23 +16,25 @@ Annotation sites:
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.alloc.objects import NULL, layout
-from repro.common import units
 from repro.common.errors import RecoveryError
 from repro.recovery.engine import PmView
 from repro.runtime.hints import Hint
-from repro.workloads.base import MemReader, Workload
+from repro.workloads.base import MemReader
+from repro.workloads.bst import BinarySearchTree
 
 HEADER = layout("avl_header", ["root"])
 NODE = layout("avl_node", ["key", "value_ptr", "value_len", "left", "right", "height"])
 
 
-class AVLTree(Workload):
+class AVLTree(BinarySearchTree):
     """AVL tree with path-stack rebalancing."""
 
     name = "avl"
+    HEADER = HEADER
+    NODE = NODE
     fuzz_ops = ("insert", "remove")
 
     def setup(self) -> None:
@@ -221,19 +223,6 @@ class AVLTree(Workload):
     # validation
     # ------------------------------------------------------------------
 
-    def _lookup(self, key: int, read: MemReader) -> Optional[int]:
-        node = read(HEADER.addr(self.header, "root"))
-        steps = 0
-        while node != NULL:
-            ckey = read(NODE.addr(node, "key"))
-            if key == ckey:
-                return read(NODE.addr(node, "value_ptr"))
-            node = read(NODE.addr(node, "left" if key < ckey else "right"))
-            steps += 1
-            if steps > 3 * (len(self.expected).bit_length() + 2) + 64:
-                raise RecoveryError("avl: search path too long (cycle?)")
-        return None
-
     def check_integrity(self, read: MemReader) -> None:
         root = read(HEADER.addr(self.header, "root"))
         seen: Set[int] = set()
@@ -263,38 +252,6 @@ class AVLTree(Workload):
         if read(NODE.addr(node, "height")) != h:
             raise RecoveryError(f"avl: stale height at key {key}")
         return h
-
-    def iter_keys(self, read: MemReader) -> List[int]:
-        keys: List[int] = []
-        seen: Set[int] = set()
-        stack = [read(HEADER.addr(self.header, "root"))]
-        while stack:
-            node = stack.pop()
-            if node == NULL:
-                continue
-            if node in seen:
-                raise RecoveryError("avl: node reachable twice")
-            seen.add(node)
-            keys.append(read(NODE.addr(node, "key")))
-            stack.append(read(NODE.addr(node, "left")))
-            stack.append(read(NODE.addr(node, "right")))
-        return keys
-
-    def reachable(self, read: MemReader) -> List[Tuple[int, int]]:
-        out: List[Tuple[int, int]] = [(self.header, HEADER.size)]
-        stack = [read(HEADER.addr(self.header, "root"))]
-        while stack:
-            node = stack.pop()
-            if node == NULL:
-                continue
-            out.append((node, NODE.size))
-            buf = read(NODE.addr(node, "value_ptr"))
-            vlen = read(NODE.addr(node, "value_len"))
-            if buf != NULL:
-                out.append((buf, vlen * units.WORD_BYTES))
-            stack.append(read(NODE.addr(node, "left")))
-            stack.append(read(NODE.addr(node, "right")))
-        return out
 
     # ------------------------------------------------------------------
     # recovery (Pattern 2): recompute heights bottom-up

@@ -21,11 +21,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.alloc.objects import NULL, layout
-from repro.common import units
 from repro.common.errors import RecoveryError
 from repro.recovery.engine import PmView
 from repro.runtime.hints import Hint
-from repro.workloads.base import MemReader, Workload
+from repro.workloads.base import MemReader
+from repro.workloads.bst import BinarySearchTree
 
 HEADER = layout("rb_header", ["root"])
 NODE = layout(
@@ -36,10 +36,12 @@ RED = 0
 BLACK = 1
 
 
-class RBTree(Workload):
+class RBTree(BinarySearchTree):
     """Red-black tree with classic insert fix-up."""
 
     name = "rbtree"
+    HEADER = HEADER
+    NODE = NODE
     fuzz_ops = ("insert", "remove")
 
     def setup(self) -> None:
@@ -330,19 +332,6 @@ class RBTree(Workload):
     # validation
     # ------------------------------------------------------------------
 
-    def _lookup(self, key: int, read: MemReader) -> Optional[int]:
-        node = read(HEADER.addr(self.header, "root"))
-        steps = 0
-        while node != NULL:
-            ckey = read(NODE.addr(node, "key"))
-            if key == ckey:
-                return read(NODE.addr(node, "value_ptr"))
-            node = read(NODE.addr(node, "left" if key < ckey else "right"))
-            steps += 1
-            if steps > 4 * (len(self.expected).bit_length() + 2) + 64:
-                raise RecoveryError("rbtree: search path too long (cycle?)")
-        return None
-
     def check_integrity(self, read: MemReader) -> None:
         """BST order, parent consistency, and the red-black invariants."""
         root = read(HEADER.addr(self.header, "root"))
@@ -387,38 +376,6 @@ class RBTree(Workload):
         if bh_left != bh_right:
             raise RecoveryError("rbtree: unequal black heights")
         return bh_left + (1 if color == BLACK else 0)
-
-    def iter_keys(self, read: MemReader) -> List[int]:
-        keys: List[int] = []
-        seen: Set[int] = set()
-        stack = [read(HEADER.addr(self.header, "root"))]
-        while stack:
-            node = stack.pop()
-            if node == NULL:
-                continue
-            if node in seen:
-                raise RecoveryError("rbtree: node reachable twice")
-            seen.add(node)
-            keys.append(read(NODE.addr(node, "key")))
-            stack.append(read(NODE.addr(node, "left")))
-            stack.append(read(NODE.addr(node, "right")))
-        return keys
-
-    def reachable(self, read: MemReader) -> List[Tuple[int, int]]:
-        out: List[Tuple[int, int]] = [(self.header, HEADER.size)]
-        stack = [read(HEADER.addr(self.header, "root"))]
-        while stack:
-            node = stack.pop()
-            if node == NULL:
-                continue
-            out.append((node, NODE.size))
-            buf = read(NODE.addr(node, "value_ptr"))
-            vlen = read(NODE.addr(node, "value_len"))
-            if buf != NULL:
-                out.append((buf, vlen * units.WORD_BYTES))
-            stack.append(read(NODE.addr(node, "left")))
-            stack.append(read(NODE.addr(node, "right")))
-        return out
 
     # ------------------------------------------------------------------
     # recovery (Pattern 2)

@@ -410,8 +410,9 @@ class TestEvictionWriteback:
         m.crash()
         # Some data reached PM mid-transaction; its undo records must be
         # durable, and the transaction must have no commit marker.
-        assert [e for e in m.pm.log if e.kind == "commit"] == []
-        undo_addrs = {e.addr for e in m.pm.log if e.kind == "undo"}
+        log = m.pm.log  # decoded from the words once
+        assert [e for e in log if e.kind == "commit"] == []
+        undo_addrs = {e.addr for e in log if e.kind == "undo"}
         dirty = {
             a for a in range(BASE, BASE + lines * 64, 64) if m.pm.read_word(a) != 0
         }
@@ -419,7 +420,7 @@ class TestEvictionWriteback:
         for addr in dirty:
             assert any(
                 e.addr <= addr < e.addr + len(e.words) * 8
-                for e in m.pm.log
+                for e in log
                 if e.kind == "undo"
             ), f"written-back line {addr:#x} lacks a durable undo record"
         assert undo_addrs

@@ -6,7 +6,8 @@ from repro.common.errors import PowerFailure, SimulationError
 from repro.faults import BitFlip, DropDrains, FaultModel, TornAppend
 from repro.faults.model import tear_points
 from repro.mem import layout
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.logregion import DurableLogEntry
+from repro.mem.pm import PersistentMemory
 
 BASE = layout.PM_HEAP_BASE
 

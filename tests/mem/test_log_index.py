@@ -1,24 +1,27 @@
 """Model-based test of the indexed PM log (hypothesis).
 
-:class:`~repro.mem.pm.PersistentMemory` records every placed append's
-start offset in one array, keeps a structural extent object only for
-live positions, selects the live ones through a per-``tx_seq`` index of
-positions, and presents :attr:`PersistentMemory.log` as a view; the
-serialized words sit in one dense array.  :class:`ListLog` below is the
-plain form of the same contract: every appended entry is kept beside its
-start, the structural list is a separate list pruned by filtering, the
-log region's words are a dict keyed by address whose journal restores
-each prior value (or absence), and one flag says whether the media is
-still as the appends left it (a tear, a flip or a reverted drain clears
-it, a reset sets it).  Random operation sequences must leave both with
-the same log, the same per-transaction entries, the same flag, the same
-words, parse limit and byte parse, and the same log for recovery: the
-live entries while the flag holds, the byte parse after.  ``extent(i)``
-must give every placed append's start and wire length, the appended
-entry object while it is live and an equal entry decoded from the words
-once it resolved (what the words now read, once an injection touched
-the media); no other extent object may stay reachable.  A snapshot must
-never share mutable state with its source.
+:class:`~repro.mem.pm.PersistentMemory` keeps the log region as one
+dense array of serialized words, records every placed append's start
+offset in a second array and selects the live positions through a
+per-``tx_seq`` index; it stores no entry object, and
+:meth:`~PersistentMemory.extent`, :attr:`PersistentMemory.log` and
+:meth:`~PersistentMemory.log_entries_for` decode from the words.
+:class:`ListLog` below is the plain form of the same contract: every
+appended entry is kept beside its start, the structural list is a
+separate list pruned by filtering, the log region's words are a dict
+keyed by address whose journal restores each prior value (or absence),
+and one flag says whether the media is still as the appends left it (a
+tear, a flip or a reverted drain clears it, a reset sets it).  Random
+operation sequences must leave both with the same live positions, the
+same flag, the same words, parse bound and byte parse, and the same log
+for recovery: the live entries while the flag holds, the byte parse
+after.  While the flag holds, the log and each transaction's entries
+must equal the appended ones.  ``extent(i)`` must read every placed
+append as the reference's words read at its start, live or resolved
+(an invalid header, as a reverted or cut append leaves, raises
+:class:`LogParseError`), and no :class:`DurableLogEntry` may stay
+reachable from the PM.  A snapshot must never share mutable state with
+its source.
 """
 
 import pytest
@@ -30,14 +33,15 @@ from repro.faults import BitFlip, FaultModel, TornAppend
 from repro.mem import layout
 from repro.mem.logregion import (
     HEADER_WORDS,
+    KIND_TAGS,
     PAYLOAD_KINDS,
     TAG_KINDS,
+    DurableLogEntry,
     decode_region,
     encode_entry,
-    entry_wire_words,
     stream_header_words,
 )
-from repro.mem.pm import DurableLogEntry, LogExtent, PersistentMemory
+from repro.mem.pm import PersistentMemory
 from tests.reachable import reachable
 
 BASE = layout.PM_HEAP_BASE
@@ -86,7 +90,7 @@ class ListLog:
         return start
 
     def append(self, entry):
-        start = self._serialize(entry, entry_wire_words(entry))
+        start = self._serialize(entry, _wire_words(entry))
         self.log.append(entry)
         self.extents.append((entry, start))
 
@@ -137,7 +141,8 @@ class ListLog:
 
     def read_back(self, start):
         """``(wire words, entry)`` as the words at *start* read, framed
-        by their header word and unchecked; None for an invalid kind."""
+        by their header word and unchecked; None for an invalid kind
+        (a zero word included)."""
         header = self.words.get(start, 0)
         kind = TAG_KINDS.get(header & 0xF)
         if kind is None:
@@ -151,11 +156,14 @@ class ListLog:
         )
 
     def limit(self):
-        """The parse bound: past the cursor and every word ever written."""
+        """Past the cursor and every word ever written."""
         return max([self.cursor] + [addr + 8 for addr in self.words])
 
     def parse(self):
-        return decode_region(lambda a: self.words.get(a, 0), LOG_BASE, self.limit())
+        count = (self.limit() - LOG_BASE) // 8
+        return decode_region(
+            [self.words.get(LOG_BASE + 8 * i, 0) for i in range(count)]
+        )
 
     def copy(self):
         """A deep copy that shares the (frozen) entries, as a PM
@@ -173,6 +181,12 @@ class ListLog:
         return dup
 
 
+def _wire_words(entry):
+    """The reference's wire length: header and checksum, plus address
+    and payload for a payload kind."""
+    return 3 + len(entry.words) if entry.kind in PAYLOAD_KINDS else 2
+
+
 def _entry(kind, tx_seq, words):
     if kind in PAYLOAD_KINDS:
         return DurableLogEntry(kind, tx_seq, addr=BASE, words=tuple(words))
@@ -181,7 +195,7 @@ def _entry(kind, tx_seq, words):
 
 ENTRIES = st.builds(
     _entry,
-    st.sampled_from(DurableLogEntry._KINDS),
+    st.sampled_from(tuple(KIND_TAGS)),
     st.sampled_from(TX_SEQS),
     st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=3),
 )
@@ -215,7 +229,7 @@ def _apply(pm, ref, step):
         (pm.append_clean if clean else pm.log_append)(entry)
         ref.append(entry)
     elif op in ("torn", "flip"):
-        entry, nwords = step[1], entry_wire_words(step[1])
+        entry, nwords = step[1], _wire_words(step[1])
         if op == "torn":
             plan = TornAppend(pm.log_appends, step[2] % (nwords + 1))
         else:
@@ -251,14 +265,10 @@ def _apply(pm, ref, step):
 
 
 def _observe(pm):
-    """Everything a reader can see of *pm*'s log, by entry identity (a
-    resolved extent is read from the starts and the log words)."""
-    ids = lambda entries: [id(e) for e in entries]  # noqa: E731
+    """Everything *pm* holds of its log, read without decoding."""
     return (
-        ids(pm.log),
-        {t: ids(pm.log_entries_for(t)) for t in TX_SEQS},
+        {t: list(ps) for t, ps in pm._live.items()},
         pm._indexed,
-        [(p, id(x)) for p, x in sorted(pm._extents.items())],
         pm._starts.tolist(),
         pm.journal_groups(),
         dict(pm._words),
@@ -267,19 +277,12 @@ def _observe(pm):
 
 
 def _check_extents(pm, ref):
-    """``extent(i)`` for every placed append, and extent objects held
-    only for live positions."""
-    live = {id(e) for e in ref.log}
+    """``extent(i)`` for every placed append, read from the words."""
     assert len(pm._starts) == len(ref.extents)
     for i, (entry, start) in enumerate(ref.extents):
-        if id(entry) in live:
-            x = pm.extent(i)
-            assert (x.start, x.nwords) == (start, entry_wire_words(entry))
-            assert x.entry is entry
-            continue
         read = ref.read_back(start)
         if ref.indexed:
-            assert read == (entry_wire_words(entry), entry)
+            assert read == (_wire_words(entry), entry)
         if read is None:
             with pytest.raises(LogParseError):
                 pm.extent(i)
@@ -288,12 +291,6 @@ def _check_extents(pm, ref):
             assert (x.start, x.nwords, x.entry) == (start, *read)
     with pytest.raises(IndexError):
         pm.extent(len(ref.extents))
-    assert sorted(pm._extents) == [
-        i for i, (e, _) in enumerate(ref.extents) if id(e) in live
-    ]
-    assert {id(x) for x in reachable(pm, LogExtent)} == {
-        id(x) for x in pm._extents.values()
-    }
 
 
 def _parse_result(parsed):
@@ -301,22 +298,32 @@ def _parse_result(parsed):
 
 
 def _check(pm, ref):
-    log, per_tx, indexed, _, _, _, words, _ = _observe(pm)
-    expected = [id(e) for e in ref.log]
-    assert log == expected
-    assert indexed == ref.indexed
+    live = {id(e) for e in ref.log}
+    assert {t: pm._live.get(t, []) for t in TX_SEQS} == {
+        t: [
+            i for i, (e, _) in enumerate(ref.extents)
+            if id(e) in live and e.tx_seq == t
+        ]
+        for t in TX_SEQS
+    }
+    for t in TX_SEQS:
+        assert pm.has_live_records(t) == any(e.tx_seq == t for e in ref.log)
+    assert pm._indexed == ref.indexed
     parsed = pm.parsed_log()
-    if indexed:
-        assert parsed.clean and [id(e) for e in parsed.entries] == expected
+    if ref.indexed:
+        assert pm.log == ref.log
+        for t in TX_SEQS:
+            assert pm.log_entries_for(t) == [e for e in ref.log if e.tx_seq == t]
+        assert parsed.clean and parsed.entries == ref.log
     else:
         assert _parse_result(parsed) == _parse_result(ref.parse())
     _check_extents(pm, ref)
-    for t in TX_SEQS:
-        assert per_tx[t] == [id(e) for e in ref.log if e.tx_seq == t]
-    # The serialized words, against the dict form of the log region.
-    assert not any(LOG_BASE <= a < LOG_END for a in words)
-    limit = pm._log_limit()
-    assert limit == ref.limit()
+    assert reachable(pm, DurableLogEntry) == []
+    # The serialized words, against the dict form of the log region:
+    # the array's length is the parse bound.
+    assert not any(LOG_BASE <= a < LOG_END for a in pm._words)
+    limit = ref.limit()
+    assert LOG_BASE + 8 * len(pm._log_words) == limit
     for addr in range(LOG_BASE, limit + 16, 8):
         assert pm.read_word(addr) == ref.words.get(addr, 0), hex(addr)
     assert _parse_result(pm.parse_byte_log_tolerant()) == _parse_result(ref.parse())
@@ -368,6 +375,17 @@ MODEL_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow
     ("note",),
     ("poke", 3, 7),
     ("drop", 1),
+])
+@example(ops=[  # a dropped drain reverts a live append: its extent reads zeros
+    ("arm",),
+    ("append", _entry("undo", 1, [5]), False),
+    ("note",),
+    ("append", _entry("redo", 2, [6]), False),
+    ("drop", 1),
+])
+@example(ops=[  # a flipped live append: its extent reads the flipped words
+    ("append", _entry("undo", 1, [5]), True),
+    ("flip", _entry("redo", 1, [6, 7]), 3, 0),
 ])
 @settings(max_examples=300, **MODEL_SETTINGS)
 def test_indexed_log_matches_list_reference(ops):

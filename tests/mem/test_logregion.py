@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from repro.common.errors import LogChecksumError, SimulationError, TornLogError
 from repro.mem import layout
 from repro.mem.logregion import (
+    HEADER_WORDS,
     KIND_TAGS,
-    decode_stream_tolerant,
+    DurableLogEntry,
+    decode_region,
     encode_entry,
     entry_checksum,
-    entry_wire_words,
     stream_header_words,
+    wire_words,
 )
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.pm import PersistentMemory
 from repro.recovery.engine import recover
 
 BASE = layout.PM_HEAP_BASE
@@ -24,12 +26,7 @@ BASE = layout.PM_HEAP_BASE
 
 def decode_words(words):
     """Decode a hand-assembled word list as a log stream."""
-    store = {layout.PM_LOG_BASE + i * 8: w for i, w in enumerate(words)}
-    return decode_stream_tolerant(
-        lambda a: store.get(a, 0),
-        layout.PM_LOG_BASE,
-        layout.PM_LOG_BASE + (len(words) + 4) * 8,
-    )
+    return decode_region(stream_header_words() + words)
 
 
 def entry_strategy():
@@ -63,20 +60,20 @@ class TestCodec:
 
     def test_wire_sizes(self):
         # Every entry ends with one checksum word.
-        assert entry_wire_words(DurableLogEntry("commit", 1)) == 2
-        assert entry_wire_words(DurableLogEntry("undo", 1, BASE, (1, 2))) == 5
+        assert wire_words("commit", 0) == 2
+        assert wire_words("undo", 2) == 5
+        assert len(encode_entry(DurableLogEntry("commit", 1))) == 2
+        assert len(encode_entry(DurableLogEntry("undo", 1, BASE, (1, 2)))) == 5
 
     def test_oversize_payload_rejected(self):
         with pytest.raises(SimulationError):
             encode_entry(DurableLogEntry("undo", 1, BASE, tuple(range(9))))
 
     def test_corrupt_header_detected(self):
-        parsed = decode_stream_tolerant(
-            lambda a: 0xF, layout.PM_LOG_BASE, layout.PM_LOG_BASE + 8
-        )
+        parsed = decode_words([0xF])
         assert parsed.entries == []
         assert [(d.offset, d.reason) for d in parsed.damaged] == [
-            (layout.PM_LOG_BASE, "header")
+            (layout.PM_LOG_BASE + HEADER_WORDS * 8, "header")
         ]
 
     def test_terminator_stops_parse(self):

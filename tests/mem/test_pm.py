@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.mem import layout
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.logregion import DurableLogEntry
+from repro.mem.pm import PersistentMemory
 
 BASE = layout.PM_HEAP_BASE
 

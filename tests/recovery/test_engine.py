@@ -2,7 +2,8 @@
 
 from repro.core.ordering import LoggingMode
 from repro.mem import layout
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.logregion import DurableLogEntry
+from repro.mem.pm import PersistentMemory
 from repro.recovery.engine import PmView, RecoveryReport, recover
 
 BASE = layout.PM_HEAP_BASE

@@ -9,8 +9,8 @@ from repro.common.errors import (
 )
 from repro.core.ordering import LoggingMode
 from repro.mem import layout
-from repro.mem.logregion import entry_wire_words
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.logregion import DurableLogEntry, wire_words
+from repro.mem.pm import PersistentMemory
 from repro.recovery.engine import PmView, recover
 
 A = layout.PM_HEAP_BASE
@@ -60,7 +60,7 @@ class TestCleanRecovery:
         pm = PersistentMemory()
         pm.write_word(A, 99)
         entry = DurableLogEntry("undo", 5, addr=A, words=(7,))
-        pm.serialize_partial(entry, entry_wire_words(entry))
+        pm.serialize_partial(entry, wire_words(entry.kind, len(entry.words)))
         report = recover(pm, mode=LoggingMode.UNDO)
         assert pm.read_word(A) == 7
         assert report.rolled_back_tx_seqs == [5]

@@ -14,7 +14,8 @@ import pytest
 from repro.common.errors import LogChecksumError, TornLogError
 from repro.core.ordering import LoggingMode
 from repro.mem import layout, logregion
-from repro.mem.pm import DurableLogEntry, PersistentMemory
+from repro.mem.logregion import DurableLogEntry
+from repro.mem.pm import PersistentMemory
 from repro.recovery.engine import recover
 from repro.shard.twopc import GTX_BASE
 
@@ -62,7 +63,7 @@ class TestCleanProtocolRecords:
     def test_decision_record_roundtrips_the_wire_format(self):
         entry = decision(shard_ids=(0, 1, 2, 3))
         words = logregion.encode_entry(entry)
-        assert len(words) == logregion.entry_wire_words(entry)
+        assert len(words) == logregion.wire_words(entry.kind, len(entry.words))
         pm = PersistentMemory()
         pm.append_clean(entry)
         parsed = pm.parse_byte_log_tolerant()
@@ -76,7 +77,7 @@ class TestCleanProtocolRecords:
 def _interior_cuts(entry):
     """Every interior word boundary of *entry*'s wire image (a cut at 0
     leaves no trace, a cut at nwords is a complete append)."""
-    return range(1, logregion.entry_wire_words(entry))
+    return range(1, logregion.wire_words(entry.kind, len(entry.words)))
 
 
 class TestTornDecisionRecord:

@@ -3,9 +3,10 @@ with the requests it served (``slow``: about a minute, run nightly).
 
 A request is dead once answered and a committed transaction's log
 records once its commit marker is durable, so the streams hold one
-request and one gap per client and the PM log keeps extent objects only
-for live transactions.  What still grows is the serialized log words,
-about four 8-byte words per request on this shape.
+request and one gap per client and the PM log keeps no entry object,
+only live positions beside the words.  What still grows is the
+serialized log words, about four 8-byte words per request on this
+shape.
 """
 
 import gc

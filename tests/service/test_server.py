@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mem.pm import LogExtent
+from repro.mem.logregion import DurableLogEntry
 from repro.service.admission import AdmissionPolicy
 from repro.service.model import ArrivalStream, Request
 from repro.service.rm import ReadConsistencyError
@@ -261,11 +261,12 @@ class TestServedMemory:
             assert len(reachable(gaps)) <= len(reachable(fresh)) + 1
 
     def test_pm_holds_extents_only_for_live_positions(self, served):
+        # The log is its words: no entry object stays reachable, live
+        # or resolved.
         pm = served.machine.pm
         live = sorted(p for positions in pm._live.values() for p in positions)
         assert pm.log_appends > len(live)
-        assert len(reachable(pm, LogExtent)) == len(live)
-        assert sorted(pm._extents) == live
+        assert reachable(pm, DurableLogEntry) == []
 
 
 class TestTargetLoad:

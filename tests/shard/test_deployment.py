@@ -6,7 +6,7 @@ import pytest
 from repro.common.units import WORD_BYTES
 from repro.core.tracing import Tracer
 from repro.fuzz.campaign import STRESS_CONFIG
-from repro.mem.pm import LogExtent
+from repro.mem.logregion import DurableLogEntry
 from repro.obs.telemetry import TelemetryWindows
 from repro.service.model import ClientStream, Request
 from repro.service.rm import ReadConsistencyError
@@ -394,5 +394,5 @@ class TestLiveLog:
         for label, machine in served.all_machines():
             pm = machine.pm
             assert pm.log_appends, label
-            assert pm._live == {} and pm._extents == {}, label
-            assert reachable(pm, LogExtent) == [], label
+            assert pm._live == {}, label
+            assert reachable(pm, DurableLogEntry) == [], label

@@ -6,7 +6,8 @@ only for the sets they filled.
 Each node reclaims a local transaction's log records at its commit and
 forgets a global transaction's protocol records once no recovery can
 need them (a participant after its applied seal, the coordinator after
-phase 2), so no resolved record keeps a live extent, entry and payload.
+phase 2), and the PM keeps no entry object at all: a record is its
+serialized words.
 What still grows with the requests served is their responses, the
 serialized log words, the start index and one byte per protocol step.
 """

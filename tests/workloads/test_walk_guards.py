@@ -16,11 +16,13 @@ from repro.common import units
 from repro.common.errors import RecoveryError
 from repro.service.model import Request
 from repro.service.rm import make_resource_manager
+from repro.workloads.avl import AVLTree
 from repro.workloads.base import value_words_for_key
 from repro.workloads.dlist import NODE as DL_NODE
 from repro.workloads.dlist import DoublyLinkedList
 from repro.workloads.hashtable import HEADER, INITIAL_BUCKETS, MAX_LOAD, NODE, HashTable, bucket_hash
 from repro.workloads.multistruct import MultiStruct
+from repro.workloads.rbtree import RBTree
 
 from .conftest import keys_for, make_workload
 
@@ -113,3 +115,22 @@ def test_dlist_cycle_raises_from_every_walk():
         dl.iter_keys(read)
     with pytest.raises(RecoveryError):
         dl.check_integrity(read)
+
+
+@pytest.mark.parametrize("cls", [RBTree, AVLTree])
+def test_tree_cycle_raises_from_the_shared_walks(cls):
+    tree = make_workload(cls)
+    keys = sorted(keys_for(8))
+    for k in keys:
+        tree.insert(k)
+    read = tree.reader()
+    root = read(cls.HEADER.addr(tree.header, "root"))
+    node = root
+    while read(cls.NODE.addr(node, "right")):
+        node = read(cls.NODE.addr(node, "right"))
+    # The rightmost node's right child links back to the root.
+    tree.rt.machine.raw_write(cls.NODE.addr(node, "right"), root)
+    with pytest.raises(RecoveryError, match=f"^{tree.name}: search path too long"):
+        tree._lookup(keys[-1] + 1, read)
+    with pytest.raises(RecoveryError, match=f"^{tree.name}: node reachable twice"):
+        tree.iter_keys(read)
